@@ -2,19 +2,15 @@
 
 from .analysis import ErrorAccumulator, ErrorReport, compute_eoc, emit_table, error_norms
 from .assembly import (
-    BlockSystemMatrix,
     assemble_mass,
     assemble_normal_coupling,
     assemble_normal_load,
     assemble_scalar_load,
     assemble_stiffness,
-    build_velocity_matrix,
     discrete_norms,
 )
 from .mesh import (
-    ElementGeometry,
     SurfaceMesh,
-    element_geometry,
     export_obj,
     export_surface,
     generate_icosphere,

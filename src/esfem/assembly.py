@@ -14,8 +14,6 @@ matrices exactly symmetric entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -26,28 +24,11 @@ from .mesh import SurfaceMesh
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Barycentric quadrature rule on the reference triangle.
-
-    Weights sum to one; integrals are ``area * sum(w_q * f(x_q))``.
-    """
-
-    points: np.ndarray  # (Q, 3) barycentric coordinates
-    weights: np.ndarray  # (Q,)
-    degree: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
-
-#: Degree-2 rule at the three edge midpoints.
-MIDPOINT_RULE = QuadratureRule(
-    points=np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-    weights=np.array([1.0, 1.0, 1.0]) / 3.0,
-    degree=2,
-)
+#: Degree-2 rule at the three edge midpoints: barycentric points (Q, 3) and
+#: weights (Q,) summing to one; integrals are ``area * sum(w_q * f(x_q))``.
+#: Midpoint q lies on the edge from vertex q to vertex q+1.
+MIDPOINT_POINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+MIDPOINT_WEIGHTS = np.array([1.0, 1.0, 1.0]) / 3.0
 
 
 def _checked_areas(mesh):
@@ -106,32 +87,19 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
     return _assemble_pairs(mesh, local)
 
 
-@dataclass(frozen=True)
-class BlockSystemMatrix:
-    """Blockwise operator: the scalar matrix applied to each Cartesian
-    component of a node-major 3N vector."""
-
-    scalar_part: sp.csr_matrix
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.scalar_part.shape[0]
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.size != self.dim:
-            raise DimensionMismatch(f"expected a vector of length {self.dim}, got {w.size}")
-        return np.asarray(self.scalar_part @ w.reshape(-1, 3)).reshape(-1)
-
-
-def build_velocity_matrix(mesh: SurfaceMesh, alpha: float) -> BlockSystemMatrix:
-    """The velocity-law system operator with scalar part M + alpha A (SPD)."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
-    scalar = assemble_mass(mesh)
-    if alpha != 0.0:
-        scalar = (scalar + alpha * assemble_stiffness(mesh)).tocsr()
-    return BlockSystemMatrix(scalar)
+def _scatter(mesh, corner_values):
+    """Sum corner-major per-corner values, (3, T) or (3, T, k), into nodal
+    rows, (N,) or (N, k), with one bincount over an index cached per
+    topology.  Entry [i, t] belongs to local vertex i of triangle t."""
+    k = corner_values.shape[2] if corner_values.ndim == 3 else 1
+    cache = mesh._topo_cache
+    key = ("scatter", k)
+    if key not in cache:
+        index = (mesh.triangles.T[:, :, None] * k + np.arange(k)).ravel()
+        index.setflags(write=False)
+        cache[key] = index
+    out = np.bincount(cache[key], weights=corner_values.ravel(), minlength=mesh.num_nodes * k)
+    return out if corner_values.ndim == 2 else out.reshape(-1, k)
 
 
 def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str = "nodal") -> np.ndarray:
@@ -147,21 +115,13 @@ def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str = "nodal") -> np.nd
         raise FieldLengthMismatch(f"field has {u.size} entries, expected {n}")
     area = _checked_areas(mesh)
     normal = mesh.element_normals
-    t = mesh.triangles
-    out = np.zeros((n, 3))
     if mode == "nodal":
         # integral of phi_j over one triangle is area/3
         w = (area / 3.0)[:, None] * normal
-        for i in range(3):
-            for c in range(3):
-                out[:, c] += np.bincount(t[:, i], weights=w[:, c], minlength=n)
-        out *= u[:, None]
+        out = _scatter(mesh, np.broadcast_to(w, (3, *w.shape))) * u[:, None]
     elif mode == "interpolated":
-        coeff = np.einsum("ij,tj->ti", _MASS_TEMPLATE, u[t]) * area[:, None]
-        for i in range(3):
-            contrib = coeff[:, i : i + 1] * normal
-            for c in range(3):
-                out[:, c] += np.bincount(t[:, i], weights=contrib[:, c], minlength=n)
+        coeff = (_MASS_TEMPLATE @ u[mesh.triangles.T]) * area
+        out = _scatter(mesh, coeff[:, :, None] * normal)
     else:
         raise ValueError(f"unknown normal coupling mode: {mode!r}")
     return out.reshape(-1)
@@ -180,15 +140,23 @@ def _load_fields(mesh, u, extra_fields):
     return fields
 
 
-def _quad_point_values(mesh, rule, fields):
-    """Per quadrature point: barycentric weights, positions, field values."""
+def _corner_loads(mesh, integrand, u, time, extra_fields):
+    """Midpoint-rule integrals of integrand * phi_i per corner, (3, T) or
+    (3, T, k).  The 3T quadrature points go through one integrand call,
+    midpoint-major; corner i collects midpoints i and i-1."""
+    fields = _load_fields(mesh, u, extra_fields)
+    area = _checked_areas(mesh)
     t = mesh.triangles
-    corners = mesh.coords[t]  # (T, 3, 3)
+    pos = (MIDPOINT_POINTS @ mesh.coords[t.T].reshape(3, -1)).reshape(-1, 3)
+    vals = [(MIDPOINT_POINTS @ f[t.T]).ravel() for f in fields]
     grads = np.einsum("tik,ti->tk", mesh.basis_gradients, fields[0][t])
-    for lam, wq in zip(rule.points, rule.weights):
-        pos = np.einsum("k,tkj->tj", lam, corners)
-        vals = [f[t] @ lam for f in fields]
-        yield lam, wq, pos, vals, grads
+    f_vals = np.asarray(integrand(pos, vals[0], np.tile(grads, (3, 1)), time, *vals[1:]),
+                        dtype=float)
+    if not np.all(np.isfinite(f_vals)):
+        raise NonFiniteIntegrand(f"integrand non-finite at t={time}")
+    weighted = (f_vals.T * (MIDPOINT_WEIGHTS[:, None] * area).ravel()).T
+    corner = MIDPOINT_POINTS.T @ weighted.reshape(3, -1)
+    return corner.reshape(3, t.shape[0], *f_vals.shape[1:])
 
 
 def assemble_scalar_load(
@@ -197,29 +165,16 @@ def assemble_scalar_load(
     u=None,
     time: float = 0.0,
     extra_fields=(),
-    rule: QuadratureRule = MIDPOINT_RULE,
 ) -> np.ndarray:
     """Load vector with entries integral of integrand * phi_j.
 
     ``integrand(x, u, grad_u, t, *extras)`` must be vectorized: it receives
     quadrature-point positions (Q, 3), interpolated field values (Q,), the
     elementwise-constant tangential gradient (Q, 3) and the time, plus the
-    interpolated values of any ``extra_fields``, and returns (Q,) values.
+    interpolated values of any ``extra_fields``, and returns (Q,) values,
+    or (Q, k) for k integrands at once, which give an (N, k) load.
     """
-    n = mesh.num_nodes
-    fields = _load_fields(mesh, u, extra_fields)
-    area = _checked_areas(mesh)
-    t = mesh.triangles
-    out = np.zeros(n)
-    for lam, wq, pos, vals, grads in _quad_point_values(mesh, rule, fields):
-        f_vals = np.asarray(integrand(pos, vals[0], grads, time, *vals[1:]), dtype=float)
-        if not np.all(np.isfinite(f_vals)):
-            raise NonFiniteIntegrand(f"integrand non-finite at t={time}")
-        base = wq * area * f_vals
-        for i in range(3):
-            if lam[i] != 0.0:
-                out += np.bincount(t[:, i], weights=base * lam[i], minlength=n)
-    return out
+    return _scatter(mesh, _corner_loads(mesh, integrand, u, time, extra_fields))
 
 
 def assemble_normal_load(
@@ -228,28 +183,13 @@ def assemble_normal_load(
     u=None,
     time: float = 0.0,
     extra_fields=(),
-    rule: QuadratureRule = MIDPOINT_RULE,
 ) -> np.ndarray:
     """Vector load (3N,) with the element normal multiplying the integrand.
 
     Entry 3j+l is the integral of integrand * (normal)_l * phi_j.
     """
-    n = mesh.num_nodes
-    fields = _load_fields(mesh, u, extra_fields)
-    area = _checked_areas(mesh)
-    normal = mesh.element_normals
-    t = mesh.triangles
-    out = np.zeros((n, 3))
-    for lam, wq, pos, vals, grads in _quad_point_values(mesh, rule, fields):
-        f_vals = np.asarray(scalar_integrand(pos, vals[0], grads, time, *vals[1:]), dtype=float)
-        if not np.all(np.isfinite(f_vals)):
-            raise NonFiniteIntegrand(f"integrand non-finite at t={time}")
-        base = (wq * area * f_vals)[:, None] * normal
-        for i in range(3):
-            if lam[i] != 0.0:
-                for c in range(3):
-                    out[:, c] += np.bincount(t[:, i], weights=base[:, c] * lam[i], minlength=n)
-    return out.reshape(-1)
+    corner = _corner_loads(mesh, scalar_integrand, u, time, extra_fields)
+    return _scatter(mesh, corner[:, :, None] * mesh.element_normals).reshape(-1)
 
 
 def discrete_norms(M, A, alpha: float, w) -> tuple[float, float, float]:

@@ -21,6 +21,7 @@ from . import analysis, assembly, experiments, mesh, problems, verification
 from .errors import LinearSolveFailure, MeshDegenerated
 
 EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATED = 3
 EXIT_SOLVER = 4
@@ -135,6 +136,9 @@ def resolve_config(args) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = _coerce(name, flag)
+    if args.experiment in ("example1", "example3") and values.get("tau") is not None:
+        raise ValueError(f"{args.experiment} sets tau = tau_c * h^2 on every level; "
+                         "use --tau-c instead of --tau")
     return RunConfig(**values)
 
 
@@ -154,7 +158,7 @@ def build_parser():
         p.add_argument("--config", help="key=value file; flags override it")
         p.add_argument("--levels", help="refinement range A..B")
         p.add_argument("--level", type=int, help="single refinement level")
-        p.add_argument("--tau", type=float, help="fixed time step")
+        p.add_argument("--tau", type=float, help="fixed time step (tumor only)")
         p.add_argument("--tau-c", dest="tau_c", type=float,
                        help="step rule tau = c*h^2 (default c=0.1)")
         p.add_argument("--alpha", type=float)
@@ -245,7 +249,7 @@ def _run_verify(config: RunConfig, out: Path) -> int:
     text = verification.format_report(results)
     (out / "verify.txt").write_text(text)
     print(text, end="")
-    return EXIT_OK if all(r.passed for r in results) else 1
+    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
 def main(argv=None) -> int:
@@ -257,10 +261,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         config = resolve_config(args)
+        out = _prepare_out(config)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = _prepare_out(config)
     runner = {
         "example1": _run_example1,
         "example3": _run_example3,

@@ -1,8 +1,8 @@
 """Triangulated closed surfaces and their element geometry.
 
 Node vectors follow a flat, node-major layout: the position of node j
-occupies entries ``3*j .. 3*j+2`` of a length-``3N`` array.  ``flat_to_points``
-and ``points_to_flat`` convert between that layout and ``(N, 3)`` arrays.
+occupies entries ``3*j .. 3*j+2`` of a length-``3N`` array, so
+``x.reshape(-1, 3)`` is the ``(N, 3)`` point array.
 All triangles are flat (affine); the nodal basis is piecewise linear.
 """
 
@@ -12,38 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateElement, DimensionMismatch, FieldLengthMismatch
+from .errors import FieldLengthMismatch
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
-
-
-def flat_to_points(x: np.ndarray) -> np.ndarray:
-    """View a flat node vector of length 3N as an (N, 3) point array."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size % 3 != 0:
-        raise DimensionMismatch(f"node vector length {x.size} is not a multiple of 3")
-    return x.reshape(-1, 3)
-
-
-def points_to_flat(p: np.ndarray) -> np.ndarray:
-    """Flatten an (N, 3) point array into the node-major layout."""
-    p = np.asarray(p, dtype=float)
-    return p.reshape(-1)
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometry of one flat triangle.
-
-    area            triangle area
-    unit_normal     outward unit normal (inherits the mesh orientation)
-    basis_gradients (3, 3) array; row i is the constant tangential gradient
-                    of the linear basis function of local vertex i
-    """
-
-    area: float
-    unit_normal: np.ndarray
-    basis_gradients: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -207,22 +178,6 @@ def triangle_basis_gradients(coords, triangles, area=None, normal=None):
     g[:, 1] = np.cross(normal, a - c) / two_area
     g[:, 2] = np.cross(normal, b - a) / two_area
     return g
-
-
-def element_geometry(mesh: SurfaceMesh, triangle_index: int) -> ElementGeometry:
-    """Area, outward unit normal and basis gradients of one triangle.
-
-    Raises DegenerateElement when the area is below ``1e-14 * h_max**2``
-    (scale-invariant threshold).
-    """
-    area = float(mesh.element_areas[triangle_index])
-    if area < 1e-14 * mesh.h_max**2:
-        raise DegenerateElement(triangle_index, area)
-    return ElementGeometry(
-        area,
-        mesh.element_normals[triangle_index].copy(),
-        mesh.basis_gradients[triangle_index].copy(),
-    )
 
 
 def mesh_quality(mesh: SurfaceMesh) -> QualityReport:

@@ -95,6 +95,18 @@ def exact_solution(sphere: ManufacturedSphere, p, t):
     return x, u, v
 
 
+def _forcing(sphere: ManufacturedSphere, alpha, beta, delta, t, x):
+    """The forcing pair (f, g) at (Q, 3) points x, without the on-surface
+    check: the load closures of time stepping evaluate it on the numerical
+    surface, which carries an O(h^2) radius error."""
+    r = float(sphere.radius(t))
+    rdot = float(sphere.radius_rate(t))
+    u = x[:, 0] * x[:, 1] * np.exp(-6.0 * t)
+    f = (4.0 * rdot / r - 6.0 + 6.0 / r**2) * u
+    g = rdot + 2.0 * alpha * rdot / r**2 + 2.0 * beta / r - delta * u
+    return f, g
+
+
 def manufactured_forcing(sphere: ManufacturedSphere, alpha, beta, delta, t, x):
     """Forcing pair (f, g) of the manufactured problem at points x on the
     radius-r(t) sphere.
@@ -102,19 +114,15 @@ def manufactured_forcing(sphere: ManufacturedSphere, alpha, beta, delta, t, x):
     f = (4 rdot/r - 6 + 6/r^2) u  and  g = rdot + 2 alpha rdot/r^2
     + 2 beta/r - delta u, with u = x1 x2 exp(-6 t).  Raises OffSurface when
     any |x| deviates from r(t) by more than 1e-6 relative; the load
-    closures used in time stepping evaluate the same formulas without that
-    check because the numerical surface carries an O(h^2) radius error.
+    closures of ``example1_problem`` evaluate the same formulas without
+    that check.
     """
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     r = float(sphere.radius(t))
     radii = np.sqrt((x**2).sum(axis=1))
     if np.any(np.abs(radii - r) > 1e-6 * r):
         raise OffSurface(f"points deviate from the radius-{r:.6g} sphere")
-    rdot = float(sphere.radius_rate(t))
-    u = x[:, 0] * x[:, 1] * np.exp(-6.0 * t)
-    f = (4.0 * rdot / r - 6.0 + 6.0 / r**2) * u
-    g = rdot + 2.0 * alpha * rdot / r**2 + 2.0 * beta / r - delta * u
-    return f, g
+    return _forcing(sphere, alpha, beta, delta, t, x)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,22 @@ def tumor_kinetics(kinetics: TumorKinetics, u, w):
     return kinetics.f1(u, w), kinetics.f2(u, w)
 
 
+def kinetics_step(kinetics: TumorKinetics, mesh: SurfaceMesh, mass_old, u, w, tau,
+                  solve_u, solve_w, time):
+    """One linearly implicit Euler step of the two-species system on ``mesh``.
+
+    Both reaction loads come from one quadrature pass with the old fields;
+    ``solve_u`` and ``solve_w`` invert M + tau A and M + tau D_c A on
+    ``mesh``, and ``mass_old`` is the mass matrix the fields were carried
+    on.  Returns (u_new, w_new).
+    """
+    loads = assembly.assemble_scalar_load(
+        mesh, lambda x, uq, gq, t, wq: np.stack(tumor_kinetics(kinetics, uq, wq), axis=-1),
+        u=u, time=time, extra_fields=(w,))
+    return (solve_u(mass_old @ u + tau * loads[:, 0]),
+            solve_w(mass_old @ w + tau * loads[:, 1]))
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Everything the time stepper needs to advance one coupled system.
@@ -181,16 +205,10 @@ def example1_problem(alpha=1.0, beta=0.0, delta=0.4, r0=1.0, rK=2.0, k=0.5) -> P
     sphere = ManufacturedSphere(r0, rK, k)
 
     def f(x, u, grad_u, t):
-        r = float(sphere.radius(t))
-        rdot = float(sphere.radius_rate(t))
-        uex = x[:, 0] * x[:, 1] * np.exp(-6.0 * t)
-        return (4.0 * rdot / r - 6.0 + 6.0 / r**2) * uex
+        return _forcing(sphere, alpha, beta, delta, t, x)[0]
 
     def g(x, t):
-        r = float(sphere.radius(t))
-        rdot = float(sphere.radius_rate(t))
-        uex = x[:, 0] * x[:, 1] * np.exp(-6.0 * t)
-        return rdot + 2.0 * alpha * rdot / r**2 + 2.0 * beta / r - delta * uex
+        return _forcing(sphere, alpha, beta, delta, t, x)[1]
 
     return ProblemSpec(
         law=velocity_law(alpha, beta, delta),
@@ -239,17 +257,6 @@ def tumor_initial_data(
     solve_u = spla.splu((mass + tau_pre * stiff).tocsc()).solve
     solve_w = spla.splu((mass + tau_pre * kinetics.D_c * stiff).tocsc()).solve
 
-    def f1(x, u_q, grad_u, t, w_q):
-        return kinetics.f1(u_q, w_q)
-
-    def f2(x, u_q, grad_u, t, w_q):
-        return kinetics.f2(u_q, w_q)
-
-    n_steps = int(round(pre_time / tau_pre))
-    for _ in range(n_steps):
-        load1 = assembly.assemble_scalar_load(mesh, f1, u=u, extra_fields=(w,))
-        load2 = assembly.assemble_scalar_load(mesh, f2, u=u, extra_fields=(w,))
-        u_new = solve_u(mass @ u + tau_pre * load1)
-        w_new = solve_w(mass @ w + tau_pre * load2)
-        u, w = u_new, w_new
+    for _ in range(int(round(pre_time / tau_pre))):
+        u, w = kinetics_step(kinetics, mesh, mass, u, w, tau_pre, solve_u, solve_w, 0.0)
     return u, w

@@ -111,30 +111,57 @@ def _velocity_load(spec, mesh, u, t, config):
 def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config):
     """PDE step(s) on the new surface; returns (u_new, w_new)."""
     tau, t_new = config.tau, state.t + config.tau
-    if spec.kinetics is not None:
-        kin = spec.kinetics
-        load_u = assembly.assemble_scalar_load(
-            mesh_new, lambda x, uq, gq, tt, wq: kin.f1(uq, wq),
-            u=state.u, time=t_new, extra_fields=(state.w,),
-        )
-        load_w = assembly.assemble_scalar_load(
-            mesh_new, lambda x, uq, gq, tt, wq: kin.f2(uq, wq),
-            u=state.u, time=t_new, extra_fields=(state.w,),
-        )
-        u_new = make_solver(mass_new + tau * stiff_new, config)(mass_old @ state.u + tau * load_u)
-        w_new = make_solver(mass_new + tau * kin.D_c * stiff_new, config)(
-            mass_old @ state.w + tau * load_w
-        )
-        return u_new, w_new
+    solve_u = make_solver(mass_new + tau * stiff_new, config)
+    kin = spec.kinetics
+    if kin is not None:
+        solve_w = make_solver(mass_new + tau * kin.D_c * stiff_new, config)
+        return problems.kinetics_step(kin, mesh_new, mass_old, state.u, state.w, tau,
+                                      solve_u, solve_w, t_new)
+    load = np.zeros(mesh_new.num_nodes)
     if spec.pde_forcing is not None:
-        f = spec.pde_forcing
-        load = assembly.assemble_scalar_load(
-            mesh_new, lambda x, uq, gq, tt: f(x, uq, gq, tt), u=state.u, time=t_new
-        )
-    else:
-        load = np.zeros(mesh_new.num_nodes)
-    u_new = make_solver(mass_new + tau * stiff_new, config)(mass_old @ state.u + tau * load)
-    return u_new, None
+        load = assembly.assemble_scalar_load(mesh_new, spec.pde_forcing, u=state.u, time=t_new)
+    return solve_u(mass_old @ state.u + tau * load), None
+
+
+def _step(state, spec, config, matrices, velocity_system):
+    """The step shared by all velocity laws; ``velocity_system(state, spec,
+    config, mass, stiff)`` returns the new flat node vector and velocity."""
+    mesh = state.mesh
+    mass, stiff = matrices if matrices is not None else (
+        assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh))
+    x_new, v_new = velocity_system(state, spec, config, mass, stiff)
+    mesh_new = mesh.with_coords(x_new.reshape(-1, 3))
+    mass_new = assembly.assemble_mass(mesh_new)
+    stiff_new = assembly.assemble_stiffness(mesh_new)
+    u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config)
+    state_new = SystemState(state.t + config.tau, x_new, u_new, v_new, mesh_new, w_new)
+    return state_new, (mass_new, stiff_new)
+
+
+def _regularized_velocity(state, spec, config, mass, stiff):
+    """(M + alpha A + tau beta A) x_new = (M + alpha A) x + tau * load."""
+    law, tau, t_new = spec.law, config.tau, state.t + config.tau
+    k_scalar = (mass + law.alpha * stiff).tocsr() if law.alpha != 0.0 else mass
+    system = (k_scalar + tau * law.beta * stiff).tocsr() if law.beta != 0.0 else k_scalar
+    solve = make_solver(system, config)
+    k_x = k_scalar @ state.x.reshape(-1, 3)
+    x_new = solve(k_x + tau * _velocity_load(spec, state.mesh, state.u, t_new, config))
+    if config.loads_on == "new":
+        # One corrector pass: loads re-evaluated on the predicted surface
+        # (matrices stay frozen at the old one).
+        mesh_pred = state.mesh.with_coords(x_new)
+        x_new = solve(k_x + tau * _velocity_load(spec, mesh_pred, state.u, t_new, config))
+    x_new = x_new.reshape(-1)
+    return x_new, (x_new - state.x) / tau
+
+
+def _dynamic_velocity(state, spec, config, mass, stiff):
+    """(M + tau alpha A) v_new = M v + tau * load, then x_new = x + tau v_new."""
+    law, tau = spec.law, config.tau
+    system = (mass + tau * law.alpha * stiff).tocsr() if law.alpha != 0.0 else mass
+    load = _velocity_load(spec, state.mesh, state.u, state.t + tau, config)
+    v_new = make_solver(system, config)(mass @ state.v.reshape(-1, 3) + tau * load).reshape(-1)
+    return state.x + tau * v_new, v_new
 
 
 def step_coupled(state: SystemState, spec, config: StepperConfig, matrices=None):
@@ -144,58 +171,12 @@ def step_coupled(state: SystemState, spec, config: StepperConfig, matrices=None)
     new surface, which the caller can feed back as ``matrices`` to avoid
     reassembling.
     """
-    law = spec.law
-    mesh = state.mesh
-    tau, t_new = config.tau, state.t + config.tau
-    mass, stiff = matrices if matrices is not None else (
-        assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh))
-
-    k_scalar = (mass + law.alpha * stiff).tocsr() if law.alpha != 0.0 else mass
-    system = (k_scalar + tau * law.beta * stiff).tocsr() if law.beta != 0.0 else k_scalar
-    solve = make_solver(system, config)
-
-    x_pts = state.x.reshape(-1, 3)
-    load = _velocity_load(spec, mesh, state.u, t_new, config)
-    x_new_pts = solve(k_scalar @ x_pts + tau * load)
-    if config.loads_on == "new":
-        # One corrector pass: loads re-evaluated on the predicted surface
-        # (matrices stay frozen at the old one).
-        mesh_pred = mesh.with_coords(x_new_pts)
-        load = _velocity_load(spec, mesh_pred, state.u, t_new, config)
-        x_new_pts = solve(k_scalar @ x_pts + tau * load)
-    x_new = x_new_pts.reshape(-1)
-    v_new = (x_new - state.x) / tau
-
-    mesh_new = mesh.with_coords(x_new_pts)
-    mass_new = assembly.assemble_mass(mesh_new)
-    stiff_new = assembly.assemble_stiffness(mesh_new)
-    u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config)
-    new_state = SystemState(t=t_new, x=x_new, u=u_new, v=v_new, mesh=mesh_new, w=w_new)
-    return new_state, (mass_new, stiff_new)
+    return _step(state, spec, config, matrices, _regularized_velocity)
 
 
 def step_dynamic(state: SystemState, spec, config: StepperConfig, matrices=None):
     """One step of the dynamic velocity law (velocity itself evolves)."""
-    law = spec.law
-    mesh = state.mesh
-    tau, t_new = config.tau, state.t + config.tau
-    mass, stiff = matrices if matrices is not None else (
-        assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh))
-
-    system = (mass + tau * law.alpha * stiff).tocsr() if law.alpha != 0.0 else mass
-    solve = make_solver(system, config)
-    v_pts = state.v.reshape(-1, 3)
-    load = _velocity_load(spec, mesh, state.u, t_new, config)
-    v_new_pts = solve(mass @ v_pts + tau * load)
-    v_new = v_new_pts.reshape(-1)
-    x_new = state.x + tau * v_new
-
-    mesh_new = mesh.with_coords(x_new.reshape(-1, 3))
-    mass_new = assembly.assemble_mass(mesh_new)
-    stiff_new = assembly.assemble_stiffness(mesh_new)
-    u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config)
-    new_state = SystemState(t=t_new, x=x_new, u=u_new, v=v_new, mesh=mesh_new, w=w_new)
-    return new_state, (mass_new, stiff_new)
+    return _step(state, spec, config, matrices, _dynamic_velocity)
 
 
 def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None, v0=None) -> SystemState:

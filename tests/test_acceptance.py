@@ -2,11 +2,16 @@
 
 Each criterion prints a single PASS/FAIL line; the lines are also written
 to acceptance_report.txt in the working directory.  The expensive
-convergence and pattern-formation runs are session fixtures shared by the
-criteria that gate on them.
+convergence, pattern-formation and temporal-order runs are fixtures shared
+by the criteria that gate on them; every run the selected criteria need is
+started at once, two worker processes at a time, when the first of them
+begins.
 """
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import time
 from pathlib import Path
 
@@ -22,6 +27,8 @@ REPORT_LINES = []
 _REFERENCE = analysis.load_reference_table("coupled_u")["err_u_LinfL2"][3]
 REFERENCE_H = _REFERENCE[1]
 REFERENCE_U_LINF_L2 = _REFERENCE[2]
+
+pytestmark = pytest.mark.acceptance
 
 ENVELOPE = json.loads((Path(__file__).parent / "data" / "tumor_envelope.json").read_text())
 
@@ -42,44 +49,100 @@ def write_report():
         Path("acceptance_report.txt").write_text("\n".join(REPORT_LINES) + "\n")
 
 
-@pytest.fixture(scope="session")
-def example1_tables():
-    tables = {}
+def _example1_cholesky():
     start = time.perf_counter()
-    tables["cholesky"] = experiments.example1_study(levels=(1, 2, 3, 4))
-    tables["runtime"] = time.perf_counter() - start
-    tables["cg"] = experiments.example1_study(levels=(1, 2, 3, 4), solver=stepper.CG)
-    return tables
+    report = experiments.example1_study(levels=(1, 2, 3, 4))
+    return report, time.perf_counter() - start
 
 
-@pytest.fixture(scope="session")
-def example3_reports():
-    failures = {}
-
-    def note(level, err, arm):
-        failures.setdefault(arm, []).append(level)
-
-    alpha = experiments.example3_study(
-        1.0, 0.0, levels=(1, 2, 3, 4),
-        on_failure=lambda lv, e: note(lv, e, "alpha"))
-    beta = experiments.example3_study(
-        0.0, 1.0, levels=(1, 2, 3, 4),
-        on_failure=lambda lv, e: note(lv, e, "beta"))
-    return {"alpha": alpha, "beta": beta, "failures": failures}
+def _example1_cg():
+    return experiments.example1_study(levels=(1, 2, 3, 4), solver=stepper.CG)
 
 
-@pytest.fixture(scope="session")
-def tumor_runs(tmp_path_factory):
-    runs = {}
-    for tag in ("beta", "alpha", "beta_repeat"):
-        variant = ENVELOPE["variants"]["beta" if tag.startswith("beta") else "alpha"]
-        out = tmp_path_factory.mktemp(f"tumor_{tag}")
-        final, env, _ = experiments.tumor_experiment(
-            alpha=variant["alpha"], beta=variant["beta"], delta=ENVELOPE["delta"],
-            level=ENVELOPE["level"], tau=ENVELOPE["tau"], t_end=ENVELOPE["t_end"],
-            seed=ENVELOPE["seed"], out_dir=str(out), export_every=2500)
-        runs[tag] = {"final": final, "envelope": env, "out": out}
-    return runs
+def _example3_arm(alpha, beta):
+    failures = []
+    report = experiments.example3_study(
+        alpha, beta, levels=(1, 2, 3, 4),
+        on_failure=lambda level, err: failures.append(level))
+    return report, failures
+
+
+def _tumor_run(tag, out):
+    variant = ENVELOPE["variants"]["beta" if tag.startswith("beta") else "alpha"]
+    final, env, _ = experiments.tumor_experiment(
+        alpha=variant["alpha"], beta=variant["beta"], delta=ENVELOPE["delta"],
+        level=ENVELOPE["level"], tau=ENVELOPE["tau"], t_end=ENVELOPE["t_end"],
+        seed=ENVELOPE["seed"], out_dir=str(out), export_every=2500)
+    return {"final": final, "envelope": env, "out": out}
+
+
+def _temporal_order():
+    return experiments.temporal_order_study(level=3, taus=(4e-3, 2e-3, 1e-3))
+
+
+TUMOR_TAGS = ("beta", "alpha", "beta_repeat")
+
+# the runs behind each shared fixture, longest first so that the two
+# workers finish close together
+FIXTURE_RUNS = {
+    "example3_reports": ("example3_alpha", "example3_beta"),
+    "temporal_order": ("temporal_order",),
+    "tumor_runs": tuple(f"tumor_{tag}" for tag in TUMOR_TAGS),
+    "example1_tables": ("example1_cholesky", "example1_cg"),
+}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def runs(request, tmp_path_factory):
+    """Futures of every long run that the selected criteria use."""
+    used = set()
+    for item in request.session.items:
+        if item.module is request.module:
+            used.update(item.fixturenames)
+    jobs = {
+        "example3_alpha": (_example3_arm, 1.0, 0.0),
+        "example3_beta": (_example3_arm, 0.0, 1.0),
+        "temporal_order": (_temporal_order,),
+        "example1_cholesky": (_example1_cholesky,),
+        "example1_cg": (_example1_cg,),
+    }
+    if "tumor_runs" in used:
+        for tag in TUMOR_TAGS:
+            jobs[f"tumor_{tag}"] = (_tumor_run, tag, tmp_path_factory.mktemp(f"tumor_{tag}"))
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(2, os.cpu_count() or 1),
+        mp_context=multiprocessing.get_context("fork"))
+    futures = {}
+    for fixture, names in FIXTURE_RUNS.items():
+        if fixture in used:
+            for name in names:
+                futures[name] = pool.submit(*jobs[name])
+    yield futures
+    pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="module")
+def example1_tables(runs):
+    report, runtime = runs["example1_cholesky"].result()
+    return {"cholesky": report, "runtime": runtime, "cg": runs["example1_cg"].result()}
+
+
+@pytest.fixture(scope="module")
+def example3_reports(runs):
+    alpha, alpha_failed = runs["example3_alpha"].result()
+    beta, beta_failed = runs["example3_beta"].result()
+    return {"alpha": alpha, "beta": beta,
+            "failures": {"alpha": alpha_failed, "beta": beta_failed}}
+
+
+@pytest.fixture(scope="module")
+def tumor_runs(runs):
+    return {tag: runs[f"tumor_{tag}"].result() for tag in TUMOR_TAGS}
+
+
+@pytest.fixture(scope="module")
+def temporal_order(runs):
+    return runs["temporal_order"].result()
 
 
 class TestCriterion1:
@@ -173,8 +236,8 @@ class TestCriterion5:
 
 
 class TestCriterion6:
-    def test_temporal_order(self):
-        study = experiments.temporal_order_study(level=3, taus=(4e-3, 2e-3, 1e-3))
+    def test_temporal_order(self, temporal_order):
+        study = temporal_order
         ok = all(order >= 0.9 for order in study["orders"])
         criterion(6, "temporal order", ok,
                   "orders " + " ".join(f"{o:.2f}" for o in study["orders"]))

@@ -66,6 +66,37 @@ class TestMainContracts:
         assert cli.main(["example1", "--solver", "qr"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("experiment", ["example1", "example3"])
+    def test_fixed_tau_rejected_for_convergence_studies(self, experiment, tmp_path, capsys):
+        # the studies set tau = tau_c * h^2 per level; a fixed tau would be
+        # recorded in config_resolved.txt without being used
+        out = tmp_path / "o"
+        assert cli.main([experiment, "--tau", "0.5", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "--tau-c" in capsys.readouterr().err
+        conf = tmp_path / "c.txt"
+        conf.write_text("tau=0.5\n")
+        code = cli.main([experiment, "--config", str(conf), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "--tau-c" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_exit_code_two(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert cli.main(["verify", "--out", str(target)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_verify_failure_exit_code_one(self, tmp_path, monkeypatch, capsys):
+        from esfem import verification
+
+        def failing(level, seed):
+            return [verification.CheckResult("forced", 1.0, 0.5, False)]
+
+        monkeypatch.setattr(verification, "verify_suite", failing)
+        code = cli.main(["verify", "--out", str(tmp_path / "v")])
+        assert code == cli.EXIT_VERIFY_FAILED == 1
+        assert "FAILURES PRESENT" in capsys.readouterr().out
+
     def test_bad_config_file_exit_code_two(self, tmp_path, capsys):
         bad = tmp_path / "c.txt"
         bad.write_text("nonsense\n")

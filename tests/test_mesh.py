@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esfem import mesh
+from esfem import assembly, mesh
 from esfem.errors import DegenerateElement, FieldLengthMismatch
 
 
@@ -91,31 +91,41 @@ class TestSurfaceMeshValidation:
 
 
 class TestElementGeometry:
+    """Areas, normals and basis gradients as the assembly reads them."""
+
     def test_unit_right_triangle(self):
-        g = mesh.element_geometry(flat_triangle_mesh(), 0)
-        assert g.area == pytest.approx(0.5, abs=1e-15)
-        assert np.allclose(g.unit_normal, [0, 0, 1], atol=1e-15)
+        m = flat_triangle_mesh()
+        area, normal = mesh.triangle_areas_normals(m.coords, m.triangles)
+        assert area[0] == pytest.approx(0.5, abs=1e-15)
+        assert np.allclose(normal[0], [0, 0, 1], atol=1e-15)
+        assert m.element_areas[0] == area[0]
+        assert np.array_equal(m.element_normals, normal)
 
     def test_barycentric_gradients(self):
-        g = mesh.element_geometry(flat_triangle_mesh(), 0)
+        m = flat_triangle_mesh()
         expected = np.array([[-1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert np.allclose(g.basis_gradients, expected, atol=1e-14)
+        assert np.allclose(m.basis_gradients[0], expected, atol=1e-14)
+        assert np.allclose(mesh.triangle_basis_gradients(m.coords, m.triangles)[0],
+                           expected, atol=1e-14)
 
     def test_gradient_invariants_random_triangles(self):
         rng = np.random.Generator(np.random.Philox(11))
         for _ in range(50):
             coords = rng.standard_normal((3, 3))
             m = mesh.SurfaceMesh(coords, np.array([[0, 1, 2]]), validate=False)
-            g = mesh.element_geometry(m, 0)
-            assert abs(np.linalg.norm(g.unit_normal) - 1.0) < 1e-12
-            assert np.linalg.norm(g.basis_gradients.sum(axis=0)) < 1e-12 * np.abs(g.basis_gradients).max()
-            assert np.abs(g.basis_gradients @ g.unit_normal).max() < 1e-12 * np.abs(g.basis_gradients).max()
+            normal, g = m.element_normals[0], m.basis_gradients[0]
+            assert abs(np.linalg.norm(normal) - 1.0) < 1e-12
+            assert np.linalg.norm(g.sum(axis=0)) < 1e-12 * np.abs(g).max()
+            assert np.abs(g @ normal).max() < 1e-12 * np.abs(g).max()
 
     def test_degenerate_element_raises(self):
         coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         m = mesh.SurfaceMesh(coords, np.array([[0, 1, 2]]), validate=False)
+        # geometry reports the collapse; assembly refuses it
+        assert m.element_areas[0] == 0.0
+        assert np.all(m.element_normals[0] == 0.0)
         with pytest.raises(DegenerateElement):
-            mesh.element_geometry(m, 0)
+            assembly.assemble_mass(m)
 
     def test_rigid_motion_invariance(self):
         m = mesh.generate_icosphere(1, 1.0)
@@ -125,11 +135,9 @@ class TestElementGeometry:
             q[:, 0] = -q[:, 0]
         shift = rng.standard_normal(3)
         moved = m.with_coords(m.coords @ q.T + shift)
-        for idx in (0, 7, 19):
-            g0 = mesh.element_geometry(m, idx)
-            g1 = mesh.element_geometry(moved, idx)
-            assert g1.area == pytest.approx(g0.area, rel=1e-12)
-            assert np.allclose(g1.unit_normal, q @ g0.unit_normal, atol=1e-12)
+        assert np.allclose(moved.element_areas, m.element_areas, rtol=1e-12, atol=0)
+        assert np.allclose(moved.element_normals, m.element_normals @ q.T, atol=1e-12)
+        assert np.allclose(moved.basis_gradients, m.basis_gradients @ q.T, atol=1e-12)
 
 
 class TestMeshQuality:
@@ -156,16 +164,19 @@ class TestMeshQuality:
 
 
 class TestNodeVectorLayout:
+    """Flat node-major vectors: node j occupies entries 3j..3j+2."""
+
     def test_round_trip(self):
-        pts = np.arange(12.0).reshape(4, 3)
-        flat = mesh.points_to_flat(pts)
-        assert flat.shape == (12,)
-        assert np.array_equal(mesh.flat_to_points(flat), pts)
+        m = mesh.generate_icosphere(0, 1.0)
+        flat = m.node_vector
+        assert flat.shape == (3 * m.num_nodes,)
+        assert np.array_equal(flat.reshape(-1, 3), m.coords)
+        assert np.array_equal(m.with_coords(flat).coords, m.coords)
 
     def test_bad_length(self):
-        from esfem.errors import DimensionMismatch
-        with pytest.raises(DimensionMismatch):
-            mesh.flat_to_points(np.zeros(7))
+        m = mesh.generate_icosphere(0, 1.0)
+        with pytest.raises(ValueError):
+            m.with_coords(np.zeros(3 * m.num_nodes - 3))
 
     def test_h_max_tracks_current_coords(self):
         m = mesh.generate_icosphere(1, 1.0)
