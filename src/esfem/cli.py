@@ -2,68 +2,57 @@
 
 Experiments: the coupled convergence benchmark (example1), the
 regularization comparison (example3, both arms), the pattern-forming
-tumor run (tumor), and the numerical identity suite (verify).  Flags
-override an optional key=value config file; every run writes the fully
-resolved configuration next to its outputs so it can be replayed
-bit-for-bit.
+tumor run (tumor), and the numerical identity suite (verify).  Each
+experiment declares in ``EXPERIMENTS`` the fields its run reads, with
+their defaults; its flags, its config-file keys and its
+config_resolved.txt derive from that row, so a flag or key the run would
+not read is a configuration error.  Flags override an optional key=value
+config file; every run writes the fully resolved configuration next to
+its outputs so it can be replayed bit-for-bit.
 """
 
-from __future__ import annotations
-
 import argparse
-import dataclasses
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from types import SimpleNamespace
 
 from . import analysis, assembly, experiments, mesh, problems, verification
-from .errors import LinearSolveFailure, MeshDegenerated
+from .errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATED = 3
 EXIT_SOLVER = 4
+EXIT_NONFINITE = 5
+_EXIT_CODES = {MeshDegenerated: EXIT_DEGENERATED, LinearSolveFailure: EXIT_SOLVER,
+               NonFiniteState: EXIT_NONFINITE}
 
+_COMMON = dict(out="results", dump_matrices=False)
+_SOLVE = dict(solver="cholesky", normal_coupling="nodal", loads_on="old")
+_STUDY = dict(levels=(1, 2, 3, 4), r0=1.0, rk=2.0, k=0.5, tau_c=0.1, **_SOLVE)
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration (defaults reproduce the benchmarks)."""
-
-    experiment: str
-    levels: Tuple[int, ...] = (1, 2, 3, 4)
-    level: int = 3
-    alpha: float = 1.0
-    beta: float = 0.0
-    delta: float = 0.4
-    gamma: float = 100.0
-    a: float = 0.1
-    b: float = 0.9
-    d_c: float = 10.0
-    r0: float = 1.0
-    rk: float = 2.0
-    k: float = 0.5
-    t_end: float = 1.0
-    tau: Optional[float] = None
-    tau_c: float = 0.1
-    seed: int = 0
-    out: str = "results"
-    export_every: int = 0
-    solver: str = "cholesky"
-    normal_coupling: str = "nodal"
-    loads_on: str = "old"
-    dump_matrices: bool = False
-
-
-_DEFAULTS = {
-    "example1": dict(t_end=1.0, alpha=1.0, beta=0.0, delta=0.4),
-    "example3": dict(t_end=2.0, delta=0.0),
-    "tumor": dict(t_end=5.0, alpha=0.0, beta=0.01, delta=0.01, tau=1e-3),
-    "verify": dict(level=2),
+# experiment -> (help text, {field its run reads: default}), fields in the
+# order config_resolved.txt lists them; the defaults reproduce the paper's runs.
+EXPERIMENTS = {
+    "example1": ("coupled expanding-sphere convergence study",
+                 dict(alpha=1.0, beta=0.0, delta=0.4, t_end=1.0, **_STUDY, **_COMMON)),
+    "example3": ("velocity-law regularization comparison (both arms)",
+                 dict(t_end=2.0, **_STUDY, **_COMMON)),
+    "tumor": ("two-species pattern formation on a growing sphere",
+              dict(level=3, alpha=0.0, beta=0.01, delta=0.01, gamma=100.0, a=0.1,
+                   b=0.9, d_c=10.0, t_end=5.0, tau=1e-3, seed=0, export_every=0,
+                   **_SOLVE, **_COMMON)),
+    "verify": ("numerical identity checks", dict(level=2, seed=0, **_COMMON)),
 }
+_CHOICES = dict(solver=("cholesky", "cg"), normal_coupling=("nodal", "interpolated"),
+                loads_on=("old", "new"))
+_KEYS = {"experiment", *(key for _, row in EXPERIMENTS.values() for key in row)}
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+def _flag(name):
+    return "--dc" if name == "d_c" else "--" + name.replace("_", "-")
 
 
 def parse_levels(text):
@@ -77,22 +66,44 @@ def parse_levels(text):
     return (int(text),)
 
 
-def _coerce(name, raw):
-    if name == "levels":
-        return parse_levels(raw) if isinstance(raw, str) else tuple(raw)
-    if name == "dump_matrices":
-        return raw in (True, "1", "true", "yes") if not isinstance(raw, bool) else raw
-    if name in ("level", "seed", "export_every"):
-        return int(raw)
-    if name == "tau":
-        return None if raw in (None, "", "none") else float(raw)
-    if name in ("experiment", "out", "solver", "normal_coupling", "loads_on"):
-        return str(raw)
-    return float(raw)
+def _convert(name, default, text):
+    """Flag or file text -> a value of the default's type, within _CHOICES."""
+    try:
+        if isinstance(default, tuple):
+            value = parse_levels(text)
+        elif isinstance(default, bool):
+            value = {"0": False, "1": True, "false": False, "true": True}[text.lower()]
+        else:
+            value = type(default)(text)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{name}={text}: not a {type(default).__name__} ({exc})") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    if value not in _CHOICES.get(name, (value,)):
+        raise ValueError(f"{name} must be one of {', '.join(_CHOICES[name])}, got {text!r}")
+    written = _text(value)  # read_config_file cuts lines at '#' and strips them
+    if "#" in written or written != written.strip() or len(written.splitlines()) > 1:
+        raise ValueError(f"{name}={text!r} cannot be written to config_resolved.txt")
+    return value
+
+
+def _text(value):
+    """Inverse of _convert: the text that converts back to ``value`` exactly."""
+    if isinstance(value, tuple):
+        return f"{value[0]}..{value[-1]}" if len(value) > 1 else str(value[0])
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)  # a float's str is the shortest text that reads back exactly
+
+
+def _unread(experiment, what):
+    flags = " ".join(_flag(name) for name in EXPERIMENTS[experiment][1])
+    return ValueError(f"{experiment} does not read {what}; "
+                      f"its flags are --config {flags}")
 
 
 def read_config_file(path):
-    """key=value lines; '#' starts a comment."""
+    """key=value lines; '#' starts a comment.  Returns the raw text per key."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -102,44 +113,32 @@ def read_config_file(path):
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, raw = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw)
+        values[key] = raw
     return values
 
 
-def serialize_config(config: RunConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(config, f.name)
-        if f.name == "levels":
-            value = f"{value[0]}..{value[-1]}" if len(value) > 1 else str(value[0])
-        elif f.name == "tau":
-            value = "none" if value is None else "%.17g" % value
-        elif isinstance(value, float):
-            value = "%.17g" % value
-        elif isinstance(value, bool):
-            value = "1" if value else "0"
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
+def serialize_config(config) -> str:
+    return "".join(f"{name}={_text(value)}\n" for name, value in vars(config).items())
 
 
-def resolve_config(args) -> RunConfig:
-    """Layer experiment defaults, then the config file, then explicit flags."""
-    values = dict(experiment=args.experiment)
-    values.update(_DEFAULTS.get(args.experiment, {}))
-    if args.config:
-        file_values = read_config_file(args.config)
-        file_values.pop("experiment", None)
-        values.update(file_values)
-    for name in _FIELD_TYPES:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = _coerce(name, flag)
-    if args.experiment in ("example1", "example3") and values.get("tau") is not None:
-        raise ValueError(f"{args.experiment} sets tau = tau_c * h^2 on every level; "
-                         "use --tau-c instead of --tau")
-    return RunConfig(**values)
+def resolve_config(args):
+    """Layer the experiment's defaults, then the config file, then explicit
+    flags; the result holds ``experiment`` and the experiment's fields only."""
+    experiment, fields = args.experiment, EXPERIMENTS[args.experiment][1]
+    given = read_config_file(args.config) if args.config else {}
+    named = given.pop("experiment", experiment)
+    if named != experiment:
+        raise ValueError(f"{args.config} is a config for {named}, not {experiment}")
+    unread = [key for key in given if key not in fields]
+    if unread:
+        raise _unread(experiment, "key " + ", ".join(map(repr, unread)))
+    given.update((name, getattr(args, name)) for name in fields
+                 if getattr(args, name) is not None)
+    values = {name: _convert(name, default, given[name]) if name in given else default
+              for name, default in fields.items()}
+    return SimpleNamespace(experiment=experiment, **values)
 
 
 def build_parser():
@@ -148,51 +147,29 @@ def build_parser():
         description="Finite element evolution of field-driven closed surfaces",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, help_text in [
-        ("example1", "coupled expanding-sphere convergence study"),
-        ("example3", "velocity-law regularization comparison (both arms)"),
-        ("tumor", "two-species pattern formation on a growing sphere"),
-        ("verify", "numerical identity checks"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for experiment, (help_text, row) in EXPERIMENTS.items():
+        # no abbreviations: "--tau" must not parse as "--tau-c"
+        p = sub.add_parser(experiment, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="key=value file; flags override it")
-        p.add_argument("--levels", help="refinement range A..B")
-        p.add_argument("--level", type=int, help="single refinement level")
-        p.add_argument("--tau", type=float, help="fixed time step (tumor only)")
-        p.add_argument("--tau-c", dest="tau_c", type=float,
-                       help="step rule tau = c*h^2 (default c=0.1)")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--dc", dest="d_c", type=float, help="second-species diffusivity")
-        p.add_argument("--r0", type=float)
-        p.add_argument("--rk", type=float)
-        p.add_argument("--k", type=float)
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory (default results/)")
-        p.add_argument("--export-every", dest="export_every", type=int,
-                       help="write surface snapshots every N steps")
-        p.add_argument("--solver", choices=["cholesky", "cg"])
-        p.add_argument("--normal-coupling", dest="normal_coupling",
-                       choices=["nodal", "interpolated"])
-        p.add_argument("--loads-on", dest="loads_on", choices=["old", "new"])
-        p.add_argument("--dump-matrices", dest="dump_matrices", action="store_const",
-                       const=True, help="dump initial mass/stiffness matrices")
+        for name, default in row.items():
+            # a bool field is a switch, so --dump-matrices takes no value
+            choices = _CHOICES.get(name)
+            kind = (dict(action="store_const", const="1") if isinstance(default, bool)
+                    else dict(metavar="{%s}" % ",".join(choices) if choices else None))
+            p.add_argument(_flag(name), dest=name, help=f"default: {_text(default)}", **kind)
     return parser
 
 
-def _prepare_out(config: RunConfig) -> Path:
+def _prepare_out(config) -> Path:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_resolved.txt").write_text(serialize_config(config))
     if config.dump_matrices:
-        mesh0 = mesh.generate_icosphere(
-            config.levels[0] if config.experiment != "tumor" else config.level,
-            config.r0)
+        # the mesh the run starts from
+        if config.experiment in ("tumor", "verify"):
+            mesh0 = mesh.generate_icosphere(config.level, 1.0)
+        else:
+            mesh0 = mesh.generate_icosphere(config.levels[0], config.r0)
         assembly.write_coordinate_matrix(assembly.assemble_mass(mesh0),
                                          out / "mass_matrix.txt")
         assembly.write_coordinate_matrix(assembly.assemble_stiffness(mesh0),
@@ -205,7 +182,7 @@ def _warn_failure(level, err):
           "level omitted from the table", file=sys.stderr)
 
 
-def _run_example1(config: RunConfig, out: Path) -> int:
+def _run_example1(config, out: Path) -> int:
     report = experiments.example1_study(
         levels=config.levels, alpha=config.alpha, beta=config.beta,
         delta=config.delta, r0=config.r0, rK=config.rk, k=config.k,
@@ -218,11 +195,11 @@ def _run_example1(config: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _run_example3(config: RunConfig, out: Path) -> int:
+def _run_example3(config, out: Path) -> int:
     wrote_any = False
     for tag, (alpha, beta) in [("alpha", (1.0, 0.0)), ("beta", (0.0, 1.0))]:
         report = experiments.example3_study(
-            alpha, beta, levels=config.levels, r0=config.r0, rK=config.rk,
+            alpha=alpha, beta=beta, levels=config.levels, r0=config.r0, rK=config.rk,
             k=config.k, t_end=config.t_end, tau_c=config.tau_c,
             solver=config.solver, normal_coupling=config.normal_coupling,
             loads_on=config.loads_on, on_failure=_warn_failure)
@@ -232,7 +209,7 @@ def _run_example3(config: RunConfig, out: Path) -> int:
     return EXIT_OK if wrote_any else EXIT_DEGENERATED
 
 
-def _run_tumor(config: RunConfig, out: Path) -> int:
+def _run_tumor(config, out: Path) -> int:
     kin = problems.TumorKinetics(D_c=config.d_c, gamma=config.gamma,
                                  a=config.a, b=config.b)
     experiments.tumor_experiment(
@@ -244,7 +221,7 @@ def _run_tumor(config: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _run_verify(config: RunConfig, out: Path) -> int:
+def _run_verify(config, out: Path) -> int:
     results = verification.verify_suite(level=config.level, seed=config.seed)
     text = verification.format_report(results)
     (out / "verify.txt").write_text(text)
@@ -253,13 +230,14 @@ def _run_verify(config: RunConfig, out: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the config-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        if extra:
+            raise _unread(args.experiment, " ".join(extra))
         config = resolve_config(args)
         out = _prepare_out(config)
     except (ValueError, OSError) as exc:
@@ -273,12 +251,9 @@ def main(argv=None) -> int:
     }[config.experiment]
     try:
         return runner(config, out)
-    except MeshDegenerated as exc:
-        print(f"mesh degenerated at t={exc.time:.6g}", file=sys.stderr)
-        return EXIT_DEGENERATED
-    except LinearSolveFailure as exc:
-        print(f"linear solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except tuple(_EXIT_CODES) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -62,3 +62,15 @@ class LinearSolveFailure(EsfemError):
     def __init__(self, message, residual):
         self.residual = residual
         super().__init__(f"{message} (residual={residual:.3e})")
+
+
+class NonFiniteState(EsfemError):
+    """A step produced NaN or infinite node positions or field values.
+
+    Carries the step's time and the names of the non-finite fields.
+    """
+
+    def __init__(self, time, fields):
+        self.time = time
+        self.fields = tuple(fields)
+        super().__init__(f"non-finite {', '.join(self.fields)} at t={time:.6g}")

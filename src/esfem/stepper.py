@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly, problems
-from .errors import DegenerateElement, LinearSolveFailure, MeshDegenerated
+from .errors import DegenerateElement, LinearSolveFailure, MeshDegenerated, NonFiniteState
 from .mesh import SurfaceMesh, mesh_quality
 
 DIRECT = "cholesky"
@@ -123,6 +123,14 @@ def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config
     return solve_u(mass_old @ state.u + tau * load), None
 
 
+def _check_finite(t, **fields):
+    """Raise NonFiniteState naming every given field with a NaN or infinity."""
+    bad = [name for name, value in fields.items()
+           if value is not None and not np.isfinite(value).all()]
+    if bad:
+        raise NonFiniteState(t, bad)
+
+
 def _step(state, spec, config, matrices, velocity_system):
     """The step shared by all velocity laws; ``velocity_system(state, spec,
     config, mass, stiff)`` returns the new flat node vector and velocity."""
@@ -130,10 +138,12 @@ def _step(state, spec, config, matrices, velocity_system):
     mass, stiff = matrices if matrices is not None else (
         assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh))
     x_new, v_new = velocity_system(state, spec, config, mass, stiff)
+    _check_finite(state.t + config.tau, x=x_new)
     mesh_new = mesh.with_coords(x_new.reshape(-1, 3))
     mass_new = assembly.assemble_mass(mesh_new)
     stiff_new = assembly.assemble_stiffness(mesh_new)
     u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config)
+    _check_finite(state.t + config.tau, u=u_new, w=w_new)
     state_new = SystemState(state.t + config.tau, x_new, u_new, v_new, mesh_new, w_new)
     return state_new, (mass_new, stiff_new)
 
@@ -157,6 +167,9 @@ def _regularized_velocity(state, spec, config, mass, stiff):
 
 def _dynamic_velocity(state, spec, config, mass, stiff):
     """(M + tau alpha A) v_new = M v + tau * load, then x_new = x + tau v_new."""
+    if config.loads_on != "old":
+        raise ValueError(f"the dynamic law has no loads_on={config.loads_on!r} corrector; "
+                         "its loads are evaluated on the old surface")
     law, tau = spec.law, config.tau
     system = (mass + tau * law.alpha * stiff).tocsr() if law.alpha != 0.0 else mass
     load = _velocity_load(spec, state.mesh, state.u, state.t + tau, config)

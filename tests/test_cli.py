@@ -1,8 +1,49 @@
 import csv
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from esfem import cli
+from esfem import assembly, cli, experiments, mesh, verification
+
+# The fields each experiment's run reads; every experiment also reads out
+# and dump_matrices.
+ROWS = {
+    "example1": "alpha beta delta t_end levels r0 rk k tau_c solver normal_coupling loads_on",
+    "example3": "t_end levels r0 rk k tau_c solver normal_coupling loads_on",
+    "tumor": "level alpha beta delta gamma a b d_c t_end tau seed export_every "
+             "solver normal_coupling loads_on",
+    "verify": "level seed",
+}
+ROWS = {experiment: row.split() for experiment, row in ROWS.items()}
+ENTRY_POINTS = {
+    "example1": (experiments, "example1_study"),
+    "example3": (experiments, "example3_study"),
+    "tumor": (experiments, "tumor_experiment"),
+    "verify": (verification, "verify_suite"),
+}
+DEFAULTS = {name: default for _, row in cli.EXPERIMENTS.values() for name, default in row.items()}
+
+
+class Reached(Exception):
+    """Raised by a stubbed entry point with the arguments it was called with."""
+
+
+def stub_entry_point(monkeypatch, experiment):
+    def reached(*args, **kwargs):
+        raise Reached(args, kwargs)
+
+    monkeypatch.setattr(*ENTRY_POINTS[experiment], reached)
+
+
+def changed(name, default):
+    """Flag text for a valid value of the field that differs from ``default``."""
+    if isinstance(default, tuple):
+        return "2..3"
+    if name in cli._CHOICES:
+        return next(c for c in cli._CHOICES[name] if c != default)
+    return str(default + 1)
 
 
 def read_rows(path):
@@ -25,7 +66,7 @@ class TestLevelsParsing:
 class TestConfigRoundTrip:
     def test_serialize_reparse_identical(self, tmp_path):
         args = cli.build_parser().parse_args(
-            ["example1", "--levels", "1..2", "--alpha", "0.5", "--seed", "9",
+            ["example1", "--levels", "1..2", "--alpha", "0.5", "--delta", "0.9",
              "--solver", "cg", "--tau-c", "0.2"])
         config = cli.resolve_config(args)
         path = tmp_path / "conf.txt"
@@ -36,12 +77,12 @@ class TestConfigRoundTrip:
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "conf.txt"
-        path.write_text("alpha=0.25\nseed=4\n")
+        path.write_text("alpha=0.25\ndelta=0.3\n")
         args = cli.build_parser().parse_args(
             ["example1", "--config", str(path), "--alpha", "0.75"])
         config = cli.resolve_config(args)
         assert config.alpha == 0.75  # flag wins
-        assert config.seed == 4      # file wins over default
+        assert config.delta == 0.3   # file wins over default
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "conf.txt"
@@ -167,7 +208,7 @@ class TestMainContracts:
     def test_replay_from_resolved_config_is_bitwise_identical(self, tmp_path):
         first = tmp_path / "first"
         assert cli.main(["example1", "--levels", "1..1", "--tau-c", "0.5",
-                         "--seed", "3", "--out", str(first)]) == 0
+                         "--delta", "0.3", "--out", str(first)]) == 0
         replay = tmp_path / "replay"
         assert cli.main(["example1", "--config", str(first / "config_resolved.txt"),
                          "--out", str(replay)]) == 0
@@ -197,3 +238,149 @@ class TestMainContracts:
         code = cli.main(["example1", "--out", str(tmp_path / "o")])
         assert code == 4
         capsys.readouterr()
+
+
+class TestExperimentFields:
+    @pytest.mark.parametrize("experiment", sorted(ROWS))
+    def test_help_lists_exactly_the_fields_read(self, experiment, capsys):
+        assert set(cli.EXPERIMENTS[experiment][1]) == {*ROWS[experiment], "out", "dump_matrices"}
+        assert cli.main([experiment, "--help"]) == 0
+        flags = set(re.findall(r"\[(--[a-z0-9-]+)", capsys.readouterr().out))
+        expected = {cli._flag(name) for name in ROWS[experiment]}
+        assert flags == expected | {"--config", "--out", "--dump-matrices"}
+
+    @pytest.mark.parametrize("experiment", sorted(ROWS))
+    def test_every_field_read_reaches_the_entry_point(self, experiment, tmp_path,
+                                                      monkeypatch):
+        stub_entry_point(monkeypatch, experiment)
+        out = ["--out", str(tmp_path / "o")]
+        with pytest.raises(Reached) as info:
+            cli.main([experiment, *out])
+        args, defaults = info.value.args
+        assert args == ()
+        for name in ROWS[experiment]:
+            text = changed(name, cli.EXPERIMENTS[experiment][1][name])
+            with pytest.raises(Reached) as info:
+                cli.main([experiment, cli._flag(name), text, *out])
+            assert info.value.args[1] != defaults, name
+
+    @pytest.mark.parametrize("experiment", sorted(ROWS))
+    def test_every_field_not_read_is_rejected(self, experiment, tmp_path, capsys):
+        out = tmp_path / "o"
+        for name in sorted(set(DEFAULTS) - set(cli.EXPERIMENTS[experiment][1])):
+            text = changed(name, DEFAULTS[name])
+            code = cli.main([experiment, cli._flag(name), text, "--out", str(out)])
+            assert code == cli.EXIT_CONFIG, name
+            assert cli._flag(name) in capsys.readouterr().err
+            conf = tmp_path / "c.txt"
+            conf.write_text(f"{name}={text}\n")
+            code = cli.main([experiment, "--config", str(conf), "--out", str(out)])
+            assert code == cli.EXIT_CONFIG, name
+            assert repr(name) in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_out_that_would_not_replay_rejected(self, tmp_path, capsys):
+        out = tmp_path / "runs#1"
+        assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "cannot be written" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, line", [
+        ("example1", "solver=qr"),
+        ("example3", "normal_coupling=foo"),
+        ("tumor", "loads_on=past"),
+        ("tumor", "tau=none"),
+        ("tumor", "seed=1.5"),
+        ("verify", "dump_matrices=maybe"),
+        ("example1", "levels=3..1"),
+        ("example1", "experiment=tumor"),
+    ])
+    def test_config_file_values_checked_like_flags(self, experiment, line, tmp_path, capsys):
+        conf = tmp_path / "c.txt"
+        conf.write_text(line + "\n")
+        out = tmp_path / "o"
+        code = cli.main([experiment, "--config", str(conf), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+
+def field_strategy(name, default):
+    if isinstance(default, tuple):
+        return st.integers(0, 6).flatmap(
+            lambda lo: st.integers(lo, lo + 3).map(lambda hi: tuple(range(lo, hi + 1))))
+    if name in cli._CHOICES:
+        return st.sampled_from(cli._CHOICES[name])
+    if isinstance(default, str):
+        return st.text()
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2**40, 2**40)
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("experiment", sorted(ROWS))
+def test_config_round_trip(experiment, tmp_path_factory):
+    row = cli.EXPERIMENTS[experiment][1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.fixed_dictionaries({name: field_strategy(name, default)
+                                  for name, default in row.items()}))
+    def round_trip(values):
+        argv = [experiment]
+        argv += [f"{cli._flag(name)}={cli._text(value)}" for name, value in values.items()
+                 if not isinstance(value, bool)]
+        argv += ["--dump-matrices"] * values["dump_matrices"]
+        try:
+            config = cli.resolve_config(cli.build_parser().parse_args(argv))
+        except ValueError as exc:
+            # only an --out text that the file format cannot hold is refused
+            assert str(exc).startswith(f"out={values['out']!r} cannot be written")
+            return
+        assert vars(config) == dict(experiment=experiment, **values)
+        path = tmp_path_factory.mktemp("c") / "config_resolved.txt"
+        path.write_text(cli.serialize_config(config))
+        keys = [line.split("=", 1)[0] for line in path.read_text().splitlines()]
+        assert keys == ["experiment", *cli.EXPERIMENTS[experiment][1]]
+        assert sorted(keys) == sorted(["experiment", *ROWS[experiment], "out", "dump_matrices"])
+        replay = cli.resolve_config(
+            cli.build_parser().parse_args([experiment, "--config", str(path)]))
+        assert replay == config
+
+    round_trip()
+
+
+class TestDumpMatrices:
+    @pytest.mark.parametrize("experiment, argv, level, radius", [
+        ("verify", ["--level", "2"], 2, 1.0),
+        ("tumor", ["--level", "1"], 1, 1.0),
+        ("example1", ["--levels", "2..3", "--r0", "1.5"], 2, 1.5),
+    ])
+    def test_dumps_the_starting_mesh(self, experiment, argv, level, radius, tmp_path,
+                                     monkeypatch):
+        stub_entry_point(monkeypatch, experiment)
+        out = tmp_path / "o"
+        with pytest.raises(Reached):
+            cli.main([experiment, *argv, "--dump-matrices", "--out", str(out)])
+        mesh0 = mesh.generate_icosphere(level, radius)
+        assembly.write_coordinate_matrix(assembly.assemble_mass(mesh0), tmp_path / "m.txt")
+        assembly.write_coordinate_matrix(assembly.assemble_stiffness(mesh0), tmp_path / "a.txt")
+        assert (out / "mass_matrix.txt").read_text() == (tmp_path / "m.txt").read_text()
+        assert (out / "stiffness_matrix.txt").read_text() == (tmp_path / "a.txt").read_text()
+
+
+def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
+    from esfem import stepper
+    real = stepper.make_solver
+
+    def nan_field_solver(matrix, config):
+        solve = real(matrix, config)
+        return lambda rhs: solve(rhs) if rhs.ndim == 2 else rhs * float("nan")
+
+    monkeypatch.setattr(stepper, "make_solver", nan_field_solver)
+    code = cli.main(["example1", "--levels", "1..1", "--tau-c", "0.5",
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NONFINITE == 5
+    err = capsys.readouterr().err
+    assert "non-finite u" in err and "Traceback" not in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from esfem import assembly, mesh, problems, stepper
-from esfem.errors import LinearSolveFailure, MeshDegenerated
+from esfem.errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
 
 
 def quiescent_spec(alpha=1.0, beta=0.0):
@@ -117,6 +117,16 @@ class TestStepDynamic:
         residual = alpha * np.asarray(stiff @ state.v.reshape(-1, 3)) - gload.reshape(-1, 3)
         assert np.abs(residual).max() <= 1e-9
 
+    def test_loads_on_new_rejected(self):
+        # the paper defines no corrector for the dynamic law; "new" would
+        # silently give the "old" step
+        m0 = mesh.generate_icosphere(1, 1.0)
+        spec = problems.ProblemSpec(law=problems.VelocityLaw(problems.DYNAMIC, 1.0))
+        cfg = stepper.StepperConfig(tau=0.1, t_end=0.1, loads_on="new")
+        state = stepper.initial_state(spec, m0)
+        with pytest.raises(ValueError, match="loads_on"):
+            stepper.step_dynamic(state, spec, cfg)
+
 
 class TestTwoSpeciesStepping:
     def test_static_surface_conserves_both_totals(self):
@@ -220,6 +230,23 @@ class TestRun:
         with pytest.raises(LinearSolveFailure) as info:
             stepper.run(spec, m0, cfg)
         assert info.value.residual > 0.0
+
+    @pytest.mark.parametrize("nan_rhs_ndim, field", [(1, "u"), (2, "x")])
+    def test_non_finite_state_raised_at_its_step(self, monkeypatch, nan_rhs_ndim, field):
+        # velocity solves take (N, 3) right-hand sides, the field solve (N,)
+        real = stepper.make_solver
+
+        def nan_solver(matrix, config):
+            solve = real(matrix, config)
+            return lambda rhs: rhs * np.nan if rhs.ndim == nan_rhs_ndim else solve(rhs)
+
+        monkeypatch.setattr(stepper, "make_solver", nan_solver)
+        tau = 1e-3
+        cfg = stepper.StepperConfig(tau=tau, t_end=10 * tau)
+        with pytest.raises(NonFiniteState) as info:
+            stepper.run(problems.example1_problem(), mesh.generate_icosphere(1, 1.0), cfg)
+        assert info.value.time == tau
+        assert info.value.fields == (field,)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
