@@ -33,7 +33,7 @@ MIDPOINT_WEIGHTS = np.array([1.0, 1.0, 1.0]) / 3.0
 
 def _checked_areas(mesh):
     area = mesh.element_areas
-    if area.min() < 1e-14 * mesh.h_max**2:
+    if mesh.degenerate:
         bad = int(np.argmin(area))
         raise DegenerateElement(bad, float(area[bad]))
     return area

@@ -251,6 +251,10 @@ def main(argv=None) -> int:
     }[config.experiment]
     try:
         return runner(config, out)
+    except ValueError as exc:
+        # the library's own range checks, e.g. a negative t_end or seed
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except tuple(_EXIT_CODES) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]

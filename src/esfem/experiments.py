@@ -12,6 +12,8 @@ def step_size_for(mesh0, t_end, tau=None, tau_c=0.1):
     """Uniform step size: fixed tau, or tau_c * h0^2, rounded so that
     t_end is an integer number of steps."""
     target = tau if tau is not None else tau_c * mesh0.h_max**2
+    if target <= 0.0:
+        raise ValueError("tau and tau_c must be positive")
     n = max(1, int(np.ceil(t_end / target)))
     return t_end / n
 
@@ -162,13 +164,13 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
     kin = kinetics if kinetics is not None else problems.TumorKinetics()
     spec = problems.tumor_problem(alpha, beta, delta, kin)
     mesh0 = mesh.generate_icosphere(level, 1.0)
+    config = stepper.StepperConfig(
+        tau=step_size_for(mesh0, t_end, tau=tau), t_end=t_end, solver=solver,
+        normal_coupling=normal_coupling, loads_on=loads_on, snapshot_every=0)
     u0, w0 = problems.tumor_initial_data(
         mesh0, kin, seed, perturbation_bound=perturbation_bound,
         pre_time=pre_time, tau_pre=tau_pre)
     start = stepper.initial_state(spec, mesh0, u0=u0, w0=w0)
-    config = stepper.StepperConfig(
-        tau=step_size_for(mesh0, t_end, tau=tau), t_end=t_end, solver=solver,
-        normal_coupling=normal_coupling, loads_on=loads_on, snapshot_every=0)
     envelope = FieldEnvelopeObserver()
     trace = TumorTrace()
     observers = [envelope, trace]

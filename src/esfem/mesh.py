@@ -9,6 +9,7 @@ All triangles are flat (affine); the nodal basis is piecewise linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class SurfaceMesh:
     Instances are immutable (the arrays are locked), so derived element
     geometry is computed lazily once and can never go stale; meshes are
     safe to share across threads and all per-element queries are pure.
+    Edge lengths, ``h_max``, areas, normals, basis gradients, quality and
+    the degeneracy rule all derive from one cached corner gather, ``edges``.
     """
 
     def __init__(self, coords, triangles, validate=True, _topo_cache=None):
@@ -53,14 +56,8 @@ class SurfaceMesh:
             raise ValueError("triangles must have shape (T, 3)")
         if not np.all(np.isfinite(coords)):
             raise ValueError("coords contain non-finite entries")
-        self.coords = coords
-        self.triangles = triangles
-        self.coords.setflags(write=False)
-        self.triangles.setflags(write=False)
-        self._areas = None
-        self._normals = None
-        self._grads = None
-        self._h_max = None
+        self.coords = _locked(coords)
+        self.triangles = _locked(triangles)
         # Topology-derived data (assembly index patterns); shared between
         # meshes that differ only in coordinates.
         self._topo_cache = _topo_cache if _topo_cache is not None else {}
@@ -80,36 +77,44 @@ class SurfaceMesh:
         """Flat node-major copy of the coordinates (length 3N)."""
         return self.coords.reshape(-1).copy()
 
-    @property
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """(T, 3, 3) edge vectors, the one coordinate gather all element
+        geometry derives from; edge k runs from vertex k to vertex k+1."""
+        p = self.coords[self.triangles]
+        return _locked(np.roll(p, -1, axis=1) - p)
+
+    @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        """(T, 3) lengths of ``edges``."""
+        return _locked(np.sqrt((self.edges**2).sum(axis=2)))
+
+    @cached_property
     def h_max(self) -> float:
-        """Maximal edge length (coords are immutable, so never stale)."""
-        if self._h_max is None:
-            p = self.coords[self.triangles]
-            edges = np.roll(p, -1, axis=1) - p
-            self._h_max = float(np.sqrt((edges**2).sum(axis=2)).max())
-        return self._h_max
+        """Maximal edge length."""
+        return float(self.edge_lengths.max())
+
+    @cached_property
+    def _areas_normals(self):
+        return tuple(map(_locked, triangle_areas_normals(self.edges)))
 
     @property
     def element_areas(self) -> np.ndarray:
-        if self._areas is None:
-            self._areas, self._normals = triangle_areas_normals(self.coords, self.triangles)
-            self._areas.setflags(write=False)
-            self._normals.setflags(write=False)
-        return self._areas
+        return self._areas_normals[0]
 
     @property
     def element_normals(self) -> np.ndarray:
-        self.element_areas
-        return self._normals
+        return self._areas_normals[1]
 
-    @property
+    @cached_property
     def basis_gradients(self) -> np.ndarray:
-        if self._grads is None:
-            self._grads = triangle_basis_gradients(
-                self.coords, self.triangles, self.element_areas, self.element_normals
-            )
-            self._grads.setflags(write=False)
-        return self._grads
+        return _locked(triangle_basis_gradients(self.edges, *self._areas_normals))
+
+    @cached_property
+    def degenerate(self) -> bool:
+        """Whether some triangle's area is below 1e-14 h_max^2: the one rule
+        by which assembly and the time stepper refuse a collapsed surface."""
+        return bool(self.element_areas.min() < 1e-14 * self.h_max**2)
 
     def with_coords(self, coords) -> "SurfaceMesh":
         """Same topology with moved nodes; finiteness is the only check."""
@@ -142,16 +147,18 @@ class SurfaceMesh:
             raise ValueError("triangulation is oriented inward (negative enclosed volume)")
 
 
-def triangle_areas_normals(coords, triangles):
-    """Areas and unit normals of all triangles.
+def _locked(array):
+    array.setflags(write=False)
+    return array
+
+
+def triangle_areas_normals(edges):
+    """Areas and unit normals of all triangles from their (T, 3, 3) edges.
 
     Degenerate triangles get area 0 and a zero normal; callers decide
     whether that is an error.
     """
-    a = coords[triangles[:, 0]]
-    b = coords[triangles[:, 1]]
-    c = coords[triangles[:, 2]]
-    cr = np.cross(b - a, c - a)
+    cr = np.cross(edges[:, 0], -edges[:, 2])
     two_area = np.sqrt((cr**2).sum(axis=1))
     area = 0.5 * two_area
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -159,25 +166,15 @@ def triangle_areas_normals(coords, triangles):
     return area, normal
 
 
-def triangle_basis_gradients(coords, triangles, area=None, normal=None):
+def triangle_basis_gradients(edges, area, normal):
     """Constant tangential gradients of the three nodal basis functions.
 
     Returns a (T, 3, 3) array; entry [t, i] is the gradient of the basis
     function attached to local vertex i of triangle t.  The gradient of
-    basis i is the in-plane vector perpendicular to the opposite edge:
-    ``normal x (edge opposite to i) / (2 area)``.
+    basis i is the in-plane vector perpendicular to the opposite edge,
+    edge i+1: ``normal x edge / (2 area)``.
     """
-    if area is None or normal is None:
-        area, normal = triangle_areas_normals(coords, triangles)
-    a = coords[triangles[:, 0]]
-    b = coords[triangles[:, 1]]
-    c = coords[triangles[:, 2]]
-    two_area = (2.0 * area)[:, None]
-    g = np.empty((triangles.shape[0], 3, 3))
-    g[:, 0] = np.cross(normal, c - b) / two_area
-    g[:, 1] = np.cross(normal, a - c) / two_area
-    g[:, 2] = np.cross(normal, b - a) / two_area
-    return g
+    return np.cross(normal[:, None], edges[:, [1, 2, 0]]) / (2.0 * area)[:, None, None]
 
 
 def mesh_quality(mesh: SurfaceMesh) -> QualityReport:
@@ -186,15 +183,10 @@ def mesh_quality(mesh: SurfaceMesh) -> QualityReport:
     Collapsed triangles are reported (angle 0, aspect inf), never raised;
     the time stepper uses this to decide when to abort.
     """
-    p = mesh.coords[mesh.triangles]
-    edge = np.roll(p, -1, axis=1) - p  # edge k runs from vertex k to k+1
-    elen = np.sqrt((edge**2).sum(axis=2))
-    area = mesh.element_areas
+    edge, elen, area = mesh.edges, mesh.edge_lengths, mesh.element_areas
 
     # Angle at vertex k lies between edge k and reversed edge k-1.
-    u = edge
-    v = -np.roll(edge, 1, axis=1)
-    dot = np.einsum("tkj,tkj->tk", u, v)
+    dot = -np.einsum("tkj,tkj->tk", edge, np.roll(edge, 1, axis=1))
     denom = elen * np.roll(elen, 1, axis=1)
     ok = denom > 0.0
     cosang = np.where(ok, dot / np.where(ok, denom, 1.0), 1.0)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly, problems
-from .errors import DegenerateElement, LinearSolveFailure, MeshDegenerated, NonFiniteState
+from .errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
 from .mesh import SurfaceMesh, mesh_quality
 
 DIRECT = "cholesky"
@@ -131,6 +131,18 @@ def _check_finite(t, **fields):
         raise NonFiniteState(t, bad)
 
 
+def _new_surface(mesh, x, t, config):
+    """The surface at node vector x, checked once: NonFiniteState for a
+    non-finite x, MeshDegenerated with its own quality for an angle below
+    the abort bound or a collapsed triangle."""
+    _check_finite(t, x=x)
+    mesh_new = mesh.with_coords(x.reshape(-1, 3))
+    quality = mesh_quality(mesh_new)
+    if quality.min_angle_deg < config.abort_min_angle or mesh_new.degenerate:
+        raise MeshDegenerated(t, quality)
+    return mesh_new
+
+
 def _step(state, spec, config, matrices, velocity_system):
     """The step shared by all velocity laws; ``velocity_system(state, spec,
     config, mass, stiff)`` returns the new flat node vector and velocity."""
@@ -138,8 +150,7 @@ def _step(state, spec, config, matrices, velocity_system):
     mass, stiff = matrices if matrices is not None else (
         assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh))
     x_new, v_new = velocity_system(state, spec, config, mass, stiff)
-    _check_finite(state.t + config.tau, x=x_new)
-    mesh_new = mesh.with_coords(x_new.reshape(-1, 3))
+    mesh_new = _new_surface(mesh, x_new, state.t + config.tau, config)
     mass_new = assembly.assemble_mass(mesh_new)
     stiff_new = assembly.assemble_stiffness(mesh_new)
     u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config)
@@ -159,7 +170,7 @@ def _regularized_velocity(state, spec, config, mass, stiff):
     if config.loads_on == "new":
         # One corrector pass: loads re-evaluated on the predicted surface
         # (matrices stay frozen at the old one).
-        mesh_pred = state.mesh.with_coords(x_new)
+        mesh_pred = _new_surface(state.mesh, x_new, t_new, config)
         x_new = solve(k_x + tau * _velocity_load(spec, mesh_pred, state.u, t_new, config))
     x_new = x_new.reshape(-1)
     return x_new, (x_new - state.x) / tau
@@ -227,18 +238,9 @@ def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
     for n in range(1, n_steps + 1):
         try:
             state, matrices = step(state, spec, config, matrices)
-        except DegenerateElement as exc:
-            # An element collapsed within the step, before the quality
-            # monitor could see the new surface.
-            err = MeshDegenerated(state.t + config.tau, mesh_quality(state.mesh))
+        except MeshDegenerated as err:
             err.partial_trajectory = trajectory
-            raise err from exc
-        quality = mesh_quality(state.mesh)
-        if (quality.min_angle_deg < config.abort_min_angle
-                or quality.min_area < 1e-14 * state.mesh.h_max**2):
-            err = MeshDegenerated(state.t, quality)
-            err.partial_trajectory = trajectory
-            raise err
+            raise
         for obs in observers:
             obs(n, state)
         if n == n_steps or (config.snapshot_every > 0 and n % config.snapshot_every == 0):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import assembly
 from .errors import EsfemError
-from .mesh import SurfaceMesh, generate_icosphere, triangle_areas_normals
+from .mesh import SurfaceMesh, generate_icosphere
 from .problems import ManufacturedSphere
 
 
@@ -62,8 +62,7 @@ def _gauss_legendre_01(n):
 
 
 def _check_intermediate(mesh):
-    area, _ = triangle_areas_normals(mesh.coords, mesh.triangles)
-    if area.min() < 1e-14 * mesh.h_max**2:
+    if mesh.degenerate:
         raise DegenerateIntermediateMesh("a blended mesh has a collapsed triangle")
 
 
@@ -195,7 +194,7 @@ def check_sphere_identities(level: int, radius: float = 1.0):
     coordinate functions as mean curvature.
     """
     mesh = generate_icosphere(level, radius)
-    area, normal = triangle_areas_normals(mesh.coords, mesh.triangles)
+    area, normal = mesh.element_areas, mesh.element_normals
     total = float(area.sum())
     exact_area = 4.0 * np.pi * radius**2
     normal_sum = float(np.linalg.norm((area[:, None] * normal).sum(axis=0)))

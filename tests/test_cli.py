@@ -384,3 +384,21 @@ def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
     assert code == cli.EXIT_NONFINITE == 5
     err = capsys.readouterr().err
     assert "non-finite u" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["example1", "--t-end", "-1"],
+    ["verify", "--seed", "-1"],
+    ["tumor", "--dc", "-1"],
+    ["example1", "--r0", "-1"],
+    ["example1", "--alpha", "0", "--beta", "0"],
+    ["example1", "--tau-c", "0"],
+    ["example1", "--tau-c", "-1"],
+    ["tumor", "--tau", "0"],
+    ["tumor", "--t-end", "-1"],
+])
+def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
+    # the value parses; the library's own range check rejects it
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err

@@ -95,7 +95,7 @@ class TestElementGeometry:
 
     def test_unit_right_triangle(self):
         m = flat_triangle_mesh()
-        area, normal = mesh.triangle_areas_normals(m.coords, m.triangles)
+        area, normal = mesh.triangle_areas_normals(m.edges)
         assert area[0] == pytest.approx(0.5, abs=1e-15)
         assert np.allclose(normal[0], [0, 0, 1], atol=1e-15)
         assert m.element_areas[0] == area[0]
@@ -105,7 +105,8 @@ class TestElementGeometry:
         m = flat_triangle_mesh()
         expected = np.array([[-1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert np.allclose(m.basis_gradients[0], expected, atol=1e-14)
-        assert np.allclose(mesh.triangle_basis_gradients(m.coords, m.triangles)[0],
+        area, normal = mesh.triangle_areas_normals(m.edges)
+        assert np.allclose(mesh.triangle_basis_gradients(m.edges, area, normal)[0],
                            expected, atol=1e-14)
 
     def test_gradient_invariants_random_triangles(self):
@@ -158,7 +159,7 @@ class TestMeshQuality:
     def test_closed_surface_normal_sum(self):
         for level in (0, 2, 3):
             m = mesh.generate_icosphere(level, 1.3)
-            area, normal = mesh.triangle_areas_normals(m.coords, m.triangles)
+            area, normal = mesh.triangle_areas_normals(m.edges)
             s = np.linalg.norm((area[:, None] * normal).sum(axis=0))
             assert s <= 1e-12 * area.sum()
 

@@ -1,5 +1,5 @@
-"""Property tests of the assembled matrices and loads on randomly perturbed
-level-1/2 icospheres."""
+"""Property tests of the assembled matrices, loads and mesh quality on
+randomly perturbed level-1/2 icospheres."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -106,3 +106,18 @@ def test_two_column_load_equals_two_single_loads(level, seed):
         single = assembly.assemble_scalar_load(
             m, lambda x, uq, g, t, wq: f(uq, wq), u=u, extra_fields=(w,))
         assert rel_diff(both[:, col], single) <= 1e-14
+
+
+@few
+@given(scale=st.floats(0.1, 10.0), **cases)
+def test_quality_and_h_max_under_rigid_motion_and_scaling(level, seed, scale):
+    m, rng = perturbed(level, seed)
+    q, shift = rigid_motion(rng)
+    base = mesh.mesh_quality(m)
+    for moved, s in ((m.with_coords(m.coords @ q.T + shift), 1.0),
+                     (m.with_coords(scale * m.coords), scale)):
+        quality = mesh.mesh_quality(moved)
+        assert np.isclose(quality.min_angle_deg, base.min_angle_deg, rtol=1e-12, atol=0)
+        assert np.isclose(quality.max_aspect_ratio, base.max_aspect_ratio, rtol=1e-12, atol=0)
+        assert np.isclose(quality.min_area, s**2 * base.min_area, rtol=1e-12, atol=0)
+        assert np.isclose(moved.h_max, s * m.h_max, rtol=1e-13, atol=0)

@@ -208,6 +208,27 @@ class TestRun:
         assert 0.0 < info.value.time <= 2.0
         assert len(info.value.partial_trajectory) >= 1
 
+    def test_collapse_reports_the_collapsed_surface(self, monkeypatch):
+        # the velocity solve moves a vertex of triangle 0 onto another
+        real = stepper._regularized_velocity
+
+        def collapsing(state, spec, config, mass, stiff):
+            x_new, v_new = real(state, spec, config, mass, stiff)
+            i, j, _ = state.mesh.triangles[0]
+            x_new = x_new.reshape(-1, 3).copy()
+            x_new[j] = x_new[i]
+            return x_new.reshape(-1), v_new
+
+        monkeypatch.setattr(stepper, "_regularized_velocity", collapsing)
+        tau = 1e-3
+        cfg = stepper.StepperConfig(tau=tau, t_end=10 * tau)
+        with pytest.raises(MeshDegenerated) as info:
+            stepper.run(problems.example1_problem(), mesh.generate_icosphere(1, 1.0), cfg)
+        err = info.value
+        assert err.quality.min_area == 0.0
+        assert err.time == tau
+        assert len(err.partial_trajectory) == 1
+
     def test_solver_choice_changes_nothing(self):
         spec = problems.example1_problem()
         m0 = mesh.generate_icosphere(2, 1.0)
