@@ -161,6 +161,8 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
     Returns (final_state, envelope dict, trace).  With ``out_dir`` set the
     trace CSV and surface snapshots are written there.
     """
+    if export_every < 0:
+        raise ValueError(f"export_every must be non-negative, got {export_every}")
     kin = kinetics if kinetics is not None else problems.TumorKinetics()
     spec = problems.tumor_problem(alpha, beta, delta, kin)
     mesh0 = mesh.generate_icosphere(level, 1.0)

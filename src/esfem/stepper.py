@@ -11,6 +11,7 @@ d/dt(M u) update telescoping exactly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,15 +64,82 @@ class StepperConfig:
             raise ValueError(f"loads_on must be 'old' or 'new', got {self.loads_on!r}")
 
 
-def make_solver(matrix, config: StepperConfig):
-    """Factor an SPD sparse matrix once; returns solve(rhs) for (N,) or (N, k)."""
-    if config.solver == DIRECT:
-        lu = spla.splu(matrix.tocsc())
+# A lagged solve that has not converged within this many CG iterations
+# refactors.  Measured with the first step's factors held throughout: every
+# solve of example1 at level 4 over 43 steps and of the level-3 tumor run
+# took 2-4 iterations, and example1 at level 3 over its full 368 steps
+# averaged 5.7, with no refactor.  At level 4 one iteration (0.3 ms) costs
+# about 1/60 of a factorization (19.5 ms), so a stale factor wastes at most
+# half a refactorization per column before it is replaced.
+LAG_MAX_ITER = 30
+# Relative residual of a lagged solve.  Against a fresh factorization every
+# step, example1's error norms at level 4 (43 steps) moved at most 1.1e-7
+# relative at 1e-12, 4.8e-9 at 1e-13 and 9.2e-11 at 1e-14; at level 3 over
+# its full horizon 3.8e-11.  A different SuperLU column ordering alone
+# moves them by up to 4.1e-9.  CG starts from the held factor's solve, so
+# its rounding scales with that solve's residual: started from zero, a
+# stationary level-2 surface drifted 8.9e-12 in 1000 steps instead of
+# 5.5e-14 (criterion 5 allows 1e-12).
+LAG_TOL = 1e-14
+
+
+class LaggedFactor:
+    """One system's SuperLU factor, kept across the steps of a run.
+
+    The matrices of the linearly implicit scheme change only O(tau) per
+    step, so an old factor is a close preconditioner for the current one.
+    The first solve factors its matrix and solves exactly; later ones run
+    CG on their own matrix, started from and preconditioned by the held
+    factor's solve.  A solve that has not converged within LAG_MAX_ITER
+    iterations drops the factor, refactors and solves exactly.
+    """
+
+    def __init__(self):
+        self._lu = None
+
+    def solver(self, matrix):
+        """solve(rhs) for (N,) or (N, k) right-hand sides of ``matrix``."""
+        if self._lu is None:
+            lu = self._refactor(matrix)
+            return lambda rhs: lu.solve(np.asarray(rhs))
 
         def solve(rhs):
-            return lu.solve(np.asarray(rhs))
+            rhs = np.asarray(rhs)
+            x = self._lagged_solve(matrix, rhs)
+            if x is None:
+                x = self._refactor(matrix).solve(rhs)
+            return x
 
         return solve
+
+    def _refactor(self, matrix):
+        self._lu = None  # free the stale factor before building its replacement
+        self._lu = spla.splu(matrix.tocsc())
+        return self._lu
+
+    def _lagged_solve(self, matrix, rhs):
+        """CG per column, started from and preconditioned by the held
+        factor's solve; None if stale."""
+        precond = spla.LinearOperator(matrix.shape, matvec=self._lu.solve)
+        cols = rhs.reshape(rhs.shape[0], -1)
+        out = self._lu.solve(cols)
+        for j in range(cols.shape[1]):
+            out[:, j], info = spla.cg(matrix, cols[:, j], x0=out[:, j], rtol=LAG_TOL,
+                                      atol=0.0, maxiter=LAG_MAX_ITER, M=precond)
+            if info != 0:
+                return None
+        return out.reshape(rhs.shape)
+
+
+def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = None):
+    """solve(rhs) for an SPD sparse matrix and (N,) or (N, k) right-hand sides.
+
+    The direct solver goes through ``factor``, which the caller keeps across
+    steps to reuse its factorization; without one the matrix is factored
+    fresh.  The cg solver is Jacobi-preconditioned and ignores ``factor``.
+    """
+    if config.solver == DIRECT:
+        return (factor if factor is not None else LaggedFactor()).solver(matrix)
 
     matrix = matrix.tocsr()
     inv_diag = 1.0 / matrix.diagonal()
@@ -108,13 +176,13 @@ def _velocity_load(spec, mesh, u, t, config):
     return load.reshape(n, 3)
 
 
-def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config):
+def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config, factors):
     """PDE step(s) on the new surface; returns (u_new, w_new)."""
     tau, t_new = config.tau, state.t + config.tau
-    solve_u = make_solver(mass_new + tau * stiff_new, config)
+    solve_u = make_solver(mass_new + tau * stiff_new, config, factors["u"])
     kin = spec.kinetics
     if kin is not None:
-        solve_w = make_solver(mass_new + tau * kin.D_c * stiff_new, config)
+        solve_w = make_solver(mass_new + tau * kin.D_c * stiff_new, config, factors["w"])
         return problems.kinetics_step(kin, mesh_new, mass_old, state.u, state.w, tau,
                                       solve_u, solve_w, t_new)
     load = np.zeros(mesh_new.num_nodes)
@@ -143,28 +211,32 @@ def _new_surface(mesh, x, t, config):
     return mesh_new
 
 
-def _step(state, spec, config, matrices, velocity_system):
+def _step(state, spec, config, matrices, factors, velocity_system):
     """The step shared by all velocity laws; ``velocity_system(state, spec,
-    config, mass, stiff)`` returns the new flat node vector and velocity."""
+    config, mass, stiff, factor)`` returns the new flat node vector and
+    velocity."""
     mesh = state.mesh
     mass, stiff = matrices if matrices is not None else (
         assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh))
-    x_new, v_new = velocity_system(state, spec, config, mass, stiff)
+    if factors is None:
+        factors = defaultdict(LaggedFactor)
+    x_new, v_new = velocity_system(state, spec, config, mass, stiff, factors["velocity"])
     mesh_new = _new_surface(mesh, x_new, state.t + config.tau, config)
     mass_new = assembly.assemble_mass(mesh_new)
     stiff_new = assembly.assemble_stiffness(mesh_new)
-    u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config)
+    u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config,
+                                   factors)
     _check_finite(state.t + config.tau, u=u_new, w=w_new)
     state_new = SystemState(state.t + config.tau, x_new, u_new, v_new, mesh_new, w_new)
     return state_new, (mass_new, stiff_new)
 
 
-def _regularized_velocity(state, spec, config, mass, stiff):
+def _regularized_velocity(state, spec, config, mass, stiff, factor):
     """(M + alpha A + tau beta A) x_new = (M + alpha A) x + tau * load."""
     law, tau, t_new = spec.law, config.tau, state.t + config.tau
     k_scalar = (mass + law.alpha * stiff).tocsr() if law.alpha != 0.0 else mass
     system = (k_scalar + tau * law.beta * stiff).tocsr() if law.beta != 0.0 else k_scalar
-    solve = make_solver(system, config)
+    solve = make_solver(system, config, factor)
     k_x = k_scalar @ state.x.reshape(-1, 3)
     x_new = solve(k_x + tau * _velocity_load(spec, state.mesh, state.u, t_new, config))
     if config.loads_on == "new":
@@ -176,7 +248,7 @@ def _regularized_velocity(state, spec, config, mass, stiff):
     return x_new, (x_new - state.x) / tau
 
 
-def _dynamic_velocity(state, spec, config, mass, stiff):
+def _dynamic_velocity(state, spec, config, mass, stiff, factor):
     """(M + tau alpha A) v_new = M v + tau * load, then x_new = x + tau v_new."""
     if config.loads_on != "old":
         raise ValueError(f"the dynamic law has no loads_on={config.loads_on!r} corrector; "
@@ -184,23 +256,30 @@ def _dynamic_velocity(state, spec, config, mass, stiff):
     law, tau = spec.law, config.tau
     system = (mass + tau * law.alpha * stiff).tocsr() if law.alpha != 0.0 else mass
     load = _velocity_load(spec, state.mesh, state.u, state.t + tau, config)
-    v_new = make_solver(system, config)(mass @ state.v.reshape(-1, 3) + tau * load).reshape(-1)
+    solve = make_solver(system, config, factor)
+    v_new = solve(mass @ state.v.reshape(-1, 3) + tau * load).reshape(-1)
     return state.x + tau * v_new, v_new
 
 
-def step_coupled(state: SystemState, spec, config: StepperConfig, matrices=None):
+def step_coupled(state: SystemState, spec, config: StepperConfig, matrices=None,
+                 factors=None):
     """One step of the regularized (elliptic or mean curvature) velocity law.
 
     Returns the new state and the (mass, stiffness) pair assembled on the
     new surface, which the caller can feed back as ``matrices`` to avoid
-    reassembling.
+    reassembling.  ``factors`` maps each system ("velocity", "u", "w") to
+    the LaggedFactor it reuses, e.g. ``defaultdict(LaggedFactor)`` kept
+    across the steps of one run on one mesh; without it every system is
+    factored fresh.
     """
-    return _step(state, spec, config, matrices, _regularized_velocity)
+    return _step(state, spec, config, matrices, factors, _regularized_velocity)
 
 
-def step_dynamic(state: SystemState, spec, config: StepperConfig, matrices=None):
-    """One step of the dynamic velocity law (velocity itself evolves)."""
-    return _step(state, spec, config, matrices, _dynamic_velocity)
+def step_dynamic(state: SystemState, spec, config: StepperConfig, matrices=None,
+                 factors=None):
+    """One step of the dynamic velocity law (velocity itself evolves);
+    ``matrices`` and ``factors`` as for step_coupled."""
+    return _step(state, spec, config, matrices, factors, _dynamic_velocity)
 
 
 def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None, v0=None) -> SystemState:
@@ -221,8 +300,9 @@ def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
 
     t_end/tau must be an integer to 1e-9.  Observers are called
     synchronously as observer(step_index, state) for the initial state and
-    after every step; they must not mutate the state.  On mesh degeneration
-    the partial trajectory is attached to the raised error.
+    after every step; they must not mutate the state.  Each linear system
+    keeps its factorization for the whole run (LaggedFactor).  On mesh
+    degeneration the partial trajectory is attached to the raised error.
     """
     n_steps_f = config.t_end / config.tau
     n_steps = int(round(n_steps_f))
@@ -234,10 +314,10 @@ def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
     trajectory = [state]
     for obs in observers:
         obs(0, state)
-    matrices = None
+    matrices, factors = None, defaultdict(LaggedFactor)
     for n in range(1, n_steps + 1):
         try:
-            state, matrices = step(state, spec, config, matrices)
+            state, matrices = step(state, spec, config, matrices, factors)
         except MeshDegenerated as err:
             err.partial_trajectory = trajectory
             raise

@@ -374,8 +374,8 @@ def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
     from esfem import stepper
     real = stepper.make_solver
 
-    def nan_field_solver(matrix, config):
-        solve = real(matrix, config)
+    def nan_field_solver(matrix, config, factor=None):
+        solve = real(matrix, config, factor)
         return lambda rhs: solve(rhs) if rhs.ndim == 2 else rhs * float("nan")
 
     monkeypatch.setattr(stepper, "make_solver", nan_field_solver)
@@ -396,6 +396,7 @@ def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
     ["example1", "--tau-c", "-1"],
     ["tumor", "--tau", "0"],
     ["tumor", "--t-end", "-1"],
+    ["tumor", "--export-every", "-3"],
 ])
 def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     # the value parses; the library's own range check rejects it

@@ -1,7 +1,10 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from esfem import assembly, mesh, problems, stepper
+from esfem import assembly, experiments, mesh, problems, stepper
 from esfem.errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
 
 
@@ -212,8 +215,8 @@ class TestRun:
         # the velocity solve moves a vertex of triangle 0 onto another
         real = stepper._regularized_velocity
 
-        def collapsing(state, spec, config, mass, stiff):
-            x_new, v_new = real(state, spec, config, mass, stiff)
+        def collapsing(state, spec, config, mass, stiff, factor):
+            x_new, v_new = real(state, spec, config, mass, stiff, factor)
             i, j, _ = state.mesh.triangles[0]
             x_new = x_new.reshape(-1, 3).copy()
             x_new[j] = x_new[i]
@@ -257,8 +260,8 @@ class TestRun:
         # velocity solves take (N, 3) right-hand sides, the field solve (N,)
         real = stepper.make_solver
 
-        def nan_solver(matrix, config):
-            solve = real(matrix, config)
+        def nan_solver(matrix, config, factor=None):
+            solve = real(matrix, config, factor)
             return lambda rhs: rhs * np.nan if rhs.ndim == nan_rhs_ndim else solve(rhs)
 
         monkeypatch.setattr(stepper, "make_solver", nan_solver)
@@ -276,3 +279,121 @@ class TestRun:
             stepper.StepperConfig(tau=0.1, t_end=1.0, solver="qr")
         with pytest.raises(ValueError):
             stepper.StepperConfig(tau=0.1, t_end=1.0, loads_on="past")
+
+
+def count_factorizations(monkeypatch):
+    """Record the shape of every spla.splu call from now on."""
+    calls = []
+    real = spla.splu
+
+    def splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    return calls
+
+
+def seeded_two_species_start(spec, m0, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    us, ws = spec.kinetics.steady_state()
+    return stepper.initial_state(spec, m0, u0=us + 0.01 * rng.standard_normal(m0.num_nodes),
+                                 w0=ws + 0.01 * rng.standard_normal(m0.num_nodes))
+
+
+class TestFactorReuse:
+    def test_one_factorization_per_system_per_run(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        tau = 1e-3
+        cfg = stepper.StepperConfig(tau=tau, t_end=8 * tau)
+        stepper.run(problems.example1_problem(), mesh.generate_icosphere(2, 1.0), cfg)
+        assert len(calls) == 2  # velocity and u, held for all 8 steps
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_reuse_matches_refactoring_every_step(self, monkeypatch, level):
+        spec = problems.example1_problem()
+        lagged, lagged_final = experiments.run_level(spec, level, 0.1)
+        real = stepper.make_solver
+        monkeypatch.setattr(stepper, "make_solver",
+                            lambda matrix, config, factor=None: real(matrix, config))
+        fresh, fresh_final = experiments.run_level(spec, level, 0.1)
+        for name in ("x", "u"):
+            a, b = getattr(lagged_final, name), getattr(fresh_final, name)
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+        for name, value in vars(fresh.norms).items():
+            assert abs(getattr(lagged.norms, name) - value) <= 1e-10 * abs(value), name
+
+    def test_still_surface_stays_still_with_lagged_solves(self):
+        # criterion 5 at a third of its length: measured drift 4e-14; CG
+        # started from zero instead of from the factor's solve drifts 3.3e-12
+        m0 = mesh.generate_icosphere(2, 1.0)
+        rng = np.random.Generator(np.random.Philox(5))
+        spec = quiescent_spec()
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=0.3, snapshot_every=0)
+        start = stepper.initial_state(spec, m0, u0=rng.standard_normal(m0.num_nodes))
+        final = stepper.run(spec, m0, cfg, start=start)[-1]
+        assert np.abs(final.x - m0.node_vector).max() <= 5e-13
+
+    def test_stale_factor_refactors_once(self, monkeypatch):
+        m0 = mesh.generate_icosphere(2, 1.0)
+        mass, stiff = assembly.assemble_mass(m0), assembly.assemble_stiffness(m0)
+        far = (mass + 10.0 * stiff).tocsr()
+        rhs = np.random.Generator(np.random.Philox(4)).standard_normal((m0.num_nodes, 3))
+        expected = spla.splu(far.tocsc()).solve(rhs)
+        held = stepper.LaggedFactor()
+        held.solver((mass + 1e-6 * stiff).tocsr())
+        calls = count_factorizations(monkeypatch)
+        solve = held.solver(far)
+        assert calls == []
+        assert np.array_equal(solve(rhs), expected)
+        assert len(calls) == 1
+        # the replacement is this matrix's own factor: later solves need
+        # no further factorization
+        scale = np.abs(expected).max()
+        assert np.abs(solve(rhs) - expected).max() <= 1e-13 * scale
+        assert np.abs(held.solver(far)(rhs[:, 0]) - expected[:, 0]).max() <= 1e-13 * scale
+        assert len(calls) == 1
+
+    def test_standalone_steps_on_two_meshes(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        coupled = problems.example1_problem()
+        dynamic = problems.ProblemSpec(law=problems.VelocityLaw(problems.DYNAMIC, 1.0),
+                                       velocity_forcing=lambda x, t: np.ones(len(x)))
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
+        results = []
+        for step, spec in [(stepper.step_coupled, coupled), (stepper.step_dynamic, dynamic)]:
+            for level in (2, 1, 2):
+                state = stepper.initial_state(spec, mesh.generate_icosphere(level, 1.0))
+                results.append(step(state, spec, cfg)[0])
+        assert len(calls) == 2 * len(results)  # every standalone step factors fresh
+        for first, again in [(results[0], results[2]), (results[3], results[5])]:
+            assert np.array_equal(first.x, again.x) and np.array_equal(first.u, again.u)
+
+    def test_held_factors_carry_across_standalone_steps(self, monkeypatch):
+        spec = problems.example1_problem()
+        m0 = mesh.generate_icosphere(2, 1.0)
+        tau = 1e-3
+        cfg = stepper.StepperConfig(tau=tau, t_end=4 * tau, snapshot_every=0)
+        expected = stepper.run(spec, m0, cfg)[-1]
+        calls = count_factorizations(monkeypatch)
+        state, matrices = stepper.initial_state(spec, m0), None
+        factors = defaultdict(stepper.LaggedFactor)
+        for _ in range(4):
+            state, matrices = stepper.step_coupled(state, spec, cfg, matrices, factors)
+        assert len(calls) == 2
+        assert np.array_equal(state.x, expected.x) and np.array_equal(state.u, expected.u)
+
+    def test_runs_repeat_bitwise_after_a_run_at_another_level(self):
+        # three held factors (velocity, u, w); no factor outlives its run
+        spec = problems.tumor_problem(0.0, 0.01, 0.01)
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-2, snapshot_every=0)
+
+        def final(level):
+            m0 = mesh.generate_icosphere(level, 1.0)
+            return stepper.run(spec, m0, cfg, start=seeded_two_species_start(spec, m0, 7))[-1]
+
+        first = final(2)
+        final(1)
+        again = final(2)
+        for name in ("x", "u", "v", "w"):
+            assert np.array_equal(getattr(first, name), getattr(again, name)), name
