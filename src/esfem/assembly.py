@@ -102,12 +102,13 @@ def _scatter(mesh, corner_values):
     return out if corner_values.ndim == 2 else out.reshape(-1, k)
 
 
-def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str = "nodal") -> np.ndarray:
+def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
     """Normal coupling vector driving the velocity law with the field u.
 
-    ``nodal`` (default) puts the nodal coefficient u_j inside the integral:
-    entry 3j+l is u_j * integral of (normal)_l phi_j.  ``interpolated``
-    integrates the interpolant u_h instead; the two differ at O(h^2).
+    ``mode`` is StepperConfig's normal_coupling.  ``nodal`` puts the nodal
+    coefficient u_j inside the integral: entry 3j+l is u_j * integral of
+    (normal)_l phi_j.  ``interpolated`` integrates the interpolant u_h
+    instead; the two differ at O(h^2).
     """
     u = np.asarray(u, dtype=float)
     n = mesh.num_nodes

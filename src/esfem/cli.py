@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import analysis, assembly, experiments, mesh, problems, verification
+from . import analysis, assembly, experiments, mesh, problems, stepper, verification
 from .errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
 
 EXIT_OK = 0
@@ -30,7 +30,9 @@ _EXIT_CODES = {MeshDegenerated: EXIT_DEGENERATED, LinearSolveFailure: EXIT_SOLVE
                NonFiniteState: EXIT_NONFINITE}
 
 _COMMON = dict(out="results", dump_matrices=False)
-_SOLVE = dict(solver="cholesky", normal_coupling="nodal", loads_on="old")
+# the solve options, their allowed values and their defaults are StepperConfig's
+_CHOICES = stepper.StepperConfig.CHOICES
+_SOLVE = {name: getattr(stepper.StepperConfig, name) for name in _CHOICES}
 _STUDY = dict(levels=(1, 2, 3, 4), r0=1.0, rk=2.0, k=0.5, tau_c=0.1, **_SOLVE)
 
 # experiment -> (help text, {field its run reads: default}), fields in the
@@ -46,8 +48,6 @@ EXPERIMENTS = {
                    **_SOLVE, **_COMMON)),
     "verify": ("numerical identity checks", dict(level=2, seed=0, **_COMMON)),
 }
-_CHOICES = dict(solver=("cholesky", "cg"), normal_coupling=("nodal", "interpolated"),
-                loads_on=("old", "new"))
 _KEYS = {"experiment", *(key for _, row in EXPERIMENTS.values() for key in row)}
 
 
@@ -177,6 +177,10 @@ def _prepare_out(config) -> Path:
     return out
 
 
+def _solve_options(config):
+    return {name: getattr(config, name) for name in _SOLVE}
+
+
 def _warn_failure(level, err):
     print(f"level {level}: mesh degenerated at t={err.time:.4g}; "
           "level omitted from the table", file=sys.stderr)
@@ -186,9 +190,8 @@ def _run_example1(config, out: Path) -> int:
     report = experiments.example1_study(
         levels=config.levels, alpha=config.alpha, beta=config.beta,
         delta=config.delta, r0=config.r0, rK=config.rk, k=config.k,
-        t_end=config.t_end, tau_c=config.tau_c, solver=config.solver,
-        normal_coupling=config.normal_coupling, loads_on=config.loads_on,
-        on_failure=_warn_failure)
+        t_end=config.t_end, tau_c=config.tau_c, on_failure=_warn_failure,
+        **_solve_options(config))
     if not report.levels:
         return EXIT_DEGENERATED
     analysis.emit_table(report, out / "table.csv")
@@ -201,8 +204,7 @@ def _run_example3(config, out: Path) -> int:
         report = experiments.example3_study(
             alpha=alpha, beta=beta, levels=config.levels, r0=config.r0, rK=config.rk,
             k=config.k, t_end=config.t_end, tau_c=config.tau_c,
-            solver=config.solver, normal_coupling=config.normal_coupling,
-            loads_on=config.loads_on, on_failure=_warn_failure)
+            on_failure=_warn_failure, **_solve_options(config))
         if report.levels:
             analysis.emit_table(report, out / f"table_{tag}.csv")
             wrote_any = True
@@ -215,9 +217,8 @@ def _run_tumor(config, out: Path) -> int:
     experiments.tumor_experiment(
         alpha=config.alpha, beta=config.beta, delta=config.delta,
         level=config.level, tau=config.tau, t_end=config.t_end,
-        seed=config.seed, kinetics=kin, solver=config.solver,
-        normal_coupling=config.normal_coupling, loads_on=config.loads_on,
-        out_dir=str(out), export_every=config.export_every)
+        seed=config.seed, kinetics=kin, out_dir=str(out),
+        export_every=config.export_every, **_solve_options(config))
     return EXIT_OK
 
 

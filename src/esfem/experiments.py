@@ -1,11 +1,16 @@
-"""Experiment drivers shared by the command line and the acceptance suite."""
+"""Experiment drivers shared by the command line and the acceptance suite.
+
+The study and tumor drivers take StepperConfig's solve options (solver,
+normal_coupling, loads_on) as keyword arguments ``**solve`` and hand them
+to StepperConfig unchanged, so an option left out takes its default there.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import analysis, assembly, mesh, problems, stepper
-from .errors import MeshDegenerated
+from .errors import MeshDegenerated, MissingExactSolution
 
 
 def step_size_for(mesh0, t_end, tau=None, tau_c=0.1):
@@ -18,47 +23,42 @@ def step_size_for(mesh0, t_end, tau=None, tau_c=0.1):
     return t_end / n
 
 
-def run_level(spec, level, t_end, radius=1.0, tau=None, tau_c=0.1,
-              solver=stepper.DIRECT, normal_coupling="nodal", loads_on="old",
-              observers=(), collect_errors=True):
-    """One refinement level: build the mesh, march to t_end, measure errors.
+def _stepper_config(tau, t_end, solve):
+    """A run's StepperConfig; ``solve`` may set its solve options only."""
+    unknown = sorted(set(solve) - set(stepper.StepperConfig.CHOICES))
+    if unknown:
+        raise TypeError(f"unknown solve options: {', '.join(unknown)}")
+    return stepper.StepperConfig(tau=tau, t_end=t_end, snapshot_every=0, **solve)
 
-    Returns (LevelResult, final_state); the result's norms are None when
-    ``collect_errors`` is off.
+
+def run_level(spec, level, t_end, tau_c=0.1, **solve):
+    """One refinement level: march from the icosphere of radius r0 to t_end
+    and measure the errors.
+
+    Returns (LevelResult, final_state).
     """
-    mesh0 = mesh.generate_icosphere(level, radius)
-    config = stepper.StepperConfig(
-        tau=step_size_for(mesh0, t_end, tau, tau_c), t_end=t_end,
-        solver=solver, normal_coupling=normal_coupling, loads_on=loads_on,
-        snapshot_every=0,
-    )
-    obs = list(observers)
-    acc = None
-    if collect_errors:
-        acc = analysis.ErrorAccumulator(spec, mesh0)
-        obs.append(acc)
-    trajectory = stepper.run(spec, mesh0, config, observers=obs)
-    final = trajectory[-1]
-    norms = acc.result() if acc is not None else None
+    if spec.exact is None:
+        raise MissingExactSolution("problem has no manufactured solution")
+    mesh0 = mesh.generate_icosphere(level, spec.exact.r0)
+    config = _stepper_config(step_size_for(mesh0, t_end, tau_c=tau_c), t_end, solve)
+    acc = analysis.ErrorAccumulator(spec, mesh0)
+    final = stepper.run(spec, mesh0, config, observers=[acc])[-1]
     result = analysis.LevelResult(
-        level=level, dof=mesh0.num_nodes, h_final=final.mesh.h_max, norms=norms)
+        level=level, dof=mesh0.num_nodes, h_final=final.mesh.h_max, norms=acc.result())
     return result, final
 
 
-def convergence_study(spec_factory, levels, t_end, tau_c=0.1, solver=stepper.DIRECT,
-                      normal_coupling="nodal", loads_on="old", on_failure=None):
+def convergence_study(spec, levels, t_end, tau_c=0.1, on_failure=None, **solve):
     """Error report over refinement levels.
 
-    ``spec_factory(level)`` builds the problem per level.  Levels whose run
-    degenerates are skipped (reported through ``on_failure(level, error)``);
-    the returned report holds the completed levels only.
+    Levels whose run degenerates are skipped (reported through
+    ``on_failure(level, error)``); the returned report holds the completed
+    levels only.
     """
     report = analysis.ErrorReport()
     for level in levels:
         try:
-            result, _ = run_level(
-                spec_factory(level), level, t_end, tau_c=tau_c, solver=solver,
-                normal_coupling=normal_coupling, loads_on=loads_on)
+            result, _ = run_level(spec, level, t_end, tau_c, **solve)
         except MeshDegenerated as err:
             if on_failure is not None:
                 on_failure(level, err)
@@ -68,22 +68,18 @@ def convergence_study(spec_factory, levels, t_end, tau_c=0.1, solver=stepper.DIR
 
 
 def example1_study(levels=(1, 2, 3, 4), alpha=1.0, beta=0.0, delta=0.4,
-                   r0=1.0, rK=2.0, k=0.5, t_end=1.0, tau_c=0.1,
-                   solver=stepper.DIRECT, normal_coupling="nodal",
-                   loads_on="old", on_failure=None):
+                   r0=1.0, rK=2.0, k=0.5, t_end=1.0, tau_c=0.1, on_failure=None,
+                   **solve):
     """Convergence study for the coupled expanding-sphere benchmark."""
-    return convergence_study(
-        lambda _level: problems.example1_problem(alpha, beta, delta, r0, rK, k),
-        levels, t_end, tau_c, solver, normal_coupling, loads_on, on_failure)
+    return convergence_study(problems.example1_problem(alpha, beta, delta, r0, rK, k),
+                             levels, t_end, tau_c, on_failure, **solve)
 
 
 def example3_study(alpha, beta, levels=(1, 2, 3, 4), r0=1.0, rK=2.0, k=0.5,
-                   t_end=2.0, tau_c=0.1, solver=stepper.DIRECT,
-                   normal_coupling="nodal", loads_on="old", on_failure=None):
+                   t_end=2.0, tau_c=0.1, on_failure=None, **solve):
     """One arm (alpha- or beta-regularized) of the comparison experiment."""
-    return convergence_study(
-        lambda _level: problems.example3_problem(alpha, beta, r0, rK, k),
-        levels, t_end, tau_c, solver, normal_coupling, loads_on, on_failure)
+    return convergence_study(problems.example3_problem(alpha, beta, r0, rK, k),
+                             levels, t_end, tau_c, on_failure, **solve)
 
 
 class FieldEnvelopeObserver:
@@ -108,28 +104,20 @@ class FieldEnvelopeObserver:
 
 
 class SurfaceExporter:
-    """Writes surface_<step>.vtk (and .obj) snapshots every k steps."""
+    """Writes surface_<step>.vtk (u, and w when present) and
+    surface_<step>.obj snapshots every k > 0 steps."""
 
-    def __init__(self, out_dir, every, fields=("u", "w"), obj=False):
+    def __init__(self, out_dir, every):
         self.out_dir = out_dir
         self.every = every
-        self.fields = fields
-        self.obj = obj
 
     def __call__(self, step_index, state):
-        if self.every <= 0 or step_index % self.every != 0:
+        if step_index % self.every != 0:
             return
-        data = {}
-        if "u" in self.fields:
-            data["u"] = state.u
-        if "w" in self.fields and state.w is not None:
-            data["w"] = state.w
-        if "v" in self.fields:
-            data["v"] = state.v
+        data = {"u": state.u} if state.w is None else {"u": state.u, "w": state.w}
         base = f"{self.out_dir}/surface_{step_index:06d}"
         mesh.export_surface(state.mesh, data, base + ".vtk")
-        if self.obj:
-            mesh.export_obj(state.mesh, base + ".obj")
+        mesh.export_obj(state.mesh, base + ".obj")
 
 
 class TumorTrace:
@@ -152,10 +140,8 @@ class TumorTrace:
 
 
 def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
-                     seed=0, kinetics=None, pre_time=5.0, tau_pre=1e-3,
-                     perturbation_bound=0.01, solver=stepper.DIRECT,
-                     normal_coupling="nodal", loads_on="old",
-                     out_dir=None, export_every=0):
+                     seed=0, kinetics=None, pre_time=5.0, out_dir=None, export_every=0,
+                     **solve):
     """Pattern-forming run: seeded pre-relaxation, then the moving surface.
 
     Returns (final_state, envelope dict, trace).  With ``out_dir`` set the
@@ -166,18 +152,14 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
     kin = kinetics if kinetics is not None else problems.TumorKinetics()
     spec = problems.tumor_problem(alpha, beta, delta, kin)
     mesh0 = mesh.generate_icosphere(level, 1.0)
-    config = stepper.StepperConfig(
-        tau=step_size_for(mesh0, t_end, tau=tau), t_end=t_end, solver=solver,
-        normal_coupling=normal_coupling, loads_on=loads_on, snapshot_every=0)
-    u0, w0 = problems.tumor_initial_data(
-        mesh0, kin, seed, perturbation_bound=perturbation_bound,
-        pre_time=pre_time, tau_pre=tau_pre)
+    config = _stepper_config(step_size_for(mesh0, t_end, tau=tau), t_end, solve)
+    u0, w0 = problems.tumor_initial_data(mesh0, kin, seed, pre_time=pre_time)
     start = stepper.initial_state(spec, mesh0, u0=u0, w0=w0)
     envelope = FieldEnvelopeObserver()
     trace = TumorTrace()
     observers = [envelope, trace]
     if out_dir is not None and export_every > 0:
-        observers.append(SurfaceExporter(out_dir, export_every, obj=True))
+        observers.append(SurfaceExporter(out_dir, export_every))
     trajectory = stepper.run(spec, mesh0, config, observers=observers, start=start)
     final = trajectory[-1]
     if out_dir is not None:
@@ -188,7 +170,7 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
 
 
 def temporal_order_study(level=3, taus=(4e-3, 2e-3, 1e-3), tau_ref=1.25e-4,
-                         t_end=1.0, solver=stepper.DIRECT):
+                         t_end=1.0):
     """Observed time-discretization order on a fixed mesh.
 
     The spatial error floor is removed by comparing each run's terminal
@@ -200,8 +182,7 @@ def temporal_order_study(level=3, taus=(4e-3, 2e-3, 1e-3), tau_ref=1.25e-4,
     mesh0 = mesh.generate_icosphere(level, 1.0)
 
     def terminal(tau):
-        config = stepper.StepperConfig(tau=tau, t_end=t_end, solver=solver,
-                                       snapshot_every=0)
+        config = stepper.StepperConfig(tau=tau, t_end=t_end, snapshot_every=0)
         return stepper.run(spec, mesh0, config)[-1]
 
     ref = terminal(tau_ref)

@@ -45,23 +45,36 @@ class SystemState:
 
 @dataclass(frozen=True)
 class StepperConfig:
+    """Step size, horizon and solve options of one run.
+
+    ``CHOICES`` lists the allowed values of each solve option (solver,
+    normal_coupling, loads_on); the command line and the experiment
+    drivers take the options, their defaults and their values from here.
+    """
+
     tau: float
     t_end: float
     solver: str = DIRECT
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 10000
     abort_min_angle: float = 5.0
     normal_coupling: str = "nodal"
     loads_on: str = "old"
     snapshot_every: int = 1
 
+    CHOICES = {"solver": (DIRECT, CG), "normal_coupling": ("nodal", "interpolated"),
+               "loads_on": ("old", "new")}
+
     def __post_init__(self):
         if self.tau <= 0.0 or self.t_end < self.tau:
             raise ValueError("need 0 < tau <= t_end")
-        if self.solver not in (DIRECT, CG):
-            raise ValueError(f"unknown solver: {self.solver!r}")
-        if self.loads_on not in ("old", "new"):
-            raise ValueError(f"loads_on must be 'old' or 'new', got {self.loads_on!r}")
+        for name, allowed in self.CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
+
+
+# Relative residual and iteration cap of the Jacobi-preconditioned cg solver.
+CG_TOL = 1e-12
+CG_MAX_ITER = 10000
 
 
 # A lagged solve that has not converged within this many CG iterations
@@ -150,10 +163,8 @@ def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = 
         cols = rhs.reshape(rhs.shape[0], -1)
         out = np.empty_like(cols)
         for j in range(cols.shape[1]):
-            xj, info = spla.cg(
-                matrix, cols[:, j], rtol=config.cg_tol, atol=0.0,
-                maxiter=config.cg_max_iter, M=precond,
-            )
+            xj, info = spla.cg(matrix, cols[:, j], rtol=CG_TOL, atol=0.0,
+                               maxiter=CG_MAX_ITER, M=precond)
             if info != 0:
                 res = float(np.linalg.norm(matrix @ xj - cols[:, j]))
                 raise LinearSolveFailure("conjugate gradient did not converge", res)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from esfem import analysis, mesh, problems, stepper
+from esfem import analysis, experiments, mesh, problems, stepper
 from esfem.errors import EmptyTrajectory, MissingExactSolution
 
 
@@ -55,6 +55,8 @@ class TestInterpolatedExact:
         bare = problems.ProblemSpec(law=problems.velocity_law(1.0))
         with pytest.raises(MissingExactSolution):
             analysis.interpolated_exact(bare, np.zeros((4, 3)), 0.0)
+        with pytest.raises(MissingExactSolution):
+            experiments.run_level(bare, 1, 0.1)
 
 
 class TestErrorNorms:
@@ -170,6 +172,25 @@ class TestEmitTable:
         assert eocs[0] is None
         assert eocs[1] == pytest.approx(2.0, abs=1e-12)
         assert eocs[2] == pytest.approx(2.0, abs=1e-12)
+
+
+class TestConvergenceStudy:
+    def test_starts_on_the_radius_r0_sphere_and_converges(self, monkeypatch):
+        # the manufactured forcing and the exact flow assume a sphere of radius
+        # r0; at r0=1.5 level 1 is still preasymptotic (EOC 1.0 to level 2)
+        starts = []
+        run = stepper.run
+
+        def recording_run(spec, mesh0, *args, **kwargs):
+            starts.append(mesh0.coords)
+            return run(spec, mesh0, *args, **kwargs)
+
+        monkeypatch.setattr(stepper, "run", recording_run)
+        report = experiments.example1_study(levels=(2, 3), r0=1.5, t_end=0.2)
+        assert len(starts) == 2
+        for level, coords in zip((2, 3), starts):
+            np.testing.assert_array_equal(coords, mesh.generate_icosphere(level, 1.5).coords)
+        assert report.eocs("u_linf_l2")[1] >= 1.5
 
 
 class TestReferenceTables:

@@ -190,20 +190,20 @@ class TestBlockSystemMatrix:
 class TestNormalCoupling:
     def test_constant_field_closed_sum_vanishes(self):
         m = mesh.generate_icosphere(2, 1.0)
-        out = assembly.assemble_normal_coupling(m, np.ones(m.num_nodes))
+        out = assembly.assemble_normal_coupling(m, np.ones(m.num_nodes), "nodal")
         area = float(m.element_areas.sum())
         sums = out.reshape(-1, 3).sum(axis=0)
         assert np.abs(sums).max() <= 1e-12 * area
 
     def test_zero_field(self):
         m = mesh.generate_icosphere(1, 1.0)
-        out = assembly.assemble_normal_coupling(m, np.zeros(m.num_nodes))
+        out = assembly.assemble_normal_coupling(m, np.zeros(m.num_nodes), "nodal")
         assert np.all(out == 0.0)
 
     def test_single_triangle_nodal_block(self):
         m = single_triangle()
         u = np.array([1.0, 0.0, 0.0])
-        out = assembly.assemble_normal_coupling(m, u).reshape(-1, 3)
+        out = assembly.assemble_normal_coupling(m, u, "nodal").reshape(-1, 3)
         # integral of phi_1 over the triangle is area/3 (hand quadrature)
         assert np.allclose(out[0], np.array([0, 0, 1.0]) * (0.5 / 3.0), rtol=1e-14)
         assert np.allclose(out[1:], 0.0)
@@ -219,7 +219,7 @@ class TestNormalCoupling:
     def test_field_length_checked(self):
         m = mesh.generate_icosphere(0, 1.0)
         with pytest.raises(FieldLengthMismatch):
-            assembly.assemble_normal_coupling(m, np.ones(5))
+            assembly.assemble_normal_coupling(m, np.ones(5), "nodal")
 
 
 class TestScalarLoad:
@@ -289,7 +289,7 @@ class TestNormalLoad:
             A = assembly.assemble_stiffness(m)
             K = (M + alpha * A).tocsr()
             r = np.asarray(K @ v0.reshape(-1, 3)) + beta * np.asarray(A @ x0.reshape(-1, 3))
-            r -= delta * assembly.assemble_normal_coupling(m, u0).reshape(-1, 3)
+            r -= delta * assembly.assemble_normal_coupling(m, u0, "nodal").reshape(-1, 3)
             g = spec.velocity_forcing
             r -= assembly.assemble_normal_load(
                 m, lambda x, _u, _g, t: g(x, t), time=0.0).reshape(-1, 3)

@@ -1,11 +1,12 @@
 import csv
+import inspect
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esfem import assembly, cli, experiments, mesh, verification
+from esfem import assembly, cli, experiments, mesh, problems, verification
 
 # The fields each experiment's run reads; every experiment also reads out
 # and dump_matrices.
@@ -24,6 +25,14 @@ ENTRY_POINTS = {
     "verify": (verification, "verify_suite"),
 }
 DEFAULTS = {name: default for _, row in cli.EXPERIMENTS.values() for name, default in row.items()}
+# the callables that declare defaults for the fields of each experiment that
+# runs a driver, and the driver's name for a field where it differs
+DRIVERS = {
+    "example1": (experiments.example1_study,),
+    "example3": (experiments.example3_study,),
+    "tumor": (experiments.tumor_experiment, problems.TumorKinetics),
+}
+DRIVER_NAMES = {"rk": "rK", "d_c": "D_c"}
 
 
 class Reached(Exception):
@@ -100,6 +109,17 @@ class TestConfigRoundTrip:
         config = cli.resolve_config(args)
         assert (config.t_end, config.alpha, config.beta, config.delta) == (1.0, 1.0, 0.0, 0.4)
         assert (config.r0, config.rk, config.k) == (1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("experiment", sorted(DRIVERS))
+    def test_defaults_match_the_drivers(self, experiment):
+        declared = {name: param.default for driver in DRIVERS[experiment]
+                    for name, param in inspect.signature(driver).parameters.items()
+                    if param.default is not param.empty}
+        row = cli.EXPERIMENTS[experiment][1]
+        shared = [name for name in row if DRIVER_NAMES.get(name, name) in declared]
+        assert len(shared) >= 5
+        for name in shared:
+            assert row[name] == declared[DRIVER_NAMES.get(name, name)], name
 
 
 class TestMainContracts:

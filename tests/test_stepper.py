@@ -246,11 +246,12 @@ class TestRun:
         assert np.abs(a.x - b.x).max() <= 1e-8 * scale
         assert np.abs(a.u - b.u).max() <= 1e-8 * max(1.0, np.abs(a.u).max())
 
-    def test_cg_failure_reports_residual(self):
+    def test_cg_failure_reports_residual(self, monkeypatch):
         spec = problems.example1_problem()
         m0 = mesh.generate_icosphere(2, 1.0)
-        cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3, solver=stepper.CG,
-                                    cg_max_iter=1, cg_tol=1e-15)
+        monkeypatch.setattr(stepper, "CG_MAX_ITER", 1)
+        monkeypatch.setattr(stepper, "CG_TOL", 1e-15)
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3, solver=stepper.CG)
         with pytest.raises(LinearSolveFailure) as info:
             stepper.run(spec, m0, cfg)
         assert info.value.residual > 0.0
@@ -272,13 +273,11 @@ class TestRun:
         assert info.value.time == tau
         assert info.value.fields == (field,)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            stepper.StepperConfig(tau=0.0, t_end=1.0)
-        with pytest.raises(ValueError):
-            stepper.StepperConfig(tau=0.1, t_end=1.0, solver="qr")
-        with pytest.raises(ValueError):
-            stepper.StepperConfig(tau=0.1, t_end=1.0, loads_on="past")
+    @pytest.mark.parametrize("field, value", [
+        ("tau", 0.0), ("solver", "qr"), ("loads_on", "past"), ("normal_coupling", "foo")])
+    def test_config_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            stepper.StepperConfig(**{"tau": 0.1, "t_end": 1.0, field: value})
 
 
 def count_factorizations(monkeypatch):
