@@ -150,9 +150,7 @@ def _corner_loads(mesh, integrand, u, time, extra_fields):
     t = mesh.triangles
     pos = (MIDPOINT_POINTS @ mesh.coords[t.T].reshape(3, -1)).reshape(-1, 3)
     vals = [(MIDPOINT_POINTS @ f[t.T]).ravel() for f in fields]
-    grads = np.einsum("tik,ti->tk", mesh.basis_gradients, fields[0][t])
-    f_vals = np.asarray(integrand(pos, vals[0], np.tile(grads, (3, 1)), time, *vals[1:]),
-                        dtype=float)
+    f_vals = np.asarray(integrand(pos, vals[0], time, *vals[1:]), dtype=float)
     if not np.all(np.isfinite(f_vals)):
         raise NonFiniteIntegrand(f"integrand non-finite at t={time}")
     weighted = (f_vals.T * (MIDPOINT_WEIGHTS[:, None] * area).ravel()).T
@@ -169,11 +167,11 @@ def assemble_scalar_load(
 ) -> np.ndarray:
     """Load vector with entries integral of integrand * phi_j.
 
-    ``integrand(x, u, grad_u, t, *extras)`` must be vectorized: it receives
-    quadrature-point positions (Q, 3), interpolated field values (Q,), the
-    elementwise-constant tangential gradient (Q, 3) and the time, plus the
-    interpolated values of any ``extra_fields``, and returns (Q,) values,
-    or (Q, k) for k integrands at once, which give an (N, k) load.
+    ``integrand(x, u, t, *extras)`` must be vectorized: it receives
+    quadrature-point positions (Q, 3), interpolated field values (Q,) and
+    the time, plus the interpolated values of any ``extra_fields``, and
+    returns (Q,) values, or (Q, k) for k integrands at once, which give an
+    (N, k) load.
     """
     return _scatter(mesh, _corner_loads(mesh, integrand, u, time, extra_fields))
 

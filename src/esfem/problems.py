@@ -168,7 +168,7 @@ def kinetics_step(kinetics: TumorKinetics, mesh: SurfaceMesh, mass_old, u, w, ta
     on.  Returns (u_new, w_new).
     """
     loads = assembly.assemble_scalar_load(
-        mesh, lambda x, uq, gq, t, wq: np.stack(tumor_kinetics(kinetics, uq, wq), axis=-1),
+        mesh, lambda x, uq, t, wq: np.stack(tumor_kinetics(kinetics, uq, wq), axis=-1),
         u=u, time=time, extra_fields=(w,))
     return (solve_u(mass_old @ u + tau * loads[:, 0]),
             solve_w(mass_old @ w + tau * loads[:, 1]))
@@ -178,7 +178,7 @@ def kinetics_step(kinetics: TumorKinetics, mesh: SurfaceMesh, mass_old, u, w, ta
 class ProblemSpec:
     """Everything the time stepper needs to advance one coupled system.
 
-    pde_forcing       f(x, u, grad_u, t) -> values at quadrature points,
+    pde_forcing       f(x, u, t) -> values at quadrature points,
                       vectorized; None means no forcing
     velocity_forcing  g(x, t) -> scalar normal speed contribution, or None
     kinetics          two-species reaction terms (then ``w`` is active and
@@ -204,7 +204,7 @@ def example1_problem(alpha=1.0, beta=0.0, delta=0.4, r0=1.0, rK=2.0, k=0.5) -> P
     """Coupled benchmark: field-driven expanding sphere with manufactured forcing."""
     sphere = ManufacturedSphere(r0, rK, k)
 
-    def f(x, u, grad_u, t):
+    def f(x, u, t):
         return _forcing(sphere, alpha, beta, delta, t, x)[0]
 
     def g(x, t):

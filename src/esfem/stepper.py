@@ -183,7 +183,7 @@ def _velocity_load(spec, mesh, u, t, config):
         load += law.delta * assembly.assemble_normal_coupling(mesh, u, config.normal_coupling)
     if spec.velocity_forcing is not None:
         g = spec.velocity_forcing
-        load += assembly.assemble_normal_load(mesh, lambda x, _u, _g, tt: g(x, tt), time=t)
+        load += assembly.assemble_normal_load(mesh, lambda x, _u, tt: g(x, tt), time=t)
     return load.reshape(n, 3)
 
 

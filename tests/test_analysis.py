@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from esfem import analysis, experiments, mesh, problems, stepper
+from esfem import analysis, assembly, experiments, mesh, problems, stepper
 from esfem.errors import EmptyTrajectory, MissingExactSolution
 
 
@@ -99,6 +99,78 @@ class TestErrorNorms:
     def test_empty_trajectory(self):
         with pytest.raises(EmptyTrajectory):
             analysis.error_norms([], self.spec)
+
+
+def reassembled_norms(spec, trajectory):
+    """Oracle: the error norms with M and A assembled on every step's
+    interpolated surface, mesh0.with_coords(x*)."""
+    mesh0 = trajectory[0].mesh
+    labels = mesh0.coords / spec.exact.r0
+    u_linf = u_l2h1_sq = v_linf_l2 = v_linf_h1 = x_linf_h1 = 0.0
+    for i, state in enumerate(trajectory):
+        x_star, u_star, v_star = analysis.interpolated_exact(spec, labels, state.t)
+        mesh_star = mesh0.with_coords(x_star)
+        mass, stiff = assembly.assemble_mass(mesh_star), assembly.assemble_stiffness(mesh_star)
+        mu, au, _ = assembly.discrete_norms(mass, stiff, 1.0, state.u - u_star)
+        u_linf = max(u_linf, mu)
+        if i > 0:
+            u_l2h1_sq += (state.t - trajectory[i - 1].t) * (mu**2 + au**2)
+        x_linf_h1 = max(x_linf_h1, assembly.discrete_norms(mass, stiff, 1.0, state.x - x_star)[2])
+        if i > 0:
+            mv, _, kv = assembly.discrete_norms(mass, stiff, 1.0, state.v - v_star)
+            v_linf_l2, v_linf_h1 = max(v_linf_l2, mv), max(v_linf_h1, kv)
+    return analysis.ErrorNorms(u_linf, float(np.sqrt(u_l2h1_sq)), v_linf_l2, v_linf_h1,
+                               x_linf_h1)
+
+
+class TestScaledNorms:
+    """The accumulator measures on the interpolated surface by scaling the
+    initial surface's matrices instead of reassembling them."""
+
+    @pytest.mark.parametrize("r0", [1.0, 1.5])
+    def test_match_reassembly_on_the_interpolated_surface(self, r0):
+        spec = problems.example1_problem(r0=r0)
+        mesh0 = mesh.generate_icosphere(2, r0)
+        tau = experiments.step_size_for(mesh0, 0.2)
+        trajectory = stepper.run(spec, mesh0, stepper.StepperConfig(tau=tau, t_end=0.2))
+        assert len(trajectory) >= 10
+        scaled = analysis.error_norms(trajectory, spec)
+        oracle = reassembled_norms(spec, trajectory)
+        for name in ("u_linf_l2", "u_l2_h1", "v_linf_l2", "v_linf_h1", "x_linf_h1"):
+            assert getattr(oracle, name) > 0.0
+            assert getattr(scaled, name) == pytest.approx(getattr(oracle, name), rel=1e-13)
+
+    def test_update_assembles_nothing(self, monkeypatch):
+        spec = problems.example1_problem()
+        mesh0 = mesh.generate_icosphere(1, 1.0)
+        acc = analysis.ErrorAccumulator(spec, mesh0)
+
+        def refuse(mesh):
+            raise AssertionError("assembled during an update")
+
+        monkeypatch.setattr(assembly, "assemble_mass", refuse)
+        monkeypatch.setattr(assembly, "assemble_stiffness", refuse)
+        for i, state in enumerate(make_states(spec, mesh0, [0.0, 0.1, 0.2], du=1e-3, dx=1e-3,
+                                              dv=1e-3)):
+            acc.update(i, state)
+        assert acc.result().u_linf_l2 > 0.0
+
+    def test_run_level_assembles_two_matrices_per_step(self, monkeypatch):
+        # one pair on the new surface per step, one on the initial surface for
+        # the first step and one for the error norms
+        calls = []
+        for name in ("assemble_mass", "assemble_stiffness"):
+            real = getattr(assembly, name)
+
+            def counted(m, real=real):
+                calls.append(m)
+                return real(m)
+
+            monkeypatch.setattr(assembly, name, counted)
+        spec = problems.example1_problem()
+        steps = round(0.1 / experiments.step_size_for(mesh.generate_icosphere(2, 1.0), 0.1))
+        experiments.run_level(spec, 2, 0.1)
+        assert len(calls) == 2 * steps + 4
 
 
 class TestComputeEoc:

@@ -226,28 +226,28 @@ class TestScalarLoad:
     def test_constant_integrand_gives_mass_row_sums(self):
         m = mesh.generate_icosphere(2, 1.0)
         M = assembly.assemble_mass(m)
-        load = assembly.assemble_scalar_load(m, lambda x, u, g, t: np.ones(len(x)))
+        load = assembly.assemble_scalar_load(m, lambda x, u, t: np.ones(len(x)))
         expected = np.asarray(M @ np.ones(m.num_nodes))
         assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_linearity_in_constant(self):
         m = mesh.generate_icosphere(1, 1.0)
-        one = assembly.assemble_scalar_load(m, lambda x, u, g, t: np.ones(len(x)))
-        c = assembly.assemble_scalar_load(m, lambda x, u, g, t: np.full(len(x), 3.25))
+        one = assembly.assemble_scalar_load(m, lambda x, u, t: np.ones(len(x)))
+        c = assembly.assemble_scalar_load(m, lambda x, u, t: np.full(len(x), 3.25))
         assert np.allclose(c, 3.25 * one, rtol=1e-14)
 
     def test_field_integrand_matches_mass_product(self):
         m = mesh.generate_icosphere(2, 1.0)
         rng = np.random.Generator(np.random.Philox(5))
         u = rng.standard_normal(m.num_nodes)
-        load = assembly.assemble_scalar_load(m, lambda x, uq, g, t: uq, u=u)
+        load = assembly.assemble_scalar_load(m, lambda x, uq, t: uq, u=u)
         expected = np.asarray(assembly.assemble_mass(m) @ u)
         assert np.abs(load - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_non_finite_integrand(self):
         m = mesh.generate_icosphere(0, 1.0)
         with pytest.raises(NonFiniteIntegrand):
-            assembly.assemble_scalar_load(m, lambda x, u, g, t: np.full(len(x), np.nan))
+            assembly.assemble_scalar_load(m, lambda x, u, t: np.full(len(x), np.nan))
 
     def test_extra_fields_interpolated(self):
         m = mesh.generate_icosphere(1, 1.0)
@@ -256,22 +256,22 @@ class TestScalarLoad:
         w = rng.standard_normal(m.num_nodes)
         # integrand uses only the extra field: same as u-integrand with w
         via_extra = assembly.assemble_scalar_load(
-            m, lambda x, uq, g, t, wq: wq, u=u, extra_fields=(w,))
-        direct = assembly.assemble_scalar_load(m, lambda x, wq, g, t: wq, u=w)
+            m, lambda x, uq, t, wq: wq, u=u, extra_fields=(w,))
+        direct = assembly.assemble_scalar_load(m, lambda x, wq, t: wq, u=w)
         assert np.allclose(via_extra, direct, rtol=1e-14)
 
 
 class TestNormalLoad:
     def test_constant_integrand_sums_vanish(self):
         m = mesh.generate_icosphere(2, 1.0)
-        load = assembly.assemble_normal_load(m, lambda x, u, g, t: np.ones(len(x)))
+        load = assembly.assemble_normal_load(m, lambda x, u, t: np.ones(len(x)))
         area = float(m.element_areas.sum())
         sums = load.reshape(-1, 3).sum(axis=0)
         assert np.abs(sums).max() <= 1e-12 * area
 
     def test_zero_integrand(self):
         m = mesh.generate_icosphere(1, 1.0)
-        load = assembly.assemble_normal_load(m, lambda x, u, g, t: np.zeros(len(x)))
+        load = assembly.assemble_normal_load(m, lambda x, u, t: np.zeros(len(x)))
         assert np.all(load == 0.0)
 
     def test_velocity_law_defect_is_h_squared(self):
@@ -292,12 +292,25 @@ class TestNormalLoad:
             r -= delta * assembly.assemble_normal_coupling(m, u0, "nodal").reshape(-1, 3)
             g = spec.velocity_forcing
             r -= assembly.assemble_normal_load(
-                m, lambda x, _u, _g, t: g(x, t), time=0.0).reshape(-1, 3)
+                m, lambda x, _u, t: g(x, t), time=0.0).reshape(-1, 3)
             lu = spla.splu(K.tocsc())
             dual[level] = np.sqrt(sum(float(r[:, c] @ lu.solve(r[:, c])) for c in range(3)))
             assert dual[level] <= 0.25 * m.h_max**2
         assert dual[2] <= 0.35 * dual[1]
         assert dual[3] <= 0.35 * dual[2]
+
+
+class TestLoadsAreGradientFree:
+    def test_no_load_computes_basis_gradients(self):
+        # no integrand reads the field's gradient, so no load may pay for it
+        m = mesh.generate_icosphere(1, 1.0)
+        u = np.linspace(0.5, 1.5, m.num_nodes)
+        assembly.assemble_scalar_load(m, lambda x, uq, t: uq, u=u)
+        assembly.assemble_normal_load(m, lambda x, uq, t: uq, u=u)
+        kin = problems.TumorKinetics()
+        problems.kinetics_step(kin, m, assembly.assemble_mass(m), u, u[::-1].copy(), 1e-3,
+                               lambda r: r, lambda r: r, 0.0)
+        assert "basis_gradients" not in m.__dict__
 
 
 class TestDiscreteNorms:

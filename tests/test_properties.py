@@ -81,7 +81,7 @@ def test_unit_loads(level, seed):
     m, _ = perturbed(level, seed)
     ones = np.ones(m.num_nodes)
 
-    def unit(x, u, g, t):
+    def unit(x, u, t):
         return np.ones(len(x))
 
     scalar = assembly.assemble_scalar_load(m, unit)
@@ -99,12 +99,12 @@ def test_two_column_load_equals_two_single_loads(level, seed):
     w = rng.uniform(0.5, 1.5, m.num_nodes)
     kin = problems.TumorKinetics()
     both = assembly.assemble_scalar_load(
-        m, lambda x, uq, g, t, wq: np.stack(problems.tumor_kinetics(kin, uq, wq), axis=-1),
+        m, lambda x, uq, t, wq: np.stack(problems.tumor_kinetics(kin, uq, wq), axis=-1),
         u=u, extra_fields=(w,))
     assert both.shape == (m.num_nodes, 2)
     for col, f in enumerate((kin.f1, kin.f2)):
         single = assembly.assemble_scalar_load(
-            m, lambda x, uq, g, t, wq: f(uq, wq), u=u, extra_fields=(w,))
+            m, lambda x, uq, t, wq: f(uq, wq), u=u, extra_fields=(w,))
         assert rel_diff(both[:, col], single) <= 1e-14
 
 

@@ -116,7 +116,7 @@ class TestStepDynamic:
             state = stepper.SystemState(t=new.t, x=state.x, u=new.u, v=new.v,
                                         mesh=state.mesh, w=new.w)
         stiff = assembly.assemble_stiffness(m0)
-        gload = assembly.assemble_normal_load(m0, lambda x, u, g, t: np.ones(len(x)))
+        gload = assembly.assemble_normal_load(m0, lambda x, u, t: np.ones(len(x)))
         residual = alpha * np.asarray(stiff @ state.v.reshape(-1, 3)) - gload.reshape(-1, 3)
         assert np.abs(residual).max() <= 1e-9
 
