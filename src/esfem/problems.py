@@ -231,6 +231,16 @@ def tumor_problem(alpha, beta, delta, kinetics: Optional[TumorKinetics] = None) 
     )
 
 
+def step_count(span: float, tau: float, name: str, minimum: int = 1) -> int:
+    """span/tau as an int; ValueError unless it is an integer >= minimum to
+    1e-9 (``name`` labels the ratio in the message)."""
+    n_steps_f = span / tau if tau > 0.0 else float("nan")
+    if np.isfinite(n_steps_f) and abs(n_steps_f - round(n_steps_f)) <= 1e-9 \
+            and round(n_steps_f) >= minimum:
+        return int(round(n_steps_f))
+    raise ValueError(f"{name} = {n_steps_f} is not an integer step count >= {minimum}")
+
+
 def tumor_initial_data(
     mesh: SurfaceMesh,
     kinetics: TumorKinetics,
@@ -244,8 +254,10 @@ def tumor_initial_data(
     Perturbs the steady state by per-node uniform [0, perturbation_bound]
     noise (counter-based generator, so identical seeds give identical
     fields) and relaxes the pure reaction-diffusion system on the frozen
-    initial surface until ``pre_time`` with a linearly implicit Euler step.
+    initial surface until ``pre_time`` with a linearly implicit Euler step;
+    pre_time/tau_pre must be a non-negative integer to 1e-9.
     """
+    n_steps = step_count(pre_time, tau_pre, "pre_time/tau_pre", minimum=0)
     rng = np.random.Generator(np.random.Philox(seed))
     n = mesh.num_nodes
     u_star, w_star = kinetics.steady_state()
@@ -257,6 +269,6 @@ def tumor_initial_data(
     solve_u = spla.splu((mass + tau_pre * stiff).tocsc()).solve
     solve_w = spla.splu((mass + tau_pre * kinetics.D_c * stiff).tocsc()).solve
 
-    for _ in range(int(round(pre_time / tau_pre))):
+    for _ in range(n_steps):
         u, w = kinetics_step(kinetics, mesh, mass, u, w, tau_pre, solve_u, solve_w, 0.0)
     return u, w

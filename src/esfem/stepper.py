@@ -11,7 +11,6 @@ d/dt(M u) update telescoping exactly.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,39 +71,43 @@ class StepperConfig:
                                  f"got {getattr(self, name)!r}")
 
 
-# Relative residual and iteration cap of the Jacobi-preconditioned cg solver.
+# Relative residual and iteration cap of the cg solver's velocity solve.
+# The field solves share the cap.
 CG_TOL = 1e-12
 CG_MAX_ITER = 10000
 
 
-# A lagged solve that has not converged within this many CG iterations
-# refactors.  Measured with the first step's factors held throughout: every
-# solve of example1 at level 4 over 43 steps and of the level-3 tumor run
-# took 2-4 iterations, and example1 at level 3 over its full 368 steps
-# averaged 5.7, with no refactor.  At level 4 one iteration (0.3 ms) costs
-# about 1/60 of a factorization (19.5 ms), so a stale factor wastes at most
-# half a refactorization per column before it is replaced.
+# A lagged velocity solve that has not converged within this many blocked
+# PCG iterations refactors.  Measured with the first step's factor held
+# throughout, example1's velocity solves took 4.2 iterations on average (5
+# at most) at level 4 over 440 steps and 5.2 (6 at most) at level 3 over its
+# full 368 steps, and the level-3 tumor run's took 3.4 (4 at most), with no
+# refactor.  At level 4 one iteration (1.2 ms for three columns) costs about
+# 1/16 of a factorization (20 ms), so a stale factor wastes at most two
+# factorizations' time before it is replaced.
 LAG_MAX_ITER = 30
-# Relative residual of a lagged solve.  Against a fresh factorization every
-# step, example1's error norms at level 4 (43 steps) moved at most 1.1e-7
-# relative at 1e-12, 4.8e-9 at 1e-13 and 9.2e-11 at 1e-14; at level 3 over
-# its full horizon 3.8e-11.  A different SuperLU column ordering alone
-# moves them by up to 4.1e-9.  CG starts from the held factor's solve, so
-# its rounding scales with that solve's residual: started from zero, a
-# stationary level-2 surface drifted 8.9e-12 in 1000 steps instead of
-# 5.5e-14 (criterion 5 allows 1e-12).
+# Relative residual of a lagged velocity solve and of a field solve.
+# Against a fresh factorization every step, example1's error norms at
+# level 4 (43 steps) moved at most 1.1e-7 relative at 1e-12, 4.8e-9 at
+# 1e-13 and 9.2e-11 at 1e-14; at level 3 over its full horizon 3.8e-11.  A
+# different SuperLU column ordering alone moves them by up to 4.1e-9.  PCG
+# starts from the held factor's solve, and a field CG from the previous
+# field, so its rounding scales with that start's residual: started from
+# zero, a stationary level-2 surface drifted 8.9e-12 in 1000 steps instead
+# of 5.5e-14 (criterion 5 allows 1e-12).
 LAG_TOL = 1e-14
 
 
 class LaggedFactor:
-    """One system's SuperLU factor, kept across the steps of a run.
+    """The velocity system's SuperLU factor, kept across the steps of a run.
 
     The matrices of the linearly implicit scheme change only O(tau) per
     step, so an old factor is a close preconditioner for the current one.
     The first solve factors its matrix and solves exactly; later ones run
-    CG on their own matrix, started from and preconditioned by the held
-    factor's solve.  A solve that has not converged within LAG_MAX_ITER
-    iterations drops the factor, refactors and solves exactly.
+    one blocked PCG on all columns of the right-hand side, started from and
+    preconditioned by the held factor's solve, each column with its own
+    step lengths and stopping test.  A solve that has not converged within
+    LAG_MAX_ITER iterations drops the factor, refactors and solves exactly.
     """
 
     def __init__(self):
@@ -131,29 +134,38 @@ class LaggedFactor:
         return self._lu
 
     def _lagged_solve(self, matrix, rhs):
-        """CG per column, started from and preconditioned by the held
-        factor's solve; None if stale."""
-        precond = spla.LinearOperator(matrix.shape, matvec=self._lu.solve)
-        cols = rhs.reshape(rhs.shape[0], -1)
-        out = self._lu.solve(cols)
-        for j in range(cols.shape[1]):
-            out[:, j], info = spla.cg(matrix, cols[:, j], x0=out[:, j], rtol=LAG_TOL,
-                                      atol=0.0, maxiter=LAG_MAX_ITER, M=precond)
-            if info != 0:
-                return None
-        return out.reshape(rhs.shape)
+        """Blocked PCG, started from and preconditioned by the held factor's
+        solve; each iteration applies the factor once to the columns still
+        short of ||r_j|| < LAG_TOL ||b_j||.  None if stale."""
+        b = rhs.reshape(rhs.shape[0], -1)
+        x = self._lu.solve(b)
+        r = b - matrix @ x
+        tol = LAG_TOL * np.linalg.norm(b, axis=0)
+        norms = np.linalg.norm(r, axis=0)
+        # a zero residual (a zero column among them) is done although 0 < 0
+        # fails; a NaN one is not, so it ends in the exact solve
+        active = np.flatnonzero(~(norms < tol) & (norms != 0.0))
+        r, tol = r[:, active], tol[active]
+        p, rho = None, None
+        for _ in range(LAG_MAX_ITER):
+            if active.size == 0:
+                break
+            z = self._lu.solve(r)
+            rho_new = np.einsum("ij,ij->j", r, z)
+            p = z if p is None else z + (rho_new / rho) * p
+            rho = rho_new
+            q = matrix @ p
+            step = rho / np.einsum("ij,ij->j", p, q)
+            x[:, active] += step * p
+            r -= step * q
+            keep = ~(np.linalg.norm(r, axis=0) < tol)
+            active, r, p, rho, tol = active[keep], r[:, keep], p[:, keep], rho[keep], tol[keep]
+        return None if active.size else x.reshape(rhs.shape)
 
 
-def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = None):
-    """solve(rhs) for an SPD sparse matrix and (N,) or (N, k) right-hand sides.
-
-    The direct solver goes through ``factor``, which the caller keeps across
-    steps to reuse its factorization; without one the matrix is factored
-    fresh.  The cg solver is Jacobi-preconditioned and ignores ``factor``.
-    """
-    if config.solver == DIRECT:
-        return (factor if factor is not None else LaggedFactor()).solver(matrix)
-
+def _jacobi_cg(matrix, rtol, start=None):
+    """solve(rhs) by Jacobi-preconditioned CG per column to relative
+    residual ``rtol``, from ``start`` (shaped like rhs) or from zero."""
     matrix = matrix.tocsr()
     inv_diag = 1.0 / matrix.diagonal()
     precond = spla.LinearOperator(matrix.shape, matvec=lambda r: inv_diag * r)
@@ -161,9 +173,10 @@ def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = 
     def solve(rhs):
         rhs = np.asarray(rhs)
         cols = rhs.reshape(rhs.shape[0], -1)
+        starts = np.zeros_like(cols) if start is None else np.reshape(start, cols.shape)
         out = np.empty_like(cols)
         for j in range(cols.shape[1]):
-            xj, info = spla.cg(matrix, cols[:, j], rtol=CG_TOL, atol=0.0,
+            xj, info = spla.cg(matrix, cols[:, j], x0=starts[:, j], rtol=rtol, atol=0.0,
                                maxiter=CG_MAX_ITER, M=precond)
             if info != 0:
                 res = float(np.linalg.norm(matrix @ xj - cols[:, j]))
@@ -172,6 +185,27 @@ def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = 
         return out.reshape(rhs.shape)
 
     return solve
+
+
+def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = None,
+                start=None):
+    """solve(rhs) for an SPD sparse matrix and (N,) or (N, k) right-hand sides.
+
+    A field system (M + tau A, M + tau D_c A) is passed with the previous
+    field as ``start``: tau ~ h^2 keeps it mass-dominated, so under either
+    solver it is solved by Jacobi-CG from ``start`` to LAG_TOL, in 8-11
+    iterations on example1 at levels 1-4 and 14 on average in the level-3
+    tumor run.  ``config.solver`` chooses only the velocity solve: the
+    direct solver goes through ``factor``, which the caller keeps across
+    steps to reuse its factorization (without one the matrix is factored
+    fresh); the cg solver is Jacobi-CG from zero to CG_TOL and ignores
+    ``factor``.
+    """
+    if start is not None:
+        return _jacobi_cg(matrix, LAG_TOL, start)
+    if config.solver == DIRECT:
+        return (factor if factor is not None else LaggedFactor()).solver(matrix)
+    return _jacobi_cg(matrix, CG_TOL)
 
 
 def _velocity_load(spec, mesh, u, t, config):
@@ -187,13 +221,14 @@ def _velocity_load(spec, mesh, u, t, config):
     return load.reshape(n, 3)
 
 
-def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config, factors):
-    """PDE step(s) on the new surface; returns (u_new, w_new)."""
+def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config):
+    """PDE step(s) on the new surface, each field solve started from the
+    old field; returns (u_new, w_new)."""
     tau, t_new = config.tau, state.t + config.tau
-    solve_u = make_solver(mass_new + tau * stiff_new, config, factors["u"])
+    solve_u = make_solver(mass_new + tau * stiff_new, config, start=state.u)
     kin = spec.kinetics
     if kin is not None:
-        solve_w = make_solver(mass_new + tau * kin.D_c * stiff_new, config, factors["w"])
+        solve_w = make_solver(mass_new + tau * kin.D_c * stiff_new, config, start=state.w)
         return problems.kinetics_step(kin, mesh_new, mass_old, state.u, state.w, tau,
                                       solve_u, solve_w, t_new)
     load = np.zeros(mesh_new.num_nodes)
@@ -213,30 +248,30 @@ def _check_finite(t, **fields):
 def _new_surface(mesh, x, t, config):
     """The surface at node vector x, checked once: NonFiniteState for a
     non-finite x, MeshDegenerated with its own quality for an angle below
-    the abort bound or a collapsed triangle."""
+    the abort bound, a collapsed triangle, or a surface shrunk towards a
+    point until its mass matrix vanishes beneath the rounding of tau A
+    (an area below 1e-14 tau), where the field systems are singular."""
     _check_finite(t, x=x)
     mesh_new = mesh.with_coords(x.reshape(-1, 3))
     quality = mesh_quality(mesh_new)
-    if quality.min_angle_deg < config.abort_min_angle or mesh_new.degenerate:
+    if quality.min_angle_deg < config.abort_min_angle or mesh_new.degenerate \
+            or quality.min_area < 1e-14 * config.tau:
         raise MeshDegenerated(t, quality)
     return mesh_new
 
 
-def _step(state, spec, config, matrices, factors, velocity_system):
+def _step(state, spec, config, matrices, factor, velocity_system):
     """The step shared by all velocity laws; ``velocity_system(state, spec,
     config, mass, stiff, factor)`` returns the new flat node vector and
     velocity."""
     mesh = state.mesh
     mass, stiff = matrices if matrices is not None else (
         assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh))
-    if factors is None:
-        factors = defaultdict(LaggedFactor)
-    x_new, v_new = velocity_system(state, spec, config, mass, stiff, factors["velocity"])
+    x_new, v_new = velocity_system(state, spec, config, mass, stiff, factor)
     mesh_new = _new_surface(mesh, x_new, state.t + config.tau, config)
     mass_new = assembly.assemble_mass(mesh_new)
     stiff_new = assembly.assemble_stiffness(mesh_new)
-    u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config,
-                                   factors)
+    u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config)
     _check_finite(state.t + config.tau, u=u_new, w=w_new)
     state_new = SystemState(state.t + config.tau, x_new, u_new, v_new, mesh_new, w_new)
     return state_new, (mass_new, stiff_new)
@@ -273,24 +308,23 @@ def _dynamic_velocity(state, spec, config, mass, stiff, factor):
 
 
 def step_coupled(state: SystemState, spec, config: StepperConfig, matrices=None,
-                 factors=None):
+                 factor=None):
     """One step of the regularized (elliptic or mean curvature) velocity law.
 
     Returns the new state and the (mass, stiffness) pair assembled on the
     new surface, which the caller can feed back as ``matrices`` to avoid
-    reassembling.  ``factors`` maps each system ("velocity", "u", "w") to
-    the LaggedFactor it reuses, e.g. ``defaultdict(LaggedFactor)`` kept
-    across the steps of one run on one mesh; without it every system is
-    factored fresh.
+    reassembling.  ``factor`` is the velocity system's LaggedFactor, kept
+    across the steps of one run on one mesh; without it the velocity system
+    is factored fresh.
     """
-    return _step(state, spec, config, matrices, factors, _regularized_velocity)
+    return _step(state, spec, config, matrices, factor, _regularized_velocity)
 
 
 def step_dynamic(state: SystemState, spec, config: StepperConfig, matrices=None,
-                 factors=None):
+                 factor=None):
     """One step of the dynamic velocity law (velocity itself evolves);
-    ``matrices`` and ``factors`` as for step_coupled."""
-    return _step(state, spec, config, matrices, factors, _dynamic_velocity)
+    ``matrices`` and ``factor`` as for step_coupled."""
+    return _step(state, spec, config, matrices, factor, _dynamic_velocity)
 
 
 def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None, v0=None) -> SystemState:
@@ -311,24 +345,22 @@ def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
 
     t_end/tau must be an integer to 1e-9.  Observers are called
     synchronously as observer(step_index, state) for the initial state and
-    after every step; they must not mutate the state.  Each linear system
-    keeps its factorization for the whole run (LaggedFactor).  On mesh
+    after every step; they must not mutate the state.  The velocity system
+    keeps its factorization for the whole run (one LaggedFactor); the field
+    systems are solved by Jacobi-CG started from the previous field.  On mesh
     degeneration the partial trajectory is attached to the raised error.
     """
-    n_steps_f = config.t_end / config.tau
-    n_steps = int(round(n_steps_f))
-    if abs(n_steps_f - n_steps) > 1e-9 or n_steps < 1:
-        raise ValueError(f"t_end/tau = {n_steps_f} is not an integer step count")
+    n_steps = problems.step_count(config.t_end, config.tau, "t_end/tau")
 
     state = start if start is not None else initial_state(spec, mesh0)
     step = step_dynamic if spec.law.variant == problems.DYNAMIC else step_coupled
     trajectory = [state]
     for obs in observers:
         obs(0, state)
-    matrices, factors = None, defaultdict(LaggedFactor)
+    matrices, factor = None, LaggedFactor()
     for n in range(1, n_steps + 1):
         try:
-            state, matrices = step(state, spec, config, matrices, factors)
+            state, matrices = step(state, spec, config, matrices, factor)
         except MeshDegenerated as err:
             err.partial_trajectory = trajectory
             raise

@@ -394,8 +394,8 @@ def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
     from esfem import stepper
     real = stepper.make_solver
 
-    def nan_field_solver(matrix, config, factor=None):
-        solve = real(matrix, config, factor)
+    def nan_field_solver(matrix, config, factor=None, start=None):
+        solve = real(matrix, config, factor, start)
         return lambda rhs: solve(rhs) if rhs.ndim == 2 else rhs * float("nan")
 
     monkeypatch.setattr(stepper, "make_solver", nan_field_solver)

@@ -206,6 +206,12 @@ class TestTumorInitialData:
         assert np.abs(u0 - us).max() <= 1e-10
         assert np.abs(w0 - ws).max() <= 1e-10
 
+    @pytest.mark.parametrize("pre_time", [-0.01, 0.0105])
+    def test_pre_time_must_be_a_whole_number_of_steps(self, pre_time):
+        m = mesh.generate_icosphere(0, 1.0)
+        with pytest.raises(ValueError, match="pre_time/tau_pre"):
+            problems.tumor_initial_data(m, self.kin, seed=1, pre_time=pre_time, tau_pre=1e-3)
+
     def test_same_seed_bitwise_identical(self):
         m = mesh.generate_icosphere(1, 1.0)
         a = problems.tumor_initial_data(m, self.kin, seed=42, pre_time=0.02, tau_pre=1e-3)

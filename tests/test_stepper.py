@@ -1,8 +1,8 @@
-from collections import defaultdict
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esfem import assembly, experiments, mesh, problems, stepper
 from esfem.errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
@@ -211,6 +211,17 @@ class TestRun:
         assert 0.0 < info.value.time <= 2.0
         assert len(info.value.partial_trajectory) >= 1
 
+    def test_surface_shrunk_towards_a_point_degenerates(self):
+        # every angle is fine, but areas of 1e-19 vanish beneath the
+        # rounding of tau A, so the field systems are singular
+        spec = quiescent_spec()
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
+        state = stepper.initial_state(spec, mesh.generate_icosphere(1, 1e-9))
+        with pytest.raises(MeshDegenerated) as info:
+            stepper.step_coupled(state, spec, cfg)
+        assert info.value.quality.min_angle_deg > 50.0
+        assert info.value.quality.min_area < 1e-14 * cfg.tau
+
     def test_collapse_reports_the_collapsed_surface(self, monkeypatch):
         # the velocity solve moves a vertex of triangle 0 onto another
         real = stepper._regularized_velocity
@@ -261,8 +272,8 @@ class TestRun:
         # velocity solves take (N, 3) right-hand sides, the field solve (N,)
         real = stepper.make_solver
 
-        def nan_solver(matrix, config, factor=None):
-            solve = real(matrix, config, factor)
+        def nan_solver(matrix, config, factor=None, start=None):
+            solve = real(matrix, config, factor, start)
             return lambda rhs: rhs * np.nan if rhs.ndim == nan_rhs_ndim else solve(rhs)
 
         monkeypatch.setattr(stepper, "make_solver", nan_solver)
@@ -306,7 +317,9 @@ class TestFactorReuse:
         tau = 1e-3
         cfg = stepper.StepperConfig(tau=tau, t_end=8 * tau)
         stepper.run(problems.example1_problem(), mesh.generate_icosphere(2, 1.0), cfg)
-        assert len(calls) == 2  # velocity and u, held for all 8 steps
+        # the velocity system's, held for all 8 steps; the u system's
+        # Jacobi-CG factors nothing
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_reuse_matches_refactoring_every_step(self, monkeypatch, level):
@@ -314,7 +327,8 @@ class TestFactorReuse:
         lagged, lagged_final = experiments.run_level(spec, level, 0.1)
         real = stepper.make_solver
         monkeypatch.setattr(stepper, "make_solver",
-                            lambda matrix, config, factor=None: real(matrix, config))
+                            lambda matrix, config, factor=None, start=None:
+                            real(matrix, config, start=start))
         fresh, fresh_final = experiments.run_level(spec, level, 0.1)
         for name in ("x", "u"):
             a, b = getattr(lagged_final, name), getattr(fresh_final, name)
@@ -364,7 +378,7 @@ class TestFactorReuse:
             for level in (2, 1, 2):
                 state = stepper.initial_state(spec, mesh.generate_icosphere(level, 1.0))
                 results.append(step(state, spec, cfg)[0])
-        assert len(calls) == 2 * len(results)  # every standalone step factors fresh
+        assert len(calls) == len(results)  # every standalone step factors its velocity system
         for first, again in [(results[0], results[2]), (results[3], results[5])]:
             assert np.array_equal(first.x, again.x) and np.array_equal(first.u, again.u)
 
@@ -376,14 +390,15 @@ class TestFactorReuse:
         expected = stepper.run(spec, m0, cfg)[-1]
         calls = count_factorizations(monkeypatch)
         state, matrices = stepper.initial_state(spec, m0), None
-        factors = defaultdict(stepper.LaggedFactor)
+        factor = stepper.LaggedFactor()
         for _ in range(4):
-            state, matrices = stepper.step_coupled(state, spec, cfg, matrices, factors)
-        assert len(calls) == 2
+            state, matrices = stepper.step_coupled(state, spec, cfg, matrices, factor)
+        assert len(calls) == 1
         assert np.array_equal(state.x, expected.x) and np.array_equal(state.u, expected.u)
 
     def test_runs_repeat_bitwise_after_a_run_at_another_level(self):
-        # three held factors (velocity, u, w); no factor outlives its run
+        # one held factor (velocity) and two warm-started field CGs (u, w);
+        # neither the factor nor a field start outlives its run
         spec = problems.tumor_problem(0.0, 0.01, 0.01)
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-2, snapshot_every=0)
 
@@ -396,3 +411,125 @@ class TestFactorReuse:
         again = final(2)
         for name in ("x", "u", "v", "w"):
             assert np.array_equal(getattr(first, name), getattr(again, name)), name
+
+
+class CountingFactor:
+    """Stands in for a held SuperLU factor; records the column count of
+    every solve."""
+
+    def __init__(self, lu):
+        self.lu, self.widths = lu, []
+
+    def solve(self, rhs):
+        self.widths.append(rhs.shape[1])
+        return self.lu.solve(rhs)
+
+
+def velocity_like_systems(level):
+    """A held and a current matrix that differ the way two steps' velocity
+    systems do, plus the mesh."""
+    m0 = mesh.generate_icosphere(level, 1.0)
+    mass, stiff = assembly.assemble_mass(m0), assembly.assemble_stiffness(m0)
+    return m0, (mass + stiff).tocsr(), (mass + 1.05 * stiff).tocsr()
+
+
+def lagged_solve(held_matrix, matrix, rhs):
+    """Solve with ``held_matrix``'s factor held; the factor must not go stale."""
+    held = stepper.LaggedFactor()
+    held.solver(held_matrix)
+    counting = held._lu = CountingFactor(held._lu)
+    x = held.solver(matrix)(rhs)
+    assert held._lu is counting, "refactored"
+    return x, counting.widths
+
+
+def assert_matches_fresh_solve(x, matrix, rhs):
+    expected = spla.splu(matrix.tocsc()).solve(rhs)
+    assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestBlockedPCG:
+    def test_columns_converge_apart_and_a_zero_column_stays_zero(self):
+        m0, held_matrix, matrix = velocity_like_systems(2)
+        noise = np.random.Generator(np.random.Philox(4)).standard_normal(m0.num_nodes)
+        smooth = held_matrix @ (m0.coords[:, 0] * m0.coords[:, 1])
+        rhs = np.stack([noise, np.zeros(m0.num_nodes), smooth], axis=1)
+        x, widths = lagged_solve(held_matrix, matrix, rhs)
+        assert_matches_fresh_solve(x, matrix, rhs)
+        assert np.array_equal(x[:, 1], np.zeros(m0.num_nodes))
+        # the start solves all three columns; the zero column never
+        # iterates, and the smooth one converges before the noisy one
+        assert widths[:2] == [3, 2] and widths[-1] == 1
+        assert widths == sorted(widths, reverse=True)
+
+    def test_stale_factor_with_a_zero_column_refactors_once(self, monkeypatch):
+        m0 = mesh.generate_icosphere(2, 1.0)
+        mass, stiff = assembly.assemble_mass(m0), assembly.assemble_stiffness(m0)
+        far = (mass + 10.0 * stiff).tocsr()
+        rhs = np.random.Generator(np.random.Philox(6)).standard_normal((m0.num_nodes, 3))
+        rhs[:, 0] = 0.0
+        expected = spla.splu(far.tocsc()).solve(rhs)
+        held = stepper.LaggedFactor()
+        held.solver((mass + 1e-6 * stiff).tocsr())
+        calls = count_factorizations(monkeypatch)
+        x = held.solver(far)(rhs)
+        assert len(calls) == 1
+        assert np.array_equal(x, expected)
+        assert np.array_equal(x[:, 0], np.zeros(m0.num_nodes))
+
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
+           zero=st.integers(-1, 2))
+    def test_every_column_matches_a_fresh_solve(self, k, seed, zero):
+        m0, held_matrix, matrix = velocity_like_systems(1)
+        rhs = np.random.Generator(np.random.Philox(seed)).standard_normal((m0.num_nodes, k))
+        if 0 <= zero < k:
+            rhs[:, zero] = 0.0
+        x, _ = lagged_solve(held_matrix, matrix, rhs)
+        assert x.shape == rhs.shape
+        if 0 <= zero < k:
+            assert not x[:, zero].any()
+        if rhs.any():
+            assert_matches_fresh_solve(x, matrix, rhs)
+
+
+def field_system(level=3, seed=8):
+    """M + tau A at tau = 0.1 h^2, a previous field and the next step's
+    right-hand side on a slightly grown sphere."""
+    m0 = mesh.generate_icosphere(level, 1.0)
+    mass, stiff = assembly.assemble_mass(m0), assembly.assemble_stiffness(m0)
+    system = (mass + 0.1 * m0.h_max ** 2 * stiff).tocsr()
+    rng = np.random.Generator(np.random.Philox(seed))
+    u_prev = m0.coords[:, 0] * m0.coords[:, 1] + 0.01 * rng.standard_normal(m0.num_nodes)
+    return system, u_prev, 1.01 * (mass @ u_prev)
+
+
+def count_cg_iterations(monkeypatch):
+    """Record one entry per spla.cg iteration from now on."""
+    iterations = []
+    real = spla.cg
+
+    def cg(*args, **kwargs):
+        return real(*args, callback=lambda xk: iterations.append(1), **kwargs)
+
+    monkeypatch.setattr(spla, "cg", cg)
+    return iterations
+
+
+class TestFieldSolve:
+    @pytest.mark.parametrize("solver", [stepper.DIRECT, stepper.CG])
+    def test_reaches_the_relative_residual_without_a_factor(self, monkeypatch, solver):
+        system, u_prev, rhs = field_system()
+        calls = count_factorizations(monkeypatch)
+        cfg = stepper.StepperConfig(tau=0.1, t_end=1.0, solver=solver)
+        x = stepper.make_solver(system, cfg, start=u_prev)(rhs)
+        assert np.linalg.norm(system @ x - rhs) <= 1e-14 * np.linalg.norm(rhs)
+        assert calls == []
+
+    def test_exact_start_returns_without_iterating(self, monkeypatch):
+        system, u_prev, _ = field_system()
+        iterations = count_cg_iterations(monkeypatch)
+        cfg = stepper.StepperConfig(tau=0.1, t_end=1.0)
+        x = stepper.make_solver(system, cfg, start=u_prev)(system @ u_prev)
+        assert np.array_equal(x, u_prev)
+        assert iterations == []
