@@ -9,15 +9,19 @@ constant gradients and are exact with the plain area weight.
 Assembly accumulates element contributions in a fixed order into a
 precomputed sparsity pattern, so repeated assemblies of the same mesh are
 bitwise identical, and the symmetric local blocks make the global
-matrices exactly symmetric entry by entry.
+matrices exactly symmetric entry by entry.  Mass and stiffness of one
+topology share that pattern, so their sums are formed entry by entry
+(``add_scaled``); ``factorize`` is the one SuperLU entry point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import DegenerateElement, DimensionMismatch, FieldLengthMismatch, NonFiniteIntegrand
+from .errors import (DegenerateElement, DimensionMismatch, FieldLengthMismatch,
+                     LinearSolveFailure, NonFiniteIntegrand)
 from .mesh import SurfaceMesh
 
 # Local P1 mass block for a triangle of unit area.
@@ -85,6 +89,27 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
     g = mesh.basis_gradients
     local = area[:, None, None] * np.einsum("tik,tjk->tij", g, g)
     return _assemble_pairs(mesh, local)
+
+
+def add_scaled(a, c, b) -> sp.csr_matrix:
+    """a + c * b for two matrices assembled on one pattern (mass and
+    stiffness of one topology), summed entry by entry without a sparse
+    add: bitwise equal to scipy's ``a + c * b``.  ValueError if the
+    patterns differ."""
+    if not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
+        raise ValueError("add_scaled needs two matrices on one sparsity pattern")
+    out = sp.csr_matrix((a.data + c * b.data, a.indices, a.indptr), shape=a.shape)
+    out.has_sorted_indices = True
+    return out
+
+
+def factorize(matrix):
+    """SuperLU factor of a sparse system; LinearSolveFailure if SuperLU
+    refuses it (an exactly singular matrix)."""
+    try:
+        return spla.splu(matrix.tocsc())
+    except RuntimeError as err:  # "Factor is exactly singular"
+        raise LinearSolveFailure(f"system not factorable: {err}", float("inf")) from err
 
 
 def _scatter(mesh, corner_values):

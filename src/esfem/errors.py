@@ -1,8 +1,19 @@
 """Exception types raised by the solver library."""
 
+import copyreg
+
 
 class EsfemError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Every one pickles, so it crosses a process pool intact: Exception would
+    rebuild it as cls(message), which a constructor taking the failure's
+    data refuses, so it is rebuilt from its message without __init__ and
+    its attributes are restored.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DegenerateElement(EsfemError):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .errors import OffSurface
@@ -266,8 +265,8 @@ def tumor_initial_data(
 
     mass = assembly.assemble_mass(mesh)
     stiff = assembly.assemble_stiffness(mesh)
-    solve_u = spla.splu((mass + tau_pre * stiff).tocsc()).solve
-    solve_w = spla.splu((mass + tau_pre * kinetics.D_c * stiff).tocsc()).solve
+    solve_u = assembly.factorize(assembly.add_scaled(mass, tau_pre, stiff)).solve
+    solve_w = assembly.factorize(assembly.add_scaled(mass, tau_pre * kinetics.D_c, stiff)).solve
 
     for _ in range(n_steps):
         u, w = kinetics_step(kinetics, mesh, mass, u, w, tau_pre, solve_u, solve_w, 0.0)

@@ -79,22 +79,23 @@ CG_MAX_ITER = 10000
 
 # A lagged velocity solve that has not converged within this many blocked
 # PCG iterations refactors.  Measured with the first step's factor held
-# throughout, example1's velocity solves took 4.2 iterations on average (5
-# at most) at level 4 over 440 steps and 5.2 (6 at most) at level 3 over its
-# full 368 steps, and the level-3 tumor run's took 3.4 (4 at most), with no
-# refactor.  At level 4 one iteration (1.2 ms for three columns) costs about
-# 1/16 of a factorization (20 ms), so a stale factor wastes at most two
-# factorizations' time before it is replaced.
+# throughout and every solve started from the extrapolated surface,
+# example1's velocity solves took 1.8 iterations on average (2 at most) at
+# level 4 over 440 steps and 2.2 (3 at most) at level 3 over its full 368
+# steps, and the level-3 tumor run's took 1.9 (2 at most) over 5000 steps,
+# with no refactor.  At level 4 one iteration (1.1 ms for three columns)
+# costs about 1/16 of a factorization (17 ms), so a stale factor wastes at
+# most two factorizations' time before it is replaced.
 LAG_MAX_ITER = 30
 # Relative residual of a lagged velocity solve and of a field solve.
 # Against a fresh factorization every step, example1's error norms at
 # level 4 (43 steps) moved at most 1.1e-7 relative at 1e-12, 4.8e-9 at
 # 1e-13 and 9.2e-11 at 1e-14; at level 3 over its full horizon 3.8e-11.  A
 # different SuperLU column ordering alone moves them by up to 4.1e-9.  PCG
-# starts from the held factor's solve, and a field CG from the previous
-# field, so its rounding scales with that start's residual: started from
-# zero, a stationary level-2 surface drifted 8.9e-12 in 1000 steps instead
-# of 5.5e-14 (criterion 5 allows 1e-12).
+# starts from a guess corrected by the held factor, and a field CG from the
+# previous field, so its rounding scales with that start's residual:
+# started from zero, a stationary level-2 surface drifted 8.9e-12 in 1000
+# steps instead of 5.5e-14 (criterion 5 allows 1e-12).
 LAG_TOL = 1e-14
 
 
@@ -103,25 +104,29 @@ class LaggedFactor:
 
     The matrices of the linearly implicit scheme change only O(tau) per
     step, so an old factor is a close preconditioner for the current one.
-    The first solve factors its matrix and solves exactly; later ones run
-    one blocked PCG on all columns of the right-hand side, started from and
-    preconditioned by the held factor's solve, each column with its own
-    step lengths and stopping test.  A solve that has not converged within
-    LAG_MAX_ITER iterations drops the factor, refactors and solves exactly.
+    The first solve factors its matrix and solves exactly, ignoring the
+    guess; later ones run one blocked PCG on all columns of the right-hand
+    side, preconditioned by the held factor and started from the guess g
+    corrected by it, g + LU^-1 (b - K g) (from LU^-1 b without a guess),
+    each column with its own step lengths and stopping test.  A solve that
+    has not converged within LAG_MAX_ITER iterations drops the factor,
+    refactors and solves exactly.  A singular matrix raises
+    LinearSolveFailure.
     """
 
     def __init__(self):
         self._lu = None
 
     def solver(self, matrix):
-        """solve(rhs) for (N,) or (N, k) right-hand sides of ``matrix``."""
+        """solve(rhs, start=None) for (N,) or (N, k) right-hand sides of
+        ``matrix``; ``start``, shaped like rhs, is the guess."""
         if self._lu is None:
             lu = self._refactor(matrix)
-            return lambda rhs: lu.solve(np.asarray(rhs))
+            return lambda rhs, start=None: lu.solve(np.asarray(rhs))
 
-        def solve(rhs):
+        def solve(rhs, start=None):
             rhs = np.asarray(rhs)
-            x = self._lagged_solve(matrix, rhs)
+            x = self._lagged_solve(matrix, rhs, start)
             if x is None:
                 x = self._refactor(matrix).solve(rhs)
             return x
@@ -130,17 +135,24 @@ class LaggedFactor:
 
     def _refactor(self, matrix):
         self._lu = None  # free the stale factor before building its replacement
-        self._lu = spla.splu(matrix.tocsc())
+        self._lu = assembly.factorize(matrix)
         return self._lu
 
-    def _lagged_solve(self, matrix, rhs):
-        """Blocked PCG, started from and preconditioned by the held factor's
-        solve; each iteration applies the factor once to the columns still
-        short of ||r_j|| < LAG_TOL ||b_j||.  None if stale."""
+    def _lagged_solve(self, matrix, rhs, start):
+        """Blocked PCG, preconditioned by the held factor and started from
+        ``start`` corrected by it; each iteration applies the factor once to
+        the columns still short of ||r_j|| < LAG_TOL ||b_j||.  None if stale."""
         b = rhs.reshape(rhs.shape[0], -1)
-        x = self._lu.solve(b)
+        b_norms = np.linalg.norm(b, axis=0)
+        if start is None:
+            x = self._lu.solve(b)
+        else:
+            # a zero column must come back zero, which its tolerance 0 cannot
+            # confirm from a guess: start it from zero
+            g = np.where(b_norms != 0.0, np.reshape(start, b.shape), 0.0)
+            x = g + self._lu.solve(b - matrix @ g)
         r = b - matrix @ x
-        tol = LAG_TOL * np.linalg.norm(b, axis=0)
+        tol = LAG_TOL * b_norms
         norms = np.linalg.norm(r, axis=0)
         # a zero residual (a zero column among them) is done although 0 < 0
         # fails; a NaN one is not, so it ends in the exact solve
@@ -163,17 +175,18 @@ class LaggedFactor:
         return None if active.size else x.reshape(rhs.shape)
 
 
-def _jacobi_cg(matrix, rtol, start=None):
-    """solve(rhs) by Jacobi-preconditioned CG per column to relative
-    residual ``rtol``, from ``start`` (shaped like rhs) or from zero."""
+def _jacobi_cg(matrix, rtol, x0=None):
+    """solve(rhs, start=None) by Jacobi-preconditioned CG per column to
+    relative residual ``rtol``, from ``x0`` (shaped like rhs) or from zero;
+    the call's ``start`` is not used (see make_solver)."""
     matrix = matrix.tocsr()
     inv_diag = 1.0 / matrix.diagonal()
     precond = spla.LinearOperator(matrix.shape, matvec=lambda r: inv_diag * r)
 
-    def solve(rhs):
+    def solve(rhs, start=None):
         rhs = np.asarray(rhs)
         cols = rhs.reshape(rhs.shape[0], -1)
-        starts = np.zeros_like(cols) if start is None else np.reshape(start, cols.shape)
+        starts = np.zeros_like(cols) if x0 is None else np.reshape(x0, cols.shape)
         out = np.empty_like(cols)
         for j in range(cols.shape[1]):
             xj, info = spla.cg(matrix, cols[:, j], x0=starts[:, j], rtol=rtol, atol=0.0,
@@ -189,17 +202,25 @@ def _jacobi_cg(matrix, rtol, start=None):
 
 def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = None,
                 start=None):
-    """solve(rhs) for an SPD sparse matrix and (N,) or (N, k) right-hand sides.
+    """solve(rhs, start=None) for an SPD sparse matrix and (N,) or (N, k)
+    right-hand sides.
 
     A field system (M + tau A, M + tau D_c A) is passed with the previous
     field as ``start``: tau ~ h^2 keeps it mass-dominated, so under either
     solver it is solved by Jacobi-CG from ``start`` to LAG_TOL, in 8-11
     iterations on example1 at levels 1-4 and 14 on average in the level-3
-    tumor run.  ``config.solver`` chooses only the velocity solve: the
-    direct solver goes through ``factor``, which the caller keeps across
-    steps to reuse its factorization (without one the matrix is factored
-    fresh); the cg solver is Jacobi-CG from zero to CG_TOL and ignores
-    ``factor``.
+    tumor run.  ``config.solver`` chooses only the velocity solve, whose
+    callers pass a guess of the solution as the call's ``start``: the
+    extrapolated surface x + tau v for the regularized laws, the old
+    velocity for the dynamic one.  The direct solver goes through
+    ``factor``, which the caller keeps across steps to reuse its
+    factorization (without one the matrix is factored fresh), and its
+    lagged PCG starts from the guess; that halves its factor applications.
+    The cg solver is Jacobi-CG from zero to CG_TOL, ignoring ``factor`` and
+    the guess by design: started from the guess it took half the iterations,
+    but it moved example1's level-4 v error norms 1.05e-8 relative from the
+    direct solver's (1.07e-8 still at CG_TOL = 1e-13), past the 1e-8 that
+    the two solvers are held to.
     """
     if start is not None:
         return _jacobi_cg(matrix, LAG_TOL, start)
@@ -225,10 +246,11 @@ def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config
     """PDE step(s) on the new surface, each field solve started from the
     old field; returns (u_new, w_new)."""
     tau, t_new = config.tau, state.t + config.tau
-    solve_u = make_solver(mass_new + tau * stiff_new, config, start=state.u)
+    solve_u = make_solver(assembly.add_scaled(mass_new, tau, stiff_new), config, start=state.u)
     kin = spec.kinetics
     if kin is not None:
-        solve_w = make_solver(mass_new + tau * kin.D_c * stiff_new, config, start=state.w)
+        solve_w = make_solver(assembly.add_scaled(mass_new, tau * kin.D_c, stiff_new), config,
+                              start=state.w)
         return problems.kinetics_step(kin, mesh_new, mass_old, state.u, state.w, tau,
                                       solve_u, solve_w, t_new)
     load = np.zeros(mesh_new.num_nodes)
@@ -280,16 +302,20 @@ def _step(state, spec, config, matrices, factor, velocity_system):
 def _regularized_velocity(state, spec, config, mass, stiff, factor):
     """(M + alpha A + tau beta A) x_new = (M + alpha A) x + tau * load."""
     law, tau, t_new = spec.law, config.tau, state.t + config.tau
-    k_scalar = (mass + law.alpha * stiff).tocsr() if law.alpha != 0.0 else mass
-    system = (k_scalar + tau * law.beta * stiff).tocsr() if law.beta != 0.0 else k_scalar
+    k_scalar = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
+    system = assembly.add_scaled(k_scalar, tau * law.beta, stiff) if law.beta != 0.0 \
+        else k_scalar
     solve = make_solver(system, config, factor)
     k_x = k_scalar @ state.x.reshape(-1, 3)
-    x_new = solve(k_x + tau * _velocity_load(spec, state.mesh, state.u, t_new, config))
+    # x_new = x + tau v_new, so x + tau v predicts it to O(tau^2)
+    x_new = solve(k_x + tau * _velocity_load(spec, state.mesh, state.u, t_new, config),
+                  start=(state.x + tau * state.v).reshape(-1, 3))
     if config.loads_on == "new":
         # One corrector pass: loads re-evaluated on the predicted surface
         # (matrices stay frozen at the old one).
         mesh_pred = _new_surface(state.mesh, x_new, t_new, config)
-        x_new = solve(k_x + tau * _velocity_load(spec, mesh_pred, state.u, t_new, config))
+        x_new = solve(k_x + tau * _velocity_load(spec, mesh_pred, state.u, t_new, config),
+                      start=x_new)
     x_new = x_new.reshape(-1)
     return x_new, (x_new - state.x) / tau
 
@@ -300,10 +326,11 @@ def _dynamic_velocity(state, spec, config, mass, stiff, factor):
         raise ValueError(f"the dynamic law has no loads_on={config.loads_on!r} corrector; "
                          "its loads are evaluated on the old surface")
     law, tau = spec.law, config.tau
-    system = (mass + tau * law.alpha * stiff).tocsr() if law.alpha != 0.0 else mass
+    system = assembly.add_scaled(mass, tau * law.alpha, stiff) if law.alpha != 0.0 else mass
     load = _velocity_load(spec, state.mesh, state.u, state.t + tau, config)
     solve = make_solver(system, config, factor)
-    v_new = solve(mass @ state.v.reshape(-1, 3) + tau * load).reshape(-1)
+    v = state.v.reshape(-1, 3)
+    v_new = solve(mass @ v + tau * load, start=v).reshape(-1)
     return state.x + tau * v_new, v_new
 
 

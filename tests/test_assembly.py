@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from esfem import assembly, mesh, problems
@@ -130,6 +131,26 @@ class TestStiffnessMatrix:
         A = assembly.assemble_stiffness(m)
         d = A - A.T
         assert d.nnz == 0 or np.abs(d.data).max() == 0.0
+
+
+class TestAddScaled:
+    @pytest.mark.parametrize("c", [1.0, 0.37, 1e-3 * 0.01, -2.5])
+    def test_bitwise_equal_to_a_sparse_add(self, c):
+        m = mesh.generate_icosphere(2, 1.3)
+        mass, stiff = assembly.assemble_mass(m), assembly.assemble_stiffness(m)
+        total, expected = assembly.add_scaled(mass, c, stiff), (mass + c * stiff).tocsr()
+        assert total.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(total, name), getattr(expected, name)), name
+        assert np.array_equal(total.toarray(), expected.toarray())
+
+    def test_foreign_pattern_refused(self):
+        m = mesh.generate_icosphere(1, 1.0)
+        mass = assembly.assemble_mass(m)
+        for other in (sp.identity(m.num_nodes, format="csr"),
+                      assembly.assemble_stiffness(mesh.generate_icosphere(2, 1.0))):
+            with pytest.raises(ValueError, match="pattern"):
+                assembly.add_scaled(mass, 1.0, other)
 
 
 def block_apply(scalar, w):

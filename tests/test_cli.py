@@ -259,6 +259,22 @@ class TestMainContracts:
         assert code == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["example1", "--levels", "1..1", "--tau-c", "0.5"],
+        ["tumor", "--level", "1", "--tau", "2e-3", "--t-end", "0.02"]])
+    def test_singular_factorization_maps_to_exit_four(self, argv, tmp_path, monkeypatch,
+                                                      capsys):
+        import scipy.sparse.linalg as spla
+
+        def singular(matrix, *args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", singular)
+        code = cli.main([*argv, "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_SOLVER == 4
+        err = capsys.readouterr().err
+        assert "exactly singular" in err and "Traceback" not in err
+
 
 class TestExperimentFields:
     @pytest.mark.parametrize("experiment", sorted(ROWS))
@@ -396,7 +412,8 @@ def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
 
     def nan_field_solver(matrix, config, factor=None, start=None):
         solve = real(matrix, config, factor, start)
-        return lambda rhs: solve(rhs) if rhs.ndim == 2 else rhs * float("nan")
+        return lambda rhs, start=None: (solve(rhs, start=start) if rhs.ndim == 2
+                                        else rhs * float("nan"))
 
     monkeypatch.setattr(stepper, "make_solver", nan_field_solver)
     code = cli.main(["example1", "--levels", "1..1", "--tau-c", "0.5",

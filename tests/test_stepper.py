@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,7 +275,8 @@ class TestRun:
 
         def nan_solver(matrix, config, factor=None, start=None):
             solve = real(matrix, config, factor, start)
-            return lambda rhs: rhs * np.nan if rhs.ndim == nan_rhs_ndim else solve(rhs)
+            return lambda rhs, start=None: (rhs * np.nan if rhs.ndim == nan_rhs_ndim
+                                            else solve(rhs, start=start))
 
         monkeypatch.setattr(stepper, "make_solver", nan_solver)
         tau = 1e-3
@@ -367,6 +369,11 @@ class TestFactorReuse:
         assert np.abs(held.solver(far)(rhs[:, 0]) - expected[:, 0]).max() <= 1e-13 * scale
         assert len(calls) == 1
 
+    def test_exactly_singular_system_is_a_solve_failure(self):
+        singular = sp.diags([1.0, 0.0, 1.0]).tocsr()
+        with pytest.raises(LinearSolveFailure, match="singular"):
+            stepper.LaggedFactor().solver(singular)
+
     def test_standalone_steps_on_two_meshes(self, monkeypatch):
         calls = count_factorizations(monkeypatch)
         coupled = problems.example1_problem()
@@ -433,12 +440,13 @@ def velocity_like_systems(level):
     return m0, (mass + stiff).tocsr(), (mass + 1.05 * stiff).tocsr()
 
 
-def lagged_solve(held_matrix, matrix, rhs):
-    """Solve with ``held_matrix``'s factor held; the factor must not go stale."""
+def lagged_solve(held_matrix, matrix, rhs, start=None):
+    """Solve from ``start`` with ``held_matrix``'s factor held; the factor
+    must not go stale."""
     held = stepper.LaggedFactor()
     held.solver(held_matrix)
     counting = held._lu = CountingFactor(held._lu)
-    x = held.solver(matrix)(rhs)
+    x = held.solver(matrix)(rhs, start=start)
     assert held._lu is counting, "refactored"
     return x, counting.widths
 
@@ -491,6 +499,79 @@ class TestBlockedPCG:
             assert not x[:, zero].any()
         if rhs.any():
             assert_matches_fresh_solve(x, matrix, rhs)
+
+
+class TestWarmStart:
+    def test_extrapolated_guess_matches_a_fresh_solve(self):
+        # x_new = x + tau v: the guess 2 x - x_prev is off by O(tau^2)
+        m0, held_matrix, matrix = velocity_like_systems(2)
+        noise = np.random.Generator(np.random.Philox(9)).standard_normal(m0.coords.shape)
+        x_prev, x = m0.coords, 1.01 * m0.coords + 1e-3 * noise
+        rhs = matrix @ (1.0201 * m0.coords + 2e-3 * noise)
+        x_new, _ = lagged_solve(held_matrix, matrix, rhs, start=2.0 * x - x_prev)
+        assert_matches_fresh_solve(x_new, matrix, rhs)
+
+    def test_exact_guess_takes_one_factor_application(self):
+        m0, held_matrix, matrix = velocity_like_systems(2)
+        rhs = matrix @ m0.coords
+        exact = spla.splu(matrix.tocsc()).solve(rhs)
+        x, widths = lagged_solve(held_matrix, matrix, rhs, start=exact)
+        assert widths == [3]
+        assert_matches_fresh_solve(x, matrix, rhs)
+
+    def test_zero_column_with_a_guess_returns_zeros(self):
+        m0, held_matrix, matrix = velocity_like_systems(2)
+        rhs = matrix @ m0.coords
+        rhs[:, 1] = 0.0
+        x, _ = lagged_solve(held_matrix, matrix, rhs, start=np.ones_like(rhs))
+        assert np.array_equal(x[:, 1], np.zeros(m0.num_nodes))
+        assert_matches_fresh_solve(x, matrix, rhs)
+
+    def test_nan_guess_refactors_once(self, monkeypatch):
+        m0, held_matrix, matrix = velocity_like_systems(2)
+        rhs = matrix @ m0.coords
+        expected = spla.splu(matrix.tocsc()).solve(rhs)
+        held = stepper.LaggedFactor()
+        held.solver(held_matrix)
+        calls = count_factorizations(monkeypatch)
+        x = held.solver(matrix)(rhs, start=np.full_like(rhs, np.nan))
+        assert len(calls) == 1
+        assert np.array_equal(x, expected)
+
+    def test_first_solve_is_exact_whatever_the_guess(self):
+        m0, _, matrix = velocity_like_systems(2)
+        rhs = matrix @ m0.coords
+        x = stepper.LaggedFactor().solver(matrix)(rhs, start=np.full_like(rhs, np.nan))
+        assert np.array_equal(x, spla.splu(matrix.tocsc()).solve(rhs))
+
+    @pytest.mark.parametrize("level, t_end, bound", [
+        # measured 3.0 and 2.0; started from the factor's solve of b they
+        # took 4.9 and 3.9
+        (2, 0.1, 3.5), (4, 0.03, 2.5)])
+    def test_example1_factor_applications_per_lagged_solve(self, monkeypatch, level, t_end,
+                                                            bound):
+        solves, held = [], []
+        real_refactor, real_lagged = stepper.LaggedFactor._refactor, \
+            stepper.LaggedFactor._lagged_solve
+
+        def refactor(self, matrix):
+            lu = real_refactor(self, matrix)
+            held.append(CountingFactor(lu))
+            self._lu = held[-1]
+            return lu
+
+        def lagged(self, *args):
+            solves.append(1)
+            return real_lagged(self, *args)
+
+        monkeypatch.setattr(stepper.LaggedFactor, "_refactor", refactor)
+        monkeypatch.setattr(stepper.LaggedFactor, "_lagged_solve", lagged)
+        m0 = mesh.generate_icosphere(level, 1.0)
+        tau = experiments.step_size_for(m0, t_end)
+        cfg = stepper.StepperConfig(tau=tau, t_end=t_end, snapshot_every=0)
+        stepper.run(problems.example1_problem(), m0, cfg)
+        assert len(held) == 1 and len(solves) == round(t_end / tau) - 1
+        assert len(held[0].widths) <= bound * len(solves)
 
 
 def field_system(level=3, seed=8):
