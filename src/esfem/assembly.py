@@ -22,16 +22,17 @@ import scipy.sparse.linalg as spla
 
 from .errors import (DegenerateElement, DimensionMismatch, FieldLengthMismatch,
                      LinearSolveFailure, NonFiniteIntegrand)
-from .mesh import SurfaceMesh
+from .mesh import MIDPOINT_POINTS, SurfaceMesh, einsum_dot
 
 # Local P1 mass block for a triangle of unit area.
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+# Upper-triangle entries (i, j) of a symmetric local block.
+_UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 
-#: Degree-2 rule at the three edge midpoints: barycentric points (Q, 3) and
-#: weights (Q,) summing to one; integrals are ``area * sum(w_q * f(x_q))``.
-#: Midpoint q lies on the edge from vertex q to vertex q+1.
-MIDPOINT_POINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+#: Degree-2 rule at the three edge midpoints (``MIDPOINT_POINTS``, whose
+#: positions each mesh caches): weights (Q,) summing to one; integrals are
+#: ``area * sum(w_q * f(x_q))``.
 MIDPOINT_WEIGHTS = np.array([1.0, 1.0, 1.0]) / 3.0
 
 
@@ -86,8 +87,12 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
     Constants lie in the kernel: A @ 1 = 0 up to roundoff.
     """
     area = _checked_areas(mesh)
-    g = mesh.basis_gradients
-    local = area[:, None, None] * np.einsum("tik,tjk->tij", g, g)
+    # Each symmetric local block from its 6 distinct entries, summed in
+    # einsum's order.
+    g = mesh.basis_gradients.T
+    local = np.empty((len(area), 3, 3))
+    for i, j in _UPPER:
+        local[:, i, j] = local[:, j, i] = einsum_dot(g[:, i], g[:, j]) * area
     return _assemble_pairs(mesh, local)
 
 
@@ -173,7 +178,7 @@ def _corner_loads(mesh, integrand, u, time, extra_fields):
     fields = _load_fields(mesh, u, extra_fields)
     area = _checked_areas(mesh)
     t = mesh.triangles
-    pos = (MIDPOINT_POINTS @ mesh.coords[t.T].reshape(3, -1)).reshape(-1, 3)
+    pos = mesh.midpoint_positions
     vals = [(MIDPOINT_POINTS @ f[t.T]).ravel() for f in fields]
     f_vals = np.asarray(integrand(pos, vals[0], time, *vals[1:]), dtype=float)
     if not np.all(np.isfinite(f_vals)):

@@ -17,6 +17,11 @@ from .errors import FieldLengthMismatch
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
+#: Barycentric coordinates (Q, 3) of the three edge midpoints, the points of
+#: the degree-2 quadrature rule assembly integrates loads with; midpoint q
+#: lies on the edge from vertex q to vertex q+1.
+MIDPOINT_POINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -40,7 +45,8 @@ class SurfaceMesh:
         Check closedness, orientation and non-degeneracy.  Skipped by
         ``with_coords`` because moving nodes cannot change the topology.
 
-    Instances are immutable (the arrays are locked), so derived element
+    Instances are immutable (the arrays, and any array they view, such as
+    a node vector passed to ``with_coords``, are locked), so derived element
     geometry is computed lazily once and can never go stale; meshes are
     safe to share across threads and all per-element queries are pure.
     Edge lengths, ``h_max``, areas, normals, basis gradients, quality and
@@ -80,14 +86,16 @@ class SurfaceMesh:
     @cached_property
     def edges(self) -> np.ndarray:
         """(T, 3, 3) edge vectors, the one coordinate gather all element
-        geometry derives from; edge k runs from vertex k to vertex k+1."""
-        p = self.coords[self.triangles]
-        return _locked(np.roll(p, -1, axis=1) - p)
+        geometry derives from; edge k runs from vertex k to vertex k+1.
+        Stored component-major: ``edges.T`` is a contiguous (3, 3, T)
+        array, so every per-component (T,) slice is contiguous."""
+        p = np.take(self.coords.T, self.triangles.T, axis=1)  # coords.T[:, triangles.T]
+        return _locked(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1).T)
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
         """(T, 3) lengths of ``edges``."""
-        return _locked(np.sqrt((self.edges**2).sum(axis=2)))
+        return _locked(_norm(self.edges.T).T)
 
     @cached_property
     def h_max(self) -> float:
@@ -109,6 +117,13 @@ class SurfaceMesh:
     @cached_property
     def basis_gradients(self) -> np.ndarray:
         return _locked(triangle_basis_gradients(self.edges, *self._areas_normals))
+
+    @cached_property
+    def midpoint_positions(self) -> np.ndarray:
+        """(3T, 3) positions of the edge-midpoint quadrature points,
+        midpoint-major: row q*T + t is midpoint q of triangle t."""
+        corners = np.take(self.coords, self.triangles.T, axis=0).reshape(3, -1)
+        return _locked((MIDPOINT_POINTS @ corners).reshape(-1, 3))
 
     @cached_property
     def degenerate(self) -> bool:
@@ -148,33 +163,69 @@ class SurfaceMesh:
 
 
 def _locked(array):
+    """Make ``array`` read-only, and the array it views, if any, so no
+    write reaches the data through either."""
     array.setflags(write=False)
+    if isinstance(array.base, np.ndarray):
+        array.base.setflags(write=False)
     return array
+
+
+# The element geometry works on component-major (3, ..., T) arrays, whose
+# (T,) slices are contiguous, and repeats numpy's own arithmetic, so every
+# value is bitwise equal to the plain (T, 3, 3) formulas: ``np.cross``
+# computes a1*b2 - a2*b1, ``.sum`` over three components adds left to
+# right, and numpy 2.x's ``einsum`` sums a length-3 contraction as
+# (p0 + p2) + p1 (checked for "tik,tjk->tij" and "tkj,tkj->tk" on
+# contiguous and misaligned arrays; tests/test_mesh.py keeps the oracle).
+
+def _cross(a, b):
+    """Component-major cross product with ``np.cross``'s arithmetic."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(v):
+    """Euclidean norm over the leading component axis, summed as ``.sum``."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
+def einsum_dot(a, b):
+    """Dot product over the leading component axis, summed in ``einsum``'s
+    order for a length-3 contraction."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
 def triangle_areas_normals(edges):
     """Areas and unit normals of all triangles from their (T, 3, 3) edges.
 
     Degenerate triangles get area 0 and a zero normal; callers decide
-    whether that is an error.
+    whether that is an error.  The normal is the unit vector along
+    edge 2 x edge 0; normals are returned C-contiguous (T, 3).
     """
-    cr = np.cross(edges[:, 0], -edges[:, 2])
-    two_area = np.sqrt((cr**2).sum(axis=1))
+    e = edges.T
+    cr = _cross(e[:, 2], e[:, 0])
+    two_area = _norm(cr)
     area = 0.5 * two_area
     with np.errstate(invalid="ignore", divide="ignore"):
-        normal = np.where(two_area[:, None] > 0.0, cr / two_area[:, None], 0.0)
-    return area, normal
+        normal = np.where(two_area > 0.0, cr / two_area, 0.0)
+    return area, np.ascontiguousarray(normal.T)
 
 
 def triangle_basis_gradients(edges, area, normal):
     """Constant tangential gradients of the three nodal basis functions.
 
-    Returns a (T, 3, 3) array; entry [t, i] is the gradient of the basis
-    function attached to local vertex i of triangle t.  The gradient of
-    basis i is the in-plane vector perpendicular to the opposite edge,
-    edge i+1: ``normal x edge / (2 area)``.
+    Returns a C-contiguous (T, 3, 3) array; entry [t, i] is the gradient
+    of the basis function attached to local vertex i of triangle t.  The
+    gradient of basis i is the in-plane vector perpendicular to the
+    opposite edge, edge i+1: ``normal x edge / (2 area)``.
     """
-    return np.cross(normal[:, None], edges[:, [1, 2, 0]]) / (2.0 * area)[:, None, None]
+    n, e = np.ascontiguousarray(normal.T), edges.T
+    g = np.empty((len(area), 3, 3))
+    for i in range(3):
+        g[:, i] = _cross(n, e[:, (i + 1) % 3]).T
+    g /= (2.0 * area)[:, None, None]
+    return g
 
 
 def mesh_quality(mesh: SurfaceMesh) -> QualityReport:
@@ -183,22 +234,23 @@ def mesh_quality(mesh: SurfaceMesh) -> QualityReport:
     Collapsed triangles are reported (angle 0, aspect inf), never raised;
     the time stepper uses this to decide when to abort.
     """
-    edge, elen, area = mesh.edges, mesh.edge_lengths, mesh.element_areas
+    edge, elen, area = mesh.edges.T, mesh.edge_lengths.T, mesh.element_areas
 
-    # Angle at vertex k lies between edge k and reversed edge k-1.
-    dot = -np.einsum("tkj,tkj->tk", edge, np.roll(edge, 1, axis=1))
-    denom = elen * np.roll(elen, 1, axis=1)
+    # Angle at vertex k lies between edge k and reversed edge k-1; arccos
+    # falls monotonically, so the smallest angle is that of the largest
+    # cosine.  A zero-length edge counts as cosine 1, angle 0.
+    dot = -np.array([einsum_dot(edge[:, k], edge[:, k - 1]) for k in range(3)])
+    denom = elen * elen[[2, 0, 1]]
     ok = denom > 0.0
     cosang = np.where(ok, dot / np.where(ok, denom, 1.0), 1.0)
-    angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    angles = np.where(ok, angles, 0.0)
+    min_angle = np.degrees(np.arccos(np.clip(cosang.max(), -1.0, 1.0)))
 
     # aspect = longest edge over its own altitude = longest^2 / (2 area)
-    longest = elen.max(axis=1)
+    longest = elen.max(axis=0)
     with np.errstate(divide="ignore"):
         aspect = np.where(area > 0.0, longest**2 / (2.0 * np.where(area > 0, area, 1.0)), np.inf)
     return QualityReport(
-        min_angle_deg=float(angles.min()),
+        min_angle_deg=float(min_angle),
         max_aspect_ratio=float(aspect.max()),
         min_area=float(area.min()),
     )
@@ -272,6 +324,14 @@ def generate_icosphere(subdivision_level: int, radius: float) -> SurfaceMesh:
 # ---------------------------------------------------------------------------
 # Export
 
+def _rows(row, values):
+    """``values`` formatted one row each with the ``%`` template ``row``,
+    as a list of at most one string: one ``%`` over Python scalars, the
+    same bytes as formatting each row apart."""
+    values = np.asarray(values)
+    return ["\n".join([row] * len(values)) % tuple(values.ravel().tolist())] if len(values) else []
+
+
 def _check_fields(n, nodal_fields):
     for name, values in nodal_fields.items():
         values = np.asarray(values, dtype=float)
@@ -297,10 +357,10 @@ def export_surface(mesh: SurfaceMesh, nodal_fields, path) -> None:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.num_nodes} double",
     ]
-    lines += ["%.17g %.17g %.17g" % tuple(p) for p in mesh.coords]
+    lines += _rows("%.17g %.17g %.17g", mesh.coords)
     nt = mesh.num_triangles
     lines.append(f"CELLS {nt} {4 * nt}")
-    lines += ["3 %d %d %d" % tuple(t) for t in mesh.triangles]
+    lines += _rows("3 %d %d %d", mesh.triangles)
     lines.append(f"CELL_TYPES {nt}")
     lines += ["5"] * nt
     if nodal_fields:
@@ -310,17 +370,16 @@ def export_surface(mesh: SurfaceMesh, nodal_fields, path) -> None:
             if values.size == mesh.num_nodes:
                 lines.append(f"SCALARS {name} double")
                 lines.append("LOOKUP_TABLE default")
-                lines += ["%.17g" % v for v in values]
+                lines += _rows("%.17g", values)
             else:
                 lines.append(f"VECTORS {name} double")
-                lines += ["%.17g %.17g %.17g" % tuple(v) for v in values.reshape(-1, 3)]
+                lines += _rows("%.17g %.17g %.17g", values.reshape(-1, 3))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def export_obj(mesh: SurfaceMesh, path) -> None:
     """Geometry-only Wavefront OBJ export (v/f lines, 1-based indices)."""
-    lines = ["v %.17g %.17g %.17g" % tuple(p) for p in mesh.coords]
-    lines += ["f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1) for t in mesh.triangles]
+    lines = _rows("v %.17g %.17g %.17g", mesh.coords) + _rows("f %d %d %d", mesh.triangles + 1)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -332,6 +334,57 @@ class TestLoadsAreGradientFree:
         problems.kinetics_step(kin, m, assembly.assemble_mass(m), u, u[::-1].copy(), 1e-3,
                                lambda r: r, lambda r: r, 0.0)
         assert "basis_gradients" not in m.__dict__
+
+
+class TestMidpointPositionsCached:
+    """Quadrature-point positions are gathered once per surface."""
+
+    @staticmethod
+    def uncached_load(m, integrand, u):
+        # the plain formula, gathering the quadrature positions on every call
+        t, P = m.triangles, assembly.MIDPOINT_POINTS
+        pos = (P @ m.coords[t.T].reshape(3, -1)).reshape(-1, 3)
+        f = integrand(pos, (P @ u[t.T]).ravel(), 0.0)
+        corner = P.T @ (f * (assembly.MIDPOINT_WEIGHTS[:, None] * m.element_areas).ravel()).reshape(3, -1)
+        return assembly._scatter(m, corner)
+
+    def test_loads_share_one_read_only_positions_array(self):
+        m = mesh.generate_icosphere(2, 1.0)
+        u = np.linspace(0.5, 1.5, m.num_nodes)
+        seen = []
+
+        def integrand(x, uq, t):
+            seen.append(x)
+            return np.sin(x[:, 0]) * uq
+
+        scalar = assembly.assemble_scalar_load(m, integrand, u=u)
+        assembly.assemble_normal_load(m, integrand, u=u)
+        assert seen[0] is seen[1] is m.midpoint_positions
+        assert not seen[0].flags.writeable
+        expected = self.uncached_load(m, integrand, u)
+        assert scalar.tobytes() == expected.tobytes()
+
+    def test_positions_bitwise_equal_to_uncached_gather(self):
+        m = mesh.generate_icosphere(3, 1.3)
+        m = m.with_coords(m.coords * np.linspace(0.9, 1.1, m.num_nodes)[:, None])
+        P, t = assembly.MIDPOINT_POINTS, m.triangles
+        expected = (P @ m.coords[t.T].reshape(3, -1)).reshape(-1, 3)
+        assert m.midpoint_positions.tobytes() == expected.tobytes()
+
+    def test_pre_relaxation_gathers_once(self, monkeypatch):
+        gather = mesh.SurfaceMesh.midpoint_positions.func
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return gather(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(mesh.SurfaceMesh, "midpoint_positions")
+        monkeypatch.setattr(mesh.SurfaceMesh, "midpoint_positions", prop)
+        m = mesh.generate_icosphere(1, 1.0)
+        problems.tumor_initial_data(m, problems.TumorKinetics(), seed=0, pre_time=1.0)
+        assert len(calls) == 1  # 1000 steps, 1000 loads, one gather
 
 
 class TestDiscreteNorms:

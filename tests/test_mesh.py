@@ -1,5 +1,9 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esfem import assembly, mesh
 from esfem.errors import DegenerateElement, FieldLengthMismatch
@@ -89,6 +93,19 @@ class TestSurfaceMeshValidation:
         with pytest.raises(ValueError):
             m.coords[0, 0] = 2.0
 
+    def test_cached_geometry_read_only_all_the_way_down(self):
+        # a view's base must be locked too, or a write through it would
+        # change the cached geometry behind the mesh's back
+        m = mesh.generate_icosphere(2, 1.0)
+        m = m.with_coords(m.node_vector * 1.1)
+        for name in ("coords", "triangles", "edges", "edge_lengths", "element_areas",
+                     "element_normals", "basis_gradients", "midpoint_positions"):
+            array = getattr(m, name)
+            for a in [array] + ([array.base] if array.base is not None else []):
+                assert not a.flags.writeable, name
+                with pytest.raises(ValueError):
+                    a[...] = 0
+
 
 class TestElementGeometry:
     """Areas, normals and basis gradients as the assembly reads them."""
@@ -164,6 +181,116 @@ class TestMeshQuality:
             assert s <= 1e-12 * area.sum()
 
 
+# ---------------------------------------------------------------------------
+# Bitwise oracle: the element geometry in the plain (T, 3, 3) numpy
+# formulas (np.roll gather, np.cross, einsum, arccos of every angle).  The
+# library's component-major pass must reproduce every value bit for bit,
+# not merely to rounding.
+
+def oracle_geometry(coords, triangles):
+    p = coords[triangles]
+    edges = np.roll(p, -1, axis=1) - p
+    lengths = np.sqrt((edges**2).sum(axis=2))
+    cr = np.cross(edges[:, 0], -edges[:, 2])
+    two_area = np.sqrt((cr**2).sum(axis=1))
+    area = 0.5 * two_area
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normal = np.where(two_area[:, None] > 0.0, cr / two_area[:, None], 0.0)
+        grads = np.cross(normal[:, None], edges[:, [1, 2, 0]]) / (2.0 * area)[:, None, None]
+    return {"edges": edges, "edge_lengths": lengths, "element_areas": area,
+            "element_normals": normal, "basis_gradients": grads}
+
+
+def oracle_quality(geometry):
+    edge, elen, area = (geometry[k] for k in ("edges", "edge_lengths", "element_areas"))
+    dot = -np.einsum("tkj,tkj->tk", edge, np.roll(edge, 1, axis=1))
+    denom = elen * np.roll(elen, 1, axis=1)
+    ok = denom > 0.0
+    cosang = np.where(ok, dot / np.where(ok, denom, 1.0), 1.0)
+    angles = np.where(ok, np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))), 0.0)
+    longest = elen.max(axis=1)
+    with np.errstate(divide="ignore"):
+        aspect = np.where(area > 0.0, longest**2 / (2.0 * np.where(area > 0, area, 1.0)), np.inf)
+    return mesh.QualityReport(float(angles.min()), float(aspect.max()), float(area.min()))
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_matches_oracle(m):
+    """Geometry and quality of ``m`` bitwise equal to the oracle's; returns
+    the oracle geometry."""
+    expected = oracle_geometry(m.coords, m.triangles)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for name, value in expected.items():
+            assert_bitwise(getattr(m, name), value)
+    assert m.basis_gradients.flags.c_contiguous
+    assert m.element_normals.flags.c_contiguous
+    assert_bitwise(astuple(mesh.mesh_quality(m)), astuple(oracle_quality(expected)))
+    return expected
+
+
+def assert_matrices_match_oracle(m, geometry):
+    g, area = geometry["basis_gradients"], geometry["element_areas"]
+    local_stiffness = area[:, None, None] * np.einsum("tik,tjk->tij", g, g)
+    local_mass = area[:, None, None] * assembly._MASS_TEMPLATE
+    for actual, local in [(assembly.assemble_stiffness(m), local_stiffness),
+                          (assembly.assemble_mass(m), local_mass)]:
+        expected = assembly._assemble_pairs(m, local)
+        for attr in ("data", "indices", "indptr"):
+            assert_bitwise(getattr(actual, attr), getattr(expected, attr))
+
+
+ORACLE_LEVELS = {level: mesh.generate_icosphere(level, 1.0) for level in range(5)}
+
+
+def jittered(level, seed):
+    """Icosphere with every node moved by up to 20% of h_max."""
+    m = ORACLE_LEVELS[level]
+    rng = np.random.Generator(np.random.Philox(seed))
+    return m.with_coords(m.coords + rng.uniform(-0.2, 0.2, m.coords.shape) * m.h_max)
+
+
+class TestOneGeometryPass:
+    """The component-major geometry pass against the bitwise oracle."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(level=st.sampled_from(sorted(ORACLE_LEVELS)), seed=st.integers(0, 2**32 - 1))
+    def test_jittered_icospheres(self, level, seed):
+        m = jittered(level, seed)
+        assert_matrices_match_oracle(m, assert_matches_oracle(m))
+
+    def test_rotated_and_scaled_copy(self):
+        m = jittered(3, 5)
+        rng = np.random.Generator(np.random.Philox(8))
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        moved = m.with_coords(2.7 * m.coords @ q.T + rng.standard_normal(3))
+        assert_matrices_match_oracle(moved, assert_matches_oracle(moved))
+
+    def test_collapsed_triangle(self):
+        # triangle 0 is collinear: area 0, zero normal, angle 0, aspect inf
+        coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        m = mesh.SurfaceMesh(coords, np.array([[0, 1, 2], [0, 3, 1]]), validate=False)
+        assert_matches_oracle(m)
+        assert m.element_areas[0] == 0.0
+        assert np.all(m.element_normals[0] == 0.0)
+        assert mesh.mesh_quality(m) == mesh.QualityReport(0.0, np.inf, 0.0)
+
+    def test_coincident_nodes(self):
+        m = ORACLE_LEVELS[1]
+        a, b = m.triangles[0, :2]
+        coords = m.coords.copy()
+        coords[b] = coords[a]  # both triangles on edge a-b get a zero-length edge
+        collapsed = m.with_coords(coords)
+        assert_matches_oracle(collapsed)
+        assert np.count_nonzero(collapsed.edge_lengths == 0.0) == 2
+        q = mesh.mesh_quality(collapsed)
+        assert (q.min_angle_deg, q.max_aspect_ratio, q.min_area) == (0.0, np.inf, 0.0)
+
+
 class TestNodeVectorLayout:
     """Flat node-major vectors: node j occupies entries 3j..3j+2."""
 
@@ -204,6 +331,34 @@ class TestExport:
         m = mesh.generate_icosphere(0, 1.0)
         with pytest.raises(FieldLengthMismatch):
             mesh.export_surface(m, {"u": np.zeros(5)}, tmp_path / "x.vtk")
+
+    def test_one_format_per_block_matches_per_row_formatting(self, tmp_path):
+        m = jittered(2, 4)
+        u = np.random.Generator(np.random.Philox(1)).standard_normal(m.num_nodes)
+        v = np.random.Generator(np.random.Philox(2)).standard_normal(3 * m.num_nodes)
+        fields = {"u": u, "vel": v, "w": -u}
+        lines = ["# vtk DataFile Version 2.0", "surface snapshot", "ASCII",
+                 "DATASET UNSTRUCTURED_GRID", f"POINTS {m.num_nodes} double"]
+        lines += ["%.17g %.17g %.17g" % tuple(p) for p in m.coords]
+        nt = m.num_triangles
+        lines.append(f"CELLS {nt} {4 * nt}")
+        lines += ["3 %d %d %d" % tuple(t) for t in m.triangles]
+        lines.append(f"CELL_TYPES {nt}")
+        lines += ["5"] * nt
+        lines.append(f"POINT_DATA {m.num_nodes}")
+        for name, values in fields.items():
+            if values.size == m.num_nodes:
+                lines += [f"SCALARS {name} double", "LOOKUP_TABLE default"]
+                lines += ["%.17g" % x for x in values]
+            else:
+                lines.append(f"VECTORS {name} double")
+                lines += ["%.17g %.17g %.17g" % tuple(x) for x in values.reshape(-1, 3)]
+        mesh.export_surface(m, fields, tmp_path / "a.vtk")
+        assert (tmp_path / "a.vtk").read_bytes() == ("\n".join(lines) + "\n").encode()
+        obj = ["v %.17g %.17g %.17g" % tuple(p) for p in m.coords]
+        obj += ["f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1) for t in m.triangles]
+        mesh.export_obj(m, tmp_path / "a.obj")
+        assert (tmp_path / "a.obj").read_bytes() == ("\n".join(obj) + "\n").encode()
 
     def test_obj_writer(self, tmp_path):
         m = mesh.generate_icosphere(0, 1.0)
