@@ -22,11 +22,9 @@ from .problems import (
     TumorKinetics,
     VelocityLaw,
     example1_problem,
-    example3_problem,
     exact_solution,
     manufactured_forcing,
     tumor_initial_data,
-    tumor_kinetics,
     tumor_problem,
     velocity_law,
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import analysis, assembly, experiments, mesh, problems, stepper, verification
-from .errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
+from .errors import LinearSolveFailure, MeshDegenerated, NonFiniteIntegrand, NonFiniteState
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -27,7 +27,7 @@ EXIT_DEGENERATED = 3
 EXIT_SOLVER = 4
 EXIT_NONFINITE = 5
 _EXIT_CODES = {MeshDegenerated: EXIT_DEGENERATED, LinearSolveFailure: EXIT_SOLVER,
-               NonFiniteState: EXIT_NONFINITE}
+               NonFiniteState: EXIT_NONFINITE, NonFiniteIntegrand: EXIT_NONFINITE}
 
 _COMMON = dict(out="results", dump_matrices=False)
 # the solve options, their allowed values and their defaults are StepperConfig's
@@ -201,9 +201,9 @@ def _run_example1(config, out: Path) -> int:
 def _run_example3(config, out: Path) -> int:
     wrote_any = False
     for tag, (alpha, beta) in [("alpha", (1.0, 0.0)), ("beta", (0.0, 1.0))]:
-        report = experiments.example3_study(
-            alpha=alpha, beta=beta, levels=config.levels, r0=config.r0, rK=config.rk,
-            k=config.k, t_end=config.t_end, tau_c=config.tau_c,
+        report = experiments.example1_study(
+            levels=config.levels, alpha=alpha, beta=beta, delta=0.0, r0=config.r0,
+            rK=config.rk, k=config.k, t_end=config.t_end, tau_c=config.tau_c,
             on_failure=_warn_failure, **_solve_options(config))
         if report.levels:
             analysis.emit_table(report, out / f"table_{tag}.csv")

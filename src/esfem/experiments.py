@@ -23,14 +23,6 @@ def step_size_for(mesh0, t_end, tau=None, tau_c=0.1):
     return t_end / n
 
 
-def _stepper_config(tau, t_end, solve):
-    """A run's StepperConfig; ``solve`` may set its solve options only."""
-    unknown = sorted(set(solve) - set(stepper.StepperConfig.CHOICES))
-    if unknown:
-        raise TypeError(f"unknown solve options: {', '.join(unknown)}")
-    return stepper.StepperConfig(tau=tau, t_end=t_end, snapshot_every=0, **solve)
-
-
 def run_level(spec, level, t_end, tau_c=0.1, **solve):
     """One refinement level: march from the icosphere of radius r0 to t_end
     and measure the errors.
@@ -40,21 +32,25 @@ def run_level(spec, level, t_end, tau_c=0.1, **solve):
     if spec.exact is None:
         raise MissingExactSolution("problem has no manufactured solution")
     mesh0 = mesh.generate_icosphere(level, spec.exact.r0)
-    config = _stepper_config(step_size_for(mesh0, t_end, tau_c=tau_c), t_end, solve)
+    config = stepper.StepperConfig(step_size_for(mesh0, t_end, tau_c=tau_c), t_end, **solve)
     acc = analysis.ErrorAccumulator(spec, mesh0)
-    final = stepper.run(spec, mesh0, config, observers=[acc])[-1]
+    final = stepper.run(spec, mesh0, config, observers=[acc])
     result = analysis.LevelResult(
         level=level, dof=mesh0.num_nodes, h_final=final.mesh.h_max, norms=acc.result())
     return result, final
 
 
-def convergence_study(spec, levels, t_end, tau_c=0.1, on_failure=None, **solve):
-    """Error report over refinement levels.
+def example1_study(levels=(1, 2, 3, 4), alpha=1.0, beta=0.0, delta=0.4,
+                   r0=1.0, rK=2.0, k=0.5, t_end=1.0, tau_c=0.1, on_failure=None,
+                   **solve):
+    """Error report over refinement levels for the coupled expanding-sphere
+    benchmark; with delta = 0, one arm of the regularization comparison.
 
     Levels whose run degenerates are skipped (reported through
     ``on_failure(level, error)``); the returned report holds the completed
     levels only.
     """
+    spec = problems.example1_problem(alpha, beta, delta, r0, rK, k)
     report = analysis.ErrorReport()
     for level in levels:
         try:
@@ -65,21 +61,6 @@ def convergence_study(spec, levels, t_end, tau_c=0.1, on_failure=None, **solve):
             continue
         report.add(result)
     return report
-
-
-def example1_study(levels=(1, 2, 3, 4), alpha=1.0, beta=0.0, delta=0.4,
-                   r0=1.0, rK=2.0, k=0.5, t_end=1.0, tau_c=0.1, on_failure=None,
-                   **solve):
-    """Convergence study for the coupled expanding-sphere benchmark."""
-    return convergence_study(problems.example1_problem(alpha, beta, delta, r0, rK, k),
-                             levels, t_end, tau_c, on_failure, **solve)
-
-
-def example3_study(alpha, beta, levels=(1, 2, 3, 4), r0=1.0, rK=2.0, k=0.5,
-                   t_end=2.0, tau_c=0.1, on_failure=None, **solve):
-    """One arm (alpha- or beta-regularized) of the comparison experiment."""
-    return convergence_study(problems.example3_problem(alpha, beta, r0, rK, k),
-                             levels, t_end, tau_c, on_failure, **solve)
 
 
 class FieldEnvelopeObserver:
@@ -152,7 +133,7 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
     kin = kinetics if kinetics is not None else problems.TumorKinetics()
     spec = problems.tumor_problem(alpha, beta, delta, kin)
     mesh0 = mesh.generate_icosphere(level, 1.0)
-    config = _stepper_config(step_size_for(mesh0, t_end, tau=tau), t_end, solve)
+    config = stepper.StepperConfig(step_size_for(mesh0, t_end, tau=tau), t_end, **solve)
     u0, w0 = problems.tumor_initial_data(mesh0, kin, seed, pre_time=pre_time)
     start = stepper.initial_state(spec, mesh0, u0=u0, w0=w0)
     envelope = FieldEnvelopeObserver()
@@ -160,8 +141,7 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
     observers = [envelope, trace]
     if out_dir is not None and export_every > 0:
         observers.append(SurfaceExporter(out_dir, export_every))
-    trajectory = stepper.run(spec, mesh0, config, observers=observers, start=start)
-    final = trajectory[-1]
+    final = stepper.run(spec, mesh0, config, observers=observers, start=start)
     if out_dir is not None:
         trace.write(f"{out_dir}/tumor_summary.csv")
         mesh.export_surface(final.mesh, {"u": final.u, "w": final.w},
@@ -182,8 +162,7 @@ def temporal_order_study(level=3, taus=(4e-3, 2e-3, 1e-3), tau_ref=1.25e-4,
     mesh0 = mesh.generate_icosphere(level, 1.0)
 
     def terminal(tau):
-        config = stepper.StepperConfig(tau=tau, t_end=t_end, snapshot_every=0)
-        return stepper.run(spec, mesh0, config)[-1]
+        return stepper.run(spec, mesh0, stepper.StepperConfig(tau, t_end))
 
     ref = terminal(tau_ref)
     # measure each run against the reference in the reference surface's norms

@@ -152,11 +152,6 @@ class TumorKinetics:
         return self.gamma * (self.b - u * u * w)
 
 
-def tumor_kinetics(kinetics: TumorKinetics, u, w):
-    """Evaluate both reaction terms; satisfies f1 + f2 = gamma (a + b - u)."""
-    return kinetics.f1(u, w), kinetics.f2(u, w)
-
-
 def kinetics_step(kinetics: TumorKinetics, mesh: SurfaceMesh, mass_old, u, w, tau,
                   solve_u, solve_w, time):
     """One linearly implicit Euler step of the two-species system on ``mesh``.
@@ -167,7 +162,7 @@ def kinetics_step(kinetics: TumorKinetics, mesh: SurfaceMesh, mass_old, u, w, ta
     on.  Returns (u_new, w_new).
     """
     loads = assembly.assemble_scalar_load(
-        mesh, lambda x, uq, t, wq: np.stack(tumor_kinetics(kinetics, uq, wq), axis=-1),
+        mesh, lambda x, uq, t, wq: np.stack((kinetics.f1(uq, wq), kinetics.f2(uq, wq)), axis=-1),
         u=u, time=time, extra_fields=(w,))
     return (solve_u(mass_old @ u + tau * loads[:, 0]),
             solve_w(mass_old @ w + tau * loads[:, 1]))
@@ -192,11 +187,10 @@ class ProblemSpec:
     exact: Optional[ManufacturedSphere] = None
 
     def initial_fields(self, mesh: SurfaceMesh):
-        """Nodal initial data: exact values at the nodes when available."""
+        """Nodal initial u: exact values at the nodes when available."""
         if self.exact is not None:
-            _, u0, _ = exact_solution(self.exact, mesh.coords / self.exact.r0, 0.0)
-            return u0, None
-        return np.zeros(mesh.num_nodes), None
+            return exact_solution(self.exact, mesh.coords / self.exact.r0, 0.0)[1]
+        return np.zeros(mesh.num_nodes)
 
 
 def example1_problem(alpha=1.0, beta=0.0, delta=0.4, r0=1.0, rK=2.0, k=0.5) -> ProblemSpec:
@@ -215,11 +209,6 @@ def example1_problem(alpha=1.0, beta=0.0, delta=0.4, r0=1.0, rK=2.0, k=0.5) -> P
         velocity_forcing=g,
         exact=sphere,
     )
-
-
-def example3_problem(alpha, beta, r0=1.0, rK=2.0, k=0.5) -> ProblemSpec:
-    """Regularization comparison: same expanding sphere, no field coupling."""
-    return example1_problem(alpha=alpha, beta=beta, delta=0.0, r0=r0, rK=rK, k=k)
 
 
 def tumor_problem(alpha, beta, delta, kinetics: Optional[TumorKinetics] = None) -> ProblemSpec:

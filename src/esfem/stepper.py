@@ -54,10 +54,8 @@ class StepperConfig:
     tau: float
     t_end: float
     solver: str = DIRECT
-    abort_min_angle: float = 5.0
     normal_coupling: str = "nodal"
     loads_on: str = "old"
-    snapshot_every: int = 1
 
     CHOICES = {"solver": (DIRECT, CG), "normal_coupling": ("nodal", "interpolated"),
                "loads_on": ("old", "new")}
@@ -75,27 +73,19 @@ class StepperConfig:
 # The field solves share the cap.
 CG_TOL = 1e-12
 CG_MAX_ITER = 10000
-
+# A step whose surface has a triangle angle below this many degrees raises
+# MeshDegenerated.
+ABORT_MIN_ANGLE = 5.0
 
 # A lagged velocity solve that has not converged within this many blocked
-# PCG iterations refactors.  Measured with the first step's factor held
-# throughout and every solve started from the extrapolated surface,
-# example1's velocity solves took 1.8 iterations on average (2 at most) at
-# level 4 over 440 steps and 2.2 (3 at most) at level 3 over its full 368
-# steps, and the level-3 tumor run's took 1.9 (2 at most) over 5000 steps,
-# with no refactor.  At level 4 one iteration (1.1 ms for three columns)
-# costs about 1/16 of a factorization (17 ms), so a stale factor wastes at
-# most two factorizations' time before it is replaced.
+# PCG iterations refactors: a stale factor then costs at most about two
+# factorizations' time (the measured counts are in CHANGES.md).
 LAG_MAX_ITER = 30
-# Relative residual of a lagged velocity solve and of a field solve.
-# Against a fresh factorization every step, example1's error norms at
-# level 4 (43 steps) moved at most 1.1e-7 relative at 1e-12, 4.8e-9 at
-# 1e-13 and 9.2e-11 at 1e-14; at level 3 over its full horizon 3.8e-11.  A
-# different SuperLU column ordering alone moves them by up to 4.1e-9.  PCG
-# starts from a guess corrected by the held factor, and a field CG from the
-# previous field, so its rounding scales with that start's residual:
-# started from zero, a stationary level-2 surface drifted 8.9e-12 in 1000
-# steps instead of 5.5e-14 (criterion 5 allows 1e-12).
+# Relative residual of a lagged velocity solve and of a field solve: the
+# held factor moves example1's error norms far less than a different
+# SuperLU ordering does.  Both start from a guess of the solution, so the
+# rounding scales with that start's residual and a still surface stays
+# still to criterion 5's 1e-12 (CHANGES.md).
 LAG_TOL = 1e-14
 
 
@@ -178,7 +168,7 @@ class LaggedFactor:
 def _jacobi_cg(matrix, rtol, x0=None):
     """solve(rhs, start=None) by Jacobi-preconditioned CG per column to
     relative residual ``rtol``, from ``x0`` (shaped like rhs) or from zero;
-    the call's ``start`` is not used (see make_solver)."""
+    the call's ``start`` is ignored (see make_solver)."""
     matrix = matrix.tocsr()
     inv_diag = 1.0 / matrix.diagonal()
     precond = spla.LinearOperator(matrix.shape, matvec=lambda r: inv_diag * r)
@@ -200,30 +190,17 @@ def _jacobi_cg(matrix, rtol, x0=None):
     return solve
 
 
-def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = None,
-                start=None):
-    """solve(rhs, start=None) for an SPD sparse matrix and (N,) or (N, k)
-    right-hand sides.
+def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = None):
+    """solve(rhs, start=None) for the velocity system and (N,) or (N, k)
+    right-hand sides; the call's ``start`` is a guess of the solution.
 
-    A field system (M + tau A, M + tau D_c A) is passed with the previous
-    field as ``start``: tau ~ h^2 keeps it mass-dominated, so under either
-    solver it is solved by Jacobi-CG from ``start`` to LAG_TOL, in 8-11
-    iterations on example1 at levels 1-4 and 14 on average in the level-3
-    tumor run.  ``config.solver`` chooses only the velocity solve, whose
-    callers pass a guess of the solution as the call's ``start``: the
-    extrapolated surface x + tau v for the regularized laws, the old
-    velocity for the dynamic one.  The direct solver goes through
-    ``factor``, which the caller keeps across steps to reuse its
-    factorization (without one the matrix is factored fresh), and its
-    lagged PCG starts from the guess; that halves its factor applications.
-    The cg solver is Jacobi-CG from zero to CG_TOL, ignoring ``factor`` and
-    the guess by design: started from the guess it took half the iterations,
-    but it moved example1's level-4 v error norms 1.05e-8 relative from the
-    direct solver's (1.07e-8 still at CG_TOL = 1e-13), past the 1e-8 that
-    the two solvers are held to.
+    The direct solver goes through ``factor``, which the caller keeps across
+    steps to reuse its factorization (without one the matrix is factored
+    fresh), and its lagged PCG starts from the guess.  The cg solver is
+    Jacobi-CG from zero to CG_TOL, ignoring ``factor`` and the guess by
+    design: started from the guess it moved example1's v error norms past
+    the 1e-8 that the two solvers are held to (CHANGES.md).
     """
-    if start is not None:
-        return _jacobi_cg(matrix, LAG_TOL, start)
     if config.solver == DIRECT:
         return (factor if factor is not None else LaggedFactor()).solver(matrix)
     return _jacobi_cg(matrix, CG_TOL)
@@ -243,14 +220,18 @@ def _velocity_load(spec, mesh, u, t, config):
 
 
 def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config):
-    """PDE step(s) on the new surface, each field solve started from the
-    old field; returns (u_new, w_new)."""
+    """PDE step(s) on the new surface; returns (u_new, w_new).
+
+    tau ~ h^2 keeps each field system (M + tau A, M + tau D_c A)
+    mass-dominated, so under either solver it is solved by Jacobi-CG to
+    LAG_TOL, started from the old field.
+    """
     tau, t_new = config.tau, state.t + config.tau
-    solve_u = make_solver(assembly.add_scaled(mass_new, tau, stiff_new), config, start=state.u)
+    solve_u = _jacobi_cg(assembly.add_scaled(mass_new, tau, stiff_new), LAG_TOL, state.u)
     kin = spec.kinetics
     if kin is not None:
-        solve_w = make_solver(assembly.add_scaled(mass_new, tau * kin.D_c, stiff_new), config,
-                              start=state.w)
+        solve_w = _jacobi_cg(assembly.add_scaled(mass_new, tau * kin.D_c, stiff_new), LAG_TOL,
+                             state.w)
         return problems.kinetics_step(kin, mesh_new, mass_old, state.u, state.w, tau,
                                       solve_u, solve_w, t_new)
     load = np.zeros(mesh_new.num_nodes)
@@ -270,13 +251,13 @@ def _check_finite(t, **fields):
 def _new_surface(mesh, x, t, config):
     """The surface at node vector x, checked once: NonFiniteState for a
     non-finite x, MeshDegenerated with its own quality for an angle below
-    the abort bound, a collapsed triangle, or a surface shrunk towards a
+    ABORT_MIN_ANGLE, a collapsed triangle, or a surface shrunk towards a
     point until its mass matrix vanishes beneath the rounding of tau A
     (an area below 1e-14 tau), where the field systems are singular."""
     _check_finite(t, x=x)
     mesh_new = mesh.with_coords(x.reshape(-1, 3))
     quality = mesh_quality(mesh_new)
-    if quality.min_angle_deg < config.abort_min_angle or mesh_new.degenerate \
+    if quality.min_angle_deg < ABORT_MIN_ANGLE or mesh_new.degenerate \
             or quality.min_area < 1e-14 * config.tau:
         raise MeshDegenerated(t, quality)
     return mesh_new
@@ -356,10 +337,7 @@ def step_dynamic(state: SystemState, spec, config: StepperConfig, matrices=None,
 
 def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None, v0=None) -> SystemState:
     """Build the starting state; fields default to the exact nodal data."""
-    if u0 is None:
-        u0, w_default = spec.initial_fields(mesh0)
-        w0 = w0 if w0 is not None else w_default
-    u0 = np.asarray(u0, dtype=float)
+    u0 = np.asarray(spec.initial_fields(mesh0) if u0 is None else u0, dtype=float)
     x0 = mesh0.node_vector
     v0 = np.zeros_like(x0) if v0 is None else np.asarray(v0, dtype=float)
     return SystemState(t=0.0, x=x0, u=u0, v=v0, mesh=mesh0,
@@ -367,32 +345,24 @@ def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None, v0=None) -> System
 
 
 def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
-        start: Optional[SystemState] = None):
-    """Advance from t=0 to t_end with uniform steps; returns the trajectory.
+        start: Optional[SystemState] = None) -> SystemState:
+    """Advance from t=0 to t_end with uniform steps; returns the final state.
 
-    t_end/tau must be an integer to 1e-9.  Observers are called
-    synchronously as observer(step_index, state) for the initial state and
-    after every step; they must not mutate the state.  The velocity system
-    keeps its factorization for the whole run (one LaggedFactor); the field
-    systems are solved by Jacobi-CG started from the previous field.  On mesh
-    degeneration the partial trajectory is attached to the raised error.
+    t_end/tau must be an integer to 1e-9.  Observers are the view of the
+    intermediate states: they are called synchronously as
+    observer(step_index, state) for the initial state and after every step,
+    and must not mutate the state.  The velocity system keeps its
+    factorization for the whole run (one LaggedFactor).
     """
     n_steps = problems.step_count(config.t_end, config.tau, "t_end/tau")
 
     state = start if start is not None else initial_state(spec, mesh0)
     step = step_dynamic if spec.law.variant == problems.DYNAMIC else step_coupled
-    trajectory = [state]
     for obs in observers:
         obs(0, state)
     matrices, factor = None, LaggedFactor()
     for n in range(1, n_steps + 1):
-        try:
-            state, matrices = step(state, spec, config, matrices, factor)
-        except MeshDegenerated as err:
-            err.partial_trajectory = trajectory
-            raise
+        state, matrices = step(state, spec, config, matrices, factor)
         for obs in observers:
             obs(n, state)
-        if n == n_steps or (config.snapshot_every > 0 and n % config.snapshot_every == 0):
-            trajectory.append(state)
-    return trajectory
+    return state

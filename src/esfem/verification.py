@@ -238,8 +238,13 @@ def matrix_derivative_ratio(level: int = 2, times=(0.0, 0.4, 0.8), seed: int = 3
 
 
 def verify_suite(level: int = 2, seed: int = 0, theta_points: int = 8):
-    """Run every check and return the list of CheckResult records."""
+    """Run every check and return the list of CheckResult records;
+    ValueError for a level without a recorded area-defect bound."""
     golden = load_golden_bounds()
+    recorded = golden["sphere_area_defect_rel"]
+    if str(level) not in recorded:
+        raise ValueError(f"verify has area-defect bounds recorded for levels "
+                         f"{', '.join(recorded)} only, got level {level}")
     rng = np.random.Generator(np.random.Philox(seed))
     mesh = generate_icosphere(level, 1.0)
     n = mesh.num_nodes
@@ -264,7 +269,7 @@ def verify_suite(level: int = 2, seed: int = 0, theta_points: int = 8):
     results.append(_result("closed_surface_normal_sum", ident["normal_sum_over_area"], 1e-12))
     results.append(_result(
         "sphere_area_defect", ident["area_defect_rel"],
-        golden["sphere_area_defect_rel"][str(level)], provenance="recorded"))
+        recorded[str(level)], provenance="recorded"))
 
     ident_next = check_sphere_identities(level + 1)
     ratio = ident_next["laplace_coordinate_residual"] / ident["laplace_coordinate_residual"]

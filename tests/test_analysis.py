@@ -132,7 +132,9 @@ class TestScaledNorms:
         spec = problems.example1_problem(r0=r0)
         mesh0 = mesh.generate_icosphere(2, r0)
         tau = experiments.step_size_for(mesh0, 0.2)
-        trajectory = stepper.run(spec, mesh0, stepper.StepperConfig(tau=tau, t_end=0.2))
+        trajectory = []
+        stepper.run(spec, mesh0, stepper.StepperConfig(tau=tau, t_end=0.2),
+                    observers=[lambda i, state: trajectory.append(state)])
         assert len(trajectory) >= 10
         scaled = analysis.error_norms(trajectory, spec)
         oracle = reassembled_norms(spec, trajectory)

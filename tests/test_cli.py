@@ -2,11 +2,12 @@ import csv
 import inspect
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esfem import assembly, cli, experiments, mesh, problems, verification
+from esfem import analysis, assembly, cli, experiments, mesh, problems, verification
 
 # The fields each experiment's run reads; every experiment also reads out
 # and dump_matrices.
@@ -20,7 +21,7 @@ ROWS = {
 ROWS = {experiment: row.split() for experiment, row in ROWS.items()}
 ENTRY_POINTS = {
     "example1": (experiments, "example1_study"),
-    "example3": (experiments, "example3_study"),
+    "example3": (experiments, "example1_study"),
     "tumor": (experiments, "tumor_experiment"),
     "verify": (verification, "verify_suite"),
 }
@@ -29,10 +30,13 @@ DEFAULTS = {name: default for _, row in cli.EXPERIMENTS.values() for name, defau
 # runs a driver, and the driver's name for a field where it differs
 DRIVERS = {
     "example1": (experiments.example1_study,),
-    "example3": (experiments.example3_study,),
+    "example3": (experiments.example1_study,),
     "tumor": (experiments.tumor_experiment, problems.TumorKinetics),
 }
 DRIVER_NAMES = {"rk": "rK", "d_c": "D_c"}
+# fields whose default an experiment sets itself: example3 runs example1's
+# study over its own, longer horizon
+OWN_DEFAULTS = {"example3": {"t_end"}}
 
 
 class Reached(Exception):
@@ -116,7 +120,8 @@ class TestConfigRoundTrip:
                     for name, param in inspect.signature(driver).parameters.items()
                     if param.default is not param.empty}
         row = cli.EXPERIMENTS[experiment][1]
-        shared = [name for name in row if DRIVER_NAMES.get(name, name) in declared]
+        shared = [name for name in row if DRIVER_NAMES.get(name, name) in declared
+                  and name not in OWN_DEFAULTS.get(experiment, ())]
         assert len(shared) >= 5
         for name in shared:
             assert row[name] == declared[DRIVER_NAMES.get(name, name)], name
@@ -216,6 +221,18 @@ class TestMainContracts:
             final = (out / "surface_final.vtk").read_bytes()
             outputs.append((summary, surface, final))
         assert outputs[0] == outputs[1]
+
+    def test_example3_arms_have_no_field_coupling(self, tmp_path, monkeypatch, capsys):
+        arms = []
+
+        def study(**kwargs):
+            arms.append((kwargs["alpha"], kwargs["beta"], kwargs["delta"], kwargs["t_end"]))
+            return analysis.ErrorReport()
+
+        monkeypatch.setattr(experiments, "example1_study", study)
+        assert cli.main(["example3", "--out", str(tmp_path / "o")]) == cli.EXIT_DEGENERATED
+        assert arms == [(1.0, 0.0, 0.0, 2.0), (0.0, 1.0, 0.0, 2.0)]
+        capsys.readouterr()
 
     def test_example3_writes_both_arms(self, tmp_path):
         out = tmp_path / "cmp"
@@ -408,19 +425,28 @@ class TestDumpMatrices:
 
 def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
     from esfem import stepper
-    real = stepper.make_solver
-
-    def nan_field_solver(matrix, config, factor=None, start=None):
-        solve = real(matrix, config, factor, start)
-        return lambda rhs, start=None: (solve(rhs, start=start) if rhs.ndim == 2
-                                        else rhs * float("nan"))
-
-    monkeypatch.setattr(stepper, "make_solver", nan_field_solver)
+    # the field solves; the default direct velocity solve does not use it
+    monkeypatch.setattr(stepper, "_jacobi_cg",
+                        lambda *args: lambda rhs, start=None: rhs * float("nan"))
     code = cli.main(["example1", "--levels", "1..1", "--tau-c", "0.5",
                      "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NONFINITE == 5
     err = capsys.readouterr().err
     assert "non-finite u" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # a stiff reaction overflows in the pre-relaxation; a huge coupling
+    # flings the surface out until its forcing overflows
+    ["tumor", "--level", "1", "--gamma", "1e6", "--t-end", "0.002"],
+    ["example1", "--levels", "1", "--t-end", "0.05", "--delta", "1e300"],
+])
+def test_non_finite_integrand_exit_code_five(argv, tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main([*argv, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NONFINITE == 5
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: integrand non-finite") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,6 +460,7 @@ def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
     ["tumor", "--tau", "0"],
     ["tumor", "--t-end", "-1"],
     ["tumor", "--export-every", "-3"],
+    ["verify", "--level", "0"],
 ])
 def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     # the value parses; the library's own range check rejects it

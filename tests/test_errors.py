@@ -36,7 +36,7 @@ def test_every_library_error_has_an_example():
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_round_trips_through_pickle(cls, protocol):
     err = EXAMPLES[cls]()
-    err.partial_trajectory = ["kept"]  # attributes set after raising travel too
+    err.note = ["kept"]  # attributes set after raising travel too
     again = pickle.loads(pickle.dumps(err, protocol=protocol))
     assert type(again) is cls
     assert str(again) == str(err) and again.args == err.args

@@ -168,20 +168,20 @@ class TestTumorKinetics:
     def test_steady_state_annihilates(self):
         kin = problems.TumorKinetics()
         u, w = kin.steady_state()
-        f1, f2 = problems.tumor_kinetics(kin, u, w)
+        f1, f2 = kin.f1(u, w), kin.f2(u, w)
         assert abs(f1) <= 1e-13
         assert abs(f2) <= 1e-13
 
     def test_reference_parameter_point(self):
         kin = problems.TumorKinetics(gamma=100.0, a=0.1, b=0.9)
         # (1, 0.9) is the steady state for these parameters
-        f1, f2 = problems.tumor_kinetics(kin, 1.0, 0.9)
+        f1, f2 = kin.f1(1.0, 0.9), kin.f2(1.0, 0.9)
         assert f1 == pytest.approx(0.0, abs=1e-12)
         assert f2 == pytest.approx(0.0, abs=1e-12)
 
     def test_origin_values(self):
         kin = problems.TumorKinetics()
-        f1, f2 = problems.tumor_kinetics(kin, 0.0, 0.0)
+        f1, f2 = kin.f1(0.0, 0.0), kin.f2(0.0, 0.0)
         assert f1 == pytest.approx(kin.gamma * kin.a, rel=1e-15)
         assert f2 == pytest.approx(kin.gamma * kin.b, rel=1e-15)
 
@@ -190,7 +190,7 @@ class TestTumorKinetics:
         rng = np.random.Generator(np.random.Philox(4))
         u = rng.uniform(0, 3, 50)
         w = rng.uniform(0, 3, 50)
-        f1, f2 = problems.tumor_kinetics(kin, u, w)
+        f1, f2 = kin.f1(u, w), kin.f2(u, w)
         assert np.allclose(f1 + f2, kin.gamma * (kin.a + kin.b - u), rtol=1e-12)
 
 
@@ -244,15 +244,9 @@ class TestProblemSpecs:
     def test_initial_fields_from_exact_solution(self):
         spec = problems.example1_problem()
         m = mesh.generate_icosphere(1, 1.0)
-        u0, w0 = spec.initial_fields(m)
+        u0 = spec.initial_fields(m)
         expected = m.coords[:, 0] * m.coords[:, 1]
         assert np.allclose(u0, expected, rtol=1e-14)
-        assert w0 is None
-
-    def test_example3_has_no_field_coupling(self):
-        spec = problems.example3_problem(1.0, 0.0)
-        assert spec.law.delta == 0.0
-        assert spec.exact is not None
 
     def test_tumor_problem_wires_kinetics(self):
         spec = problems.tumor_problem(0.0, 0.01, 0.01)

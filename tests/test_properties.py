@@ -99,7 +99,7 @@ def test_two_column_load_equals_two_single_loads(level, seed):
     w = rng.uniform(0.5, 1.5, m.num_nodes)
     kin = problems.TumorKinetics()
     both = assembly.assemble_scalar_load(
-        m, lambda x, uq, t, wq: np.stack(problems.tumor_kinetics(kin, uq, wq), axis=-1),
+        m, lambda x, uq, t, wq: np.stack((kin.f1(uq, wq), kin.f2(uq, wq)), axis=-1),
         u=u, extra_fields=(w,))
     assert both.shape == (m.num_nodes, 2)
     for col, f in enumerate((kin.f1, kin.f2)):

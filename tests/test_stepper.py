@@ -27,7 +27,7 @@ class TestStepCoupled:
     def test_static_surface_conserves_mass(self):
         m0 = mesh.generate_icosphere(2, 1.0)
         spec = quiescent_spec()
-        cfg = stepper.StepperConfig(tau=5e-3, t_end=1.0, snapshot_every=0)
+        cfg = stepper.StepperConfig(tau=5e-3, t_end=1.0)
         rng = np.random.Generator(np.random.Philox(1))
         u0 = rng.standard_normal(m0.num_nodes)
         mass = assembly.assemble_mass(m0)
@@ -78,10 +78,10 @@ class TestStepDynamic:
     def test_zero_velocity_zero_forcing_freezes(self):
         m0 = mesh.generate_icosphere(1, 1.0)
         spec = problems.ProblemSpec(law=problems.VelocityLaw(problems.DYNAMIC, 1.0))
-        cfg = stepper.StepperConfig(tau=0.05, t_end=0.5, snapshot_every=0)
-        traj = stepper.run(spec, m0, cfg)
-        assert np.array_equal(traj[-1].x, traj[0].x)
-        assert np.all(traj[-1].v == 0.0)
+        cfg = stepper.StepperConfig(tau=0.05, t_end=0.5)
+        final = stepper.run(spec, m0, cfg)
+        assert np.array_equal(final.x, m0.node_vector)
+        assert np.all(final.v == 0.0)
 
     def test_velocity_norm_contracts_per_step(self):
         # backward Euler on the frozen-matrix system is dissipative in the
@@ -148,9 +148,8 @@ class TestTwoSpeciesStepping:
         ones = np.ones(m0.num_nodes)
         tot_u0 = float(ones @ (mass @ u0))
         tot_w0 = float(ones @ (mass @ w0))
-        cfg = stepper.StepperConfig(tau=1e-3, t_end=0.05, snapshot_every=0)
-        traj = stepper.run(spec, m0, cfg, start=state)
-        final = traj[-1]
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=0.05)
+        final = stepper.run(spec, m0, cfg, start=state)
         mass_end = assembly.assemble_mass(final.mesh)
         # beta > 0 moves the surface; rescale is not exact, so compare only
         # when the surface barely moved over the short horizon
@@ -168,10 +167,10 @@ class TestTwoSpeciesStepping:
         us, ws = kin.steady_state()
         state = stepper.initial_state(spec, m0, u0=np.full(m0.num_nodes, us),
                                       w0=np.full(m0.num_nodes, ws))
-        cfg = stepper.StepperConfig(tau=1e-3, t_end=0.02, snapshot_every=0)
-        traj = stepper.run(spec, m0, cfg, start=state)
-        assert np.abs(traj[-1].u - us).max() <= 1e-9
-        assert np.abs(traj[-1].w - ws).max() <= 1e-9
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=0.02)
+        final = stepper.run(spec, m0, cfg, start=state)
+        assert np.abs(final.u - us).max() <= 1e-9
+        assert np.abs(final.w - ws).max() <= 1e-9
 
 
 class TestRun:
@@ -185,32 +184,26 @@ class TestRun:
     def test_observers_see_every_step(self):
         m0 = mesh.generate_icosphere(0, 1.0)
         spec = quiescent_spec()
-        cfg = stepper.StepperConfig(tau=0.1, t_end=1.0, snapshot_every=0)
+        cfg = stepper.StepperConfig(tau=0.1, t_end=1.0)
         seen = []
-        stepper.run(spec, m0, cfg, observers=(lambda i, s: seen.append((i, s.t)),))
+        final = stepper.run(spec, m0, cfg, observers=(lambda i, s: seen.append((i, s)),))
         assert [i for i, _ in seen] == list(range(11))
-        assert seen[-1][1] == pytest.approx(1.0, abs=1e-12)
+        assert seen[-1][1].t == pytest.approx(1.0, abs=1e-12)
+        assert final is seen[-1][1]
 
-    def test_snapshot_thinning(self):
-        m0 = mesh.generate_icosphere(0, 1.0)
-        spec = quiescent_spec()
-        cfg = stepper.StepperConfig(tau=0.1, t_end=1.0, snapshot_every=3)
-        traj = stepper.run(spec, m0, cfg)
-        # initial, steps 3, 6, 9, and the final step
-        assert [round(s.t, 10) for s in traj] == [0.0, 0.3, 0.6, 0.9, 1.0]
-
-    def test_degeneration_carries_time_and_partial_trajectory(self):
+    def test_degeneration_time_follows_the_last_observed_step(self, monkeypatch):
         # squeeze the equator inward: anisotropic motion degrades the angles
+        monkeypatch.setattr(stepper, "ABORT_MIN_ANGLE", 30.0)
         m0 = mesh.generate_icosphere(1, 1.0)
         spec = problems.ProblemSpec(
             law=problems.VelocityLaw(problems.ELLIPTIC, 0.05),
             velocity_forcing=lambda x, t: -8.0 * (1.0 - (x[:, 2] / np.linalg.norm(x, axis=1)) ** 2),
         )
-        cfg = stepper.StepperConfig(tau=0.02, t_end=2.0, abort_min_angle=30.0)
+        cfg = stepper.StepperConfig(tau=0.02, t_end=2.0)
+        seen = []
         with pytest.raises(MeshDegenerated) as info:
-            stepper.run(spec, m0, cfg)
-        assert 0.0 < info.value.time <= 2.0
-        assert len(info.value.partial_trajectory) >= 1
+            stepper.run(spec, m0, cfg, observers=(lambda i, s: seen.append((i, s.t)),))
+        assert 0.0 < info.value.time == seen[-1][1] + cfg.tau < 2.0
 
     def test_surface_shrunk_towards_a_point_degenerates(self):
         # every angle is fine, but areas of 1e-19 vanish beneath the
@@ -237,22 +230,22 @@ class TestRun:
         monkeypatch.setattr(stepper, "_regularized_velocity", collapsing)
         tau = 1e-3
         cfg = stepper.StepperConfig(tau=tau, t_end=10 * tau)
+        seen = []
         with pytest.raises(MeshDegenerated) as info:
-            stepper.run(problems.example1_problem(), mesh.generate_icosphere(1, 1.0), cfg)
+            stepper.run(problems.example1_problem(), mesh.generate_icosphere(1, 1.0), cfg,
+                        observers=(lambda i, s: seen.append(i),))
         err = info.value
         assert err.quality.min_area == 0.0
         assert err.time == tau
-        assert len(err.partial_trajectory) == 1
+        assert seen == [0]
 
     def test_solver_choice_changes_nothing(self):
         spec = problems.example1_problem()
         m0 = mesh.generate_icosphere(2, 1.0)
         results = {}
         for solver in (stepper.DIRECT, stepper.CG):
-            cfg = stepper.StepperConfig(tau=2e-3, t_end=0.05, solver=solver,
-                                        snapshot_every=0)
-            traj = stepper.run(spec, m0, cfg)
-            results[solver] = traj[-1]
+            cfg = stepper.StepperConfig(tau=2e-3, t_end=0.05, solver=solver)
+            results[solver] = stepper.run(spec, m0, cfg)
         a, b = results[stepper.DIRECT], results[stepper.CG]
         scale = np.abs(a.x).max()
         assert np.abs(a.x - b.x).max() <= 1e-8 * scale
@@ -270,15 +263,17 @@ class TestRun:
 
     @pytest.mark.parametrize("nan_rhs_ndim, field", [(1, "u"), (2, "x")])
     def test_non_finite_state_raised_at_its_step(self, monkeypatch, nan_rhs_ndim, field):
-        # velocity solves take (N, 3) right-hand sides, the field solve (N,)
-        real = stepper.make_solver
+        # the velocity solve (make_solver) takes (N, 3) right-hand sides, the
+        # field solve (_jacobi_cg) (N,)
+        def nan_solves(real):
+            def solver(*args):
+                solve = real(*args)
+                return lambda rhs, start=None: (rhs * np.nan if rhs.ndim == nan_rhs_ndim
+                                                else solve(rhs, start=start))
+            return solver
 
-        def nan_solver(matrix, config, factor=None, start=None):
-            solve = real(matrix, config, factor, start)
-            return lambda rhs, start=None: (rhs * np.nan if rhs.ndim == nan_rhs_ndim
-                                            else solve(rhs, start=start))
-
-        monkeypatch.setattr(stepper, "make_solver", nan_solver)
+        for name in ("make_solver", "_jacobi_cg"):
+            monkeypatch.setattr(stepper, name, nan_solves(getattr(stepper, name)))
         tau = 1e-3
         cfg = stepper.StepperConfig(tau=tau, t_end=10 * tau)
         with pytest.raises(NonFiniteState) as info:
@@ -329,8 +324,7 @@ class TestFactorReuse:
         lagged, lagged_final = experiments.run_level(spec, level, 0.1)
         real = stepper.make_solver
         monkeypatch.setattr(stepper, "make_solver",
-                            lambda matrix, config, factor=None, start=None:
-                            real(matrix, config, start=start))
+                            lambda matrix, config, factor=None: real(matrix, config))
         fresh, fresh_final = experiments.run_level(spec, level, 0.1)
         for name in ("x", "u"):
             a, b = getattr(lagged_final, name), getattr(fresh_final, name)
@@ -344,9 +338,9 @@ class TestFactorReuse:
         m0 = mesh.generate_icosphere(2, 1.0)
         rng = np.random.Generator(np.random.Philox(5))
         spec = quiescent_spec()
-        cfg = stepper.StepperConfig(tau=1e-3, t_end=0.3, snapshot_every=0)
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=0.3)
         start = stepper.initial_state(spec, m0, u0=rng.standard_normal(m0.num_nodes))
-        final = stepper.run(spec, m0, cfg, start=start)[-1]
+        final = stepper.run(spec, m0, cfg, start=start)
         assert np.abs(final.x - m0.node_vector).max() <= 5e-13
 
     def test_stale_factor_refactors_once(self, monkeypatch):
@@ -393,8 +387,8 @@ class TestFactorReuse:
         spec = problems.example1_problem()
         m0 = mesh.generate_icosphere(2, 1.0)
         tau = 1e-3
-        cfg = stepper.StepperConfig(tau=tau, t_end=4 * tau, snapshot_every=0)
-        expected = stepper.run(spec, m0, cfg)[-1]
+        cfg = stepper.StepperConfig(tau=tau, t_end=4 * tau)
+        expected = stepper.run(spec, m0, cfg)
         calls = count_factorizations(monkeypatch)
         state, matrices = stepper.initial_state(spec, m0), None
         factor = stepper.LaggedFactor()
@@ -407,11 +401,11 @@ class TestFactorReuse:
         # one held factor (velocity) and two warm-started field CGs (u, w);
         # neither the factor nor a field start outlives its run
         spec = problems.tumor_problem(0.0, 0.01, 0.01)
-        cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-2, snapshot_every=0)
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-2)
 
         def final(level):
             m0 = mesh.generate_icosphere(level, 1.0)
-            return stepper.run(spec, m0, cfg, start=seeded_two_species_start(spec, m0, 7))[-1]
+            return stepper.run(spec, m0, cfg, start=seeded_two_species_start(spec, m0, 7))
 
         first = final(2)
         final(1)
@@ -568,21 +562,21 @@ class TestWarmStart:
         monkeypatch.setattr(stepper.LaggedFactor, "_lagged_solve", lagged)
         m0 = mesh.generate_icosphere(level, 1.0)
         tau = experiments.step_size_for(m0, t_end)
-        cfg = stepper.StepperConfig(tau=tau, t_end=t_end, snapshot_every=0)
+        cfg = stepper.StepperConfig(tau=tau, t_end=t_end)
         stepper.run(problems.example1_problem(), m0, cfg)
         assert len(held) == 1 and len(solves) == round(t_end / tau) - 1
         assert len(held[0].widths) <= bound * len(solves)
 
 
 def field_system(level=3, seed=8):
-    """M + tau A at tau = 0.1 h^2, a previous field and the next step's
-    right-hand side on a slightly grown sphere."""
+    """A sphere, its M and A, tau = 0.1 h^2, its u system M + tau A and a
+    previous field."""
     m0 = mesh.generate_icosphere(level, 1.0)
     mass, stiff = assembly.assemble_mass(m0), assembly.assemble_stiffness(m0)
-    system = (mass + 0.1 * m0.h_max ** 2 * stiff).tocsr()
+    tau = 0.1 * m0.h_max ** 2
     rng = np.random.Generator(np.random.Philox(seed))
     u_prev = m0.coords[:, 0] * m0.coords[:, 1] + 0.01 * rng.standard_normal(m0.num_nodes)
-    return system, u_prev, 1.01 * (mass @ u_prev)
+    return m0, mass, stiff, tau, assembly.add_scaled(mass, tau, stiff), u_prev
 
 
 def count_cg_iterations(monkeypatch):
@@ -600,17 +594,20 @@ def count_cg_iterations(monkeypatch):
 class TestFieldSolve:
     @pytest.mark.parametrize("solver", [stepper.DIRECT, stepper.CG])
     def test_reaches_the_relative_residual_without_a_factor(self, monkeypatch, solver):
-        system, u_prev, rhs = field_system()
+        # the field carried on a slightly smaller sphere
+        m0, mass, stiff, tau, system, u_prev = field_system()
+        mass_old = 0.99 * mass
         calls = count_factorizations(monkeypatch)
-        cfg = stepper.StepperConfig(tau=0.1, t_end=1.0, solver=solver)
-        x = stepper.make_solver(system, cfg, start=u_prev)(rhs)
-        assert np.linalg.norm(system @ x - rhs) <= 1e-14 * np.linalg.norm(rhs)
-        assert calls == []
+        cfg = stepper.StepperConfig(tau=tau, t_end=1.0, solver=solver)
+        state = stepper.initial_state(quiescent_spec(), m0, u0=u_prev)
+        u, w = stepper._advance_fields(quiescent_spec(), mass_old, state, m0, mass, stiff, cfg)
+        rhs = mass_old @ u_prev
+        assert np.linalg.norm(system @ u - rhs) <= 1e-14 * np.linalg.norm(rhs)
+        assert calls == [] and w is None
 
     def test_exact_start_returns_without_iterating(self, monkeypatch):
-        system, u_prev, _ = field_system()
+        *_, system, u_prev = field_system()
         iterations = count_cg_iterations(monkeypatch)
-        cfg = stepper.StepperConfig(tau=0.1, t_end=1.0)
-        x = stepper.make_solver(system, cfg, start=u_prev)(system @ u_prev)
+        x = stepper._jacobi_cg(system, stepper.LAG_TOL, u_prev)(system @ u_prev)
         assert np.array_equal(x, u_prev)
         assert iterations == []

@@ -170,3 +170,12 @@ class TestVerifySuite:
         assert provenance["sphere_area_defect"] == "recorded"
         assert provenance["matrix_derivative_mass_ratio"] == "recorded"
         assert provenance["matrix_difference_mass"] == "fixed"
+
+    @pytest.mark.parametrize("level", [0, 6])
+    def test_unrecorded_level_rejected_before_any_check(self, level, monkeypatch):
+        def no_mesh(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verification, "generate_icosphere", no_mesh)
+        with pytest.raises(ValueError, match="levels 1, 2, 3, 4, 5 only"):
+            verify_suite(level=level)
