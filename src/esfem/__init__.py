@@ -1,6 +1,6 @@
 """Finite elements on closed surfaces whose motion is driven by the surface field."""
 
-from .analysis import ErrorAccumulator, ErrorReport, compute_eoc, emit_table, error_norms
+from .analysis import ErrorAccumulator, ErrorReport, compute_eoc, emit_table
 from .assembly import (
     assemble_mass,
     assemble_normal_coupling,
@@ -23,10 +23,8 @@ from .problems import (
     VelocityLaw,
     example1_problem,
     exact_solution,
-    manufactured_forcing,
     tumor_initial_data,
     tumor_problem,
-    velocity_law,
 )
 from .stepper import StepperConfig, SystemState, run, step_coupled, step_dynamic
 

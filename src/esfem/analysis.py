@@ -25,18 +25,6 @@ from .errors import EmptyTrajectory, MissingExactSolution
 from .mesh import SurfaceMesh
 
 
-def interpolated_exact(spec, labels, t):
-    """Exact flow, field and velocity at the initial node labels.
-
-    labels are the unit-sphere points p_j = x_j(0)/r0; returns the nodal
-    vectors (x*, u*, v*) with x*, v* flat node-major.
-    """
-    if spec.exact is None:
-        raise MissingExactSolution("problem has no manufactured solution")
-    x, u, v = problems.exact_solution(spec.exact, labels, t)
-    return x.reshape(-1), u, v.reshape(-1)
-
-
 @dataclass(frozen=True)
 class ErrorNorms:
     """Trajectory error norms (sup over step endpoints, rectangle rule in time)."""
@@ -64,7 +52,7 @@ class ErrorAccumulator:
     def __init__(self, spec, mesh0: SurfaceMesh):
         if spec.exact is None:
             raise MissingExactSolution("problem has no manufactured solution")
-        self.spec = spec
+        self.exact = spec.exact
         self.mass0 = assembly.assemble_mass(mesh0)
         self.stiff0 = assembly.assemble_stiffness(mesh0)
         self.labels = mesh0.coords / spec.exact.r0
@@ -80,8 +68,8 @@ class ErrorAccumulator:
         self.update(step_index, state)
 
     def update(self, step_index, state):
-        x_star, u_star, v_star = interpolated_exact(self.spec, self.labels, state.t)
-        s = float(self.spec.exact.radius(state.t)) / self.spec.exact.r0
+        x_star, u_star, v_star = problems.exact_solution(self.exact, self.labels, state.t)
+        s = float(self.exact.radius(state.t)) / self.exact.r0
 
         def norms(e):
             m, a, _ = assembly.discrete_norms(self.mass0, self.stiff0, 1.0, e)
@@ -94,11 +82,11 @@ class ErrorAccumulator:
             self._u_l2h1_sq += dt * (mu**2 + au**2)
         self._last_t = state.t
 
-        mx, ax = norms(state.x - x_star)
+        mx, ax = norms(state.x - x_star.reshape(-1))
         self._x_linf_h1 = max(self._x_linf_h1, np.sqrt(mx**2 + ax**2))
 
         if step_index > 0:
-            mv, av = norms(state.v - v_star)
+            mv, av = norms(state.v - v_star.reshape(-1))
             self._v_linf_l2 = max(self._v_linf_l2, mv)
             self._v_linf_h1 = max(self._v_linf_h1, np.sqrt(mv**2 + av**2))
         self._count += 1
@@ -113,16 +101,6 @@ class ErrorAccumulator:
             v_linf_h1=self._v_linf_h1,
             x_linf_h1=self._x_linf_h1,
         )
-
-
-def error_norms(trajectory, spec) -> ErrorNorms:
-    """Error norms of a stored trajectory (snapshots at every step)."""
-    if not trajectory:
-        raise EmptyTrajectory("trajectory is empty")
-    acc = ErrorAccumulator(spec, trajectory[0].mesh)
-    for i, state in enumerate(trajectory):
-        acc.update(i, state)
-    return acc.result()
 
 
 def compute_eoc(errors, h_values):

@@ -20,8 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (DegenerateElement, DimensionMismatch, FieldLengthMismatch,
-                     LinearSolveFailure, NonFiniteIntegrand)
+from .errors import DegenerateElement, FieldLengthMismatch, LinearSolveFailure, NonFiniteIntegrand
 from .mesh import MIDPOINT_POINTS, SurfaceMesh, einsum_dot
 
 # Local P1 mass block for a triangle of unit area.
@@ -234,7 +233,7 @@ def discrete_norms(M, A, alpha: float, w) -> tuple[float, float, float]:
     elif w.size == 3 * n:
         cols = w.reshape(-1, 3)
     else:
-        raise DimensionMismatch(f"vector length {w.size} fits neither N={n} nor 3N={3 * n}")
+        raise FieldLengthMismatch(f"vector length {w.size} fits neither N={n} nor 3N={3 * n}")
     m2 = float(np.einsum("ij,ij->", cols, M @ cols))
     a2 = float(np.einsum("ij,ij->", cols, A @ cols))
     m2, a2 = max(m2, 0.0), max(a2, 0.0)

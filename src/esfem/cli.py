@@ -18,7 +18,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import analysis, assembly, experiments, mesh, problems, stepper, verification
-from .errors import LinearSolveFailure, MeshDegenerated, NonFiniteIntegrand, NonFiniteState
+from .errors import (EsfemError, LinearSolveFailure, MeshDegenerated, NonFiniteIntegrand,
+                     NonFiniteState)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -26,8 +27,11 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATED = 3
 EXIT_SOLVER = 4
 EXIT_NONFINITE = 5
+# a run's failures, matched by isinstance; an ArithmeticError is Python's float
+# arithmetic overflowing or dividing by zero in the problem data
 _EXIT_CODES = {MeshDegenerated: EXIT_DEGENERATED, LinearSolveFailure: EXIT_SOLVER,
-               NonFiniteState: EXIT_NONFINITE, NonFiniteIntegrand: EXIT_NONFINITE}
+               NonFiniteState: EXIT_NONFINITE, NonFiniteIntegrand: EXIT_NONFINITE,
+               ArithmeticError: EXIT_NONFINITE}
 
 _COMMON = dict(out="results", dump_matrices=False)
 # the solve options, their allowed values and their defaults are StepperConfig's
@@ -186,27 +190,22 @@ def _warn_failure(level, err):
           "level omitted from the table", file=sys.stderr)
 
 
-def _run_example1(config, out: Path) -> int:
-    report = experiments.example1_study(
-        levels=config.levels, alpha=config.alpha, beta=config.beta,
-        delta=config.delta, r0=config.r0, rK=config.rk, k=config.k,
-        t_end=config.t_end, tau_c=config.tau_c, on_failure=_warn_failure,
-        **_solve_options(config))
-    if not report.levels:
-        return EXIT_DEGENERATED
-    analysis.emit_table(report, out / "table.csv")
-    return EXIT_OK
+# example3's arms, table -> (alpha, beta, delta): no field coupling
+_EXAMPLE3_ARMS = {"table_alpha.csv": (1.0, 0.0, 0.0), "table_beta.csv": (0.0, 1.0, 0.0)}
 
 
-def _run_example3(config, out: Path) -> int:
+def _run_study(config, out: Path) -> int:
+    """One table per arm (example1 has one); exit 3 if no arm completed a level."""
+    arms = _EXAMPLE3_ARMS if config.experiment == "example3" else {
+        "table.csv": (config.alpha, config.beta, config.delta)}
     wrote_any = False
-    for tag, (alpha, beta) in [("alpha", (1.0, 0.0)), ("beta", (0.0, 1.0))]:
+    for table, (alpha, beta, delta) in arms.items():
         report = experiments.example1_study(
-            levels=config.levels, alpha=alpha, beta=beta, delta=0.0, r0=config.r0,
+            levels=config.levels, alpha=alpha, beta=beta, delta=delta, r0=config.r0,
             rK=config.rk, k=config.k, t_end=config.t_end, tau_c=config.tau_c,
             on_failure=_warn_failure, **_solve_options(config))
         if report.levels:
-            analysis.emit_table(report, out / f"table_{tag}.csv")
+            analysis.emit_table(report, out / table)
             wrote_any = True
     return EXIT_OK if wrote_any else EXIT_DEGENERATED
 
@@ -245,8 +244,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     runner = {
-        "example1": _run_example1,
-        "example3": _run_example3,
+        "example1": _run_study,
+        "example3": _run_study,
         "tumor": _run_tumor,
         "verify": _run_verify,
     }[config.experiment]
@@ -257,8 +256,9 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except tuple(_EXIT_CODES) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return _EXIT_CODES[type(exc)]
+        what = exc if isinstance(exc, EsfemError) else f"{type(exc).__name__}: {exc}"
+        print(f"run failed: {what}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

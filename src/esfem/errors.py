@@ -26,19 +26,11 @@ class DegenerateElement(EsfemError):
 
 
 class FieldLengthMismatch(EsfemError):
-    """A nodal field's length does not match the mesh's node count."""
+    """A vector's length does not fit the mesh's node count."""
 
 
 class NonFiniteIntegrand(EsfemError):
     """A load integrand evaluated to NaN or infinity at a quadrature point."""
-
-
-class DimensionMismatch(EsfemError):
-    """Vector/matrix dimensions disagree."""
-
-
-class OffSurface(EsfemError):
-    """A point handed to a manufactured-solution evaluator is not on the expected sphere."""
 
 
 class MissingExactSolution(EsfemError):

@@ -20,42 +20,34 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import assembly
-from .errors import OffSurface
 from .mesh import SurfaceMesh
-
-ELLIPTIC = "regularized_elliptic"
-MCF = "regularized_mcf"
-DYNAMIC = "dynamic"
 
 
 @dataclass(frozen=True)
 class VelocityLaw:
     """Which equation determines the surface velocity, and its parameters.
 
-    alpha  weight of the elliptic regularization (lap v term)
-    beta   weight of the mean curvature term (lap x term)
-    delta  strength of the normal coupling to the surface field
+    alpha    weight of the elliptic regularization (lap v term)
+    beta     weight of the mean curvature term (lap x term)
+    delta    strength of the normal coupling to the surface field
+    dynamic  the velocity itself evolves (step_dynamic); otherwise the
+             regularized law (step_coupled) determines it: an elliptic
+             regularization for beta = 0, mean curvature flow for beta > 0
     """
 
-    variant: str
     alpha: float
     beta: float = 0.0
     delta: float = 0.0
+    dynamic: bool = False
 
     def __post_init__(self):
-        if self.variant not in (ELLIPTIC, MCF, DYNAMIC):
-            raise ValueError(f"unknown velocity law variant: {self.variant!r}")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("alpha and beta must be non-negative")
-        if self.variant != DYNAMIC and self.alpha == 0.0 and self.beta == 0.0:
+        if self.dynamic and self.beta != 0.0:
+            raise ValueError("the dynamic law has no mean curvature term: need beta = 0")
+        if not self.dynamic and self.alpha == 0.0 and self.beta == 0.0:
             # The bare mass matrix would enforce an ill-posed pointwise law.
             raise ValueError("regularized laws need alpha > 0 or beta > 0")
-
-
-def velocity_law(alpha: float, beta: float = 0.0, delta: float = 0.0) -> VelocityLaw:
-    """Pick the regularized variant from the coefficients."""
-    variant = MCF if beta > 0.0 else ELLIPTIC
-    return VelocityLaw(variant, alpha, beta, delta)
 
 
 @dataclass(frozen=True)
@@ -95,33 +87,19 @@ def exact_solution(sphere: ManufacturedSphere, p, t):
 
 
 def _forcing(sphere: ManufacturedSphere, alpha, beta, delta, t, x):
-    """The forcing pair (f, g) at (Q, 3) points x, without the on-surface
-    check: the load closures of time stepping evaluate it on the numerical
-    surface, which carries an O(h^2) radius error."""
+    """Forcing pair (f, g) of the manufactured problem at (Q, 3) points x.
+
+    f = (4 rdot/r - 6 + 6/r^2) u  and  g = rdot + 2 alpha rdot/r^2
+    + 2 beta/r - delta u, with u = x1 x2 exp(-6 t).  The load closures of
+    time stepping evaluate it on the numerical surface, which carries an
+    O(h^2) radius error, so x need not lie on the radius-r(t) sphere.
+    """
     r = float(sphere.radius(t))
     rdot = float(sphere.radius_rate(t))
     u = x[:, 0] * x[:, 1] * np.exp(-6.0 * t)
     f = (4.0 * rdot / r - 6.0 + 6.0 / r**2) * u
     g = rdot + 2.0 * alpha * rdot / r**2 + 2.0 * beta / r - delta * u
     return f, g
-
-
-def manufactured_forcing(sphere: ManufacturedSphere, alpha, beta, delta, t, x):
-    """Forcing pair (f, g) of the manufactured problem at points x on the
-    radius-r(t) sphere.
-
-    f = (4 rdot/r - 6 + 6/r^2) u  and  g = rdot + 2 alpha rdot/r^2
-    + 2 beta/r - delta u, with u = x1 x2 exp(-6 t).  Raises OffSurface when
-    any |x| deviates from r(t) by more than 1e-6 relative; the load
-    closures of ``example1_problem`` evaluate the same formulas without
-    that check.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    r = float(sphere.radius(t))
-    radii = np.sqrt((x**2).sum(axis=1))
-    if np.any(np.abs(radii - r) > 1e-6 * r):
-        raise OffSurface(f"points deviate from the radius-{r:.6g} sphere")
-    return _forcing(sphere, alpha, beta, delta, t, x)
 
 
 @dataclass(frozen=True)
@@ -204,7 +182,7 @@ def example1_problem(alpha=1.0, beta=0.0, delta=0.4, r0=1.0, rK=2.0, k=0.5) -> P
         return _forcing(sphere, alpha, beta, delta, t, x)[1]
 
     return ProblemSpec(
-        law=velocity_law(alpha, beta, delta),
+        law=VelocityLaw(alpha, beta, delta),
         pde_forcing=f,
         velocity_forcing=g,
         exact=sphere,
@@ -214,7 +192,7 @@ def example1_problem(alpha=1.0, beta=0.0, delta=0.4, r0=1.0, rK=2.0, k=0.5) -> P
 def tumor_problem(alpha, beta, delta, kinetics: Optional[TumorKinetics] = None) -> ProblemSpec:
     """Two-species pattern-forming system whose field pushes the surface."""
     return ProblemSpec(
-        law=velocity_law(alpha, beta, delta),
+        law=VelocityLaw(alpha, beta, delta),
         kinetics=kinetics if kinetics is not None else TumorKinetics(),
     )
 
@@ -229,23 +207,20 @@ def step_count(span: float, tau: float, name: str, minimum: int = 1) -> int:
     raise ValueError(f"{name} = {n_steps_f} is not an integer step count >= {minimum}")
 
 
-def tumor_initial_data(
-    mesh: SurfaceMesh,
-    kinetics: TumorKinetics,
-    seed: int,
-    perturbation_bound: float = 0.01,
-    pre_time: float = 5.0,
-    tau_pre: float = 1e-3,
-):
+TAU_PRE = 1e-3
+
+
+def tumor_initial_data(mesh: SurfaceMesh, kinetics: TumorKinetics, seed: int,
+                       perturbation_bound: float = 0.01, pre_time: float = 5.0):
     """Initial fields for the tumor run.
 
     Perturbs the steady state by per-node uniform [0, perturbation_bound]
     noise (counter-based generator, so identical seeds give identical
     fields) and relaxes the pure reaction-diffusion system on the frozen
-    initial surface until ``pre_time`` with a linearly implicit Euler step;
-    pre_time/tau_pre must be a non-negative integer to 1e-9.
+    initial surface until ``pre_time`` with linearly implicit Euler steps
+    of tau_pre = TAU_PRE; pre_time/tau_pre must be an integer >= 0 to 1e-9.
     """
-    n_steps = step_count(pre_time, tau_pre, "pre_time/tau_pre", minimum=0)
+    n_steps = step_count(pre_time, TAU_PRE, "pre_time/tau_pre", minimum=0)
     rng = np.random.Generator(np.random.Philox(seed))
     n = mesh.num_nodes
     u_star, w_star = kinetics.steady_state()
@@ -254,9 +229,9 @@ def tumor_initial_data(
 
     mass = assembly.assemble_mass(mesh)
     stiff = assembly.assemble_stiffness(mesh)
-    solve_u = assembly.factorize(assembly.add_scaled(mass, tau_pre, stiff)).solve
-    solve_w = assembly.factorize(assembly.add_scaled(mass, tau_pre * kinetics.D_c, stiff)).solve
+    solve_u = assembly.factorize(assembly.add_scaled(mass, TAU_PRE, stiff)).solve
+    solve_w = assembly.factorize(assembly.add_scaled(mass, TAU_PRE * kinetics.D_c, stiff)).solve
 
     for _ in range(n_steps):
-        u, w = kinetics_step(kinetics, mesh, mass, u, w, tau_pre, solve_u, solve_w, 0.0)
+        u, w = kinetics_step(kinetics, mesh, mass, u, w, TAU_PRE, solve_u, solve_w, 0.0)
     return u, w

@@ -357,7 +357,7 @@ def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
     n_steps = problems.step_count(config.t_end, config.tau, "t_end/tau")
 
     state = start if start is not None else initial_state(spec, mesh0)
-    step = step_dynamic if spec.law.variant == problems.DYNAMIC else step_coupled
+    step = step_dynamic if spec.law.dynamic else step_coupled
     for obs in observers:
         obs(0, state)
     matrices, factor = None, LaggedFactor()

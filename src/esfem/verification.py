@@ -73,7 +73,7 @@ def check_matrix_difference(mesh_y: SurfaceMesh, e, w, z, theta_points: int = 8)
     assembled directly.  Right sides integrate the corresponding surface
     forms over the blended meshes y + theta e with Gauss-Legendre
     quadrature in theta.  Returns dicts {lhs, rhs, abs_diff, rel} for the
-    mass and stiffness variants; ``rel`` is |lhs-rhs| / (|lhs| + |w||z|).
+    mass and stiffness matrices; ``rel`` is |lhs-rhs| / (|lhs| + |w||z|).
     """
     e = np.asarray(e, dtype=float).reshape(-1)
     w = np.asarray(w, dtype=float)
@@ -153,22 +153,22 @@ def check_transport(path, w, z, s: float = 0.3, eps: float = 1e-3):
             "errors": errors}
 
 
-def check_norm_equivalence(mesh_y: SurfaceMesh, samples: int = 100, seed: int = 0,
-                           e_scale: float = 0.05):
+def check_norm_equivalence(mesh_y: SurfaceMesh, seed: int = 0):
     """Mass-norm growth under node perturbations versus exp(mu/2).
 
-    mu is 1.1 times the largest tangential divergence of the perturbation
-    field sampled over five blended meshes.  Returns the worst ratio/bound
-    excess over ``samples`` random (w, e) pairs (negative means slack).
+    Each node moves by up to 0.05 h per component, and mu is 1.1 times the
+    largest tangential divergence of the perturbation field sampled over
+    five blended meshes.  Returns the worst ratio/bound excess over 100
+    random (w, e) pairs (negative means slack).
     """
     rng = np.random.Generator(np.random.Philox(seed))
     n = mesh_y.num_nodes
     h = mesh_y.h_max
     mass_y = assembly.assemble_mass(mesh_y)
     worst = -np.inf
-    for _ in range(samples):
+    for _ in range(100):
         w = rng.standard_normal(n)
-        e = rng.uniform(-1.0, 1.0, 3 * n) * (e_scale * h)
+        e = rng.uniform(-1.0, 1.0, 3 * n) * (0.05 * h)
         mu = 0.0
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
             mesh_theta = mesh_y.with_coords(mesh_y.coords + theta * e.reshape(-1, 3))
@@ -210,8 +210,9 @@ def check_sphere_identities(level: int, radius: float = 1.0):
     }
 
 
-def matrix_derivative_ratio(level: int = 2, times=(0.0, 0.4, 0.8), seed: int = 3):
-    """Largest |w^T dM/dt z| / (|w|_M |z|_M) along the expanding-sphere flow.
+def matrix_derivative_ratio(level: int = 2, seed: int = 3):
+    """Largest |w^T dM/dt z| / (|w|_M |z|_M) along the expanding-sphere flow,
+    at t = 0, 0.4 and 0.8.
 
     The time derivative is assembled exactly through the transport form.
     The analogous stiffness ratio uses the stiffness seminorms and is
@@ -222,7 +223,7 @@ def matrix_derivative_ratio(level: int = 2, times=(0.0, 0.4, 0.8), seed: int = 3
     rng = np.random.Generator(np.random.Philox(seed))
     n = mesh0.num_nodes
     worst_m = worst_a = 0.0
-    for t in times:
+    for t in (0.0, 0.4, 0.8):
         mesh = mesh0.with_coords(path.position(t))
         vel = path.velocity(t).reshape(-1)
         mass = assembly.assemble_mass(mesh)
@@ -237,7 +238,7 @@ def matrix_derivative_ratio(level: int = 2, times=(0.0, 0.4, 0.8), seed: int = 3
     return {"mass_ratio": worst_m, "stiffness_ratio": worst_a}
 
 
-def verify_suite(level: int = 2, seed: int = 0, theta_points: int = 8):
+def verify_suite(level: int = 2, seed: int = 0):
     """Run every check and return the list of CheckResult records;
     ValueError for a level without a recorded area-defect bound."""
     golden = load_golden_bounds()
@@ -254,11 +255,11 @@ def verify_suite(level: int = 2, seed: int = 0, theta_points: int = 8):
     e = rng.uniform(-1.0, 1.0, 3 * n) * (0.01 * mesh.h_max)
     w = rng.standard_normal(n)
     z = rng.standard_normal(n)
-    res_m, res_a = check_matrix_difference(mesh, e, w, z, theta_points)
+    res_m, res_a = check_matrix_difference(mesh, e, w, z)
     results.append(_result("matrix_difference_mass", res_m["rel"], 1e-8))
     results.append(_result("matrix_difference_stiffness", res_a["rel"], 1e-8))
 
-    excess = check_norm_equivalence(mesh, samples=100, seed=seed + 1)
+    excess = check_norm_equivalence(mesh, seed=seed + 1)
     results.append(_result("norm_equivalence_excess", excess, 1e-6))
 
     path = RadialPath(mesh)

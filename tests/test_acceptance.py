@@ -217,7 +217,7 @@ class TestCriterion4:
 class TestCriterion5:
     def test_conservation_and_stationarity(self):
         m0 = mesh.generate_icosphere(2, 1.0)
-        spec = problems.ProblemSpec(law=problems.velocity_law(1.0, 0.0, 0.0))
+        spec = problems.ProblemSpec(law=problems.VelocityLaw(1.0, 0.0, 0.0))
         rng = np.random.Generator(np.random.Philox(5))
         u0 = rng.standard_normal(m0.num_nodes)
         mass = assembly.assemble_mass(m0)

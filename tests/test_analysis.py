@@ -7,6 +7,21 @@ from esfem import analysis, assembly, experiments, mesh, problems, stepper
 from esfem.errors import EmptyTrajectory, MissingExactSolution
 
 
+def interpolated_exact(spec, labels, t):
+    """The exact flow, field and velocity at the node labels, as flat nodal
+    vectors: what ErrorAccumulator measures the errors against."""
+    x, u, v = problems.exact_solution(spec.exact, labels, t)
+    return x.reshape(-1), u, v.reshape(-1)
+
+
+def accumulated_norms(states, spec):
+    """The error norms of a list of states, in time order from t = 0."""
+    acc = analysis.ErrorAccumulator(spec, states[0].mesh)
+    for i, state in enumerate(states):
+        acc.update(i, state)
+    return acc.result()
+
+
 def make_states(spec, mesh0, times, du=0.0, dx=0.0, dv=0.0):
     """Trajectory whose fields deviate from the exact nodal data by fixed
     multiples of simple patterns (zero deviation = exact trajectory)."""
@@ -21,7 +36,7 @@ def make_states(spec, mesh0, times, du=0.0, dx=0.0, dv=0.0):
         # the real scheme starts from exact nodal data, so the first state
         # is unperturbed (its coordinates define the node labels)
         on = 0.0 if step == 0 else 1.0
-        x_star, u_star, v_star = analysis.interpolated_exact(spec, labels, t)
+        x_star, u_star, v_star = interpolated_exact(spec, labels, t)
         x = x_star + on * dx * pat_x
         states.append(stepper.SystemState(
             t=t, x=x, u=u_star + on * du * pat_u, v=v_star + on * dv * pat_v,
@@ -34,27 +49,27 @@ class TestInterpolatedExact:
 
     def test_time_zero_matches_initial_nodes(self):
         m0 = mesh.generate_icosphere(1, 1.0)
-        x, u, v = analysis.interpolated_exact(self.spec, m0.coords, 0.0)
+        x, u, v = interpolated_exact(self.spec, m0.coords, 0.0)
         assert np.allclose(x, m0.node_vector, rtol=1e-14)
 
     def test_positions_on_the_exact_sphere(self):
         m0 = mesh.generate_icosphere(1, 1.0)
         for t in (0.2, 0.9):
-            x, _, _ = analysis.interpolated_exact(self.spec, m0.coords, t)
+            x, _, _ = interpolated_exact(self.spec, m0.coords, t)
             radii = np.linalg.norm(x.reshape(-1, 3), axis=1)
             assert np.allclose(radii, float(self.spec.exact.radius(t)), rtol=1e-13)
 
     def test_field_values_formula(self):
         m0 = mesh.generate_icosphere(1, 1.0)
         t = 0.4
-        x, u, _ = analysis.interpolated_exact(self.spec, m0.coords, t)
+        x, u, _ = interpolated_exact(self.spec, m0.coords, t)
         pts = x.reshape(-1, 3)
         assert np.allclose(u, pts[:, 0] * pts[:, 1] * np.exp(-6 * t), rtol=1e-13)
 
     def test_missing_exact_solution(self):
-        bare = problems.ProblemSpec(law=problems.velocity_law(1.0))
+        bare = problems.ProblemSpec(law=problems.VelocityLaw(1.0))
         with pytest.raises(MissingExactSolution):
-            analysis.interpolated_exact(bare, np.zeros((4, 3)), 0.0)
+            analysis.ErrorAccumulator(bare, mesh.generate_icosphere(0, 1.0))
         with pytest.raises(MissingExactSolution):
             experiments.run_level(bare, 1, 0.1)
 
@@ -65,7 +80,7 @@ class TestErrorNorms:
     def test_exact_trajectory_has_zero_errors(self):
         m0 = mesh.generate_icosphere(1, 1.0)
         states = make_states(self.spec, m0, [0.0, 0.1, 0.2])
-        norms = analysis.error_norms(states, self.spec)
+        norms = accumulated_norms(states, self.spec)
         assert norms.u_linf_l2 == 0.0
         assert norms.u_l2_h1 == 0.0
         assert norms.v_linf_l2 == 0.0
@@ -74,10 +89,10 @@ class TestErrorNorms:
 
     def test_homogeneity_under_error_doubling(self):
         m0 = mesh.generate_icosphere(1, 1.0)
-        one = analysis.error_norms(
+        one = accumulated_norms(
             make_states(self.spec, m0, [0.0, 0.1, 0.2], du=1e-3, dx=1e-3, dv=1e-3),
             self.spec)
-        two = analysis.error_norms(
+        two = accumulated_norms(
             make_states(self.spec, m0, [0.0, 0.1, 0.2], du=2e-3, dx=2e-3, dv=2e-3),
             self.spec)
         assert two.u_linf_l2 == pytest.approx(2 * one.u_linf_l2, rel=1e-9)
@@ -88,17 +103,18 @@ class TestErrorNorms:
     def test_thinning_never_increases_sup_norms(self):
         m0 = mesh.generate_icosphere(1, 1.0)
         times = [0.05 * i for i in range(9)]
-        full = analysis.error_norms(
+        full = accumulated_norms(
             make_states(self.spec, m0, times, du=1e-3, dx=1e-3, dv=1e-3), self.spec)
-        thin = analysis.error_norms(
+        thin = accumulated_norms(
             make_states(self.spec, m0, times[::2], du=1e-3, dx=1e-3, dv=1e-3), self.spec)
         assert thin.u_linf_l2 <= full.u_linf_l2 + 1e-15
         assert thin.v_linf_h1 <= full.v_linf_h1 + 1e-15
         assert thin.x_linf_h1 <= full.x_linf_h1 + 1e-15
 
     def test_empty_trajectory(self):
+        acc = analysis.ErrorAccumulator(self.spec, mesh.generate_icosphere(0, 1.0))
         with pytest.raises(EmptyTrajectory):
-            analysis.error_norms([], self.spec)
+            acc.result()
 
 
 def reassembled_norms(spec, trajectory):
@@ -108,7 +124,7 @@ def reassembled_norms(spec, trajectory):
     labels = mesh0.coords / spec.exact.r0
     u_linf = u_l2h1_sq = v_linf_l2 = v_linf_h1 = x_linf_h1 = 0.0
     for i, state in enumerate(trajectory):
-        x_star, u_star, v_star = analysis.interpolated_exact(spec, labels, state.t)
+        x_star, u_star, v_star = interpolated_exact(spec, labels, state.t)
         mesh_star = mesh0.with_coords(x_star)
         mass, stiff = assembly.assemble_mass(mesh_star), assembly.assemble_stiffness(mesh_star)
         mu, au, _ = assembly.discrete_norms(mass, stiff, 1.0, state.u - u_star)
@@ -133,10 +149,11 @@ class TestScaledNorms:
         mesh0 = mesh.generate_icosphere(2, r0)
         tau = experiments.step_size_for(mesh0, 0.2)
         trajectory = []
+        acc = analysis.ErrorAccumulator(spec, mesh0)
         stepper.run(spec, mesh0, stepper.StepperConfig(tau=tau, t_end=0.2),
-                    observers=[lambda i, state: trajectory.append(state)])
+                    observers=[lambda i, state: trajectory.append(state), acc])
         assert len(trajectory) >= 10
-        scaled = analysis.error_norms(trajectory, spec)
+        scaled = acc.result()
         oracle = reassembled_norms(spec, trajectory)
         for name in ("u_linf_l2", "u_l2_h1", "v_linf_l2", "v_linf_h1", "x_linf_h1"):
             assert getattr(oracle, name) > 0.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esfem import analysis, assembly, cli, experiments, mesh, problems, verification
+from esfem import analysis, assembly, cli, errors, experiments, mesh, problems, verification
 
 # The fields each experiment's run reads; every experiment also reads out
 # and dump_matrices.
@@ -467,3 +467,38 @@ def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # r**2 underflows to 0.0 in the manufactured forcing: ZeroDivisionError
+    ["example1", "--levels", "1", "--t-end", "0.05", "--rk", "1e-300"],
+    # b / (a + b)**2 in the kinetics' steady state: OverflowError
+    ["tumor", "--level", "1", "--t-end", "0.002", "--a", "1e300"],
+])
+def test_arithmetic_error_exit_code_five(argv, tmp_path, capsys):
+    code = cli.main([*argv, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NONFINITE == 5
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and "Traceback" not in err
+
+
+class _SubclassedFailure(errors.NonFiniteState):
+    """A failure class that _EXIT_CODES names only through its base."""
+
+
+@pytest.mark.parametrize("kind", [*cli._EXIT_CODES, _SubclassedFailure],
+                         ids=lambda kind: kind.__name__)
+def test_every_run_failure_ends_in_its_exit_code(kind, tmp_path, monkeypatch, capsys):
+    documented = {cli.EXIT_DEGENERATED, cli.EXIT_SOLVER, cli.EXIT_NONFINITE}
+    expected = next(code for base, code in cli._EXIT_CODES.items() if issubclass(kind, base))
+    assert expected in documented
+
+    def driver(**kwargs):
+        # built from a message alone, whatever the class's constructor takes
+        raise kind.__new__(kind, "stub failure")
+
+    monkeypatch.setattr(experiments, "example1_study", driver)
+    code = cli.main(["example1", "--out", str(tmp_path / "o")])
+    assert code == expected
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and "stub failure" in err

@@ -10,8 +10,6 @@ EXAMPLES = {
     errors.DegenerateElement: lambda: errors.DegenerateElement(4, 1e-20),
     errors.FieldLengthMismatch: lambda: errors.FieldLengthMismatch("field has 3 entries"),
     errors.NonFiniteIntegrand: lambda: errors.NonFiniteIntegrand("integrand non-finite"),
-    errors.DimensionMismatch: lambda: errors.DimensionMismatch("vector length 5"),
-    errors.OffSurface: lambda: errors.OffSurface("not on the sphere"),
     errors.MissingExactSolution: lambda: errors.MissingExactSolution("no exact solution"),
     errors.EmptyTrajectory: lambda: errors.EmptyTrajectory("no states"),
     errors.MeshDegenerated: lambda: errors.MeshDegenerated(0.5, QualityReport(3.0, 40.0, 1e-4)),
@@ -28,7 +26,10 @@ def all_subclasses(cls):
 
 
 def test_every_library_error_has_an_example():
-    assert all_subclasses(errors.EsfemError) == set(EXAMPLES)
+    # tests may subclass a library error; only the library's own count here
+    library = {cls for cls in all_subclasses(errors.EsfemError)
+               if cls.__module__.split(".")[0] == "esfem"}
+    assert library == set(EXAMPLES)
 
 
 @pytest.mark.parametrize("cls", sorted(EXAMPLES, key=lambda c: c.__name__),

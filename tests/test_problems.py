@@ -1,32 +1,41 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from esfem import mesh, problems
-from esfem.errors import OffSurface
-from esfem.problems import DYNAMIC, ELLIPTIC, MCF
 
 
 class TestVelocityLaw:
-    def test_variant_picked_from_coefficients(self):
-        assert problems.velocity_law(1.0, 0.0).variant == ELLIPTIC
-        assert problems.velocity_law(0.0, 1.0).variant == MCF
-        assert problems.velocity_law(0.01, 0.01).variant == MCF
+    def test_exactly_four_fields(self):
+        names = [f.name for f in dataclasses.fields(problems.VelocityLaw)]
+        assert names == ["alpha", "beta", "delta", "dynamic"]
+        assert problems.VelocityLaw(1.0) == problems.VelocityLaw(1.0, 0.0, 0.0, False)
 
     def test_unregularized_rejected(self):
-        with pytest.raises(ValueError):
-            problems.velocity_law(0.0, 0.0)
-        with pytest.raises(ValueError):
-            problems.VelocityLaw(ELLIPTIC, 0.0, 0.0)
+        with pytest.raises(ValueError, match="alpha > 0 or beta > 0"):
+            problems.VelocityLaw(0.0, 0.0)
+        with pytest.raises(ValueError, match="alpha > 0 or beta > 0"):
+            problems.example1_problem(alpha=0.0, beta=0.0)
 
     def test_negative_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            problems.VelocityLaw(ELLIPTIC, -1.0)
-        with pytest.raises(ValueError):
-            problems.VelocityLaw(MCF, 0.0, -0.5)
+        for alpha, beta, dynamic in [(-1.0, 0.0, False), (0.0, -0.5, False), (-1.0, 0.0, True)]:
+            with pytest.raises(ValueError, match="non-negative"):
+                problems.VelocityLaw(alpha, beta, dynamic=dynamic)
 
     def test_dynamic_allows_zero_beta(self):
-        law = problems.VelocityLaw(DYNAMIC, 1.0)
-        assert law.variant == DYNAMIC
+        for alpha in (1.0, 0.0):
+            law = problems.VelocityLaw(alpha, dynamic=True)
+            assert law.dynamic and law.beta == 0.0
+
+    def test_dynamic_rejects_beta(self):
+        # the dynamic law has no mean curvature term, so a beta would be ignored
+        with pytest.raises(ValueError, match="need beta = 0"):
+            problems.VelocityLaw(1.0, 0.5, dynamic=True)
+
+    def test_problems_build_the_regularized_law(self):
+        assert problems.example1_problem(0.5, 0.25, 0.4).law == problems.VelocityLaw(0.5, 0.25, 0.4)
+        assert problems.tumor_problem(0.0, 0.01, 0.01).law == problems.VelocityLaw(0.0, 0.01, 0.01)
 
 
 class TestLogisticRadius:
@@ -99,7 +108,9 @@ class TestManufacturedForcing:
     """The forcing formulas are re-derived here by an independent oracle:
     finite differences along the exact flow for material derivatives and
     velocities, the degree-two harmonic identity for the field Laplacian,
-    the radial identities div v = 2 rdot / r and lap x = -(2/r^2) x."""
+    the radial identities div v = 2 rdot / r and lap x = -(2/r^2) x.  The
+    forcing is evaluated through the load closures that time stepping
+    calls, ``example1_problem(...).pde_forcing`` and ``.velocity_forcing``."""
 
     sphere = problems.ManufacturedSphere()
 
@@ -110,6 +121,7 @@ class TestManufacturedForcing:
 
     def test_pde_identity_at_random_samples(self):
         p, rng = self._random_points(100, 2)
+        pde_forcing = problems.example1_problem(1.0, 0.0, 0.4).pde_forcing
         eps = 1e-5
         worst = 0.0
         for i in range(len(p)):
@@ -126,14 +138,14 @@ class TestManufacturedForcing:
             material_du = (u_along_flow(t + eps) - u_along_flow(t - eps)) / (2 * eps)
             div_v = 2 * rdot / r
             lap_u = -(6.0 / r**2) * u
-            f, _ = problems.manufactured_forcing(self.sphere, 1.0, 0.0, 0.4, t,
-                                                 x.reshape(1, 3))
+            f = pde_forcing(x.reshape(1, 3), np.array([u]), t)
             worst = max(worst, abs(material_du + u * div_v - lap_u - float(f[0])))
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("alpha,beta,delta", [(1.0, 0.0, 0.4), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
     def test_velocity_law_identity_at_random_samples(self, alpha, beta, delta):
         p, rng = self._random_points(100, 3)
+        velocity_forcing = problems.example1_problem(alpha, beta, delta).velocity_forcing
         eps = 1e-5
         worst = 0.0
         for i in range(len(p)):
@@ -141,8 +153,7 @@ class TestManufacturedForcing:
             r = float(self.sphere.radius(t))
             x = r * p[i]
             u = x[0] * x[1] * np.exp(-6 * t)
-            _, g = problems.manufactured_forcing(self.sphere, alpha, beta, delta, t,
-                                                 x.reshape(1, 3))
+            g = velocity_forcing(x.reshape(1, 3), t)
             v_fd = (float(self.sphere.radius(t + eps)) - float(self.sphere.radius(t - eps))) / (2 * eps) * p[i]
             # v ~ x, so lap v = -(2/r^2) v;  lap x = -(2/r^2) x = -(2/r) normal
             residual = v_fd * (1.0 + 2 * alpha / r**2) + (2 * beta / r) * p[i] \
@@ -155,13 +166,8 @@ class TestManufacturedForcing:
         s = self.sphere
         t = 60.0
         x = float(s.radius(t)) * np.array([[0.0, 0.0, 1.0]])
-        _, g = problems.manufactured_forcing(s, 1.0, 0.0, 0.0, t, x)
+        g = problems.example1_problem(1.0, 0.0, 0.0).velocity_forcing(x, t)
         assert abs(float(g[0])) < 1e-11
-
-    def test_off_surface_rejected(self):
-        with pytest.raises(OffSurface):
-            problems.manufactured_forcing(self.sphere, 1.0, 0.0, 0.0, 0.5,
-                                          np.array([[1.5, 0.0, 0.0]]))
 
 
 class TestTumorKinetics:
@@ -201,7 +207,7 @@ class TestTumorInitialData:
         m = mesh.generate_icosphere(1, 1.0)
         u0, w0 = problems.tumor_initial_data(m, self.kin, seed=1,
                                              perturbation_bound=0.0,
-                                             pre_time=0.05, tau_pre=1e-3)
+                                             pre_time=0.05)
         us, ws = self.kin.steady_state()
         assert np.abs(u0 - us).max() <= 1e-10
         assert np.abs(w0 - ws).max() <= 1e-10
@@ -210,14 +216,14 @@ class TestTumorInitialData:
     def test_pre_time_must_be_a_whole_number_of_steps(self, pre_time):
         m = mesh.generate_icosphere(0, 1.0)
         with pytest.raises(ValueError, match="pre_time/tau_pre"):
-            problems.tumor_initial_data(m, self.kin, seed=1, pre_time=pre_time, tau_pre=1e-3)
+            problems.tumor_initial_data(m, self.kin, seed=1, pre_time=pre_time)
 
     def test_same_seed_bitwise_identical(self):
         m = mesh.generate_icosphere(1, 1.0)
-        a = problems.tumor_initial_data(m, self.kin, seed=42, pre_time=0.02, tau_pre=1e-3)
-        b = problems.tumor_initial_data(m, self.kin, seed=42, pre_time=0.02, tau_pre=1e-3)
+        a = problems.tumor_initial_data(m, self.kin, seed=42, pre_time=0.02)
+        b = problems.tumor_initial_data(m, self.kin, seed=42, pre_time=0.02)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        c = problems.tumor_initial_data(m, self.kin, seed=43, pre_time=0.02, tau_pre=1e-3)
+        c = problems.tumor_initial_data(m, self.kin, seed=43, pre_time=0.02)
         assert not np.array_equal(a[0], c[0])
 
     def test_coarse_level_envelope(self):

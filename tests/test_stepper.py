@@ -11,7 +11,7 @@ from esfem.errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
 
 def quiescent_spec(alpha=1.0, beta=0.0):
     """No forcing, no field coupling: the surface must not move."""
-    return problems.ProblemSpec(law=problems.VelocityLaw(problems.ELLIPTIC, alpha, beta))
+    return problems.ProblemSpec(law=problems.VelocityLaw(alpha, beta))
 
 
 class TestStepCoupled:
@@ -77,7 +77,7 @@ class TestStepCoupled:
 class TestStepDynamic:
     def test_zero_velocity_zero_forcing_freezes(self):
         m0 = mesh.generate_icosphere(1, 1.0)
-        spec = problems.ProblemSpec(law=problems.VelocityLaw(problems.DYNAMIC, 1.0))
+        spec = problems.ProblemSpec(law=problems.VelocityLaw(1.0, dynamic=True))
         cfg = stepper.StepperConfig(tau=0.05, t_end=0.5)
         final = stepper.run(spec, m0, cfg)
         assert np.array_equal(final.x, m0.node_vector)
@@ -87,7 +87,7 @@ class TestStepDynamic:
         # backward Euler on the frozen-matrix system is dissipative in the
         # step's own mass norm
         m0 = mesh.generate_icosphere(1, 1.0)
-        spec = problems.ProblemSpec(law=problems.VelocityLaw(problems.DYNAMIC, 1.0))
+        spec = problems.ProblemSpec(law=problems.VelocityLaw(1.0, dynamic=True))
         cfg = stepper.StepperConfig(tau=0.1, t_end=0.1)
         rng = np.random.Generator(np.random.Philox(2))
         state = stepper.initial_state(spec, m0, v0=rng.standard_normal(3 * m0.num_nodes))
@@ -107,7 +107,7 @@ class TestStepDynamic:
         m0 = mesh.generate_icosphere(2, 1.0)
         alpha = 1.0
         spec = problems.ProblemSpec(
-            law=problems.VelocityLaw(problems.DYNAMIC, alpha),
+            law=problems.VelocityLaw(alpha, dynamic=True),
             velocity_forcing=lambda x, t: np.ones(len(x)),
         )
         cfg = stepper.StepperConfig(tau=0.1, t_end=0.1)
@@ -125,7 +125,7 @@ class TestStepDynamic:
         # the paper defines no corrector for the dynamic law; "new" would
         # silently give the "old" step
         m0 = mesh.generate_icosphere(1, 1.0)
-        spec = problems.ProblemSpec(law=problems.VelocityLaw(problems.DYNAMIC, 1.0))
+        spec = problems.ProblemSpec(law=problems.VelocityLaw(1.0, dynamic=True))
         cfg = stepper.StepperConfig(tau=0.1, t_end=0.1, loads_on="new")
         state = stepper.initial_state(spec, m0)
         with pytest.raises(ValueError, match="loads_on"):
@@ -139,7 +139,7 @@ class TestTwoSpeciesStepping:
         m0 = mesh.generate_icosphere(1, 1.0)
         kin = problems.TumorKinetics(D_c=10.0, gamma=1e-30, a=0.1, b=0.9)
         spec = problems.ProblemSpec(
-            law=problems.VelocityLaw(problems.MCF, 0.0, 0.01, 0.0), kinetics=kin)
+            law=problems.VelocityLaw(0.0, 0.01, 0.0), kinetics=kin)
         rng = np.random.Generator(np.random.Philox(3))
         u0 = 1.0 + 0.1 * rng.standard_normal(m0.num_nodes)
         w0 = 0.9 + 0.1 * rng.standard_normal(m0.num_nodes)
@@ -163,7 +163,7 @@ class TestTwoSpeciesStepping:
         m0 = mesh.generate_icosphere(1, 1.0)
         kin = problems.TumorKinetics()
         spec = problems.ProblemSpec(
-            law=problems.VelocityLaw(problems.ELLIPTIC, 0.01, 0.0, 0.0), kinetics=kin)
+            law=problems.VelocityLaw(0.01, 0.0, 0.0), kinetics=kin)
         us, ws = kin.steady_state()
         state = stepper.initial_state(spec, m0, u0=np.full(m0.num_nodes, us),
                                       w0=np.full(m0.num_nodes, ws))
@@ -196,7 +196,7 @@ class TestRun:
         monkeypatch.setattr(stepper, "ABORT_MIN_ANGLE", 30.0)
         m0 = mesh.generate_icosphere(1, 1.0)
         spec = problems.ProblemSpec(
-            law=problems.VelocityLaw(problems.ELLIPTIC, 0.05),
+            law=problems.VelocityLaw(0.05),
             velocity_forcing=lambda x, t: -8.0 * (1.0 - (x[:, 2] / np.linalg.norm(x, axis=1)) ** 2),
         )
         cfg = stepper.StepperConfig(tau=0.02, t_end=2.0)
@@ -371,7 +371,7 @@ class TestFactorReuse:
     def test_standalone_steps_on_two_meshes(self, monkeypatch):
         calls = count_factorizations(monkeypatch)
         coupled = problems.example1_problem()
-        dynamic = problems.ProblemSpec(law=problems.VelocityLaw(problems.DYNAMIC, 1.0),
+        dynamic = problems.ProblemSpec(law=problems.VelocityLaw(1.0, dynamic=True),
                                        velocity_forcing=lambda x, t: np.ones(len(x)))
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
         results = []
