@@ -198,15 +198,17 @@ def tumor_problem(alpha, beta, delta, kinetics: Optional[TumorKinetics] = None) 
 
 
 def step_count(span: float, tau: float, name: str, minimum: int = 1) -> int:
-    """span/tau as an int; ValueError unless it is an integer >= minimum to
-    1e-9 (``name`` labels the ratio in the message)."""
+    """span/tau as an int; ValueError unless it is an integer to 1e-9 from
+    minimum to MAX_STEPS (``name`` labels the ratio in the message)."""
     n_steps_f = span / tau if tau > 0.0 else float("nan")
     if np.isfinite(n_steps_f) and abs(n_steps_f - round(n_steps_f)) <= 1e-9 \
-            and round(n_steps_f) >= minimum:
+            and minimum <= round(n_steps_f) <= MAX_STEPS:
         return int(round(n_steps_f))
-    raise ValueError(f"{name} = {n_steps_f} is not an integer step count >= {minimum}")
+    raise ValueError(f"{name} = {n_steps_f} is not an integer in [{minimum}, {MAX_STEPS}]")
 
 
+# A count past this (the longest shipped run takes about 11,700 steps) is a mistyped step size.
+MAX_STEPS = 10**6
 TAU_PRE = 1e-3
 
 
@@ -224,8 +226,8 @@ def tumor_initial_data(mesh: SurfaceMesh, kinetics: TumorKinetics, seed: int,
     rng = np.random.Generator(np.random.Philox(seed))
     n = mesh.num_nodes
     u_star, w_star = kinetics.steady_state()
-    u = u_star + rng.uniform(0.0, perturbation_bound, n) if perturbation_bound > 0 else np.full(n, u_star)
-    w = w_star + rng.uniform(0.0, perturbation_bound, n) if perturbation_bound > 0 else np.full(n, w_star)
+    u = u_star + rng.uniform(0.0, perturbation_bound, n)
+    w = w_star + rng.uniform(0.0, perturbation_bound, n)
 
     mass = assembly.assemble_mass(mesh)
     stiff = assembly.assemble_stiffness(mesh)

@@ -47,18 +47,16 @@ class StepperConfig:
     """Step size, horizon and solve options of one run.
 
     ``CHOICES`` lists the allowed values of each solve option (solver,
-    normal_coupling, loads_on); the command line and the experiment
-    drivers take the options, their defaults and their values from here.
+    normal_coupling); the command line and the experiment drivers take the
+    options, their defaults and their values from here.
     """
 
     tau: float
     t_end: float
     solver: str = DIRECT
     normal_coupling: str = "nodal"
-    loads_on: str = "old"
 
-    CHOICES = {"solver": (DIRECT, CG), "normal_coupling": ("nodal", "interpolated"),
-               "loads_on": ("old", "new")}
+    CHOICES = {"solver": (DIRECT, CG), "normal_coupling": ("nodal", "interpolated")}
 
     def __post_init__(self):
         if self.tau <= 0.0 or self.t_end < self.tau:
@@ -206,19 +204,6 @@ def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = 
     return _jacobi_cg(matrix, CG_TOL)
 
 
-def _velocity_load(spec, mesh, u, t, config):
-    """Right-hand side of the velocity law: delta * N(x) u + g load, (N, 3)."""
-    law = spec.law
-    n = mesh.num_nodes
-    load = np.zeros(3 * n)
-    if law.delta != 0.0:
-        load += law.delta * assembly.assemble_normal_coupling(mesh, u, config.normal_coupling)
-    if spec.velocity_forcing is not None:
-        g = spec.velocity_forcing
-        load += assembly.assemble_normal_load(mesh, lambda x, _u, tt: g(x, tt), time=t)
-    return load.reshape(n, 3)
-
-
 def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config):
     """PDE step(s) on the new surface; returns (u_new, w_new).
 
@@ -263,14 +248,13 @@ def _new_surface(mesh, x, t, config):
     return mesh_new
 
 
-def _step(state, spec, config, matrices, factor, velocity_system):
-    """The step shared by all velocity laws; ``velocity_system(state, spec,
-    config, mass, stiff, factor)`` returns the new flat node vector and
-    velocity."""
+def _step(state, spec, config, matrices, factor, dynamic):
+    """The step shared by all velocity laws: the velocity law on the old
+    surface (_velocity), then the fields on the new one."""
     mesh = state.mesh
     mass, stiff = matrices if matrices is not None else (
         assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh))
-    x_new, v_new = velocity_system(state, spec, config, mass, stiff, factor)
+    x_new, v_new = _velocity(state, spec, config, mass, stiff, factor, dynamic)
     mesh_new = _new_surface(mesh, x_new, state.t + config.tau, config)
     mass_new = assembly.assemble_mass(mesh_new)
     stiff_new = assembly.assemble_stiffness(mesh_new)
@@ -280,39 +264,28 @@ def _step(state, spec, config, matrices, factor, velocity_system):
     return state_new, (mass_new, stiff_new)
 
 
-def _regularized_velocity(state, spec, config, mass, stiff, factor):
-    """(M + alpha A + tau beta A) x_new = (M + alpha A) x + tau * load."""
-    law, tau, t_new = spec.law, config.tau, state.t + config.tau
-    k_scalar = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
-    system = assembly.add_scaled(k_scalar, tau * law.beta, stiff) if law.beta != 0.0 \
-        else k_scalar
-    solve = make_solver(system, config, factor)
-    k_x = k_scalar @ state.x.reshape(-1, 3)
-    # x_new = x + tau v_new, so x + tau v predicts it to O(tau^2)
-    x_new = solve(k_x + tau * _velocity_load(spec, state.mesh, state.u, t_new, config),
-                  start=(state.x + tau * state.v).reshape(-1, 3))
-    if config.loads_on == "new":
-        # One corrector pass: loads re-evaluated on the predicted surface
-        # (matrices stay frozen at the old one).
-        mesh_pred = _new_surface(state.mesh, x_new, t_new, config)
-        x_new = solve(k_x + tau * _velocity_load(spec, mesh_pred, state.u, t_new, config),
-                      start=x_new)
-    x_new = x_new.reshape(-1)
-    return x_new, (x_new - state.x) / tau
-
-
-def _dynamic_velocity(state, spec, config, mass, stiff, factor):
-    """(M + tau alpha A) v_new = M v + tau * load, then x_new = x + tau v_new."""
-    if config.loads_on != "old":
-        raise ValueError(f"the dynamic law has no loads_on={config.loads_on!r} corrector; "
-                         "its loads are evaluated on the old surface")
-    law, tau = spec.law, config.tau
-    system = assembly.add_scaled(mass, tau * law.alpha, stiff) if law.alpha != 0.0 else mass
-    load = _velocity_load(spec, state.mesh, state.u, state.t + tau, config)
-    solve = make_solver(system, config, factor)
-    v = state.v.reshape(-1, 3)
-    v_new = solve(mass @ v + tau * load, start=v).reshape(-1)
-    return state.x + tau * v_new, v_new
+def _velocity(state, spec, config, mass, stiff, factor, dynamic):
+    """Solve (K + cA) y = K y0 + tau * load on the old surface from a guess of
+    y, where load = delta N(x) u + g load; returns the flat (x_new, v_new).
+    Regularized: K = M + alpha A, c = tau beta, y = x_new from y0 = x and the
+    guess x + tau v, which is O(tau^2) close; dynamic: K = M, c = tau alpha,
+    y = v_new from y0 = v and the guess v."""
+    law, tau, mesh = spec.law, config.tau, state.mesh
+    if dynamic:
+        k, c, y0, guess = mass, tau * law.alpha, state.v, state.v
+    else:
+        k = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
+        c, y0, guess = tau * law.beta, state.x, state.x + tau * state.v
+    solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, factor)
+    load = np.zeros(3 * mesh.num_nodes)
+    if law.delta != 0.0:
+        load += law.delta * assembly.assemble_normal_coupling(mesh, state.u, config.normal_coupling)
+    if spec.velocity_forcing is not None:
+        g = spec.velocity_forcing
+        load += assembly.assemble_normal_load(mesh, lambda x, _u, t: g(x, t), time=state.t + tau)
+    y = solve(k @ y0.reshape(-1, 3) + tau * load.reshape(-1, 3),
+              start=guess.reshape(-1, 3)).reshape(-1)
+    return (state.x + tau * y, y) if dynamic else (y, (y - state.x) / tau)
 
 
 def step_coupled(state: SystemState, spec, config: StepperConfig, matrices=None,
@@ -325,14 +298,14 @@ def step_coupled(state: SystemState, spec, config: StepperConfig, matrices=None,
     across the steps of one run on one mesh; without it the velocity system
     is factored fresh.
     """
-    return _step(state, spec, config, matrices, factor, _regularized_velocity)
+    return _step(state, spec, config, matrices, factor, dynamic=False)
 
 
 def step_dynamic(state: SystemState, spec, config: StepperConfig, matrices=None,
                  factor=None):
     """One step of the dynamic velocity law (velocity itself evolves);
     ``matrices`` and ``factor`` as for step_coupled."""
-    return _step(state, spec, config, matrices, factor, _dynamic_velocity)
+    return _step(state, spec, config, matrices, factor, dynamic=True)
 
 
 def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None, v0=None) -> SystemState:

@@ -77,7 +77,7 @@ def _tumor_run(tag, out):
 
 
 def _temporal_order():
-    return experiments.temporal_order_study(level=3, taus=(4e-3, 2e-3, 1e-3))
+    return experiments.temporal_order_study()
 
 
 TUMOR_TAGS = ("beta", "alpha", "beta_repeat")

@@ -12,10 +12,10 @@ from esfem import analysis, assembly, cli, errors, experiments, mesh, problems, 
 # The fields each experiment's run reads; every experiment also reads out
 # and dump_matrices.
 ROWS = {
-    "example1": "alpha beta delta t_end levels r0 rk k tau_c solver normal_coupling loads_on",
-    "example3": "t_end levels r0 rk k tau_c solver normal_coupling loads_on",
+    "example1": "alpha beta delta t_end levels r0 rk k tau_c solver normal_coupling",
+    "example3": "t_end levels r0 rk k tau_c solver normal_coupling",
     "tumor": "level alpha beta delta gamma a b d_c t_end tau seed export_every "
-             "solver normal_coupling loads_on",
+             "solver normal_coupling",
     "verify": "level seed",
 }
 ROWS = {experiment: row.split() for experiment, row in ROWS.items()}
@@ -341,7 +341,7 @@ class TestExperimentFields:
     @pytest.mark.parametrize("experiment, line", [
         ("example1", "solver=qr"),
         ("example3", "normal_coupling=foo"),
-        ("tumor", "loads_on=past"),
+        ("tumor", "loads_on=old"),
         ("tumor", "tau=none"),
         ("tumor", "seed=1.5"),
         ("verify", "dump_matrices=maybe"),
@@ -461,6 +461,9 @@ def test_non_finite_integrand_exit_code_five(argv, tmp_path, capsys):
     ["tumor", "--t-end", "-1"],
     ["tumor", "--export-every", "-3"],
     ["verify", "--level", "0"],
+    # about 1e299 and 2e297 steps: past problems.MAX_STEPS
+    ["example1", "--levels", "1", "--t-end", "0.05", "--tau-c", "1e-300"],
+    ["tumor", "--level", "1", "--t-end", "0.002", "--tau", "1e-300"],
 ])
 def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     # the value parses; the library's own range check rejects it

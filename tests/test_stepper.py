@@ -53,18 +53,6 @@ class TestStepCoupled:
         assert radii.min() > 1.0  # moved outward
         assert np.abs(radii - r_exact).max() <= 1e-3 * (tau**2 + m0.h_max**2)
 
-    def test_loads_on_new_close_to_old(self):
-        spec = problems.example1_problem()
-        m0 = mesh.generate_icosphere(2, 1.0)
-        tau = 1e-3
-        state = stepper.initial_state(spec, m0)
-        old_cfg = stepper.StepperConfig(tau=tau, t_end=tau, loads_on="old")
-        new_cfg = stepper.StepperConfig(tau=tau, t_end=tau, loads_on="new")
-        a, _ = stepper.step_coupled(state, spec, old_cfg)
-        b, _ = stepper.step_coupled(state, spec, new_cfg)
-        diff = np.abs(a.x - b.x).max()
-        assert 0.0 < diff < tau**2  # corrector changes the step at O(tau^2)
-
     def test_interpolated_coupling_mode_runs(self):
         spec = problems.example1_problem()
         m0 = mesh.generate_icosphere(1, 1.0)
@@ -120,16 +108,6 @@ class TestStepDynamic:
         gload = assembly.assemble_normal_load(m0, lambda x, u, t: np.ones(len(x)))
         residual = alpha * np.asarray(stiff @ state.v.reshape(-1, 3)) - gload.reshape(-1, 3)
         assert np.abs(residual).max() <= 1e-9
-
-    def test_loads_on_new_rejected(self):
-        # the paper defines no corrector for the dynamic law; "new" would
-        # silently give the "old" step
-        m0 = mesh.generate_icosphere(1, 1.0)
-        spec = problems.ProblemSpec(law=problems.VelocityLaw(1.0, dynamic=True))
-        cfg = stepper.StepperConfig(tau=0.1, t_end=0.1, loads_on="new")
-        state = stepper.initial_state(spec, m0)
-        with pytest.raises(ValueError, match="loads_on"):
-            stepper.step_dynamic(state, spec, cfg)
 
 
 class TestTwoSpeciesStepping:
@@ -218,16 +196,16 @@ class TestRun:
 
     def test_collapse_reports_the_collapsed_surface(self, monkeypatch):
         # the velocity solve moves a vertex of triangle 0 onto another
-        real = stepper._regularized_velocity
+        real = stepper._velocity
 
-        def collapsing(state, spec, config, mass, stiff, factor):
-            x_new, v_new = real(state, spec, config, mass, stiff, factor)
+        def collapsing(state, spec, config, mass, stiff, factor, dynamic):
+            x_new, v_new = real(state, spec, config, mass, stiff, factor, dynamic)
             i, j, _ = state.mesh.triangles[0]
             x_new = x_new.reshape(-1, 3).copy()
             x_new[j] = x_new[i]
             return x_new.reshape(-1), v_new
 
-        monkeypatch.setattr(stepper, "_regularized_velocity", collapsing)
+        monkeypatch.setattr(stepper, "_velocity", collapsing)
         tau = 1e-3
         cfg = stepper.StepperConfig(tau=tau, t_end=10 * tau)
         seen = []
@@ -282,7 +260,7 @@ class TestRun:
         assert info.value.fields == (field,)
 
     @pytest.mark.parametrize("field, value", [
-        ("tau", 0.0), ("solver", "qr"), ("loads_on", "past"), ("normal_coupling", "foo")])
+        ("tau", 0.0), ("solver", "qr"), ("normal_coupling", "foo")])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             stepper.StepperConfig(**{"tau": 0.1, "t_end": 1.0, field: value})
