@@ -1,4 +1,4 @@
-"""Concrete coupled problems: velocity laws, manufactured solutions, kinetics.
+"""Coupled problems (velocity laws, manufactured solution, kinetics) and their field step.
 
 The manufactured benchmark drives a sphere through the logistic radius
 r(t) = r0*rK / (rK*exp(-k t) + r0*(1 - exp(-k t))) while the surface field
@@ -129,39 +129,45 @@ class TumorKinetics:
     def f2(self, u, w):
         return self.gamma * (self.b - u * u * w)
 
+    def source(self, x, u, t, w):
+        """The (Q, 2) integrand (f1, f2) of ProblemSpec.source."""
+        return np.stack((self.f1(u, w), self.f2(u, w)), axis=-1)
 
-def kinetics_step(kinetics: TumorKinetics, mesh: SurfaceMesh, mass_old, u, w, tau,
-                  solve_u, solve_w, time):
-    """One linearly implicit Euler step of the two-species system on ``mesh``.
 
-    Both reaction loads come from one quadrature pass with the old fields;
-    ``solve_u`` and ``solve_w`` invert M + tau A and M + tau D_c A on
+def field_step(mesh: SurfaceMesh, source, mass_old, fields, tau, solves, time):
+    """One linearly implicit Euler step of the fields on ``mesh``.
+
+    All source loads come from one quadrature pass with the old fields
+    (none without a ``source``); ``solves[i]`` inverts M + tau d_i A on
     ``mesh``, and ``mass_old`` is the mass matrix the fields were carried
-    on.  Returns (u_new, w_new).
+    on.  Returns the new fields as a tuple.
     """
-    loads = assembly.assemble_scalar_load(
-        mesh, lambda x, uq, t, wq: np.stack((kinetics.f1(uq, wq), kinetics.f2(uq, wq)), axis=-1),
-        u=u, time=time, extra_fields=(w,))
-    return (solve_u(mass_old @ u + tau * loads[:, 0]),
-            solve_w(mass_old @ w + tau * loads[:, 1]))
+    if source is None:
+        loads = np.zeros((mesh.num_nodes, len(fields)))
+    else:
+        loads = assembly.assemble_scalar_load(mesh, source, u=fields[0], time=time,
+                                              extra_fields=fields[1:])
+    loads = loads.reshape(mesh.num_nodes, -1).T
+    return tuple(solve(mass_old @ f + tau * load) for solve, f, load in zip(solves, fields, loads))
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """Everything the time stepper needs to advance one coupled system.
 
-    pde_forcing       f(x, u, t) -> values at quadrature points,
-                      vectorized; None means no forcing
+    source            source(x, u, t, *others) -> (Q,) values at quadrature
+                      points for u alone, or (Q, k) for u and k - 1 further
+                      fields; None means no source
+    diffusion         each field's diffusion coefficient, u first; its
+                      length is the number of fields (u, and w when two)
     velocity_forcing  g(x, t) -> scalar normal speed contribution, or None
-    kinetics          two-species reaction terms (then ``w`` is active and
-                      pde_forcing is ignored)
     exact             manufactured solution, when one exists
     """
 
     law: VelocityLaw
-    pde_forcing: Optional[Callable] = None
+    source: Optional[Callable] = None
+    diffusion: tuple = (1.0,)
     velocity_forcing: Optional[Callable] = None
-    kinetics: Optional[TumorKinetics] = None
     exact: Optional[ManufacturedSphere] = None
 
     def initial_fields(self, mesh: SurfaceMesh):
@@ -183,7 +189,7 @@ def example1_problem(alpha=1.0, beta=0.0, delta=0.4, r0=1.0, rK=2.0, k=0.5) -> P
 
     return ProblemSpec(
         law=VelocityLaw(alpha, beta, delta),
-        pde_forcing=f,
+        source=f,
         velocity_forcing=g,
         exact=sphere,
     )
@@ -191,10 +197,9 @@ def example1_problem(alpha=1.0, beta=0.0, delta=0.4, r0=1.0, rK=2.0, k=0.5) -> P
 
 def tumor_problem(alpha, beta, delta, kinetics: Optional[TumorKinetics] = None) -> ProblemSpec:
     """Two-species pattern-forming system whose field pushes the surface."""
-    return ProblemSpec(
-        law=VelocityLaw(alpha, beta, delta),
-        kinetics=kinetics if kinetics is not None else TumorKinetics(),
-    )
+    kin = kinetics if kinetics is not None else TumorKinetics()
+    return ProblemSpec(law=VelocityLaw(alpha, beta, delta), source=kin.source,
+                       diffusion=(1.0, kin.D_c))
 
 
 def step_count(span: float, tau: float, name: str, minimum: int = 1) -> int:
@@ -231,9 +236,8 @@ def tumor_initial_data(mesh: SurfaceMesh, kinetics: TumorKinetics, seed: int,
 
     mass = assembly.assemble_mass(mesh)
     stiff = assembly.assemble_stiffness(mesh)
-    solve_u = assembly.factorize(assembly.add_scaled(mass, TAU_PRE, stiff)).solve
-    solve_w = assembly.factorize(assembly.add_scaled(mass, TAU_PRE * kinetics.D_c, stiff)).solve
-
+    solves = [assembly.factorize(assembly.add_scaled(mass, TAU_PRE * d, stiff)).solve
+              for d in (1.0, kinetics.D_c)]
     for _ in range(n_steps):
-        u, w = kinetics_step(kinetics, mesh, mass, u, w, TAU_PRE, solve_u, solve_w, 0.0)
+        u, w = field_step(mesh, kinetics.source, mass, (u, w), TAU_PRE, solves, 0.0)
     return u, w

@@ -29,17 +29,20 @@ CG = "cg"
 class SystemState:
     """Snapshot of the coupled system at one time.
 
-    x is the flat node-major node vector (3N), u the scalar field (N),
-    v the nodal velocity (3N), w the optional second species.  The mesh
-    carries the topology and the same coordinates as x.
+    u is the scalar field (N), v the nodal velocity (3N), w the optional
+    second species; the mesh carries the topology and the node positions.
     """
 
     t: float
-    x: np.ndarray
     u: np.ndarray
     v: np.ndarray
     mesh: SurfaceMesh
     w: Optional[np.ndarray] = None
+
+    @property
+    def x(self) -> np.ndarray:
+        """The flat node-major node vector (3N), a read-only view of mesh.coords."""
+        return self.mesh.coords.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -205,24 +208,19 @@ def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = 
 
 
 def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config):
-    """PDE step(s) on the new surface; returns (u_new, w_new).
+    """PDE step of every field on the new surface; returns (u_new, w_new),
+    w_new None for a single field.
 
-    tau ~ h^2 keeps each field system (M + tau A, M + tau D_c A)
+    tau ~ h^2 keeps each field system M + tau d A (d from spec.diffusion)
     mass-dominated, so under either solver it is solved by Jacobi-CG to
     LAG_TOL, started from the old field.
     """
-    tau, t_new = config.tau, state.t + config.tau
-    solve_u = _jacobi_cg(assembly.add_scaled(mass_new, tau, stiff_new), LAG_TOL, state.u)
-    kin = spec.kinetics
-    if kin is not None:
-        solve_w = _jacobi_cg(assembly.add_scaled(mass_new, tau * kin.D_c, stiff_new), LAG_TOL,
-                             state.w)
-        return problems.kinetics_step(kin, mesh_new, mass_old, state.u, state.w, tau,
-                                      solve_u, solve_w, t_new)
-    load = np.zeros(mesh_new.num_nodes)
-    if spec.pde_forcing is not None:
-        load = assembly.assemble_scalar_load(mesh_new, spec.pde_forcing, u=state.u, time=t_new)
-    return solve_u(mass_old @ state.u + tau * load), None
+    tau = config.tau
+    fields = (state.u, state.w)[:len(spec.diffusion)]
+    solves = [_jacobi_cg(assembly.add_scaled(mass_new, tau * d, stiff_new), LAG_TOL, f)
+              for d, f in zip(spec.diffusion, fields)]
+    new = problems.field_step(mesh_new, spec.source, mass_old, fields, tau, solves, state.t + tau)
+    return (*new, None)[:2]
 
 
 def _check_finite(t, **fields):
@@ -260,7 +258,7 @@ def _step(state, spec, config, matrices, factor, dynamic):
     stiff_new = assembly.assemble_stiffness(mesh_new)
     u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config)
     _check_finite(state.t + config.tau, u=u_new, w=w_new)
-    state_new = SystemState(state.t + config.tau, x_new, u_new, v_new, mesh_new, w_new)
+    state_new = SystemState(state.t + config.tau, u_new, v_new, mesh_new, w_new)
     return state_new, (mass_new, stiff_new)
 
 
@@ -311,9 +309,8 @@ def step_dynamic(state: SystemState, spec, config: StepperConfig, matrices=None,
 def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None, v0=None) -> SystemState:
     """Build the starting state; fields default to the exact nodal data."""
     u0 = np.asarray(spec.initial_fields(mesh0) if u0 is None else u0, dtype=float)
-    x0 = mesh0.node_vector
-    v0 = np.zeros_like(x0) if v0 is None else np.asarray(v0, dtype=float)
-    return SystemState(t=0.0, x=x0, u=u0, v=v0, mesh=mesh0,
+    v0 = np.zeros(3 * mesh0.num_nodes) if v0 is None else np.asarray(v0, dtype=float)
+    return SystemState(t=0.0, u=u0, v=v0, mesh=mesh0,
                        w=None if w0 is None else np.asarray(w0, dtype=float))
 
 

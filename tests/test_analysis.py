@@ -39,7 +39,7 @@ def make_states(spec, mesh0, times, du=0.0, dx=0.0, dv=0.0):
         x_star, u_star, v_star = interpolated_exact(spec, labels, t)
         x = x_star + on * dx * pat_x
         states.append(stepper.SystemState(
-            t=t, x=x, u=u_star + on * du * pat_u, v=v_star + on * dv * pat_v,
+            t=t, u=u_star + on * du * pat_u, v=v_star + on * dv * pat_v,
             mesh=mesh0.with_coords(x.reshape(-1, 3))))
     return states
 

@@ -330,9 +330,8 @@ class TestLoadsAreGradientFree:
         u = np.linspace(0.5, 1.5, m.num_nodes)
         assembly.assemble_scalar_load(m, lambda x, uq, t: uq, u=u)
         assembly.assemble_normal_load(m, lambda x, uq, t: uq, u=u)
-        kin = problems.TumorKinetics()
-        problems.kinetics_step(kin, m, assembly.assemble_mass(m), u, u[::-1].copy(), 1e-3,
-                               lambda r: r, lambda r: r, 0.0)
+        problems.field_step(m, problems.TumorKinetics().source, assembly.assemble_mass(m),
+                            (u, u[::-1].copy()), 1e-3, [lambda r: r] * 2, 0.0)
         assert "basis_gradients" not in m.__dict__
 
 

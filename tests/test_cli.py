@@ -461,15 +461,30 @@ def test_non_finite_integrand_exit_code_five(argv, tmp_path, capsys):
     ["tumor", "--t-end", "-1"],
     ["tumor", "--export-every", "-3"],
     ["verify", "--level", "0"],
-    # about 1e299 and 2e297 steps: past problems.MAX_STEPS
+    # about 1e299 and 2e297 steps: past problems.MAX_STEPS; a subnormal
+    # step gives an infinite count
     ["example1", "--levels", "1", "--t-end", "0.05", "--tau-c", "1e-300"],
     ["tumor", "--level", "1", "--t-end", "0.002", "--tau", "1e-300"],
+    ["example1", "--levels", "1", "--t-end", "0.05", "--tau-c", "1e-320"],
+    ["tumor", "--level", "1", "--t-end", "0.002", "--tau", "1e-320"],
 ])
 def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     # the value parses; the library's own range check rejects it
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
+
+
+def test_step_count_checked_before_the_pre_relaxation(monkeypatch, tmp_path, capsys):
+    # the level-3 pre-relaxation takes 5,000 steps; a hopeless step size
+    # must exit before it starts
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pre-relaxation started")
+
+    monkeypatch.setattr(problems, "tumor_initial_data", unreachable)
+    argv = ["tumor", "--level", "3", "--t-end", "0.002", "--tau", "1e-300"]
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: t_end/tau = 2e+297 exceeds")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from esfem import mesh, problems
+from esfem import assembly, experiments, mesh, problems
 
 
 class TestVelocityLaw:
@@ -110,7 +110,7 @@ class TestManufacturedForcing:
     velocities, the degree-two harmonic identity for the field Laplacian,
     the radial identities div v = 2 rdot / r and lap x = -(2/r^2) x.  The
     forcing is evaluated through the load closures that time stepping
-    calls, ``example1_problem(...).pde_forcing`` and ``.velocity_forcing``."""
+    calls, ``example1_problem(...).source`` and ``.velocity_forcing``."""
 
     sphere = problems.ManufacturedSphere()
 
@@ -121,7 +121,7 @@ class TestManufacturedForcing:
 
     def test_pde_identity_at_random_samples(self):
         p, rng = self._random_points(100, 2)
-        pde_forcing = problems.example1_problem(1.0, 0.0, 0.4).pde_forcing
+        pde_forcing = problems.example1_problem(1.0, 0.0, 0.4).source
         eps = 1e-5
         worst = 0.0
         for i in range(len(p)):
@@ -256,6 +256,40 @@ class TestProblemSpecs:
 
     def test_tumor_problem_wires_kinetics(self):
         spec = problems.tumor_problem(0.0, 0.01, 0.01)
-        assert spec.kinetics is not None
-        assert spec.pde_forcing is None
+        kin = problems.TumorKinetics()
+        u, w = np.array([0.5, 2.0]), np.array([0.3, 1.1])
+        assert np.array_equal(spec.source(None, u, 0.0, w), kin.source(None, u, 0.0, w))
+        assert spec.diffusion == (1.0, kin.D_c)
         assert spec.exact is None
+
+
+class TestFieldStep:
+    def test_pre_relaxation_and_moving_steps_share_it(self, monkeypatch):
+        calls = []
+        real = problems.field_step
+
+        def counting(*args):
+            calls.append(len(args[3]))
+            return real(*args)
+
+        monkeypatch.setattr(problems, "field_step", counting)
+        experiments.tumor_experiment(0.0, 0.01, level=1, tau=1e-3, t_end=0.005, pre_time=0.01)
+        assert calls == [2] * (10 + 5)
+
+    def test_extra_fields_leave_u_bitwise_unchanged(self):
+        m = mesh.generate_icosphere(2, 1.0)
+        mass = assembly.assemble_mass(m)
+        rng = np.random.Generator(np.random.Philox(9))
+        u, w = rng.uniform(0.5, 1.5, (2, m.num_nodes))
+        stiff = assembly.assemble_stiffness(m)
+        solve = assembly.factorize(assembly.add_scaled(mass, 1e-3, stiff)).solve
+
+        def f(x, uq, t):
+            return x[:, 0] * uq + np.sin(t) * uq * uq
+
+        def stacked(x, uq, t, wq):
+            return np.stack((f(x, uq, t), 3.0 * wq - x[:, 2]), axis=-1)
+
+        (alone,) = problems.field_step(m, f, 0.99 * mass, (u,), 1e-3, [solve], 0.3)
+        paired, _ = problems.field_step(m, stacked, 0.99 * mass, (u, w), 1e-3, [solve] * 2, 0.3)
+        assert np.array_equal(alone, paired)

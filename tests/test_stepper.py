@@ -102,8 +102,7 @@ class TestStepDynamic:
         state = stepper.initial_state(spec, m0)
         for _ in range(400):
             new, _ = stepper.step_dynamic(state, spec, cfg)
-            state = stepper.SystemState(t=new.t, x=state.x, u=new.u, v=new.v,
-                                        mesh=state.mesh, w=new.w)
+            state = stepper.SystemState(t=new.t, u=new.u, v=new.v, mesh=state.mesh, w=new.w)
         stiff = assembly.assemble_stiffness(m0)
         gload = assembly.assemble_normal_load(m0, lambda x, u, t: np.ones(len(x)))
         residual = alpha * np.asarray(stiff @ state.v.reshape(-1, 3)) - gload.reshape(-1, 3)
@@ -116,8 +115,8 @@ class TestTwoSpeciesStepping:
         # so both species' discrete totals are conserved
         m0 = mesh.generate_icosphere(1, 1.0)
         kin = problems.TumorKinetics(D_c=10.0, gamma=1e-30, a=0.1, b=0.9)
-        spec = problems.ProblemSpec(
-            law=problems.VelocityLaw(0.0, 0.01, 0.0), kinetics=kin)
+        spec = problems.ProblemSpec(law=problems.VelocityLaw(0.0, 0.01, 0.0),
+                                    source=kin.source, diffusion=(1.0, kin.D_c))
         rng = np.random.Generator(np.random.Philox(3))
         u0 = 1.0 + 0.1 * rng.standard_normal(m0.num_nodes)
         w0 = 0.9 + 0.1 * rng.standard_normal(m0.num_nodes)
@@ -140,8 +139,8 @@ class TestTwoSpeciesStepping:
     def test_steady_state_stays_with_frozen_law(self):
         m0 = mesh.generate_icosphere(1, 1.0)
         kin = problems.TumorKinetics()
-        spec = problems.ProblemSpec(
-            law=problems.VelocityLaw(0.01, 0.0, 0.0), kinetics=kin)
+        spec = problems.ProblemSpec(law=problems.VelocityLaw(0.01, 0.0, 0.0),
+                                    source=kin.source, diffusion=(1.0, kin.D_c))
         us, ws = kin.steady_state()
         state = stepper.initial_state(spec, m0, u0=np.full(m0.num_nodes, us),
                                       w0=np.full(m0.num_nodes, ws))
@@ -280,8 +279,10 @@ def count_factorizations(monkeypatch):
 
 
 def seeded_two_species_start(spec, m0, seed):
+    """The steady state of the default kinetics, which ``spec`` (a
+    tumor_problem) carries, plus seeded noise."""
     rng = np.random.Generator(np.random.Philox(seed))
-    us, ws = spec.kinetics.steady_state()
+    us, ws = problems.TumorKinetics().steady_state()
     return stepper.initial_state(spec, m0, u0=us + 0.01 * rng.standard_normal(m0.num_nodes),
                                  w0=ws + 0.01 * rng.standard_normal(m0.num_nodes))
 
