@@ -284,23 +284,27 @@ def _icosahedron(radius):
 
 
 def _subdivide_project(verts, faces, radius):
-    """Quadrisect every triangle; new edge midpoints are pushed to the sphere."""
-    verts = list(map(np.asarray, verts))
-    midpoint = {}
+    """Quadrisect every triangle; new edge midpoints are pushed to the sphere.
 
-    def mid(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in midpoint:
-            m = 0.5 * (verts[i] + verts[j])
-            verts.append(m * (radius / np.linalg.norm(m)))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    new_faces = []
-    for i, j, k in faces:
-        ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
-        new_faces += [[i, ij, ki], [j, jk, ij], [k, ki, jk], [ij, jk, ki]]
-    return np.array(verts), np.array(new_faces, dtype=np.int64)
+    Midpoints are numbered after the old nodes in the order in which their
+    edges (i, j), (j, k), (k, i) first appear over the faces (i, j, k), and
+    ||m|| is a batched matmul, which rounds as np.linalg.norm of a single
+    3-vector does (norm(axis=1) and einsum do not): nodes and faces are
+    bitwise those of quartering one face at a time.
+    """
+    n = len(verts)
+    edges = np.stack((faces, np.roll(faces, -1, axis=1)), axis=-1).reshape(-1, 2)
+    keys = edges.min(axis=1) * n + edges.max(axis=1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    mid = (n + np.argsort(order))[inverse].reshape(-1, 3)
+    ends = edges[first[order]]
+    m = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
+    norms = np.sqrt((m[:, None, :] @ m[:, :, None]).reshape(-1))
+    (i, j, k), (ij, jk, ki) = faces.T, mid.T
+    new_faces = np.stack(([i, ij, ki], [j, jk, ij], [k, ki, jk], [ij, jk, ki]))
+    return (np.concatenate((verts, m * (radius / norms)[:, None])),
+            new_faces.transpose(2, 0, 1).reshape(-1, 3))
 
 
 def generate_icosphere(subdivision_level: int, radius: float) -> SurfaceMesh:

@@ -11,11 +11,11 @@ d/dt(M u) update telescoping exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly, problems
 from .errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
@@ -166,13 +166,47 @@ class LaggedFactor:
         return None if active.size else x.reshape(rhs.shape)
 
 
+def _pcg(matrix, inv_diag, b, x, rtol):
+    """Jacobi-preconditioned CG on one contiguous column b from x (updated
+    in place) to ||r|| < rtol ||b||; returns (x, iterations).
+
+    The floating-point operations, and their order, are those of SciPy
+    1.17's ``scipy.sparse.linalg.cg`` with ``atol=0``, so the results are
+    bitwise its results; a zero b returns b.  Raises LinearSolveFailure
+    after CG_MAX_ITER iterations.
+    """
+    b_norm = math.sqrt(b.dot(b))
+    if b_norm == 0.0:
+        return b, 0
+    tol = rtol * b_norm
+    r = b - matrix @ x if x.any() else b.copy()
+    z, scratch = np.empty_like(b), np.empty_like(b)
+    p, rho_prev = None, None
+    for iteration in range(CG_MAX_ITER):
+        if math.sqrt(r.dot(r)) < tol:
+            return x, iteration
+        np.multiply(inv_diag, r, out=z)
+        rho = r.dot(z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matrix @ p
+        alpha = rho / p.dot(q)
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, q, out=scratch)
+        rho_prev = rho
+    raise LinearSolveFailure("conjugate gradient did not converge",
+                             float(np.linalg.norm(matrix @ x - b)))
+
+
 def _jacobi_cg(matrix, rtol, x0=None):
-    """solve(rhs, start=None) by Jacobi-preconditioned CG per column to
-    relative residual ``rtol``, from ``x0`` (shaped like rhs) or from zero;
-    the call's ``start`` is ignored (see make_solver)."""
+    """solve(rhs, start=None) by Jacobi-preconditioned CG (_pcg) per column
+    to relative residual ``rtol``, from ``x0`` (shaped like rhs) or from
+    zero; the call's ``start`` is ignored (see make_solver)."""
     matrix = matrix.tocsr()
     inv_diag = 1.0 / matrix.diagonal()
-    precond = spla.LinearOperator(matrix.shape, matvec=lambda r: inv_diag * r)
 
     def solve(rhs, start=None):
         rhs = np.asarray(rhs)
@@ -180,12 +214,8 @@ def _jacobi_cg(matrix, rtol, x0=None):
         starts = np.zeros_like(cols) if x0 is None else np.reshape(x0, cols.shape)
         out = np.empty_like(cols)
         for j in range(cols.shape[1]):
-            xj, info = spla.cg(matrix, cols[:, j], x0=starts[:, j], rtol=rtol, atol=0.0,
-                               maxiter=CG_MAX_ITER, M=precond)
-            if info != 0:
-                res = float(np.linalg.norm(matrix @ xj - cols[:, j]))
-                raise LinearSolveFailure("conjugate gradient did not converge", res)
-            out[:, j] = xj
+            out[:, j], _ = _pcg(matrix, inv_diag, np.ascontiguousarray(cols[:, j]),
+                                np.array(starts[:, j]), rtol)
         return out.reshape(rhs.shape)
 
     return solve

@@ -24,6 +24,27 @@ def independent_flat_area(coords, tris):
     return total
 
 
+def loop_quadrisection(verts, faces, radius):
+    """Oracle: quarter one face at a time, numbering each new midpoint when
+    its edge first appears and projecting it by np.linalg.norm."""
+    verts = list(map(np.asarray, verts))
+    midpoint = {}
+
+    def mid(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in midpoint:
+            m = 0.5 * (verts[i] + verts[j])
+            verts.append(m * (radius / np.linalg.norm(m)))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    new_faces = []
+    for i, j, k in faces:
+        ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
+        new_faces += [[i, ij, ki], [j, jk, ij], [k, ki, jk], [ij, jk, ki]]
+    return np.array(verts), np.array(new_faces, dtype=np.int64)
+
+
 class TestIcosphere:
     def test_level0_is_icosahedron(self):
         m = mesh.generate_icosphere(0, 1.0)
@@ -54,6 +75,16 @@ class TestIcosphere:
             ratio = h[L + 1] / h[L]
             assert 0.45 <= ratio <= 0.55
         assert 0.55 < h[1] / h[0] < 0.60
+
+    @pytest.mark.parametrize("radius", [1.0, 1.3])
+    def test_nodes_and_faces_bitwise_those_of_the_loop(self, radius):
+        verts, faces = mesh._icosahedron(radius)
+        for level in range(6):
+            m = mesh.generate_icosphere(level, radius)
+            assert m.triangles.dtype == faces.dtype
+            assert np.array_equal(m.triangles, faces)
+            assert np.array_equal(m.coords.view(np.int64), verts.view(np.int64))
+            verts, faces = loop_quadrisection(verts, faces, radius)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

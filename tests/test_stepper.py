@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -559,14 +561,16 @@ def field_system(level=3, seed=8):
 
 
 def count_cg_iterations(monkeypatch):
-    """Record one entry per spla.cg iteration from now on."""
+    """Record the iteration count of every stepper._pcg call from now on."""
     iterations = []
-    real = spla.cg
+    real = stepper._pcg
 
-    def cg(*args, **kwargs):
-        return real(*args, callback=lambda xk: iterations.append(1), **kwargs)
+    def pcg(*args):
+        x, n = real(*args)
+        iterations.append(n)
+        return x, n
 
-    monkeypatch.setattr(spla, "cg", cg)
+    monkeypatch.setattr(stepper, "_pcg", pcg)
     return iterations
 
 
@@ -577,16 +581,82 @@ class TestFieldSolve:
         m0, mass, stiff, tau, system, u_prev = field_system()
         mass_old = 0.99 * mass
         calls = count_factorizations(monkeypatch)
+        iterations = count_cg_iterations(monkeypatch)
         cfg = stepper.StepperConfig(tau=tau, t_end=1.0, solver=solver)
         state = stepper.initial_state(quiescent_spec(), m0, u0=u_prev)
         u, w = stepper._advance_fields(quiescent_spec(), mass_old, state, m0, mass, stiff, cfg)
         rhs = mass_old @ u_prev
         assert np.linalg.norm(system @ u - rhs) <= 1e-14 * np.linalg.norm(rhs)
         assert calls == [] and w is None
+        assert len(iterations) == 1 and iterations[0] > 0
 
     def test_exact_start_returns_without_iterating(self, monkeypatch):
         *_, system, u_prev = field_system()
         iterations = count_cg_iterations(monkeypatch)
         x = stepper._jacobi_cg(system, stepper.LAG_TOL, u_prev)(system @ u_prev)
         assert np.array_equal(x, u_prev)
-        assert iterations == []
+        assert iterations == [0]
+        stepper._jacobi_cg(system, stepper.LAG_TOL, 1.001 * u_prev)(system @ u_prev)
+        assert iterations[1] > 0
+
+
+@functools.lru_cache(maxsize=None)
+def sphere_matrices(level):
+    m0 = mesh.generate_icosphere(level, 1.0)
+    return assembly.assemble_mass(m0), assembly.assemble_stiffness(m0)
+
+
+def jacobi_operator(matrix):
+    inv_diag = 1.0 / matrix.diagonal()
+    return spla.LinearOperator(matrix.shape, matvec=lambda r: inv_diag * r)
+
+
+def scipy_jacobi_cg(matrix, rhs, x0, rtol):
+    """Reference: spla.cg per column with the Jacobi LinearOperator."""
+    matrix, cols = matrix.tocsr(), rhs.reshape(rhs.shape[0], -1)
+    starts = np.zeros_like(cols) if x0 is None else x0.reshape(cols.shape)
+    out = np.empty_like(cols)
+    for j in range(cols.shape[1]):
+        out[:, j], info = spla.cg(matrix, cols[:, j], x0=starts[:, j], rtol=rtol, atol=0.0,
+                                  maxiter=stepper.CG_MAX_ITER, M=jacobi_operator(matrix))
+        assert info == 0
+    return out.reshape(rhs.shape)
+
+
+class TestPCGKernel:
+    @settings(max_examples=20, deadline=None)
+    @given(level=st.integers(1, 3), c=st.floats(1e-6, 1.0), k=st.sampled_from([1, 3]),
+           random_start=st.booleans(), rtol=st.sampled_from([1e-12, 1e-14]),
+           zero=st.integers(-1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_scipy_cg(self, level, c, k, random_start, rtol, zero, seed):
+        mass, stiff = sphere_matrices(level)
+        matrix = assembly.add_scaled(mass, c, stiff)
+        rng = np.random.Generator(np.random.Philox(seed))
+        shape = (mass.shape[0],) if k == 1 else (mass.shape[0], k)
+        rhs = rng.standard_normal(shape)
+        if zero >= 0:
+            rhs.reshape(shape[0], -1)[:, zero % k] = 0.0
+        x0 = rng.standard_normal(shape) if random_start else None
+        expected = scipy_jacobi_cg(matrix, rhs, x0, rtol)
+        x = stepper._jacobi_cg(matrix, rtol, x0)(rhs)
+        assert x.shape == expected.shape
+        assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+    def test_nan_rhs_raises(self):
+        mass, stiff = sphere_matrices(1)
+        rhs = np.full(mass.shape[0], np.nan)
+        with pytest.raises(LinearSolveFailure, match="conjugate gradient") as info:
+            stepper._jacobi_cg(mass + stiff, stepper.CG_TOL)(rhs)
+        assert np.isnan(info.value.residual)
+
+    def test_iteration_cap_raises_with_the_residual(self, monkeypatch):
+        mass, stiff = sphere_matrices(2)
+        matrix = assembly.add_scaled(mass, 1.0, stiff).tocsr()
+        rhs = np.random.Generator(np.random.Philox(4)).standard_normal(mass.shape[0])
+        monkeypatch.setattr(stepper, "CG_MAX_ITER", 2)
+        with pytest.raises(LinearSolveFailure) as info:
+            stepper._jacobi_cg(matrix, stepper.LAG_TOL)(rhs)
+        x, code = spla.cg(matrix, rhs, rtol=stepper.LAG_TOL, atol=0.0, maxiter=2,
+                          M=jacobi_operator(matrix))
+        assert code == 2
+        assert info.value.residual == float(np.linalg.norm(matrix @ x - rhs)) > 0.0
