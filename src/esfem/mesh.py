@@ -51,6 +51,8 @@ class SurfaceMesh:
     safe to share across threads and all per-element queries are pure.
     Edge lengths, ``h_max``, areas, normals, basis gradients, quality and
     the degeneracy rule all derive from one cached corner gather, ``edges``.
+    Export text is cached too: the node rows once per surface, shared by
+    its VTK and OBJ files, and the cell and face rows once per topology.
     """
 
     def __init__(self, coords, triangles, validate=True, _topo_cache=None):
@@ -64,8 +66,8 @@ class SurfaceMesh:
             raise ValueError("coords contain non-finite entries")
         self.coords = _locked(coords)
         self.triangles = _locked(triangles)
-        # Topology-derived data (assembly index patterns); shared between
-        # meshes that differ only in coordinates.
+        # Topology-derived data (assembly index patterns, export rows);
+        # shared between meshes that differ only in coordinates.
         self._topo_cache = _topo_cache if _topo_cache is not None else {}
         if validate:
             self._validate()
@@ -77,11 +79,6 @@ class SurfaceMesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    @property
-    def node_vector(self) -> np.ndarray:
-        """Flat node-major copy of the coordinates (length 3N)."""
-        return self.coords.reshape(-1).copy()
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -124,6 +121,11 @@ class SurfaceMesh:
         midpoint-major: row q*T + t is midpoint q of triangle t."""
         corners = np.take(self.coords, self.triangles.T, axis=0).reshape(3, -1)
         return _locked((MIDPOINT_POINTS @ corners).reshape(-1, 3))
+
+    @cached_property
+    def _node_rows(self) -> tuple:
+        """The ``%.17g`` rows of ``coords``, as ``_rows`` returns them."""
+        return tuple(_rows("%.17g %.17g %.17g", self.coords))
 
     @cached_property
     def degenerate(self) -> bool:
@@ -336,13 +338,15 @@ def _rows(row, values):
     return ["\n".join([row] * len(values)) % tuple(values.ravel().tolist())] if len(values) else []
 
 
-def _check_fields(n, nodal_fields):
-    for name, values in nodal_fields.items():
-        values = np.asarray(values, dtype=float)
-        if values.size not in (n, 3 * n):
-            raise FieldLengthMismatch(
-                f"field '{name}' has {values.size} entries, expected {n} or {3 * n}"
-            )
+def _topology_rows(mesh):
+    """The VTK cell block and the OBJ face rows, formatted once per topology."""
+    cache = mesh._topo_cache
+    if "export_rows" not in cache:
+        nt = mesh.num_triangles
+        cells = ([f"CELLS {nt} {4 * nt}"] + _rows("3 %d %d %d", mesh.triangles)
+                 + [f"CELL_TYPES {nt}"] + ["5"] * nt)
+        cache["export_rows"] = ("\n".join(cells), tuple(_rows("f %d %d %d", mesh.triangles + 1)))
+    return cache["export_rows"]
 
 
 def export_surface(mesh: SurfaceMesh, nodal_fields, path) -> None:
@@ -352,38 +356,29 @@ def export_surface(mesh: SurfaceMesh, nodal_fields, path) -> None:
     byte-deterministic for identical inputs (fixed 17-significant-digit
     formatting, fixed iteration order).
     """
-    nodal_fields = dict(nodal_fields or {})
-    _check_fields(mesh.num_nodes, nodal_fields)
-    lines = [
-        "# vtk DataFile Version 2.0",
-        "surface snapshot",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.num_nodes} double",
-    ]
-    lines += _rows("%.17g %.17g %.17g", mesh.coords)
-    nt = mesh.num_triangles
-    lines.append(f"CELLS {nt} {4 * nt}")
-    lines += _rows("3 %d %d %d", mesh.triangles)
-    lines.append(f"CELL_TYPES {nt}")
-    lines += ["5"] * nt
+    n, nodal_fields = mesh.num_nodes, dict(nodal_fields or {})
+    lines = ["# vtk DataFile Version 2.0", "surface snapshot", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double",
+             *mesh._node_rows, _topology_rows(mesh)[0]]
     if nodal_fields:
-        lines.append(f"POINT_DATA {mesh.num_nodes}")
+        lines.append(f"POINT_DATA {n}")
         for name, values in nodal_fields.items():
             values = np.asarray(values, dtype=float)
-            if values.size == mesh.num_nodes:
-                lines.append(f"SCALARS {name} double")
-                lines.append("LOOKUP_TABLE default")
-                lines += _rows("%.17g", values)
-            else:
+            if values.size == n:
+                lines += [f"SCALARS {name} double", "LOOKUP_TABLE default", *_rows("%.17g", values)]
+            elif values.size == 3 * n:
                 lines.append(f"VECTORS {name} double")
                 lines += _rows("%.17g %.17g %.17g", values.reshape(-1, 3))
+            else:
+                raise FieldLengthMismatch(
+                    f"field '{name}' has {values.size} entries, expected {n} or {3 * n}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def export_obj(mesh: SurfaceMesh, path) -> None:
     """Geometry-only Wavefront OBJ export (v/f lines, 1-based indices)."""
-    lines = _rows("v %.17g %.17g %.17g", mesh.coords) + _rows("f %d %d %d", mesh.triangles + 1)
+    lines = ["v " + rows.replace("\n", "\nv ") for rows in mesh._node_rows]
+    lines += _topology_rows(mesh)[1]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -50,7 +50,7 @@ class TestInterpolatedExact:
     def test_time_zero_matches_initial_nodes(self):
         m0 = mesh.generate_icosphere(1, 1.0)
         x, u, v = interpolated_exact(self.spec, m0.coords, 0.0)
-        assert np.allclose(x, m0.node_vector, rtol=1e-14)
+        assert np.allclose(x, m0.coords.reshape(-1), rtol=1e-14)
 
     def test_positions_on_the_exact_sphere(self):
         m0 = mesh.generate_icosphere(1, 1.0)

@@ -128,7 +128,7 @@ class TestSurfaceMeshValidation:
         # a view's base must be locked too, or a write through it would
         # change the cached geometry behind the mesh's back
         m = mesh.generate_icosphere(2, 1.0)
-        m = m.with_coords(m.node_vector * 1.1)
+        m = m.with_coords(m.coords.reshape(-1) * 1.1)
         for name in ("coords", "triangles", "edges", "edge_lengths", "element_areas",
                      "element_normals", "basis_gradients", "midpoint_positions"):
             array = getattr(m, name)
@@ -327,10 +327,9 @@ class TestNodeVectorLayout:
 
     def test_round_trip(self):
         m = mesh.generate_icosphere(0, 1.0)
-        flat = m.node_vector
-        assert flat.shape == (3 * m.num_nodes,)
-        assert np.array_equal(flat.reshape(-1, 3), m.coords)
-        assert np.array_equal(m.with_coords(flat).coords, m.coords)
+        assert np.array_equal(m.with_coords(m.coords.reshape(-1)).coords, m.coords)
+        moved = m.with_coords(np.arange(3.0 * m.num_nodes))
+        assert np.array_equal(moved.coords[5], [15.0, 16.0, 17.0])
 
     def test_bad_length(self):
         m = mesh.generate_icosphere(0, 1.0)
@@ -362,9 +361,22 @@ class TestExport:
         m = mesh.generate_icosphere(0, 1.0)
         with pytest.raises(FieldLengthMismatch):
             mesh.export_surface(m, {"u": np.zeros(5)}, tmp_path / "x.vtk")
+        # a bad field after a good one still fails before the file is opened
+        with pytest.raises(FieldLengthMismatch, match="'bad' has 5 entries, expected 12 or 36"):
+            mesh.export_surface(m, {"u": np.zeros(12), "bad": np.zeros(5)}, tmp_path / "x.vtk")
+        assert not (tmp_path / "x.vtk").exists()
 
-    def test_one_format_per_block_matches_per_row_formatting(self, tmp_path):
-        m = jittered(2, 4)
+    @pytest.mark.parametrize("surface, order", [("first", "vtk-obj"), ("moved", "vtk-obj"),
+                                                ("moved", "obj-vtk")])
+    def test_one_format_per_block_matches_per_row_formatting(self, tmp_path, surface, order):
+        m = first = jittered(2, 4)
+        if surface == "moved":
+            # the first surface's export fills the caches a stale read would
+            # take; its moved copy must still write its own nodes
+            mesh.export_surface(first, {"u": first.coords[:, 0]}, tmp_path / "first.vtk")
+            mesh.export_obj(first, tmp_path / "first.obj")
+            rows = first._topo_cache["export_rows"]
+            m = first.with_coords(first.coords * 1.25 + 0.01)
         u = np.random.Generator(np.random.Philox(1)).standard_normal(m.num_nodes)
         v = np.random.Generator(np.random.Philox(2)).standard_normal(3 * m.num_nodes)
         fields = {"u": u, "vel": v, "w": -u}
@@ -384,12 +396,19 @@ class TestExport:
             else:
                 lines.append(f"VECTORS {name} double")
                 lines += ["%.17g %.17g %.17g" % tuple(x) for x in values.reshape(-1, 3)]
-        mesh.export_surface(m, fields, tmp_path / "a.vtk")
-        assert (tmp_path / "a.vtk").read_bytes() == ("\n".join(lines) + "\n").encode()
         obj = ["v %.17g %.17g %.17g" % tuple(p) for p in m.coords]
         obj += ["f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1) for t in m.triangles]
-        mesh.export_obj(m, tmp_path / "a.obj")
-        assert (tmp_path / "a.obj").read_bytes() == ("\n".join(obj) + "\n").encode()
+        expected = {"vtk": lines, "obj": obj}
+        for kind in order.split("-"):
+            path = tmp_path / f"a.{kind}"
+            if kind == "vtk":
+                mesh.export_surface(m, fields, path)
+            else:
+                mesh.export_obj(m, path)
+            assert path.read_bytes() == ("\n".join(expected[kind]) + "\n").encode()
+        if surface == "moved":
+            assert m._topo_cache is first._topo_cache
+            assert m._topo_cache["export_rows"] is rows
 
     def test_obj_writer(self, tmp_path):
         m = mesh.generate_icosphere(0, 1.0)
@@ -398,5 +417,6 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert sum(1 for l in lines if l.startswith("v ")) == 12
         assert sum(1 for l in lines if l.startswith("f ")) == 20
-        # 1-based indices
-        assert not any(" 0" in l.replace("f ", "", 1) and l.startswith("f 0") for l in lines)
+        # 1-based indices: the faces use exactly the nodes 1..N
+        faces = [int(i) for l in lines if l.startswith("f ") for i in l.split()[1:]]
+        assert sorted(set(faces)) == list(range(1, m.num_nodes + 1))

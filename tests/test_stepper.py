@@ -70,7 +70,7 @@ class TestStepDynamic:
         spec = problems.ProblemSpec(law=problems.VelocityLaw(1.0, dynamic=True))
         cfg = stepper.StepperConfig(tau=0.05, t_end=0.5)
         final = stepper.run(spec, m0, cfg)
-        assert np.array_equal(final.x, m0.node_vector)
+        assert np.array_equal(final.x, m0.coords.reshape(-1))
         assert np.all(final.v == 0.0)
 
     def test_velocity_norm_contracts_per_step(self):
@@ -322,7 +322,7 @@ class TestFactorReuse:
         cfg = stepper.StepperConfig(tau=1e-3, t_end=0.3)
         start = stepper.initial_state(spec, m0, u0=rng.standard_normal(m0.num_nodes))
         final = stepper.run(spec, m0, cfg, start=start)
-        assert np.abs(final.x - m0.node_vector).max() <= 5e-13
+        assert np.abs(final.x - m0.coords.reshape(-1)).max() <= 5e-13
 
     def test_stale_factor_refactors_once(self, monkeypatch):
         m0 = mesh.generate_icosphere(2, 1.0)
