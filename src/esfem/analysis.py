@@ -2,15 +2,15 @@
 
 All errors are nodal-versus-nodal on the interpolated surface, i.e. the
 mesh whose nodes sit at the exact flow positions of the initial node
-labels.  With the mass/stiffness matrices assembled there, the matrix
+labels.  With the mass/stiffness matrices of that surface, the matrix
 quadratic forms coincide with the L2 / H1-seminorm integrals of the
 piecewise linear error function, so no continuous geometry is needed.
 
 For the manufactured sphere that surface is the initial mesh scaled by
 s = r(t)/r0: node j sits at r(t) x_j(0)/r0.  Scaling a flat triangle by s
 multiplies its area by s^2 and its basis gradients by 1/s, so the mass
-matrix there is s^2 M0 and the stiffness matrix is A0, both assembled once
-on the initial mesh.
+matrix there is s^2 M0 and the stiffness matrix is A0, the pair the
+initial mesh keeps (assembly.surface_matrices).
 """
 
 from __future__ import annotations
@@ -43,18 +43,17 @@ class ErrorAccumulator:
     in time order.  Velocity errors start at the first step because the
     difference-quotient velocity of the regularized laws only exists there.
 
-    M0 and A0 are assembled once on ``mesh0``; each update assembles
-    nothing, scaling the M-norms by s = r(t)/r0 and using the A-norms as
-    they are, which is exact because the interpolated surface is ``mesh0``
-    scaled by s.
+    M0 and A0 are the pair ``mesh0`` keeps, which a run starting from
+    ``mesh0`` reuses for its first step; each update assembles nothing,
+    scaling the M-norms by s = r(t)/r0 and using the A-norms as they are,
+    which is exact because the interpolated surface is ``mesh0`` scaled by s.
     """
 
     def __init__(self, spec, mesh0: SurfaceMesh):
         if spec.exact is None:
             raise MissingExactSolution("problem has no manufactured solution")
         self.exact = spec.exact
-        self.mass0 = assembly.assemble_mass(mesh0)
-        self.stiff0 = assembly.assemble_stiffness(mesh0)
+        self.mass0, self.stiff0 = assembly.surface_matrices(mesh0)
         self.labels = mesh0.coords / spec.exact.r0
         self._last_t = None
         self._u_linf = 0.0
@@ -62,7 +61,6 @@ class ErrorAccumulator:
         self._v_linf_l2 = 0.0
         self._v_linf_h1 = 0.0
         self._x_linf_h1 = 0.0
-        self._count = 0
 
     def __call__(self, step_index, state):
         self.update(step_index, state)
@@ -89,10 +87,9 @@ class ErrorAccumulator:
             mv, av = norms(state.v - v_star.reshape(-1))
             self._v_linf_l2 = max(self._v_linf_l2, mv)
             self._v_linf_h1 = max(self._v_linf_h1, np.sqrt(mv**2 + av**2))
-        self._count += 1
 
     def result(self) -> ErrorNorms:
-        if self._count == 0:
+        if self._last_t is None:
             raise EmptyTrajectory("no states were accumulated")
         return ErrorNorms(
             u_linf_l2=self._u_linf,

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegenerateElement, FieldLengthMismatch, LinearSolveFailure, NonFiniteIntegrand
-from .mesh import MIDPOINT_POINTS, SurfaceMesh, einsum_dot
+from .mesh import MIDPOINT_POINTS, SurfaceMesh, _locked, einsum_dot
 
 # Local P1 mass block for a triangle of unit area.
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -93,6 +93,18 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
     for i, j in _UPPER:
         local[:, i, j] = local[:, j, i] = einsum_dot(g[:, i], g[:, j]) * area
     return _assemble_pairs(mesh, local)
+
+
+def surface_matrices(mesh: SurfaceMesh):
+    """The (mass, stiffness) pair of ``mesh``, assembled on the first call
+    and kept on that surface, read-only, for every later one."""
+    if mesh._matrices is None:
+        pair = assemble_mass(mesh), assemble_stiffness(mesh)
+        for matrix in pair:
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                _locked(array)
+        mesh._matrices = pair
+    return mesh._matrices
 
 
 def add_scaled(a, c, b) -> sp.csr_matrix:

@@ -174,10 +174,9 @@ def _prepare_out(config) -> Path:
             mesh0 = mesh.generate_icosphere(config.level, 1.0)
         else:
             mesh0 = mesh.generate_icosphere(config.levels[0], config.r0)
-        assembly.write_coordinate_matrix(assembly.assemble_mass(mesh0),
-                                         out / "mass_matrix.txt")
-        assembly.write_coordinate_matrix(assembly.assemble_stiffness(mesh0),
-                                         out / "stiffness_matrix.txt")
+        mass, stiff = assembly.surface_matrices(mesh0)
+        assembly.write_coordinate_matrix(mass, out / "mass_matrix.txt")
+        assembly.write_coordinate_matrix(stiff, out / "stiffness_matrix.txt")
     return out
 
 

@@ -52,7 +52,8 @@ class SurfaceMesh:
     Edge lengths, ``h_max``, areas, normals, basis gradients, quality and
     the degeneracy rule all derive from one cached corner gather, ``edges``.
     Export text is cached too: the node rows once per surface, shared by
-    its VTK and OBJ files, and the cell and face rows once per topology.
+    its VTK and OBJ files, and the cell and face rows once per topology;
+    so are M and A, per surface (``assembly.surface_matrices``).
     """
 
     def __init__(self, coords, triangles, validate=True, _topo_cache=None):
@@ -69,6 +70,7 @@ class SurfaceMesh:
         # Topology-derived data (assembly index patterns, export rows);
         # shared between meshes that differ only in coordinates.
         self._topo_cache = _topo_cache if _topo_cache is not None else {}
+        self._matrices = None  # this surface's (M, A), kept by assembly.surface_matrices
         if validate:
             self._validate()
 

@@ -30,9 +30,9 @@ class VelocityLaw:
     alpha    weight of the elliptic regularization (lap v term)
     beta     weight of the mean curvature term (lap x term)
     delta    strength of the normal coupling to the surface field
-    dynamic  the velocity itself evolves (step_dynamic); otherwise the
-             regularized law (step_coupled) determines it: an elliptic
-             regularization for beta = 0, mean curvature flow for beta > 0
+    dynamic  the velocity itself evolves; otherwise the regularized law
+             determines it: an elliptic regularization for beta = 0, mean
+             curvature flow for beta > 0 (the stepper branches on this alone)
     """
 
     alpha: float
@@ -234,8 +234,7 @@ def tumor_initial_data(mesh: SurfaceMesh, kinetics: TumorKinetics, seed: int,
     u = u_star + rng.uniform(0.0, perturbation_bound, n)
     w = w_star + rng.uniform(0.0, perturbation_bound, n)
 
-    mass = assembly.assemble_mass(mesh)
-    stiff = assembly.assemble_stiffness(mesh)
+    mass, stiff = assembly.surface_matrices(mesh)
     solves = [assembly.factorize(assembly.add_scaled(mass, TAU_PRE * d, stiff)).solve
               for d in (1.0, kinetics.D_c)]
     for _ in range(n_steps):

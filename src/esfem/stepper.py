@@ -1,12 +1,13 @@
 """Linearly implicit Euler stepping of the coupled node/field system.
 
-One step advances, in order: (1) assemble mass and stiffness on the
-current surface, (2) solve the velocity law for the new node positions
-(matrices frozen at the old surface, the mean curvature term implicit),
-(3) reassemble on the new surface, (4) advance the scalar field(s) with
-the mass-transport term treated exactly and the nonlinearity evaluated
-at the old field.  Surface first, then PDE on the new surface, keeps the
-d/dt(M u) update telescoping exactly.
+One step advances, in order: (1) take the mass and stiffness of the
+current surface, which keeps them (assembly.surface_matrices), (2) solve
+the velocity law of spec.law for the new node positions (matrices frozen
+at the old surface, the mean curvature term implicit), (3) assemble on
+the new surface, (4) advance the scalar field(s) with the mass-transport
+term treated exactly and the nonlinearity evaluated at the old field.
+Surface first, then PDE on the new surface, keeps the d/dt(M u) update
+telescoping exactly.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = 
     return _jacobi_cg(matrix, CG_TOL)
 
 
-def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config):
+def _advance_fields(spec, state, mesh_new, config):
     """PDE step of every field on the new surface; returns (u_new, w_new),
     w_new None for a single field.
 
@@ -246,9 +247,11 @@ def _advance_fields(spec, mass_old, state, mesh_new, mass_new, stiff_new, config
     LAG_TOL, started from the old field.
     """
     tau = config.tau
+    mass_new, stiff_new = assembly.surface_matrices(mesh_new)
     fields = (state.u, state.w)[:len(spec.diffusion)]
     solves = [_jacobi_cg(assembly.add_scaled(mass_new, tau * d, stiff_new), LAG_TOL, f)
               for d, f in zip(spec.diffusion, fields)]
+    mass_old = assembly.surface_matrices(state.mesh)[0]
     new = problems.field_step(mesh_new, spec.source, mass_old, fields, tau, solves, state.t + tau)
     return (*new, None)[:2]
 
@@ -276,30 +279,15 @@ def _new_surface(mesh, x, t, config):
     return mesh_new
 
 
-def _step(state, spec, config, matrices, factor, dynamic):
-    """The step shared by all velocity laws: the velocity law on the old
-    surface (_velocity), then the fields on the new one."""
-    mesh = state.mesh
-    mass, stiff = matrices if matrices is not None else (
-        assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh))
-    x_new, v_new = _velocity(state, spec, config, mass, stiff, factor, dynamic)
-    mesh_new = _new_surface(mesh, x_new, state.t + config.tau, config)
-    mass_new = assembly.assemble_mass(mesh_new)
-    stiff_new = assembly.assemble_stiffness(mesh_new)
-    u_new, w_new = _advance_fields(spec, mass, state, mesh_new, mass_new, stiff_new, config)
-    _check_finite(state.t + config.tau, u=u_new, w=w_new)
-    state_new = SystemState(state.t + config.tau, u_new, v_new, mesh_new, w_new)
-    return state_new, (mass_new, stiff_new)
-
-
-def _velocity(state, spec, config, mass, stiff, factor, dynamic):
+def _velocity(state, spec, config, factor):
     """Solve (K + cA) y = K y0 + tau * load on the old surface from a guess of
     y, where load = delta N(x) u + g load; returns the flat (x_new, v_new).
     Regularized: K = M + alpha A, c = tau beta, y = x_new from y0 = x and the
     guess x + tau v, which is O(tau^2) close; dynamic: K = M, c = tau alpha,
     y = v_new from y0 = v and the guess v."""
     law, tau, mesh = spec.law, config.tau, state.mesh
-    if dynamic:
+    mass, stiff = assembly.surface_matrices(mesh)
+    if law.dynamic:
         k, c, y0, guess = mass, tau * law.alpha, state.v, state.v
     else:
         k = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
@@ -313,27 +301,24 @@ def _velocity(state, spec, config, mass, stiff, factor, dynamic):
         load += assembly.assemble_normal_load(mesh, lambda x, _u, t: g(x, t), time=state.t + tau)
     y = solve(k @ y0.reshape(-1, 3) + tau * load.reshape(-1, 3),
               start=guess.reshape(-1, 3)).reshape(-1)
-    return (state.x + tau * y, y) if dynamic else (y, (y - state.x) / tau)
+    return (state.x + tau * y, y) if law.dynamic else (y, (y - state.x) / tau)
 
 
-def step_coupled(state: SystemState, spec, config: StepperConfig, matrices=None,
-                 factor=None):
-    """One step of the regularized (elliptic or mean curvature) velocity law.
+def step_coupled(state: SystemState, spec, config: StepperConfig, factor=None) -> SystemState:
+    """One step of the velocity law ``spec.law`` on the old surface, then of
+    the fields on the new one; returns the new state.  ``factor`` is the
+    velocity system's LaggedFactor, kept across the steps of one run on one
+    mesh; without it the velocity system is factored fresh."""
+    t_new = state.t + config.tau
+    x_new, v_new = _velocity(state, spec, config, factor)
+    mesh_new = _new_surface(state.mesh, x_new, t_new, config)
+    u_new, w_new = _advance_fields(spec, state, mesh_new, config)
+    _check_finite(t_new, u=u_new, w=w_new)
+    return SystemState(t_new, u_new, v_new, mesh_new, w_new)
 
-    Returns the new state and the (mass, stiffness) pair assembled on the
-    new surface, which the caller can feed back as ``matrices`` to avoid
-    reassembling.  ``factor`` is the velocity system's LaggedFactor, kept
-    across the steps of one run on one mesh; without it the velocity system
-    is factored fresh.
-    """
-    return _step(state, spec, config, matrices, factor, dynamic=False)
 
-
-def step_dynamic(state: SystemState, spec, config: StepperConfig, matrices=None,
-                 factor=None):
-    """One step of the dynamic velocity law (velocity itself evolves);
-    ``matrices`` and ``factor`` as for step_coupled."""
-    return _step(state, spec, config, matrices, factor, dynamic=True)
+# One step for every law; bench/tracer.py patches both names.
+step_dynamic = step_coupled
 
 
 def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None, v0=None) -> SystemState:
@@ -357,12 +342,11 @@ def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
     n_steps = problems.step_count(config.t_end, config.tau, "t_end/tau")
 
     state = start if start is not None else initial_state(spec, mesh0)
-    step = step_dynamic if spec.law.dynamic else step_coupled
     for obs in observers:
         obs(0, state)
-    matrices, factor = None, LaggedFactor()
+    factor = LaggedFactor()
     for n in range(1, n_steps + 1):
-        state, matrices = step(state, spec, config, matrices, factor)
+        state = step_coupled(state, spec, config, factor)
         for obs in observers:
             obs(n, state)
     return state

@@ -175,21 +175,34 @@ class TestScaledNorms:
         assert acc.result().u_linf_l2 > 0.0
 
     def test_run_level_assembles_two_matrices_per_step(self, monkeypatch):
-        # one pair on the new surface per step, one on the initial surface for
-        # the first step and one for the error norms
-        calls = []
-        for name in ("assemble_mass", "assemble_stiffness"):
-            real = getattr(assembly, name)
-
-            def counted(m, real=real):
-                calls.append(m)
-                return real(m)
-
-            monkeypatch.setattr(assembly, name, counted)
+        # one pair per surface: the initial surface's serves the error norms
+        # and the first step, and each step assembles one on its new surface
+        calls = count_assemblies(monkeypatch)
         spec = problems.example1_problem()
         steps = round(0.1 / experiments.step_size_for(mesh.generate_icosphere(2, 1.0), 0.1))
         experiments.run_level(spec, 2, 0.1)
-        assert len(calls) == 2 * steps + 4
+        assert len(calls) == 2 * steps + 2
+
+    def test_tumor_run_assembles_two_matrices_per_step(self, monkeypatch):
+        # the pre-relaxation and the first moving step share the initial
+        # surface's pair
+        calls = count_assemblies(monkeypatch)
+        experiments.tumor_experiment(0.0, 0.01, level=1, tau=1e-3, t_end=5e-3, pre_time=0.01)
+        assert len(calls) == 2 * 5 + 2
+
+
+def count_assemblies(monkeypatch):
+    """Record the mesh of every mass and stiffness assembly from now on."""
+    calls = []
+    for name in ("assemble_mass", "assemble_stiffness"):
+        real = getattr(assembly, name)
+
+        def counted(m, real=real):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(assembly, name, counted)
+    return calls
 
 
 class TestComputeEoc:

@@ -135,6 +135,26 @@ class TestStiffnessMatrix:
         assert d.nnz == 0 or np.abs(d.data).max() == 0.0
 
 
+class TestSurfaceMatrices:
+    def test_each_surface_keeps_its_own_read_only_pair(self):
+        m = mesh.generate_icosphere(2, 1.0)
+        pair = assembly.surface_matrices(m)
+        again = assembly.surface_matrices(m)
+        assert again[0] is pair[0] and again[1] is pair[1]
+        # a moved copy shares the topology caches but not the matrices
+        moved = m.with_coords(1.5 * m.coords)
+        mass, stiff = assembly.surface_matrices(moved)
+        assert mass is not pair[0] and stiff is not pair[1]
+        for kept, fresh in [(mass, assembly.assemble_mass(moved)),
+                            (stiff, assembly.assemble_stiffness(moved))]:
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(kept, name), getattr(fresh, name))
+        for matrix in (*pair, mass, stiff):
+            assert not matrix.data.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.data[0] = 0.0
+
+
 class TestAddScaled:
     @pytest.mark.parametrize("c", [1.0, 0.37, 1e-3 * 0.01, -2.5])
     def test_bitwise_equal_to_a_sparse_add(self, c):
