@@ -169,29 +169,19 @@ def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _load_fields(mesh, u, extra_fields):
-    n = mesh.num_nodes
-    fields = []
-    for f in (u, *extra_fields):
-        if f is None:
-            f = np.zeros(n)
-        f = np.asarray(f, dtype=float)
-        if f.size != n:
-            raise FieldLengthMismatch(f"field has {f.size} entries, expected {n}")
-        fields.append(f)
-    return fields
-
-
-def _corner_loads(mesh, integrand, u, time, extra_fields):
+def _corner_loads(mesh, integrand, time, fields):
     """Midpoint-rule integrals of integrand * phi_i per corner, (3, T) or
     (3, T, k).  The 3T quadrature points go through one integrand call,
     midpoint-major; corner i collects midpoints i and i-1."""
-    fields = _load_fields(mesh, u, extra_fields)
+    n = mesh.num_nodes
+    fields = [np.asarray(f, dtype=float) for f in fields]
+    for f in fields:
+        if f.size != n:
+            raise FieldLengthMismatch(f"field has {f.size} entries, expected {n}")
     area = _checked_areas(mesh)
     t = mesh.triangles
-    pos = mesh.midpoint_positions
     vals = [(MIDPOINT_POINTS @ f[t.T]).ravel() for f in fields]
-    f_vals = np.asarray(integrand(pos, vals[0], time, *vals[1:]), dtype=float)
+    f_vals = np.asarray(integrand(mesh.midpoint_positions, time, *vals), dtype=float)
     if not np.all(np.isfinite(f_vals)):
         raise NonFiniteIntegrand(f"integrand non-finite at t={time}")
     weighted = (f_vals.T * (MIDPOINT_WEIGHTS[:, None] * area).ravel()).T
@@ -199,36 +189,24 @@ def _corner_loads(mesh, integrand, u, time, extra_fields):
     return corner.reshape(3, t.shape[0], *f_vals.shape[1:])
 
 
-def assemble_scalar_load(
-    mesh: SurfaceMesh,
-    integrand,
-    u=None,
-    time: float = 0.0,
-    extra_fields=(),
-) -> np.ndarray:
+def assemble_scalar_load(mesh: SurfaceMesh, integrand, time: float, fields=()) -> np.ndarray:
     """Load vector with entries integral of integrand * phi_j.
 
-    ``integrand(x, u, t, *extras)`` must be vectorized: it receives
-    quadrature-point positions (Q, 3), interpolated field values (Q,) and
-    the time, plus the interpolated values of any ``extra_fields``, and
-    returns (Q,) values, or (Q, k) for k integrands at once, which give an
-    (N, k) load.
+    ``integrand(x, t, *values)`` must be vectorized: it receives the
+    quadrature-point positions (Q, 3), the time and the interpolated
+    values (Q,) of each of ``fields``, in their order, and returns (Q,)
+    values, or (Q, k) for k integrands at once, which give an (N, k) load.
     """
-    return _scatter(mesh, _corner_loads(mesh, integrand, u, time, extra_fields))
+    return _scatter(mesh, _corner_loads(mesh, integrand, time, fields))
 
 
-def assemble_normal_load(
-    mesh: SurfaceMesh,
-    scalar_integrand,
-    u=None,
-    time: float = 0.0,
-    extra_fields=(),
-) -> np.ndarray:
-    """Vector load (3N,) with the element normal multiplying the integrand.
+def assemble_normal_load(mesh: SurfaceMesh, integrand, time: float, fields=()) -> np.ndarray:
+    """Vector load (3N,) with the element normal multiplying the integrand,
+    which takes ``assemble_scalar_load``'s arguments.
 
     Entry 3j+l is the integral of integrand * (normal)_l * phi_j.
     """
-    corner = _corner_loads(mesh, scalar_integrand, u, time, extra_fields)
+    corner = _corner_loads(mesh, integrand, time, fields)
     return _scatter(mesh, corner[:, :, None] * mesh.element_normals).reshape(-1)
 
 

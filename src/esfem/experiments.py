@@ -14,15 +14,19 @@ from .errors import MeshDegenerated, MissingExactSolution
 
 
 def step_size_for(mesh0, t_end, tau=None, tau_c=0.1):
-    """Uniform step size: fixed tau, or tau_c * h0^2, rounded so that
-    t_end is an integer number of steps, at most problems.MAX_STEPS (checked
-    before any set-up runs)."""
+    """Uniform step size t_end/n with at most problems.MAX_STEPS steps
+    (checked before any set-up runs).  A fixed tau must divide t_end to
+    1e-9 (problems.step_count, ValueError otherwise); tau_c * h0^2 is
+    lowered to the largest step that divides t_end."""
     target = tau if tau is not None else tau_c * mesh0.h_max**2
     if target <= 0.0:
         raise ValueError("tau and tau_c must be positive")
     if not t_end / target <= problems.MAX_STEPS:
         raise ValueError(f"t_end/tau = {t_end / target} exceeds {problems.MAX_STEPS} steps")
-    n = max(1, int(np.ceil(t_end / target)))
+    if tau is not None:
+        n = problems.step_count(t_end, tau, "t_end/tau")
+    else:
+        n = max(1, int(np.ceil(t_end / target)))
     return t_end / n
 
 

@@ -8,7 +8,10 @@ that pair an exact solution of the coupled system
     du/dt (material) + u div v - lap u = f,
     v - alpha lap v - beta lap x = (delta u + g) normal.
 
-The test suite re-derives both forcing identities term by term with
+Both forcing terms, like every load integrand, follow assembly's one
+contract ``integrand(x, t, *fields)``: the source f(x, t, u) and the
+velocity forcing g(x, t) each evaluate only their own formula.  The test
+suite re-derives both forcing identities term by term with
 finite-difference and spherical-harmonic oracles.
 """
 
@@ -86,22 +89,6 @@ def exact_solution(sphere: ManufacturedSphere, p, t):
     return x, u, v
 
 
-def _forcing(sphere: ManufacturedSphere, alpha, beta, delta, t, x):
-    """Forcing pair (f, g) of the manufactured problem at (Q, 3) points x.
-
-    f = (4 rdot/r - 6 + 6/r^2) u  and  g = rdot + 2 alpha rdot/r^2
-    + 2 beta/r - delta u, with u = x1 x2 exp(-6 t).  The load closures of
-    time stepping evaluate it on the numerical surface, which carries an
-    O(h^2) radius error, so x need not lie on the radius-r(t) sphere.
-    """
-    r = float(sphere.radius(t))
-    rdot = float(sphere.radius_rate(t))
-    u = x[:, 0] * x[:, 1] * np.exp(-6.0 * t)
-    f = (4.0 * rdot / r - 6.0 + 6.0 / r**2) * u
-    g = rdot + 2.0 * alpha * rdot / r**2 + 2.0 * beta / r - delta * u
-    return f, g
-
-
 @dataclass(frozen=True)
 class TumorKinetics:
     """Two-species activator-depleted reaction terms.
@@ -129,7 +116,7 @@ class TumorKinetics:
     def f2(self, u, w):
         return self.gamma * (self.b - u * u * w)
 
-    def source(self, x, u, t, w):
+    def source(self, x, t, u, w):
         """The (Q, 2) integrand (f1, f2) of ProblemSpec.source."""
         return np.stack((self.f1(u, w), self.f2(u, w)), axis=-1)
 
@@ -145,8 +132,7 @@ def field_step(mesh: SurfaceMesh, source, mass_old, fields, tau, solves, time):
     if source is None:
         loads = np.zeros((mesh.num_nodes, len(fields)))
     else:
-        loads = assembly.assemble_scalar_load(mesh, source, u=fields[0], time=time,
-                                              extra_fields=fields[1:])
+        loads = assembly.assemble_scalar_load(mesh, source, time, fields)
     loads = loads.reshape(mesh.num_nodes, -1).T
     return tuple(solve(mass_old @ f + tau * load) for solve, f, load in zip(solves, fields, loads))
 
@@ -155,13 +141,19 @@ def field_step(mesh: SurfaceMesh, source, mass_old, fields, tau, solves, time):
 class ProblemSpec:
     """Everything the time stepper needs to advance one coupled system.
 
-    source            source(x, u, t, *others) -> (Q,) values at quadrature
+    source            source(x, t, u, *others) -> (Q,) values at quadrature
                       points for u alone, or (Q, k) for u and k - 1 further
                       fields; None means no source
     diffusion         each field's diffusion coefficient, u first; its
                       length is the number of fields (u, and w when two)
-    velocity_forcing  g(x, t) -> scalar normal speed contribution, or None
+    velocity_forcing  g(x, t) -> (Q,) scalar normal speed contribution, or
+                      None
     exact             manufactured solution, when one exists
+
+    Both callables are load integrands of assembly's one contract
+    ``integrand(x, t, *fields)``: the (Q, 3) quadrature points, the time
+    and the interpolated (Q,) values of each field.  The source receives
+    every field, the velocity forcing none; assembly calls each as it is.
     """
 
     law: VelocityLaw
@@ -178,14 +170,28 @@ class ProblemSpec:
 
 
 def example1_problem(alpha=1.0, beta=0.0, delta=0.4, r0=1.0, rK=2.0, k=0.5) -> ProblemSpec:
-    """Coupled benchmark: field-driven expanding sphere with manufactured forcing."""
+    """Coupled benchmark: field-driven expanding sphere with manufactured forcing.
+
+    The source is f = (4 rdot/r - 6 + 6/r^2) u and the velocity forcing
+    g = rdot + 2 alpha rdot/r^2 + 2 beta/r - delta u, with u = x1 x2
+    exp(-6 t) at the (Q, 3) points x; f ignores the interpolated field.
+    Time stepping evaluates both on the numerical surface, which carries
+    an O(h^2) radius error, so x need not lie on the radius-r(t) sphere.
+    """
     sphere = ManufacturedSphere(r0, rK, k)
 
-    def f(x, u, t):
-        return _forcing(sphere, alpha, beta, delta, t, x)[0]
+    def exact_terms(x, t):
+        """r(t), rdot(t) and u = x1 x2 exp(-6 t) at the points x."""
+        r, rdot = float(sphere.radius(t)), float(sphere.radius_rate(t))
+        return r, rdot, x[:, 0] * x[:, 1] * np.exp(-6.0 * t)
+
+    def f(x, t, _u):
+        r, rdot, u = exact_terms(x, t)
+        return (4.0 * rdot / r - 6.0 + 6.0 / r**2) * u
 
     def g(x, t):
-        return _forcing(sphere, alpha, beta, delta, t, x)[1]
+        r, rdot, u = exact_terms(x, t)
+        return rdot + 2.0 * alpha * rdot / r**2 + 2.0 * beta / r - delta * u
 
     return ProblemSpec(
         law=VelocityLaw(alpha, beta, delta),

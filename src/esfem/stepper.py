@@ -63,7 +63,7 @@ class StepperConfig:
     CHOICES = {"solver": (DIRECT, CG), "normal_coupling": ("nodal", "interpolated")}
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.t_end < self.tau:
+        if not 0.0 < self.tau <= self.t_end:
             raise ValueError("need 0 < tau <= t_end")
         for name, allowed in self.CHOICES.items():
             if getattr(self, name) not in allowed:
@@ -297,8 +297,7 @@ def _velocity(state, spec, config, factor):
     if law.delta != 0.0:
         load += law.delta * assembly.assemble_normal_coupling(mesh, state.u, config.normal_coupling)
     if spec.velocity_forcing is not None:
-        g = spec.velocity_forcing
-        load += assembly.assemble_normal_load(mesh, lambda x, _u, t: g(x, t), time=state.t + tau)
+        load += assembly.assemble_normal_load(mesh, spec.velocity_forcing, state.t + tau)
     y = solve(k @ y0.reshape(-1, 3) + tau * load.reshape(-1, 3),
               start=guess.reshape(-1, 3)).reshape(-1)
     return (state.x + tau * y, y) if law.dynamic else (y, (y - state.x) / tau)

@@ -269,28 +269,28 @@ class TestScalarLoad:
     def test_constant_integrand_gives_mass_row_sums(self):
         m = mesh.generate_icosphere(2, 1.0)
         M = assembly.assemble_mass(m)
-        load = assembly.assemble_scalar_load(m, lambda x, u, t: np.ones(len(x)))
+        load = assembly.assemble_scalar_load(m, lambda x, t: np.ones(len(x)), 0.0)
         expected = np.asarray(M @ np.ones(m.num_nodes))
         assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_linearity_in_constant(self):
         m = mesh.generate_icosphere(1, 1.0)
-        one = assembly.assemble_scalar_load(m, lambda x, u, t: np.ones(len(x)))
-        c = assembly.assemble_scalar_load(m, lambda x, u, t: np.full(len(x), 3.25))
+        one = assembly.assemble_scalar_load(m, lambda x, t: np.ones(len(x)), 0.0)
+        c = assembly.assemble_scalar_load(m, lambda x, t: np.full(len(x), 3.25), 0.0)
         assert np.allclose(c, 3.25 * one, rtol=1e-14)
 
     def test_field_integrand_matches_mass_product(self):
         m = mesh.generate_icosphere(2, 1.0)
         rng = np.random.Generator(np.random.Philox(5))
         u = rng.standard_normal(m.num_nodes)
-        load = assembly.assemble_scalar_load(m, lambda x, uq, t: uq, u=u)
+        load = assembly.assemble_scalar_load(m, lambda x, t, uq: uq, 0.0, (u,))
         expected = np.asarray(assembly.assemble_mass(m) @ u)
         assert np.abs(load - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_non_finite_integrand(self):
         m = mesh.generate_icosphere(0, 1.0)
         with pytest.raises(NonFiniteIntegrand):
-            assembly.assemble_scalar_load(m, lambda x, u, t: np.full(len(x), np.nan))
+            assembly.assemble_scalar_load(m, lambda x, t: np.full(len(x), np.nan), 0.0)
 
     def test_extra_fields_interpolated(self):
         m = mesh.generate_icosphere(1, 1.0)
@@ -298,23 +298,22 @@ class TestScalarLoad:
         u = rng.standard_normal(m.num_nodes)
         w = rng.standard_normal(m.num_nodes)
         # integrand uses only the extra field: same as u-integrand with w
-        via_extra = assembly.assemble_scalar_load(
-            m, lambda x, uq, t, wq: wq, u=u, extra_fields=(w,))
-        direct = assembly.assemble_scalar_load(m, lambda x, wq, t: wq, u=w)
+        via_extra = assembly.assemble_scalar_load(m, lambda x, t, uq, wq: wq, 0.0, (u, w))
+        direct = assembly.assemble_scalar_load(m, lambda x, t, wq: wq, 0.0, (w,))
         assert np.allclose(via_extra, direct, rtol=1e-14)
 
 
 class TestNormalLoad:
     def test_constant_integrand_sums_vanish(self):
         m = mesh.generate_icosphere(2, 1.0)
-        load = assembly.assemble_normal_load(m, lambda x, u, t: np.ones(len(x)))
+        load = assembly.assemble_normal_load(m, lambda x, t: np.ones(len(x)), 0.0)
         area = float(m.element_areas.sum())
         sums = load.reshape(-1, 3).sum(axis=0)
         assert np.abs(sums).max() <= 1e-12 * area
 
     def test_zero_integrand(self):
         m = mesh.generate_icosphere(1, 1.0)
-        load = assembly.assemble_normal_load(m, lambda x, u, t: np.zeros(len(x)))
+        load = assembly.assemble_normal_load(m, lambda x, t: np.zeros(len(x)), 0.0)
         assert np.all(load == 0.0)
 
     def test_velocity_law_defect_is_h_squared(self):
@@ -333,9 +332,7 @@ class TestNormalLoad:
             K = (M + alpha * A).tocsr()
             r = np.asarray(K @ v0.reshape(-1, 3)) + beta * np.asarray(A @ x0.reshape(-1, 3))
             r -= delta * assembly.assemble_normal_coupling(m, u0, "nodal").reshape(-1, 3)
-            g = spec.velocity_forcing
-            r -= assembly.assemble_normal_load(
-                m, lambda x, _u, t: g(x, t), time=0.0).reshape(-1, 3)
+            r -= assembly.assemble_normal_load(m, spec.velocity_forcing, 0.0).reshape(-1, 3)
             lu = spla.splu(K.tocsc())
             dual[level] = np.sqrt(sum(float(r[:, c] @ lu.solve(r[:, c])) for c in range(3)))
             assert dual[level] <= 0.25 * m.h_max**2
@@ -343,13 +340,59 @@ class TestNormalLoad:
         assert dual[3] <= 0.35 * dual[2]
 
 
+class TestLoadContract:
+    """Every load calls integrand(x, t, *values) with the interpolated values
+    of exactly the fields it is given, in their order."""
+
+    def test_normal_load_calls_its_integrand_with_x_and_t(self):
+        m = mesh.generate_icosphere(1, 1.0)
+        calls = []
+
+        def g(*args):
+            calls.append(args)
+            return np.ones(len(args[0]))
+
+        assembly.assemble_normal_load(m, g, 0.25)
+        (args,) = calls
+        assert len(args) == 2
+        assert args[0] is m.midpoint_positions and args[1] == 0.25
+
+    def test_scalar_load_passes_the_fields_in_order(self):
+        m = mesh.generate_icosphere(1, 1.0)
+        rng = np.random.Generator(np.random.Philox(12))
+        u, w = rng.standard_normal((2, m.num_nodes))
+        seen = []
+
+        def h(x, t, uq, wq):
+            seen.append((t, uq, wq))
+            return uq * wq
+
+        assembly.assemble_scalar_load(m, h, 0.5, (u, w))
+        P, tri = assembly.MIDPOINT_POINTS, m.triangles
+        (t, uq, wq), = seen
+        assert t == 0.5
+        assert np.array_equal(uq, (P @ u[tri.T]).ravel())
+        assert np.array_equal(wq, (P @ w[tri.T]).ravel())
+
+    @pytest.mark.parametrize("load", [assembly.assemble_scalar_load,
+                                      assembly.assemble_normal_load])
+    def test_field_length_checked_before_the_integrand(self, load):
+        m = mesh.generate_icosphere(1, 1.0)
+
+        def never(*args):
+            raise AssertionError("the integrand ran")
+
+        with pytest.raises(FieldLengthMismatch):
+            load(m, never, 0.0, (np.ones(m.num_nodes), np.ones(5)))
+
+
 class TestLoadsAreGradientFree:
     def test_no_load_computes_basis_gradients(self):
         # no integrand reads the field's gradient, so no load may pay for it
         m = mesh.generate_icosphere(1, 1.0)
         u = np.linspace(0.5, 1.5, m.num_nodes)
-        assembly.assemble_scalar_load(m, lambda x, uq, t: uq, u=u)
-        assembly.assemble_normal_load(m, lambda x, uq, t: uq, u=u)
+        assembly.assemble_scalar_load(m, lambda x, t, uq: uq, 0.0, (u,))
+        assembly.assemble_normal_load(m, lambda x, t, uq: uq, 0.0, (u,))
         problems.field_step(m, problems.TumorKinetics().source, assembly.assemble_mass(m),
                             (u, u[::-1].copy()), 1e-3, [lambda r: r] * 2, 0.0)
         assert "basis_gradients" not in m.__dict__
@@ -363,7 +406,7 @@ class TestMidpointPositionsCached:
         # the plain formula, gathering the quadrature positions on every call
         t, P = m.triangles, assembly.MIDPOINT_POINTS
         pos = (P @ m.coords[t.T].reshape(3, -1)).reshape(-1, 3)
-        f = integrand(pos, (P @ u[t.T]).ravel(), 0.0)
+        f = integrand(pos, 0.0, (P @ u[t.T]).ravel())
         corner = P.T @ (f * (assembly.MIDPOINT_WEIGHTS[:, None] * m.element_areas).ravel()).reshape(3, -1)
         return assembly._scatter(m, corner)
 
@@ -372,12 +415,12 @@ class TestMidpointPositionsCached:
         u = np.linspace(0.5, 1.5, m.num_nodes)
         seen = []
 
-        def integrand(x, uq, t):
+        def integrand(x, t, uq):
             seen.append(x)
             return np.sin(x[:, 0]) * uq
 
-        scalar = assembly.assemble_scalar_load(m, integrand, u=u)
-        assembly.assemble_normal_load(m, integrand, u=u)
+        scalar = assembly.assemble_scalar_load(m, integrand, 0.0, (u,))
+        assembly.assemble_normal_load(m, integrand, 0.0, (u,))
         assert seen[0] is seen[1] is m.midpoint_positions
         assert not seen[0].flags.writeable
         expected = self.uncached_load(m, integrand, u)

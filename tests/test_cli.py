@@ -467,12 +467,30 @@ def test_non_finite_integrand_exit_code_five(argv, tmp_path, capsys):
     ["tumor", "--level", "1", "--t-end", "0.002", "--tau", "1e-300"],
     ["example1", "--levels", "1", "--t-end", "0.05", "--tau-c", "1e-320"],
     ["tumor", "--level", "1", "--t-end", "0.002", "--tau", "1e-320"],
+    # 0.01 / 0.003 is no whole number of steps, and no other tau runs instead
+    ["tumor", "--level", "1", "--t-end", "0.01", "--tau", "0.003"],
 ])
 def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     # the value parses; the library's own range check rejects it
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
+
+
+def test_fixed_tau_runs_as_given(monkeypatch, tmp_path):
+    # 0.07 / 0.01 rounds to 7 steps of 0.01, as config_resolved.txt says
+    def steady(mesh0, kin, seed, **kwargs):
+        u, w = kin.steady_state()
+        return np.full(mesh0.num_nodes, u), np.full(mesh0.num_nodes, w)
+
+    monkeypatch.setattr(problems, "tumor_initial_data", steady)
+    out = tmp_path / "o"
+    argv = ["tumor", "--level", "1", "--t-end", "0.07", "--tau", "0.01"]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert "tau=0.01\n" in (out / "config_resolved.txt").read_text()
+    with open(out / "tumor_summary.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [int(row["step"]) for row in rows] == list(range(8))
 
 
 def test_step_count_checked_before_the_pre_relaxation(monkeypatch, tmp_path, capsys):

@@ -138,7 +138,7 @@ class TestManufacturedForcing:
             material_du = (u_along_flow(t + eps) - u_along_flow(t - eps)) / (2 * eps)
             div_v = 2 * rdot / r
             lap_u = -(6.0 / r**2) * u
-            f = pde_forcing(x.reshape(1, 3), np.array([u]), t)
+            f = pde_forcing(x.reshape(1, 3), t, np.array([u]))
             worst = max(worst, abs(material_du + u * div_v - lap_u - float(f[0])))
         assert worst <= 1e-6
 
@@ -168,6 +168,28 @@ class TestManufacturedForcing:
         x = float(s.radius(t)) * np.array([[0.0, 0.0, 1.0]])
         g = problems.example1_problem(1.0, 0.0, 0.0).velocity_forcing(x, t)
         assert abs(float(g[0])) < 1e-11
+
+
+class TestSplitForcing:
+    """Each forcing term evaluates only its own formula, bitwise equal to
+    the closed forms of the pair (f, g) written out here."""
+
+    @pytest.mark.parametrize("alpha,beta,delta", [
+        (1.0, 0.0, 0.4), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.3, 0.7, 1.9)])
+    def test_bitwise_equal_to_closed_forms(self, alpha, beta, delta):
+        sphere = problems.ManufacturedSphere()
+        spec = problems.example1_problem(alpha, beta, delta)
+        rng = np.random.Generator(np.random.Philox(21))
+        for t in rng.uniform(0.0, 3.0, 6):
+            x = rng.uniform(-2.0, 2.0, (40, 3))
+            r = float(sphere.radius(t))
+            rdot = float(sphere.radius_rate(t))
+            u = x[:, 0] * x[:, 1] * np.exp(-6.0 * t)
+            f = (4.0 * rdot / r - 6.0 + 6.0 / r**2) * u
+            g = rdot + 2.0 * alpha * rdot / r**2 + 2.0 * beta / r - delta * u
+            # the source ignores the interpolated field
+            assert np.array_equal(spec.source(x, t, rng.standard_normal(40)), f)
+            assert np.array_equal(spec.velocity_forcing(x, t), g)
 
 
 class TestTumorKinetics:
@@ -258,7 +280,7 @@ class TestProblemSpecs:
         spec = problems.tumor_problem(0.0, 0.01, 0.01)
         kin = problems.TumorKinetics()
         u, w = np.array([0.5, 2.0]), np.array([0.3, 1.1])
-        assert np.array_equal(spec.source(None, u, 0.0, w), kin.source(None, u, 0.0, w))
+        assert np.array_equal(spec.source(None, 0.0, u, w), kin.source(None, 0.0, u, w))
         assert spec.diffusion == (1.0, kin.D_c)
         assert spec.exact is None
 
@@ -284,11 +306,11 @@ class TestFieldStep:
         stiff = assembly.assemble_stiffness(m)
         solve = assembly.factorize(assembly.add_scaled(mass, 1e-3, stiff)).solve
 
-        def f(x, uq, t):
+        def f(x, t, uq):
             return x[:, 0] * uq + np.sin(t) * uq * uq
 
-        def stacked(x, uq, t, wq):
-            return np.stack((f(x, uq, t), 3.0 * wq - x[:, 2]), axis=-1)
+        def stacked(x, t, uq, wq):
+            return np.stack((f(x, t, uq), 3.0 * wq - x[:, 2]), axis=-1)
 
         (alone,) = problems.field_step(m, f, 0.99 * mass, (u,), 1e-3, [solve], 0.3)
         paired, _ = problems.field_step(m, stacked, 0.99 * mass, (u, w), 1e-3, [solve] * 2, 0.3)

@@ -81,13 +81,13 @@ def test_unit_loads(level, seed):
     m, _ = perturbed(level, seed)
     ones = np.ones(m.num_nodes)
 
-    def unit(x, u, t):
+    def unit(x, t):
         return np.ones(len(x))
 
-    scalar = assembly.assemble_scalar_load(m, unit)
+    scalar = assembly.assemble_scalar_load(m, unit, 0.0)
     assert rel_diff(scalar, assembly.assemble_mass(m) @ ones) <= 1e-14
     # the element normals of a closed surface integrate to zero
-    normal = assembly.assemble_normal_load(m, unit).reshape(-1, 3)
+    normal = assembly.assemble_normal_load(m, unit, 0.0).reshape(-1, 3)
     assert np.abs(normal.sum(axis=0)).max() <= 1e-13 * m.element_areas.sum()
 
 
@@ -99,12 +99,12 @@ def test_two_column_load_equals_two_single_loads(level, seed):
     w = rng.uniform(0.5, 1.5, m.num_nodes)
     kin = problems.TumorKinetics()
     both = assembly.assemble_scalar_load(
-        m, lambda x, uq, t, wq: np.stack((kin.f1(uq, wq), kin.f2(uq, wq)), axis=-1),
-        u=u, extra_fields=(w,))
+        m, lambda x, t, uq, wq: np.stack((kin.f1(uq, wq), kin.f2(uq, wq)), axis=-1),
+        0.0, (u, w))
     assert both.shape == (m.num_nodes, 2)
     for col, f in enumerate((kin.f1, kin.f2)):
         single = assembly.assemble_scalar_load(
-            m, lambda x, uq, t, wq: f(uq, wq), u=u, extra_fields=(w,))
+            m, lambda x, t, uq, wq: f(uq, wq), 0.0, (u, w))
         assert rel_diff(both[:, col], single) <= 1e-14
 
 

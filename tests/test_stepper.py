@@ -106,7 +106,7 @@ class TestStepDynamic:
             new = stepper.step_dynamic(state, spec, cfg)
             state = stepper.SystemState(t=new.t, u=new.u, v=new.v, mesh=state.mesh, w=new.w)
         stiff = assembly.assemble_stiffness(m0)
-        gload = assembly.assemble_normal_load(m0, lambda x, u, t: np.ones(len(x)))
+        gload = assembly.assemble_normal_load(m0, lambda x, t: np.ones(len(x)), 0.0)
         residual = alpha * np.asarray(stiff @ state.v.reshape(-1, 3)) - gload.reshape(-1, 3)
         assert np.abs(residual).max() <= 1e-9
 
@@ -282,10 +282,30 @@ class TestRun:
         assert info.value.fields == (field,)
 
     @pytest.mark.parametrize("field, value", [
-        ("tau", 0.0), ("solver", "qr"), ("normal_coupling", "foo")])
+        ("tau", 0.0), ("tau", float("nan")), ("t_end", float("nan")),
+        ("solver", "qr"), ("normal_coupling", "foo")])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             stepper.StepperConfig(**{"tau": 0.1, "t_end": 1.0, field: value})
+
+
+class TestStepSizeFor:
+    m0 = mesh.generate_icosphere(1, 1.0)
+
+    def test_fixed_tau_keeps_its_step_count(self):
+        # 0.07 / 0.01 = 7.000000000000001 must not round up to 8 steps
+        tau = experiments.step_size_for(self.m0, 0.07, tau=0.01)
+        assert tau == 0.07 / 7
+        assert problems.step_count(0.07, tau, "t_end/tau") == 7
+
+    def test_fixed_tau_must_divide_t_end(self):
+        with pytest.raises(ValueError, match="t_end/tau"):
+            experiments.step_size_for(self.m0, 0.01, tau=0.003)
+
+    def test_tau_c_rounds_down_to_a_divisor(self):
+        target = 0.1 * self.m0.h_max ** 2
+        tau = experiments.step_size_for(self.m0, 0.05)
+        assert tau <= target and tau == 0.05 / np.ceil(0.05 / target)
 
 
 def count_factorizations(monkeypatch):
