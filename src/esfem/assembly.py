@@ -12,6 +12,13 @@ bitwise identical, and the symmetric local blocks make the global
 matrices exactly symmetric entry by entry.  Mass and stiffness of one
 topology share that pattern, so their sums are formed entry by entry
 (``add_scaled``); ``factorize`` is the one SuperLU entry point.
+
+Every load runs through one field-major kernel: an integrand returns
+(k, Q) rows at the Q quadrature points, the corner values are (k, 3, T)
+and ``_scatter`` sums them into (k, N) nodal rows with one bincount, each
+node adding its entries in (i, t) order.  The normal load and both normal
+couplings are three such rows, one per component of the component-major
+(3, T) ``mesh.normals``, returned node-major as (3N,).
 """
 
 from __future__ import annotations
@@ -128,19 +135,27 @@ def factorize(matrix):
         raise LinearSolveFailure(f"system not factorable: {err}", float("inf")) from err
 
 
+def _scatter_index(mesh, k):
+    """Entry j * N + n of k stacked nodal rows for each entry [j, i, t] of
+    (k, 3, T) corner values, n being the node at local vertex i of
+    triangle t.  One flat index per topology serves every k: it is cached
+    for the most rows asked for, and k rows are its first 3kT entries; for
+    k = 1 they are the corners' nodes, which the loads gather fields with."""
+    size = k * mesh.triangles.size
+    index = mesh._topo_cache.get("scatter")
+    if index is None or index.size < size:
+        index = np.arange(k)[:, None] * mesh.num_nodes + mesh.triangles.T.ravel()
+        index = mesh._topo_cache["scatter"] = _locked(index.ravel())
+    return index[:size]
+
+
 def _scatter(mesh, corner_values):
-    """Sum corner-major per-corner values, (3, T) or (3, T, k), into nodal
-    rows, (N,) or (N, k), with one bincount over an index cached per
-    topology.  Entry [i, t] belongs to local vertex i of triangle t."""
-    k = corner_values.shape[2] if corner_values.ndim == 3 else 1
-    cache = mesh._topo_cache
-    key = ("scatter", k)
-    if key not in cache:
-        index = (mesh.triangles.T[:, :, None] * k + np.arange(k)).ravel()
-        index.setflags(write=False)
-        cache[key] = index
-    out = np.bincount(cache[key], weights=corner_values.ravel(), minlength=mesh.num_nodes * k)
-    return out if corner_values.ndim == 2 else out.reshape(-1, k)
+    """Sum per-corner values, (k, 3, T) or (3, T), into nodal rows, (k, N)
+    or (N,), with one bincount; each node sums its entries in (i, t)
+    order."""
+    k = corner_values.size // mesh.triangles.size
+    out = np.bincount(_scatter_index(mesh, k), corner_values.ravel(), k * mesh.num_nodes)
+    return out.reshape(*corner_values.shape[:-2], -1)
 
 
 def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
@@ -156,58 +171,56 @@ def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
     if u.size != n:
         raise FieldLengthMismatch(f"field has {u.size} entries, expected {n}")
     area = _checked_areas(mesh)
-    normal = mesh.element_normals
+    normal = mesh.normals
     if mode == "nodal":
         # integral of phi_j over one triangle is area/3
-        w = (area / 3.0)[:, None] * normal
-        out = _scatter(mesh, np.broadcast_to(w, (3, *w.shape))) * u[:, None]
+        w = normal * (area / 3.0)
+        out = _scatter(mesh, np.broadcast_to(w[:, None], (3, 3, len(area)))) * u
     elif mode == "interpolated":
-        coeff = (_MASS_TEMPLATE @ u[mesh.triangles.T]) * area
-        out = _scatter(mesh, coeff[:, :, None] * normal)
+        coeff = (_MASS_TEMPLATE @ u[_scatter_index(mesh, 1).reshape(3, -1)]) * area
+        out = _scatter(mesh, normal[:, None] * coeff)
     else:
         raise ValueError(f"unknown normal coupling mode: {mode!r}")
-    return out.reshape(-1)
+    return out.T.reshape(-1)
 
 
 def _corner_loads(mesh, integrand, time, fields):
-    """Midpoint-rule integrals of integrand * phi_i per corner, (3, T) or
-    (3, T, k).  The 3T quadrature points go through one integrand call,
-    midpoint-major; corner i collects midpoints i and i-1."""
-    n = mesh.num_nodes
+    """Midpoint-rule integrals of integrand * phi_i per corner, (k, 3, T)
+    for an integrand of k rows.  The 3T quadrature points go through one
+    integrand call, midpoint-major; corner i collects midpoints i and i-1."""
     fields = [np.asarray(f, dtype=float) for f in fields]
     for f in fields:
-        if f.size != n:
-            raise FieldLengthMismatch(f"field has {f.size} entries, expected {n}")
+        if f.size != mesh.num_nodes:
+            raise FieldLengthMismatch(f"field has {f.size} entries, expected {mesh.num_nodes}")
     area = _checked_areas(mesh)
-    t = mesh.triangles
-    vals = [(MIDPOINT_POINTS @ f[t.T]).ravel() for f in fields]
+    corners = _scatter_index(mesh, 1).reshape(3, -1)
+    vals = [(MIDPOINT_POINTS @ f[corners]).ravel() for f in fields]
     f_vals = np.asarray(integrand(mesh.midpoint_positions, time, *vals), dtype=float)
-    if not np.all(np.isfinite(f_vals)):
+    if not np.isfinite(f_vals).all():
         raise NonFiniteIntegrand(f"integrand non-finite at t={time}")
-    weighted = (f_vals.T * (MIDPOINT_WEIGHTS[:, None] * area).ravel()).T
-    corner = MIDPOINT_POINTS.T @ weighted.reshape(3, -1)
-    return corner.reshape(3, t.shape[0], *f_vals.shape[1:])
+    weighted = f_vals * (MIDPOINT_WEIGHTS[:, None] * area).ravel()
+    return MIDPOINT_POINTS.T @ weighted.reshape(-1, 3, len(area))
 
 
 def assemble_scalar_load(mesh: SurfaceMesh, integrand, time: float, fields=()) -> np.ndarray:
-    """Load vector with entries integral of integrand * phi_j.
+    """Load rows (k, N) with entries integral of integrand_j * phi_n.
 
     ``integrand(x, t, *values)`` must be vectorized: it receives the
     quadrature-point positions (Q, 3), the time and the interpolated
     values (Q,) of each of ``fields``, in their order, and returns (Q,)
-    values, or (Q, k) for k integrands at once, which give an (N, k) load.
+    values, read as one row, or (k, Q) for k integrands at once.
     """
     return _scatter(mesh, _corner_loads(mesh, integrand, time, fields))
 
 
 def assemble_normal_load(mesh: SurfaceMesh, integrand, time: float, fields=()) -> np.ndarray:
     """Vector load (3N,) with the element normal multiplying the integrand,
-    which takes ``assemble_scalar_load``'s arguments.
+    which takes ``assemble_scalar_load``'s arguments and returns (Q,).
 
     Entry 3j+l is the integral of integrand * (normal)_l * phi_j.
     """
     corner = _corner_loads(mesh, integrand, time, fields)
-    return _scatter(mesh, corner[:, :, None] * mesh.element_normals).reshape(-1)
+    return _scatter(mesh, mesh.normals[:, None] * corner).T.reshape(-1)
 
 
 def discrete_norms(M, A, alpha: float, w) -> tuple[float, float, float]:

@@ -250,8 +250,9 @@ def main(argv=None) -> int:
     }[config.experiment]
     try:
         return runner(config, out)
-    except ValueError as exc:
-        # the library's own range checks, e.g. a negative t_end or seed
+    except (ValueError, OSError) as exc:
+        # the library's own range checks, e.g. a negative t_end or seed,
+        # and an --out whose files cannot be written
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except tuple(_EXIT_CODES) as exc:

@@ -103,19 +103,27 @@ class SurfaceMesh:
 
     @cached_property
     def _areas_normals(self):
-        return tuple(map(_locked, triangle_areas_normals(self.edges)))
+        area, normal = triangle_areas_normals(self.edges)
+        return _locked(area), _locked(normal.T)
 
     @property
     def element_areas(self) -> np.ndarray:
         return self._areas_normals[0]
 
     @property
-    def element_normals(self) -> np.ndarray:
+    def normals(self) -> np.ndarray:
+        """(3, T) unit normals, component-major as the geometry pass
+        computes them: the layout every normal load reads."""
         return self._areas_normals[1]
 
     @cached_property
+    def element_normals(self) -> np.ndarray:
+        """(T, 3) C-contiguous copy of ``normals``, made only when asked for."""
+        return _locked(np.ascontiguousarray(self.normals.T))
+
+    @cached_property
     def basis_gradients(self) -> np.ndarray:
-        return _locked(triangle_basis_gradients(self.edges, *self._areas_normals))
+        return _locked(triangle_basis_gradients(self.edges, self.element_areas, self.normals.T))
 
     @cached_property
     def midpoint_positions(self) -> np.ndarray:
@@ -205,7 +213,8 @@ def triangle_areas_normals(edges):
 
     Degenerate triangles get area 0 and a zero normal; callers decide
     whether that is an error.  The normal is the unit vector along
-    edge 2 x edge 0; normals are returned C-contiguous (T, 3).
+    edge 2 x edge 0; normals are returned as a (T, 3) view of the
+    component-major (3, T) array they are computed in.
     """
     e = edges.T
     cr = _cross(e[:, 2], e[:, 0])
@@ -213,7 +222,7 @@ def triangle_areas_normals(edges):
     area = 0.5 * two_area
     with np.errstate(invalid="ignore", divide="ignore"):
         normal = np.where(two_area > 0.0, cr / two_area, 0.0)
-    return area, np.ascontiguousarray(normal.T)
+    return area, normal.T
 
 
 def triangle_basis_gradients(edges, area, normal):

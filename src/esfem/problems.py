@@ -10,7 +10,9 @@ that pair an exact solution of the coupled system
 
 Both forcing terms, like every load integrand, follow assembly's one
 contract ``integrand(x, t, *fields)``: the source f(x, t, u) and the
-velocity forcing g(x, t) each evaluate only their own formula.  The test
+velocity forcing g(x, t) each evaluate only their own formula.  A source
+of k fields returns (k, Q) rows, one per field, and ``field_step`` takes
+its (k, N) load rows one per field solve.  The test
 suite re-derives both forcing identities term by term with
 finite-difference and spherical-harmonic oracles.
 """
@@ -117,23 +119,31 @@ class TumorKinetics:
         return self.gamma * (self.b - u * u * w)
 
     def source(self, x, t, u, w):
-        """The (Q, 2) integrand (f1, f2) of ProblemSpec.source."""
-        return np.stack((self.f1(u, w), self.f2(u, w)), axis=-1)
+        """The (2, Q) integrand rows (f1, f2) of ProblemSpec.source, with
+        f1's and f2's arithmetic and u^2 w formed once."""
+        uuw = u * u
+        uuw *= w
+        out = np.empty((2, len(uuw)))
+        np.subtract(self.a, u, out=out[0])
+        out[0] += uuw
+        np.subtract(self.b, uuw, out=out[1])
+        out *= self.gamma
+        return out
 
 
 def field_step(mesh: SurfaceMesh, source, mass_old, fields, tau, solves, time):
     """One linearly implicit Euler step of the fields on ``mesh``.
 
-    All source loads come from one quadrature pass with the old fields
-    (none without a ``source``); ``solves[i]`` inverts M + tau d_i A on
-    ``mesh``, and ``mass_old`` is the mass matrix the fields were carried
-    on.  Returns the new fields as a tuple.
+    All source loads come from one quadrature pass with the old fields,
+    as (k, N) rows, one per field (zeros without a ``source``);
+    ``solves[i]`` inverts M + tau d_i A on ``mesh``, and ``mass_old`` is
+    the mass matrix the fields were carried on.  Returns the new fields as
+    a tuple.
     """
     if source is None:
-        loads = np.zeros((mesh.num_nodes, len(fields)))
+        loads = np.zeros((len(fields), mesh.num_nodes))
     else:
         loads = assembly.assemble_scalar_load(mesh, source, time, fields)
-    loads = loads.reshape(mesh.num_nodes, -1).T
     return tuple(solve(mass_old @ f + tau * load) for solve, f, load in zip(solves, fields, loads))
 
 
@@ -142,8 +152,8 @@ class ProblemSpec:
     """Everything the time stepper needs to advance one coupled system.
 
     source            source(x, t, u, *others) -> (Q,) values at quadrature
-                      points for u alone, or (Q, k) for u and k - 1 further
-                      fields; None means no source
+                      points for u alone, or (k, Q) rows, one per field, for
+                      u and k - 1 further fields; None means no source
     diffusion         each field's diffusion coefficient, u first; its
                       length is the number of fields (u, and w when two)
     velocity_forcing  g(x, t) -> (Q,) scalar normal speed contribution, or
@@ -153,7 +163,8 @@ class ProblemSpec:
     Both callables are load integrands of assembly's one contract
     ``integrand(x, t, *fields)``: the (Q, 3) quadrature points, the time
     and the interpolated (Q,) values of each field.  The source receives
-    every field, the velocity forcing none; assembly calls each as it is.
+    every field, the velocity forcing none; assembly calls each as it is
+    and turns the source's rows into (k, N) load rows.
     """
 
     law: VelocityLaw

@@ -449,6 +449,88 @@ class TestMidpointPositionsCached:
         assert len(calls) == 1  # 1000 steps, 1000 loads, one gather
 
 
+def per_corner_sum(m, corner):
+    """Nodal sums of per-corner values corner[i][t] (local vertex i of
+    triangle t), added node by node in (i, t) order."""
+    out = np.zeros(m.num_nodes)
+    for i in range(3):
+        np.add.at(out, m.triangles[:, i], corner[i])
+    return out
+
+
+def per_corner_load(m, values):
+    """Midpoint-rule corner integrals of the (3, T) midpoint values: corner i
+    averages midpoints i and i-1, each weighted by a third of the area."""
+    weighted = [v * ((1.0 / 3.0) * m.element_areas) for v in values]
+    return [0.5 * (weighted[i] + weighted[i - 1]) for i in range(3)]
+
+
+def node_major(columns):
+    return np.stack(columns, axis=1).reshape(-1)
+
+
+class TestLoadsMatchPerCornerFormulas:
+    """Every load bitwise equal to the plain per-corner formula, on a moved,
+    non-uniform surface: midpoint values, corner weights, normals and the
+    per-node summation order all as written out here."""
+
+    @staticmethod
+    def surface_and_fields(seed):
+        m = mesh.generate_icosphere(3, 1.0)
+        rng = np.random.Generator(np.random.Philox(seed))
+        coords = m.coords * np.linspace(0.8, 1.3, m.num_nodes)[:, None]
+        m = m.with_coords(coords + rng.uniform(-0.1, 0.1, coords.shape) * m.h_max)
+        return m, rng.uniform(0.5, 1.5, (2, m.num_nodes))
+
+    @staticmethod
+    def midpoint_values(m, f):
+        t = m.triangles
+        return [0.5 * (f[t[:, q]] + f[t[:, (q + 1) % 3]]) for q in range(3)]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_two_field_tumor_source(self, seed):
+        m, (u, w) = self.surface_and_fields(seed)
+        kin = problems.TumorKinetics()
+        uq, wq = self.midpoint_values(m, u), self.midpoint_values(m, w)
+        load = assembly.assemble_scalar_load(m, kin.source, 0.0, (u, w))
+        assert load.shape == (2, m.num_nodes)
+        for row, f in enumerate((kin.f1, kin.f2)):
+            values = [f(a, b) for a, b in zip(uq, wq)]
+            expected = per_corner_sum(m, per_corner_load(m, values))
+            assert load[row].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_normal_load(self, seed):
+        m, _ = self.surface_and_fields(seed)
+        g = problems.example1_problem().velocity_forcing
+        x = m.midpoint_positions.reshape(3, -1, 3)
+        corner = per_corner_load(m, [g(x[q], 0.3) for q in range(3)])
+        normal = m.element_normals
+        expected = node_major([per_corner_sum(m, [c * normal[:, l] for c in corner])
+                               for l in range(3)])
+        load = assembly.assemble_normal_load(m, g, 0.3)
+        assert load.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_nodal_coupling(self, seed):
+        m, (u, _) = self.surface_and_fields(seed)
+        weight = (m.element_areas / 3.0)[:, None] * m.element_normals
+        expected = node_major([per_corner_sum(m, [weight[:, l]] * 3) * u for l in range(3)])
+        out = assembly.assemble_normal_coupling(m, u, "nodal")
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_interpolated_coupling(self, seed):
+        m, (u, _) = self.surface_and_fields(seed)
+        # corner i: the integral of u_h phi_i, the mass template's row i
+        coeff = (assembly._MASS_TEMPLATE @ u[m.triangles.T]) * m.element_areas
+        normal = m.element_normals
+        expected = node_major([per_corner_sum(m, [c * normal[:, l] for c in coeff])
+                               for l in range(3)])
+        out = assembly.assemble_normal_coupling(m, u, "interpolated")
+        assert out.tobytes() == expected.tobytes()
+
+
 class TestDiscreteNorms:
     def test_zero_vector(self):
         m = mesh.generate_icosphere(0, 1.0)

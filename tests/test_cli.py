@@ -152,6 +152,18 @@ class TestMainContracts:
         assert cli.main(["verify", "--out", str(target)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("argv, blocked", [
+        (["tumor", "--level", "1", "--t-end", "0.002", "--export-every", "1"],
+         "surface_000000.vtk"),
+        (["example1", "--levels", "1", "--t-end", "0.05"], "table.csv"),
+    ])
+    def test_unwritable_output_exit_code_two(self, argv, blocked, tmp_path, capsys):
+        # a directory where the run writes one of its files: an unusable --out
+        (tmp_path / blocked).mkdir()
+        assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
     def test_verify_failure_exit_code_one(self, tmp_path, monkeypatch, capsys):
         from esfem import verification
 

@@ -310,8 +310,39 @@ class TestFieldStep:
             return x[:, 0] * uq + np.sin(t) * uq * uq
 
         def stacked(x, t, uq, wq):
-            return np.stack((f(x, t, uq), 3.0 * wq - x[:, 2]), axis=-1)
+            return np.stack((f(x, t, uq), 3.0 * wq - x[:, 2]))
 
         (alone,) = problems.field_step(m, f, 0.99 * mass, (u,), 1e-3, [solve], 0.3)
         paired, _ = problems.field_step(m, stacked, 0.99 * mass, (u, w), 1e-3, [solve] * 2, 0.3)
         assert np.array_equal(alone, paired)
+
+    @staticmethod
+    def surface_and_fields():
+        m = mesh.generate_icosphere(2, 1.0)
+        m = m.with_coords(m.coords * np.linspace(0.9, 1.1, m.num_nodes)[:, None])
+        rng = np.random.Generator(np.random.Philox(4))
+        return m, rng.uniform(0.5, 1.5, (2, m.num_nodes))
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_no_source_solves_the_carried_mass_alone(self, count):
+        m, fields = self.surface_and_fields()
+        fields = tuple(fields[:count])
+        mass_old = 0.97 * assembly.assemble_mass(m)
+        stiff = assembly.assemble_stiffness(m)
+        solves = [assembly.factorize(assembly.add_scaled(mass_old, 1e-3 * d, stiff)).solve
+                  for d in (1.0, 10.0)[:count]]
+        new = problems.field_step(m, None, mass_old, fields, 1e-3, solves, 0.0)
+        assert len(new) == count
+        for solve, f, g in zip(solves, fields, new):
+            assert g.tobytes() == solve(mass_old @ f).tobytes()
+
+    def test_two_field_source_arrives_as_rows(self):
+        m, (u, w) = self.surface_and_fields()
+        mass_old = assembly.assemble_mass(m)
+        kin = problems.TumorKinetics()
+        loads = assembly.assemble_scalar_load(m, kin.source, 0.2, (u, w))
+        assert loads.shape == (2, m.num_nodes)
+        # identity solves return each field's right-hand side
+        new = problems.field_step(m, kin.source, mass_old, (u, w), 1e-3, [lambda r: r] * 2, 0.2)
+        for f, load, g in zip((u, w), loads, new):
+            assert g.tobytes() == (mass_old @ f + 1e-3 * load).tobytes()

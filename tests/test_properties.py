@@ -99,13 +99,13 @@ def test_two_column_load_equals_two_single_loads(level, seed):
     w = rng.uniform(0.5, 1.5, m.num_nodes)
     kin = problems.TumorKinetics()
     both = assembly.assemble_scalar_load(
-        m, lambda x, t, uq, wq: np.stack((kin.f1(uq, wq), kin.f2(uq, wq)), axis=-1),
+        m, lambda x, t, uq, wq: np.stack((kin.f1(uq, wq), kin.f2(uq, wq))),
         0.0, (u, w))
-    assert both.shape == (m.num_nodes, 2)
-    for col, f in enumerate((kin.f1, kin.f2)):
+    assert both.shape == (2, m.num_nodes)
+    for row, f in enumerate((kin.f1, kin.f2)):
         single = assembly.assemble_scalar_load(
             m, lambda x, t, uq, wq: f(uq, wq), 0.0, (u, w))
-        assert rel_diff(both[:, col], single) <= 1e-14
+        assert rel_diff(both[row], single) <= 1e-14
 
 
 @few
