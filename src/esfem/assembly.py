@@ -10,8 +10,8 @@ Assembly accumulates element contributions in a fixed order into a
 precomputed sparsity pattern, so repeated assemblies of the same mesh are
 bitwise identical, and the symmetric local blocks make the global
 matrices exactly symmetric entry by entry.  Mass and stiffness of one
-topology share that pattern, so their sums are formed entry by entry
-(``add_scaled``); ``factorize`` is the one SuperLU entry point.
+topology share that pattern's read-only arrays, so their sums are formed
+entry by entry (``add_scaled``); ``factorize`` is the one SuperLU entry point.
 
 Every load runs through one field-major kernel: an integrand returns
 (k, Q) rows at the Q quadrature points, the corner values are (k, 3, T)
@@ -70,14 +70,22 @@ def _pattern(mesh):
     return cache["pattern"]
 
 
-def _assemble_pairs(mesh, local):
-    """Sum (T, 3, 3) local blocks into the global CSR matrix."""
-    inv, indices, indptr, nnz = _pattern(mesh)
-    data = np.bincount(inv, weights=local.ravel(), minlength=nnz)
-    n = mesh.num_nodes
-    mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+def _on_pattern(data, indices, indptr):
+    """Square CSR matrix of ``data`` on the given index arrays, shared, not
+    copied: the constructor keeps a view of ``indices``, so the array
+    itself is put back and one pattern stays one object."""
+    n = indptr.size - 1
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    mat.indices, mat.indptr = indices, indptr
     mat.has_sorted_indices = True
     return mat
+
+
+def _assemble_pairs(mesh, local):
+    """Sum (T, 3, 3) local blocks into a global CSR matrix on the
+    topology's read-only pattern."""
+    inv, indices, indptr, nnz = _pattern(mesh)
+    return _on_pattern(np.bincount(inv, weights=local.ravel(), minlength=nnz), indices, indptr)
 
 
 def assemble_mass(mesh: SurfaceMesh) -> sp.csr_matrix:
@@ -117,13 +125,13 @@ def surface_matrices(mesh: SurfaceMesh):
 def add_scaled(a, c, b) -> sp.csr_matrix:
     """a + c * b for two matrices assembled on one pattern (mass and
     stiffness of one topology), summed entry by entry without a sparse
-    add: bitwise equal to scipy's ``a + c * b``.  ValueError if the
-    patterns differ."""
-    if not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
+    add: bitwise equal to scipy's ``a + c * b``, on a's pattern.  The
+    shared pattern of one topology is recognized by identity; other index
+    arrays are compared entry by entry, and ValueError if they differ."""
+    shared = a.indices is b.indices and a.indptr is b.indptr
+    if not (shared or np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
         raise ValueError("add_scaled needs two matrices on one sparsity pattern")
-    out = sp.csr_matrix((a.data + c * b.data, a.indices, a.indptr), shape=a.shape)
-    out.has_sorted_indices = True
-    return out
+    return _on_pattern(a.data + c * b.data, a.indices, a.indptr)
 
 
 def factorize(matrix):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import assembly, problems
 from .errors import LinearSolveFailure, MeshDegenerated, NonFiniteState
@@ -173,15 +174,17 @@ def _pcg(matrix, inv_diag, b, x, rtol):
 
     The floating-point operations, and their order, are those of SciPy
     1.17's ``scipy.sparse.linalg.cg`` with ``atol=0``, so the results are
-    bitwise its results; a zero b returns b.  Raises LinearSolveFailure
-    after CG_MAX_ITER iterations.
+    bitwise its results; a zero b returns b.  Each product q = matrix @ p
+    calls the compiled CSR kernel that ``matrix @ p`` ends in, summing
+    into one zeroed buffer, without the sparse dispatch and its fresh
+    array.  Raises LinearSolveFailure after CG_MAX_ITER iterations.
     """
     b_norm = math.sqrt(b.dot(b))
     if b_norm == 0.0:
         return b, 0
     tol = rtol * b_norm
     r = b - matrix @ x if x.any() else b.copy()
-    z, scratch = np.empty_like(b), np.empty_like(b)
+    z, q, scratch = np.empty_like(b), np.empty_like(b), np.empty_like(b)
     p, rho_prev = None, None
     for iteration in range(CG_MAX_ITER):
         if math.sqrt(r.dot(r)) < tol:
@@ -193,7 +196,8 @@ def _pcg(matrix, inv_diag, b, x, rtol):
         else:
             p *= rho / rho_prev
             p += z
-        q = matrix @ p
+        q.fill(0.0)
+        csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, p, q)
         alpha = rho / p.dot(q)
         x += np.multiply(alpha, p, out=scratch)
         r -= np.multiply(alpha, q, out=scratch)

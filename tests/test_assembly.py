@@ -166,6 +166,31 @@ class TestAddScaled:
             assert np.array_equal(getattr(total, name), getattr(expected, name)), name
         assert np.array_equal(total.toarray(), expected.toarray())
 
+    def test_one_topology_shares_one_read_only_pattern(self):
+        m = mesh.generate_icosphere(2, 1.0)
+        _, indices, indptr, _ = assembly._pattern(m)
+        mass, stiff = assembly.surface_matrices(m)
+        total = assembly.add_scaled(mass, 0.37, stiff)
+        for matrix in (mass, stiff, total, assembly.assemble_mass(m)):
+            assert np.shares_memory(matrix.indices, indices)
+            assert np.shares_memory(matrix.indptr, indptr)
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.indices[0] = matrix.indices[0]
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.indptr[0] = 0
+
+    @pytest.mark.parametrize("c", [0.37, -2.5])
+    def test_equal_pattern_in_other_arrays_accepted(self, c):
+        m = mesh.generate_icosphere(2, 1.3)
+        mass, stiff = assembly.assemble_mass(m), assembly.assemble_stiffness(m)
+        copy = sp.csr_matrix((stiff.data.copy(), stiff.indices.copy(), stiff.indptr.copy()),
+                             shape=stiff.shape)
+        assert not np.shares_memory(copy.indices, mass.indices)
+        total, expected = assembly.add_scaled(mass, c, copy), (mass + c * stiff).tocsr()
+        for name in ("indices", "indptr"):
+            assert np.array_equal(getattr(total, name), getattr(expected, name)), name
+        assert np.array_equal(total.data.view(np.int64), expected.data.view(np.int64))
+
     def test_foreign_pattern_refused(self):
         m = mesh.generate_icosphere(1, 1.0)
         mass = assembly.assemble_mass(m)

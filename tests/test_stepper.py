@@ -683,6 +683,33 @@ class TestPCGKernel:
         assert x.shape == expected.shape
         assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_shared_read_only_pattern_bitwise_equal_to_scipy_cg(self, level):
+        m0 = mesh.generate_icosphere(level, 1.0)
+        mass, stiff = assembly.surface_matrices(m0)
+        rng = np.random.Generator(np.random.Philox(level))
+        rhs = rng.standard_normal((mass.shape[0], 3))
+        x0 = rng.standard_normal(rhs.shape)
+        for matrix in (assembly.add_scaled(mass, 1e-3, stiff),
+                       assembly.add_scaled(assembly.add_scaled(mass, 0.5, stiff), 0.01, stiff)):
+            assert not matrix.indices.flags.writeable
+            for start, rtol in ((None, stepper.CG_TOL), (x0, stepper.LAG_TOL)):
+                expected = scipy_jacobi_cg(matrix, rhs, start, rtol)
+                x = stepper._jacobi_cg(matrix, rtol, start)(rhs)
+                assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+    def test_kernel_product_bitwise_equal_to_matmul(self):
+        mass, stiff = assembly.surface_matrices(mesh.generate_icosphere(3, 1.0))
+        matrix = assembly.add_scaled(mass, 0.01, stiff)
+        rng = np.random.Generator(np.random.Philox(7))
+        n = matrix.shape[0]
+        signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        for p in (rng.standard_normal(n), np.zeros(n), signed_zeros):
+            q = np.full(n, np.nan)  # a used buffer, zeroed as _pcg does
+            q.fill(0.0)
+            stepper.csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, p, q)
+            assert np.array_equal(q.view(np.int64), (matrix @ p).view(np.int64))
+
     def test_nan_rhs_raises(self):
         mass, stiff = sphere_matrices(1)
         rhs = np.full(mass.shape[0], np.nan)

@@ -11,6 +11,7 @@ It imports esfem from the ``src/`` next to it, so it measures the checkout
 it sits in.  One line per run, ``<label> <sha256>``:
 
 - example1 at level 3 to t = 0.05 for every solver and normal coupling,
+  at level 4 to t = 0.03 (the benchmark's coupled size) for every solver,
   and a level-2 run of the dynamic velocity law for every solver: final
   x, u, v, w, h_final and the five error norms
 - seeded tumor runs at level 2, and at level 3 (the benchmark's level,
@@ -105,6 +106,9 @@ def main():
             print(f"example1/level3/{solver}/{coupling}",
                   level_digest(example1, 3, 0.05, solver=solver, normal_coupling=coupling),
                   flush=True)
+    for solver in choices["solver"]:
+        print(f"example1/level4/{solver}", level_digest(example1, 4, 0.03, solver=solver),
+              flush=True)
     dynamic = dataclasses.replace(
         example1, law=problems.VelocityLaw(1.0, 0.0, 0.4, dynamic=True))
     for solver in choices["solver"]:
