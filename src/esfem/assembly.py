@@ -9,9 +9,13 @@ constant gradients and are exact with the plain area weight.
 Assembly accumulates element contributions in a fixed order into a
 precomputed sparsity pattern, so repeated assemblies of the same mesh are
 bitwise identical, and the symmetric local blocks make the global
-matrices exactly symmetric entry by entry.  Mass and stiffness of one
-topology share that pattern's read-only arrays, so their sums are formed
-entry by entry (``add_scaled``); ``factorize`` is the one SuperLU entry point.
+matrices exactly symmetric entry by entry.  Every matrix of one topology
+(mass, stiffness and their sums, formed entry by entry by ``add_scaled``)
+is a shallow copy of the topology's one CSR template, holding its own
+data on that pattern's read-only arrays, so no step runs SciPy's
+validating constructor.  ``matvec`` forms ``matrix @ x`` on SciPy's own
+compiled kernels without its dispatch; ``factorize`` is the one SuperLU
+entry point.
 
 Every load runs through one field-major kernel: an integrand returns
 (k, Q) rows at the Q quadrature points, the corner values are (k, 3, T)
@@ -23,9 +27,12 @@ couplings are three such rows, one per component of the component-major
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import DegenerateElement, FieldLengthMismatch, LinearSolveFailure, NonFiniteIntegrand
 from .mesh import MIDPOINT_POINTS, SurfaceMesh, _locked, einsum_dot
@@ -81,11 +88,23 @@ def _on_pattern(data, indices, indptr):
     return mat
 
 
+def _with_data(matrix, data):
+    """Shallow copy of the CSR ``matrix`` holding ``data``: the same index
+    arrays and flags, without the constructor's validation."""
+    copied = copy.copy(matrix)
+    copied.data = data
+    return copied
+
+
 def _assemble_pairs(mesh, local):
-    """Sum (T, 3, 3) local blocks into a global CSR matrix on the
-    topology's read-only pattern."""
+    """Sum (T, 3, 3) local blocks into a global CSR matrix: a copy of the
+    topology's CSR template, built once beside its pattern.  The template's
+    own data is a zero-stride view, so it pins no nnz-length array."""
     inv, indices, indptr, nnz = _pattern(mesh)
-    return _on_pattern(np.bincount(inv, weights=local.ravel(), minlength=nnz), indices, indptr)
+    cache = mesh._topo_cache
+    if "template" not in cache:
+        cache["template"] = _on_pattern(np.broadcast_to(0.0, nnz), indices, indptr)
+    return _with_data(cache["template"], np.bincount(inv, weights=local.ravel(), minlength=nnz))
 
 
 def assemble_mass(mesh: SurfaceMesh) -> sp.csr_matrix:
@@ -125,13 +144,32 @@ def surface_matrices(mesh: SurfaceMesh):
 def add_scaled(a, c, b) -> sp.csr_matrix:
     """a + c * b for two matrices assembled on one pattern (mass and
     stiffness of one topology), summed entry by entry without a sparse
-    add: bitwise equal to scipy's ``a + c * b``, on a's pattern.  The
-    shared pattern of one topology is recognized by identity; other index
-    arrays are compared entry by entry, and ValueError if they differ."""
+    add: bitwise equal to scipy's ``a + c * b``, as a shallow copy of a
+    holding the sum.  The shared pattern of one topology is recognized by
+    identity; other index arrays are compared entry by entry, and
+    ValueError if they differ."""
     shared = a.indices is b.indices and a.indptr is b.indptr
     if not (shared or np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
         raise ValueError("add_scaled needs two matrices on one sparsity pattern")
-    return _on_pattern(a.data + c * b.data, a.indices, a.indptr)
+    return _with_data(a, a.data + c * b.data)
+
+
+def matvec(matrix, x) -> np.ndarray:
+    """``matrix @ x``, bitwise, for a float CSR matrix and a float x of
+    shape (N,), (N, 1) or (N, k), without SciPy's dispatch: the compiled
+    kernel its ``@`` ends in, csr_matvec for one column and csr_matvecs
+    for k, each summing into a fresh zeroed array."""
+    m, n = matrix.shape
+    if x.shape[0] != n:
+        raise ValueError(f"matvec: {x.shape[0]} rows for a matrix of {n} columns")
+    arrays = matrix.indptr, matrix.indices, matrix.data
+    if x.ndim == 2 and x.shape[1] > 1:
+        out = np.zeros((m, x.shape[1]))
+        csr_matvecs(m, n, x.shape[1], *arrays, x.ravel(), out.ravel())
+        return out
+    out = np.zeros(m)
+    csr_matvec(m, n, *arrays, x.ravel(), out)
+    return out.reshape(m, *x.shape[1:])
 
 
 def factorize(matrix):
@@ -245,8 +283,8 @@ def discrete_norms(M, A, alpha: float, w) -> tuple[float, float, float]:
         cols = w.reshape(-1, 3)
     else:
         raise FieldLengthMismatch(f"vector length {w.size} fits neither N={n} nor 3N={3 * n}")
-    m2 = float(np.einsum("ij,ij->", cols, M @ cols))
-    a2 = float(np.einsum("ij,ij->", cols, A @ cols))
+    m2 = float(np.einsum("ij,ij->", cols, matvec(M, cols)))
+    a2 = float(np.einsum("ij,ij->", cols, matvec(A, cols)))
     m2, a2 = max(m2, 0.0), max(a2, 0.0)
     return np.sqrt(m2), np.sqrt(a2), np.sqrt(m2 + alpha * a2)
 

@@ -144,7 +144,8 @@ def field_step(mesh: SurfaceMesh, source, mass_old, fields, tau, solves, time):
         loads = np.zeros((len(fields), mesh.num_nodes))
     else:
         loads = assembly.assemble_scalar_load(mesh, source, time, fields)
-    return tuple(solve(mass_old @ f + tau * load) for solve, f, load in zip(solves, fields, loads))
+    return tuple(solve(assembly.matvec(mass_old, f) + tau * load)
+                 for solve, f, load in zip(solves, fields, loads))
 
 
 @dataclass(frozen=True)

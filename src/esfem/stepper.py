@@ -143,8 +143,8 @@ class LaggedFactor:
             # a zero column must come back zero, which its tolerance 0 cannot
             # confirm from a guess: start it from zero
             g = np.where(b_norms != 0.0, np.reshape(start, b.shape), 0.0)
-            x = g + self._lu.solve(b - matrix @ g)
-        r = b - matrix @ x
+            x = g + self._lu.solve(b - assembly.matvec(matrix, g))
+        r = b - assembly.matvec(matrix, x)
         tol = LAG_TOL * b_norms
         norms = np.linalg.norm(r, axis=0)
         # a zero residual (a zero column among them) is done although 0 < 0
@@ -159,7 +159,7 @@ class LaggedFactor:
             rho_new = np.einsum("ij,ij->j", r, z)
             p = z if p is None else z + (rho_new / rho) * p
             rho = rho_new
-            q = matrix @ p
+            q = assembly.matvec(matrix, p)
             step = rho / np.einsum("ij,ij->j", p, q)
             x[:, active] += step * p
             r -= step * q
@@ -183,7 +183,7 @@ def _pcg(matrix, inv_diag, b, x, rtol):
     if b_norm == 0.0:
         return b, 0
     tol = rtol * b_norm
-    r = b - matrix @ x if x.any() else b.copy()
+    r = b - assembly.matvec(matrix, x) if x.any() else b.copy()
     z, q, scratch = np.empty_like(b), np.empty_like(b), np.empty_like(b)
     p, rho_prev = None, None
     for iteration in range(CG_MAX_ITER):
@@ -302,7 +302,7 @@ def _velocity(state, spec, config, factor):
         load += law.delta * assembly.assemble_normal_coupling(mesh, state.u, config.normal_coupling)
     if spec.velocity_forcing is not None:
         load += assembly.assemble_normal_load(mesh, spec.velocity_forcing, state.t + tau)
-    y = solve(k @ y0.reshape(-1, 3) + tau * load.reshape(-1, 3),
+    y = solve(assembly.matvec(k, y0.reshape(-1, 3)) + tau * load.reshape(-1, 3),
               start=guess.reshape(-1, 3)).reshape(-1)
     return (state.x + tau * y, y) if law.dynamic else (y, (y - state.x) / tau)
 

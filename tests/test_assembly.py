@@ -200,6 +200,66 @@ class TestAddScaled:
                 assembly.add_scaled(mass, 1.0, other)
 
 
+def matvec_inputs(matrix, seed=11):
+    """Right-hand sides in every shape and layout the stepper hands to
+    ``assembly.matvec``, keyed by a label; the F-ordered one is a
+    SuperLU solve of ``matrix``."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = matrix.shape[0]
+    solved = spla.splu(matrix.tocsc()).solve(rng.standard_normal((n, 3)))
+    wide = rng.standard_normal((n, 4))
+    return {
+        "(N,)": rng.standard_normal(n),
+        "(N, 1)": rng.standard_normal((n, 1)),
+        "C (N, 3)": rng.standard_normal((n, 3)),
+        "F (N, 3) from SuperLU.solve": solved,
+        "strided column": wide[:, 1],
+        "strided (N, 1)": wide[:, 2:3],
+        "zero": np.zeros(n),
+        "zero (N, 3)": np.zeros((n, 3)),
+    }
+
+
+class TestMatvec:
+    """``assembly.matvec`` is ``matrix @ x`` bitwise, shape included."""
+
+    @staticmethod
+    def matrices():
+        mass, stiff = assembly.surface_matrices(mesh.generate_icosphere(3, 1.0))
+        total = assembly.add_scaled(mass, 0.01, stiff)
+        separate = sp.csr_matrix((total.data.copy(), total.indices.copy(), total.indptr.copy()),
+                                 shape=total.shape)
+        return {"template copy": total, "surface mass": mass,
+                "separate arrays": separate, "scipy sum": (mass + 0.01 * stiff).tocsr()}
+
+    def test_bitwise_equal_to_matmul(self):
+        matrices = self.matrices()
+        inputs = matvec_inputs(matrices["surface mass"])
+        assert inputs["F (N, 3) from SuperLU.solve"].flags.f_contiguous
+        assert not inputs["F (N, 3) from SuperLU.solve"].flags.c_contiguous
+        assert not inputs["strided column"].flags.contiguous
+        for name, matrix in matrices.items():
+            for label, x in inputs.items():
+                out, expected = assembly.matvec(matrix, x), matrix @ x
+                assert out.shape == expected.shape and out.dtype == expected.dtype, (name, label)
+                assert np.array_equal(out.view(np.int64), expected.view(np.int64)), (name, label)
+                assert out.flags.c_contiguous == expected.flags.c_contiguous, (name, label)
+
+    def test_input_untouched_and_output_fresh(self):
+        matrix = self.matrices()["template copy"]
+        x = np.random.Generator(np.random.Philox(2)).standard_normal((matrix.shape[0], 3))
+        before = x.copy()
+        first, second = assembly.matvec(matrix, x), assembly.matvec(matrix, x)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, x)
+
+    def test_row_count_mismatch_refused(self):
+        matrix = self.matrices()["template copy"]
+        for x in (np.ones(641), np.ones((643, 3))):
+            with pytest.raises(ValueError, match="rows"):
+                assembly.matvec(matrix, x)
+
+
 def block_apply(scalar, w):
     """The velocity law's block operator K = I_3 (x) scalar on a flat 3N
     vector, applied as the stepper does: to the (N, 3) point view."""

@@ -1,3 +1,4 @@
+import collections
 import functools
 
 import numpy as np
@@ -434,6 +435,73 @@ class TestFactorReuse:
         again = final(2)
         for name in ("x", "u", "v", "w"):
             assert np.array_equal(getattr(first, name), getattr(again, name)), name
+
+
+class TestPerStepMatrices:
+    """After the first step, which builds the topology's CSR template, no
+    step constructs a CSR matrix: each one is a copy on the shared pattern."""
+
+    @pytest.mark.parametrize("case", ["example1", "two_species"])
+    def test_no_constructor_one_pattern_inputs_untouched(self, monkeypatch, case):
+        m0 = mesh.generate_icosphere(2, 1.0)
+        tau = 1e-3
+        if case == "example1":
+            spec = problems.example1_problem()
+            start = stepper.initial_state(spec, m0)
+        else:
+            spec = problems.tumor_problem(0.0, 0.01, 0.01)
+            start = seeded_two_species_start(spec, m0, 9)
+        step = [0]  # the step now running; observer(n) runs after step n
+        constructed = collections.Counter()
+        matrices, inputs = [], []
+        init = sp.csr_matrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed[step[0]] += 1
+            init(self, *args, **kwargs)
+
+        def recording(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                matrices.extend(out if isinstance(out, tuple) else (out,))
+                return out
+            return wrapper
+
+        add_scaled = assembly.add_scaled
+
+        def checked_add_scaled(a, c, b):
+            inputs.extend((m, m.data, m.data.copy()) for m in (a, b))
+            return add_scaled(a, c, b)
+
+        def observe(n, state):
+            step[0] = n + 1
+
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+        monkeypatch.setattr(assembly, "surface_matrices", recording(assembly.surface_matrices))
+        monkeypatch.setattr(assembly, "add_scaled", recording(checked_add_scaled))
+        n_steps = 5
+        stepper.run(spec, m0, stepper.StepperConfig(tau=tau, t_end=n_steps * tau),
+                    observers=[observe], start=start)
+        monkeypatch.undo()
+
+        assert step[0] == n_steps + 1
+        # step 1 builds the one template; steps 2..n construct nothing
+        assert constructed == {1: 1}
+        _, indices, indptr, _ = assembly._pattern(m0)
+        assert m0._topo_cache["template"].data.strides == (0,)
+        assert len(matrices) >= 3 * n_steps
+        for matrix in matrices:
+            assert type(matrix) is sp.csr_matrix
+            assert matrix.indices is indices and matrix.indptr is indptr
+            assert matrix.has_sorted_indices
+        for matrix, data, saved in inputs:
+            assert matrix.data is data
+            assert np.array_equal(data.view(np.int64), saved.view(np.int64))
+        pairs = {id(m): m for m in matrices if not m.data.flags.writeable}
+        assert len(pairs) == 2 * (n_steps + 1)  # M and A of every surface
+        for matrix in pairs.values():
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.data[0] = 0.0
 
 
 class CountingFactor:

@@ -14,10 +14,11 @@ it sits in.  One line per run, ``<label> <sha256>``:
   at level 4 to t = 0.03 (the benchmark's coupled size) for every solver,
   and a level-2 run of the dynamic velocity law for every solver: final
   x, u, v, w, h_final and the five error norms
-- seeded tumor runs at level 2, and at level 3 (the benchmark's level,
+- seeded tumor runs at level 2, at level 3 (the benchmark's level,
   tau = 1e-3 and export every 10 steps, with pre_time 0.2 and t_end
-  0.02): final x, u, v, w, the field envelope, the trace rows and every
-  file it writes
+  0.02), and at the benchmark's full tumor size (level 3, pre_time 1.0,
+  t_end 0.1, seed 0): final x, u, v, w, the field envelope, the trace
+  rows and every file it writes
 - one line per file that the command line writes for small example1,
   example3, tumor and verify runs; the ``out=`` line of
   config_resolved.txt is left out, since it names the temporary directory.
@@ -74,11 +75,11 @@ def file_parts(out):
             for part in (path.name, path.read_bytes())]
 
 
-def tumor_digest(level, t_end):
+def tumor_digest(level, t_end, seed=3, pre_time=0.2):
     with tempfile.TemporaryDirectory() as out:
         final, envelope, trace = experiments.tumor_experiment(
-            alpha=0.0, beta=0.01, delta=0.01, level=level, tau=1e-3, t_end=t_end, seed=3,
-            pre_time=0.2, out_dir=out, export_every=10)
+            alpha=0.0, beta=0.01, delta=0.01, level=level, tau=1e-3, t_end=t_end, seed=seed,
+            pre_time=pre_time, out_dir=out, export_every=10)
         return digest(*state_parts(final), sorted(envelope.items()), trace.rows,
                       *file_parts(out))
 
@@ -116,6 +117,7 @@ def main():
               flush=True)
     print("tumor/level2/seed3", tumor_digest(2, 0.05), flush=True)
     print("tumor/level3/seed3", tumor_digest(3, 0.02), flush=True)
+    print("tumor/level3/bench", tumor_digest(3, 0.1, seed=0, pre_time=1.0), flush=True)
     for experiment, argv in CLI_RUNS.items():
         for name, value in cli_digests(experiment, argv):
             print(f"cli/{experiment}/{name}", value, flush=True)
