@@ -11,11 +11,12 @@ precomputed sparsity pattern, so repeated assemblies of the same mesh are
 bitwise identical, and the symmetric local blocks make the global
 matrices exactly symmetric entry by entry.  Every matrix of one topology
 (mass, stiffness and their sums, formed entry by entry by ``add_scaled``)
-is a shallow copy of the topology's one CSR template, holding its own
-data on that pattern's read-only arrays, so no step runs SciPy's
-validating constructor.  ``matvec`` forms ``matrix @ x`` on SciPy's own
-compiled kernels without its dispatch; ``factorize`` is the one SuperLU
-entry point.
+is a shallow copy of the topology's one CSR template, which ``_pattern``
+caches with the pattern, holding its own data on the template's
+read-only index arrays, so no step runs SciPy's validating constructor.
+``matvec`` forms ``matrix @ x`` on SciPy's own compiled kernels without
+its dispatch; ``factorize`` is the one SuperLU entry point, and its
+``solve(rhs)`` is the one-argument contract of every linear solve.
 
 Every load runs through one field-major kernel: an integrand returns
 (k, Q) rows at the Q quadrature points, the corner values are (k, 3, T)
@@ -26,8 +27,6 @@ couplings are three such rows, one per component of the component-major
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,7 +57,10 @@ def _checked_areas(mesh):
 
 
 def _pattern(mesh):
-    """CSR sparsity pattern of the P1 pair coupling, cached per topology."""
+    """(inv, template) of the P1 pair coupling, cached per topology: inv
+    sends each entry of the (T, 3, 3) local blocks to its CSR slot, and
+    the template is the topology's CSR matrix on read-only index arrays,
+    its data a zero-stride view, so it pins no nnz-length array."""
     cache = mesh._topo_cache
     if "pattern" not in cache:
         t = mesh.triangles
@@ -73,38 +75,31 @@ def _pattern(mesh):
         np.cumsum(counts, out=indptr[1:])
         for arr in (inv, indices, indptr):
             arr.setflags(write=False)
-        cache["pattern"] = (inv, indices, indptr, unique_keys.size)
+        template = sp.csr_matrix((np.broadcast_to(0.0, unique_keys.size), indices, indptr),
+                                 shape=(n, n))
+        # the constructor keeps views of the index arrays: put the arrays
+        # themselves back, so one pattern stays one object
+        template.indices, template.indptr = indices, indptr
+        template.has_sorted_indices = True
+        cache["pattern"] = (inv, template)
     return cache["pattern"]
 
 
-def _on_pattern(data, indices, indptr):
-    """Square CSR matrix of ``data`` on the given index arrays, shared, not
-    copied: the constructor keeps a view of ``indices``, so the array
-    itself is put back and one pattern stays one object."""
-    n = indptr.size - 1
-    mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    mat.indices, mat.indptr = indices, indptr
-    mat.has_sorted_indices = True
-    return mat
-
-
 def _with_data(matrix, data):
-    """Shallow copy of the CSR ``matrix`` holding ``data``: the same index
-    arrays and flags, without the constructor's validation."""
-    copied = copy.copy(matrix)
-    copied.data = data
+    """Copy of the CSR ``matrix`` holding ``data``: the same index arrays
+    and flags in an attribute dict of its own, without the constructor's
+    validation or the generic copy protocol."""
+    copied = object.__new__(type(matrix))
+    copied.__dict__.update(matrix.__dict__, data=data)
     return copied
 
 
 def _assemble_pairs(mesh, local):
-    """Sum (T, 3, 3) local blocks into a global CSR matrix: a copy of the
-    topology's CSR template, built once beside its pattern.  The template's
-    own data is a zero-stride view, so it pins no nnz-length array."""
-    inv, indices, indptr, nnz = _pattern(mesh)
-    cache = mesh._topo_cache
-    if "template" not in cache:
-        cache["template"] = _on_pattern(np.broadcast_to(0.0, nnz), indices, indptr)
-    return _with_data(cache["template"], np.bincount(inv, weights=local.ravel(), minlength=nnz))
+    """Sum (T, 3, 3) local blocks into a global CSR matrix, a copy of the
+    topology's template."""
+    inv, template = _pattern(mesh)
+    data = np.bincount(inv, weights=local.ravel(), minlength=template.indices.size)
+    return _with_data(template, data)
 
 
 def assemble_mass(mesh: SurfaceMesh) -> sp.csr_matrix:

@@ -46,8 +46,9 @@ class VelocityLaw:
     dynamic: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be non-negative")
+        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.beta < np.inf
+                and abs(self.delta) < np.inf):
+            raise ValueError("alpha and beta must be finite and non-negative, delta finite")
         if self.dynamic and self.beta != 0.0:
             raise ValueError("the dynamic law has no mean curvature term: need beta = 0")
         if not self.dynamic and self.alpha == 0.0 and self.beta == 0.0:
@@ -64,8 +65,8 @@ class ManufacturedSphere:
     k: float = 0.5
 
     def __post_init__(self):
-        if min(self.r0, self.rK, self.k) <= 0.0:
-            raise ValueError("r0, rK and k must be positive")
+        if not all(0.0 < value < np.inf for value in (self.r0, self.rK, self.k)):
+            raise ValueError("r0, rK and k must be finite and positive")
 
     def radius(self, t):
         ekt = np.exp(-self.k * np.asarray(t, dtype=float))
@@ -105,8 +106,8 @@ class TumorKinetics:
     b: float = 0.9
 
     def __post_init__(self):
-        if min(self.D_c, self.gamma, self.a, self.b) <= 0.0:
-            raise ValueError("all kinetics parameters must be positive")
+        if not all(0.0 < value < np.inf for value in (self.D_c, self.gamma, self.a, self.b)):
+            raise ValueError("all kinetics parameters must be finite and positive")
 
     def steady_state(self):
         u = self.a + self.b

@@ -97,12 +97,12 @@ class LaggedFactor:
 
     The matrices of the linearly implicit scheme change only O(tau) per
     step, so an old factor is a close preconditioner for the current one.
-    The first solve factors its matrix and solves exactly, ignoring the
-    guess; later ones run one blocked PCG on all columns of the right-hand
-    side, preconditioned by the held factor and started from the guess g
-    corrected by it, g + LU^-1 (b - K g) (from LU^-1 b without a guess),
-    each column with its own step lengths and stopping test.  A solve that
-    has not converged within LAG_MAX_ITER iterations drops the factor,
+    The first system is factored where its solve is built, and that solve
+    is the factor's own, exact; later ones run one blocked PCG on all
+    columns of the right-hand side, preconditioned by the held factor and
+    started from the guess g corrected by it, g + LU^-1 (b - K g), each
+    column with its own step lengths and stopping test.  A solve that has
+    not converged within LAG_MAX_ITER iterations drops the factor,
     refactors and solves exactly.  A singular matrix raises
     LinearSolveFailure.
     """
@@ -110,19 +110,15 @@ class LaggedFactor:
     def __init__(self):
         self._lu = None
 
-    def solver(self, matrix):
-        """solve(rhs, start=None) for (N,) or (N, k) right-hand sides of
-        ``matrix``; ``start``, shaped like rhs, is the guess."""
+    def solver(self, matrix, start):
+        """solve(rhs) for (N,) or (N, k) right-hand sides of ``matrix``;
+        ``start``, shaped like rhs, is the guess of the solution."""
         if self._lu is None:
-            lu = self._refactor(matrix)
-            return lambda rhs, start=None: lu.solve(np.asarray(rhs))
+            return self._refactor(matrix).solve
 
-        def solve(rhs, start=None):
-            rhs = np.asarray(rhs)
+        def solve(rhs):
             x = self._lagged_solve(matrix, rhs, start)
-            if x is None:
-                x = self._refactor(matrix).solve(rhs)
-            return x
+            return self._refactor(matrix).solve(rhs) if x is None else x
 
         return solve
 
@@ -137,13 +133,10 @@ class LaggedFactor:
         the columns still short of ||r_j|| < LAG_TOL ||b_j||.  None if stale."""
         b = rhs.reshape(rhs.shape[0], -1)
         b_norms = np.linalg.norm(b, axis=0)
-        if start is None:
-            x = self._lu.solve(b)
-        else:
-            # a zero column must come back zero, which its tolerance 0 cannot
-            # confirm from a guess: start it from zero
-            g = np.where(b_norms != 0.0, np.reshape(start, b.shape), 0.0)
-            x = g + self._lu.solve(b - assembly.matvec(matrix, g))
+        # a zero column must come back zero, which its tolerance 0 cannot
+        # confirm from a guess: start it from zero
+        g = np.where(b_norms != 0.0, np.reshape(start, b.shape), 0.0)
+        x = g + self._lu.solve(b - assembly.matvec(matrix, g))
         r = b - assembly.matvec(matrix, x)
         tol = LAG_TOL * b_norms
         norms = np.linalg.norm(r, axis=0)
@@ -207,14 +200,12 @@ def _pcg(matrix, inv_diag, b, x, rtol):
 
 
 def _jacobi_cg(matrix, rtol, x0=None):
-    """solve(rhs, start=None) by Jacobi-preconditioned CG (_pcg) per column
-    to relative residual ``rtol``, from ``x0`` (shaped like rhs) or from
-    zero; the call's ``start`` is ignored (see make_solver)."""
-    matrix = matrix.tocsr()
+    """solve(rhs) for the CSR ``matrix`` by Jacobi-preconditioned CG (_pcg)
+    per column of the (N,) or (N, k) array rhs to relative residual
+    ``rtol``, from ``x0`` (shaped like rhs) or from zero."""
     inv_diag = 1.0 / matrix.diagonal()
 
-    def solve(rhs, start=None):
-        rhs = np.asarray(rhs)
+    def solve(rhs):
         cols = rhs.reshape(rhs.shape[0], -1)
         starts = np.zeros_like(cols) if x0 is None else np.reshape(x0, cols.shape)
         out = np.empty_like(cols)
@@ -226,19 +217,19 @@ def _jacobi_cg(matrix, rtol, x0=None):
     return solve
 
 
-def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor] = None):
-    """solve(rhs, start=None) for the velocity system and (N,) or (N, k)
-    right-hand sides; the call's ``start`` is a guess of the solution.
+def make_solver(matrix, config: StepperConfig, factor: LaggedFactor, guess):
+    """solve(rhs) for the velocity system and (N,) or (N, k) right-hand
+    sides; ``guess``, shaped like rhs, is a guess of the solution.
 
     The direct solver goes through ``factor``, which the caller keeps across
-    steps to reuse its factorization (without one the matrix is factored
-    fresh), and its lagged PCG starts from the guess.  The cg solver is
-    Jacobi-CG from zero to CG_TOL, ignoring ``factor`` and the guess by
-    design: started from the guess it moved example1's v error norms past
-    the 1e-8 that the two solvers are held to (CHANGES.md).
+    steps to reuse its factorization, and its lagged PCG starts from the
+    guess.  The cg solver is Jacobi-CG from zero to CG_TOL, leaving out
+    ``factor`` and the guess by design: started from the guess it moved
+    example1's v error norms past the 1e-8 that the two solvers are held
+    to (CHANGES.md).
     """
     if config.solver == DIRECT:
-        return (factor if factor is not None else LaggedFactor()).solver(matrix)
+        return factor.solver(matrix, guess)
     return _jacobi_cg(matrix, CG_TOL)
 
 
@@ -296,22 +287,22 @@ def _velocity(state, spec, config, factor):
     else:
         k = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
         c, y0, guess = tau * law.beta, state.x, state.x + tau * state.v
-    solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, factor)
+    solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, factor,
+                        guess.reshape(-1, 3))
     load = np.zeros(3 * mesh.num_nodes)
     if law.delta != 0.0:
         load += law.delta * assembly.assemble_normal_coupling(mesh, state.u, config.normal_coupling)
     if spec.velocity_forcing is not None:
         load += assembly.assemble_normal_load(mesh, spec.velocity_forcing, state.t + tau)
-    y = solve(assembly.matvec(k, y0.reshape(-1, 3)) + tau * load.reshape(-1, 3),
-              start=guess.reshape(-1, 3)).reshape(-1)
+    y = solve(assembly.matvec(k, y0.reshape(-1, 3)) + tau * load.reshape(-1, 3)).reshape(-1)
     return (state.x + tau * y, y) if law.dynamic else (y, (y - state.x) / tau)
 
 
-def step_coupled(state: SystemState, spec, config: StepperConfig, factor=None) -> SystemState:
+def step_coupled(state: SystemState, spec, config: StepperConfig, factor) -> SystemState:
     """One step of the velocity law ``spec.law`` on the old surface, then of
     the fields on the new one; returns the new state.  ``factor`` is the
     velocity system's LaggedFactor, kept across the steps of one run on one
-    mesh; without it the velocity system is factored fresh."""
+    mesh; a new one factors the velocity system afresh."""
     t_new = state.t + config.tau
     x_new, v_new = _velocity(state, spec, config, factor)
     mesh_new = _new_surface(state.mesh, x_new, t_new, config)

@@ -168,7 +168,8 @@ class TestAddScaled:
 
     def test_one_topology_shares_one_read_only_pattern(self):
         m = mesh.generate_icosphere(2, 1.0)
-        _, indices, indptr, _ = assembly._pattern(m)
+        _, template = assembly._pattern(m)
+        indices, indptr = template.indices, template.indptr
         mass, stiff = assembly.surface_matrices(m)
         total = assembly.add_scaled(mass, 0.37, stiff)
         for matrix in (mass, stiff, total, assembly.assemble_mass(m)):
@@ -198,6 +199,38 @@ class TestAddScaled:
                       assembly.assemble_stiffness(mesh.generate_icosphere(2, 1.0))):
             with pytest.raises(ValueError, match="pattern"):
                 assembly.add_scaled(mass, 1.0, other)
+
+
+class TestTemplateCopy:
+    """``assembly._with_data``: the topology's CSR template with new data."""
+
+    @staticmethod
+    def template_and_copy(level=2):
+        _, template = assembly._pattern(mesh.generate_icosphere(level, 1.0))
+        data = np.random.Generator(np.random.Philox(3)).standard_normal(template.indices.size)
+        return template, assembly._with_data(template, data)
+
+    def test_shares_the_template_index_arrays(self):
+        template, copied = self.template_and_copy()
+        assert type(copied) is sp.csr_matrix
+        assert copied.indices is template.indices and copied.indptr is template.indptr
+        assert copied.has_sorted_indices
+
+    def test_owns_its_attributes(self):
+        template, copied = self.template_and_copy()
+        assert copied.__dict__ is not template.__dict__
+        copied.data = np.ones(template.indices.size)
+        copied.has_sorted_indices = False
+        assert template.data.strides == (0,) and not template.data.any()
+        assert template.has_sorted_indices
+
+    def test_product_bitwise_equal_to_separately_built_csr(self):
+        template, copied = self.template_and_copy(3)
+        separate = sp.csr_matrix((copied.data.copy(), copied.indices.copy(),
+                                  copied.indptr.copy()), shape=copied.shape)
+        rng = np.random.Generator(np.random.Philox(5))
+        for x in (rng.standard_normal(copied.shape[0]), rng.standard_normal((copied.shape[0], 3))):
+            assert np.array_equal((copied @ x).view(np.int64), (separate @ x).view(np.int64))
 
 
 def matvec_inputs(matrix, seed=11):

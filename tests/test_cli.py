@@ -439,7 +439,7 @@ def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
     from esfem import stepper
     # the field solves; the default direct velocity solve does not use it
     monkeypatch.setattr(stepper, "_jacobi_cg",
-                        lambda *args: lambda rhs, start=None: rhs * float("nan"))
+                        lambda *args: lambda rhs: rhs * float("nan"))
     code = cli.main(["example1", "--levels", "1..1", "--tau-c", "0.5",
                      "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NONFINITE == 5

@@ -23,7 +23,7 @@ class TestStepCoupled:
         spec = quiescent_spec()
         cfg = stepper.StepperConfig(tau=0.01, t_end=0.01)
         state = stepper.initial_state(spec, m0, u0=np.zeros(m0.num_nodes))
-        new = stepper.step_coupled(state, spec, cfg)
+        new = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
         assert np.abs(new.x - state.x).max() <= 1e-13
         assert np.abs(new.v).max() <= 1e-11
 
@@ -37,7 +37,7 @@ class TestStepCoupled:
         total0 = float(np.ones_like(u0) @ (mass @ u0))
         state = stepper.initial_state(spec, m0, u0=u0)
         for _ in range(200):
-            state = stepper.step_coupled(state, spec, cfg)
+            state = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
         mass_end = assembly.assemble_mass(state.mesh)
         total_end = float(np.ones_like(u0) @ (mass_end @ state.u))
         assert abs(total_end - total0) <= 1e-10 * abs(total0)
@@ -50,7 +50,7 @@ class TestStepCoupled:
         tau = 1e-3
         cfg = stepper.StepperConfig(tau=tau, t_end=tau)
         state = stepper.initial_state(spec, m0)
-        new = stepper.step_coupled(state, spec, cfg)
+        new = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
         radii = np.linalg.norm(new.x.reshape(-1, 3), axis=1)
         r_exact = float(spec.exact.radius(tau))
         assert radii.min() > 1.0  # moved outward
@@ -61,7 +61,7 @@ class TestStepCoupled:
         m0 = mesh.generate_icosphere(1, 1.0)
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3, normal_coupling="interpolated")
         state = stepper.initial_state(spec, m0)
-        new = stepper.step_coupled(state, spec, cfg)
+        new = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
         assert np.isfinite(new.x).all()
 
 
@@ -86,7 +86,7 @@ class TestStepDynamic:
         for _ in range(25):
             mass_cur = assembly.assemble_mass(state.mesh)
             before = assembly.discrete_norms(mass_cur, stiff0, 1.0, state.v)[0]
-            new = stepper.step_dynamic(state, spec, cfg)
+            new = stepper.step_dynamic(state, spec, cfg, stepper.LaggedFactor())
             after = assembly.discrete_norms(mass_cur, stiff0, 1.0, new.v)[0]
             assert after <= before * (1 + 1e-12)
             state = new
@@ -104,7 +104,7 @@ class TestStepDynamic:
         cfg = stepper.StepperConfig(tau=0.1, t_end=0.1)
         state = stepper.initial_state(spec, m0)
         for _ in range(400):
-            new = stepper.step_dynamic(state, spec, cfg)
+            new = stepper.step_dynamic(state, spec, cfg, stepper.LaggedFactor())
             state = stepper.SystemState(t=new.t, u=new.u, v=new.v, mesh=state.mesh, w=new.w)
         stiff = assembly.assemble_stiffness(m0)
         gload = assembly.assemble_normal_load(m0, lambda x, t: np.ones(len(x)), 0.0)
@@ -126,8 +126,8 @@ class TestLawFromSpec:
         rng = np.random.Generator(np.random.Philox(6))
         state = stepper.initial_state(spec, m0, v0=rng.standard_normal(3 * m0.num_nodes))
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
-        coupled = stepper.step_coupled(state, spec, cfg)
-        dynamic = stepper.step_dynamic(state, spec, cfg)
+        coupled = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
+        dynamic = stepper.step_dynamic(state, spec, cfg, stepper.LaggedFactor())
         assert isinstance(coupled, stepper.SystemState) and coupled.t == dynamic.t
         for name in ("x", "u", "v"):
             assert np.array_equal(getattr(coupled, name), getattr(dynamic, name)), name
@@ -213,7 +213,7 @@ class TestRun:
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
         state = stepper.initial_state(spec, mesh.generate_icosphere(1, 1e-9))
         with pytest.raises(MeshDegenerated) as info:
-            stepper.step_coupled(state, spec, cfg)
+            stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
         assert info.value.quality.min_angle_deg > 50.0
         assert info.value.quality.min_area < 1e-14 * cfg.tau
 
@@ -269,8 +269,7 @@ class TestRun:
         def nan_solves(real):
             def solver(*args):
                 solve = real(*args)
-                return lambda rhs, start=None: (rhs * np.nan if rhs.ndim == nan_rhs_ndim
-                                                else solve(rhs, start=start))
+                return lambda rhs: rhs * np.nan if rhs.ndim == nan_rhs_ndim else solve(rhs)
             return solver
 
         for name in ("make_solver", "_jacobi_cg"):
@@ -347,7 +346,8 @@ class TestFactorReuse:
         lagged, lagged_final = experiments.run_level(spec, level, 0.1)
         real = stepper.make_solver
         monkeypatch.setattr(stepper, "make_solver",
-                            lambda matrix, config, factor=None: real(matrix, config))
+                            lambda matrix, config, factor, guess:
+                            real(matrix, config, stepper.LaggedFactor(), guess))
         fresh, fresh_final = experiments.run_level(spec, level, 0.1)
         for name in ("x", "u"):
             a, b = getattr(lagged_final, name), getattr(fresh_final, name)
@@ -373,9 +373,9 @@ class TestFactorReuse:
         rhs = np.random.Generator(np.random.Philox(4)).standard_normal((m0.num_nodes, 3))
         expected = spla.splu(far.tocsc()).solve(rhs)
         held = stepper.LaggedFactor()
-        held.solver((mass + 1e-6 * stiff).tocsr())
+        held.solver((mass + 1e-6 * stiff).tocsr(), np.zeros_like(rhs))
         calls = count_factorizations(monkeypatch)
-        solve = held.solver(far)
+        solve = held.solver(far, np.zeros_like(rhs))
         assert calls == []
         assert np.array_equal(solve(rhs), expected)
         assert len(calls) == 1
@@ -383,13 +383,14 @@ class TestFactorReuse:
         # no further factorization
         scale = np.abs(expected).max()
         assert np.abs(solve(rhs) - expected).max() <= 1e-13 * scale
-        assert np.abs(held.solver(far)(rhs[:, 0]) - expected[:, 0]).max() <= 1e-13 * scale
+        column = held.solver(far, np.zeros_like(rhs[:, 0]))(rhs[:, 0])
+        assert np.abs(column - expected[:, 0]).max() <= 1e-13 * scale
         assert len(calls) == 1
 
     def test_exactly_singular_system_is_a_solve_failure(self):
         singular = sp.diags([1.0, 0.0, 1.0]).tocsr()
         with pytest.raises(LinearSolveFailure, match="singular"):
-            stepper.LaggedFactor().solver(singular)
+            stepper.LaggedFactor().solver(singular, np.zeros(3))
 
     def test_standalone_steps_on_two_meshes(self, monkeypatch):
         calls = count_factorizations(monkeypatch)
@@ -401,7 +402,7 @@ class TestFactorReuse:
         for step, spec in [(stepper.step_coupled, coupled), (stepper.step_dynamic, dynamic)]:
             for level in (2, 1, 2):
                 state = stepper.initial_state(spec, mesh.generate_icosphere(level, 1.0))
-                results.append(step(state, spec, cfg))
+                results.append(step(state, spec, cfg, stepper.LaggedFactor()))
         assert len(calls) == len(results)  # every standalone step factors its velocity system
         for first, again in [(results[0], results[2]), (results[3], results[5])]:
             assert np.array_equal(first.x, again.x) and np.array_equal(first.u, again.u)
@@ -487,8 +488,9 @@ class TestPerStepMatrices:
         assert step[0] == n_steps + 1
         # step 1 builds the one template; steps 2..n construct nothing
         assert constructed == {1: 1}
-        _, indices, indptr, _ = assembly._pattern(m0)
-        assert m0._topo_cache["template"].data.strides == (0,)
+        _, template = assembly._pattern(m0)
+        indices, indptr = template.indices, template.indptr
+        assert template.data.strides == (0,)
         assert len(matrices) >= 3 * n_steps
         for matrix in matrices:
             assert type(matrix) is sp.csr_matrix
@@ -524,13 +526,13 @@ def velocity_like_systems(level):
     return m0, (mass + stiff).tocsr(), (mass + 1.05 * stiff).tocsr()
 
 
-def lagged_solve(held_matrix, matrix, rhs, start=None):
+def lagged_solve(held_matrix, matrix, rhs, start):
     """Solve from ``start`` with ``held_matrix``'s factor held; the factor
     must not go stale."""
     held = stepper.LaggedFactor()
-    held.solver(held_matrix)
+    held.solver(held_matrix, start)
     counting = held._lu = CountingFactor(held._lu)
-    x = held.solver(matrix)(rhs, start=start)
+    x = held.solver(matrix, start)(rhs)
     assert held._lu is counting, "refactored"
     return x, counting.widths
 
@@ -546,7 +548,7 @@ class TestBlockedPCG:
         noise = np.random.Generator(np.random.Philox(4)).standard_normal(m0.num_nodes)
         smooth = held_matrix @ (m0.coords[:, 0] * m0.coords[:, 1])
         rhs = np.stack([noise, np.zeros(m0.num_nodes), smooth], axis=1)
-        x, widths = lagged_solve(held_matrix, matrix, rhs)
+        x, widths = lagged_solve(held_matrix, matrix, rhs, np.zeros_like(rhs))
         assert_matches_fresh_solve(x, matrix, rhs)
         assert np.array_equal(x[:, 1], np.zeros(m0.num_nodes))
         # the start solves all three columns; the zero column never
@@ -562,9 +564,9 @@ class TestBlockedPCG:
         rhs[:, 0] = 0.0
         expected = spla.splu(far.tocsc()).solve(rhs)
         held = stepper.LaggedFactor()
-        held.solver((mass + 1e-6 * stiff).tocsr())
+        held.solver((mass + 1e-6 * stiff).tocsr(), np.zeros_like(rhs))
         calls = count_factorizations(monkeypatch)
-        x = held.solver(far)(rhs)
+        x = held.solver(far, np.zeros_like(rhs))(rhs)
         assert len(calls) == 1
         assert np.array_equal(x, expected)
         assert np.array_equal(x[:, 0], np.zeros(m0.num_nodes))
@@ -577,7 +579,7 @@ class TestBlockedPCG:
         rhs = np.random.Generator(np.random.Philox(seed)).standard_normal((m0.num_nodes, k))
         if 0 <= zero < k:
             rhs[:, zero] = 0.0
-        x, _ = lagged_solve(held_matrix, matrix, rhs)
+        x, _ = lagged_solve(held_matrix, matrix, rhs, np.zeros_like(rhs))
         assert x.shape == rhs.shape
         if 0 <= zero < k:
             assert not x[:, zero].any()
@@ -592,14 +594,14 @@ class TestWarmStart:
         noise = np.random.Generator(np.random.Philox(9)).standard_normal(m0.coords.shape)
         x_prev, x = m0.coords, 1.01 * m0.coords + 1e-3 * noise
         rhs = matrix @ (1.0201 * m0.coords + 2e-3 * noise)
-        x_new, _ = lagged_solve(held_matrix, matrix, rhs, start=2.0 * x - x_prev)
+        x_new, _ = lagged_solve(held_matrix, matrix, rhs, 2.0 * x - x_prev)
         assert_matches_fresh_solve(x_new, matrix, rhs)
 
     def test_exact_guess_takes_one_factor_application(self):
         m0, held_matrix, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
         exact = spla.splu(matrix.tocsc()).solve(rhs)
-        x, widths = lagged_solve(held_matrix, matrix, rhs, start=exact)
+        x, widths = lagged_solve(held_matrix, matrix, rhs, exact)
         assert widths == [3]
         assert_matches_fresh_solve(x, matrix, rhs)
 
@@ -607,7 +609,7 @@ class TestWarmStart:
         m0, held_matrix, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
         rhs[:, 1] = 0.0
-        x, _ = lagged_solve(held_matrix, matrix, rhs, start=np.ones_like(rhs))
+        x, _ = lagged_solve(held_matrix, matrix, rhs, np.ones_like(rhs))
         assert np.array_equal(x[:, 1], np.zeros(m0.num_nodes))
         assert_matches_fresh_solve(x, matrix, rhs)
 
@@ -616,16 +618,16 @@ class TestWarmStart:
         rhs = matrix @ m0.coords
         expected = spla.splu(matrix.tocsc()).solve(rhs)
         held = stepper.LaggedFactor()
-        held.solver(held_matrix)
+        held.solver(held_matrix, np.zeros_like(rhs))
         calls = count_factorizations(monkeypatch)
-        x = held.solver(matrix)(rhs, start=np.full_like(rhs, np.nan))
+        x = held.solver(matrix, np.full_like(rhs, np.nan))(rhs)
         assert len(calls) == 1
         assert np.array_equal(x, expected)
 
     def test_first_solve_is_exact_whatever_the_guess(self):
         m0, _, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
-        x = stepper.LaggedFactor().solver(matrix)(rhs, start=np.full_like(rhs, np.nan))
+        x = stepper.LaggedFactor().solver(matrix, np.full_like(rhs, np.nan))(rhs)
         assert np.array_equal(x, spla.splu(matrix.tocsc()).solve(rhs))
 
     @pytest.mark.parametrize("level, t_end, bound", [
