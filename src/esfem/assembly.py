@@ -137,15 +137,13 @@ def surface_matrices(mesh: SurfaceMesh):
 
 
 def add_scaled(a, c, b) -> sp.csr_matrix:
-    """a + c * b for two matrices assembled on one pattern (mass and
-    stiffness of one topology), summed entry by entry without a sparse
-    add: bitwise equal to scipy's ``a + c * b``, as a shallow copy of a
-    holding the sum.  The shared pattern of one topology is recognized by
-    identity; other index arrays are compared entry by entry, and
-    ValueError if they differ."""
-    shared = a.indices is b.indices and a.indptr is b.indptr
-    if not (shared or np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
-        raise ValueError("add_scaled needs two matrices on one sparsity pattern")
+    """a + c * b for two matrices on one topology's own pattern (mass,
+    stiffness and their sums), summed entry by entry without a sparse add:
+    bitwise equal to scipy's ``a + c * b``, as a shallow copy of a holding
+    the sum.  The pattern is recognized by the identity of its index
+    arrays, which every matrix built here shares; ValueError otherwise."""
+    if not (a.indices is b.indices and a.indptr is b.indptr):
+        raise ValueError("add_scaled needs two matrices on one topology's pattern")
     return _with_data(a, a.data + c * b.data)
 
 

@@ -228,6 +228,10 @@ def _run_verify(config, out: Path) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
+_RUNNERS = {"example1": _run_study, "example3": _run_study, "tumor": _run_tumor,
+            "verify": _run_verify}
+
+
 def main(argv=None) -> int:
     try:
         args, extra = build_parser().parse_known_args(argv)
@@ -238,21 +242,10 @@ def main(argv=None) -> int:
         if extra:
             raise _unread(args.experiment, " ".join(extra))
         config = resolve_config(args)
-        out = _prepare_out(config)
+        return _RUNNERS[config.experiment](config, _prepare_out(config))
     except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    runner = {
-        "example1": _run_study,
-        "example3": _run_study,
-        "tumor": _run_tumor,
-        "verify": _run_verify,
-    }[config.experiment]
-    try:
-        return runner(config, out)
-    except (ValueError, OSError) as exc:
-        # the library's own range checks, e.g. a negative t_end or seed,
-        # and an --out whose files cannot be written
+        # a bad flag or key, the library's own range checks (e.g. a negative
+        # t_end or seed) and an --out whose files cannot be written
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except tuple(_EXIT_CODES) as exc:

@@ -70,27 +70,6 @@ def example1_study(levels=(1, 2, 3, 4), alpha=1.0, beta=0.0, delta=0.4,
     return report
 
 
-class FieldEnvelopeObserver:
-    """Tracks the running min/max of both species over a trajectory."""
-
-    def __init__(self):
-        self.u_min = np.inf
-        self.u_max = -np.inf
-        self.w_min = np.inf
-        self.w_max = -np.inf
-
-    def __call__(self, step_index, state):
-        self.u_min = min(self.u_min, float(state.u.min()))
-        self.u_max = max(self.u_max, float(state.u.max()))
-        if state.w is not None:
-            self.w_min = min(self.w_min, float(state.w.min()))
-            self.w_max = max(self.w_max, float(state.w.max()))
-
-    def as_dict(self):
-        return {"u_min": self.u_min, "u_max": self.u_max,
-                "w_min": self.w_min, "w_max": self.w_max}
-
-
 class SurfaceExporter:
     """Writes surface_<step>.vtk (u, and w when present) and
     surface_<step>.obj snapshots every k > 0 steps."""
@@ -109,7 +88,8 @@ class SurfaceExporter:
 
 
 class TumorTrace:
-    """Per-step field summary rows for the tumor run's CSV."""
+    """Per-step field summary rows (step, t, u_min, u_max, w_min, w_max) of
+    the tumor run: its CSV, and through envelope() the field range."""
 
     def __init__(self):
         self.rows = []
@@ -120,6 +100,12 @@ class TumorTrace:
                float(state.w.min()), float(state.w.max()))
         self.rows.append(row)
 
+    def envelope(self):
+        """The min/max of u and w over every row, as u_min/u_max/w_min/w_max."""
+        _, _, u_min, u_max, w_min, w_max = zip(*self.rows)
+        return {"u_min": min(u_min), "u_max": max(u_max),
+                "w_min": min(w_min), "w_max": max(w_max)}
+
     def write(self, path):
         with open(path, "w") as f:
             f.write("step,t,u_min,u_max,w_min,w_max\n")
@@ -127,13 +113,18 @@ class TumorTrace:
                 f.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
 
 
+# One observer for the tumor run; bench/tracer.py patches both names.
+FieldEnvelopeObserver = TumorTrace
+
+
 def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
                      seed=0, kinetics=None, pre_time=5.0, out_dir=None, export_every=0,
                      **solve):
     """Pattern-forming run: seeded pre-relaxation, then the moving surface.
 
-    Returns (final_state, envelope dict, trace).  With ``out_dir`` set the
-    trace CSV and surface snapshots are written there.
+    Returns (final_state, envelope dict, trace), the envelope being
+    trace.envelope(), the range of u and w over every state.  With
+    ``out_dir`` set the trace CSV and surface snapshots are written there.
     """
     if export_every < 0:
         raise ValueError(f"export_every must be non-negative, got {export_every}")
@@ -143,9 +134,8 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
     config = stepper.StepperConfig(step_size_for(mesh0, t_end, tau=tau), t_end, **solve)
     u0, w0 = problems.tumor_initial_data(mesh0, kin, seed, pre_time=pre_time)
     start = stepper.initial_state(spec, mesh0, u0=u0, w0=w0)
-    envelope = FieldEnvelopeObserver()
     trace = TumorTrace()
-    observers = [envelope, trace]
+    observers = [trace]
     if out_dir is not None and export_every > 0:
         observers.append(SurfaceExporter(out_dir, export_every))
     final = stepper.run(spec, mesh0, config, observers=observers, start=start)
@@ -153,7 +143,7 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
         trace.write(f"{out_dir}/tumor_summary.csv")
         mesh.export_surface(final.mesh, {"u": final.u, "w": final.w},
                             f"{out_dir}/surface_final.vtk")
-    return final, envelope.as_dict(), trace
+    return final, trace.envelope(), trace
 
 
 def temporal_order_study():

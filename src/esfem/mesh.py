@@ -139,9 +139,10 @@ class SurfaceMesh:
 
     @cached_property
     def degenerate(self) -> bool:
-        """Whether some triangle's area is below 1e-14 h_max^2: the one rule
-        by which assembly and the time stepper refuse a collapsed triangle."""
-        return bool(self.element_areas.min() < 1e-14 * self.h_max**2)
+        """Whether some triangle's area is below 1e-14 h_max^2, or NaN (a
+        geometry that overflows): the one rule by which assembly and the
+        time stepper refuse a collapsed triangle."""
+        return not self.element_areas.min() >= 1e-14 * self.h_max**2
 
     def with_coords(self, coords) -> "SurfaceMesh":
         """Same topology with moved nodes; finiteness is the only check."""

@@ -199,15 +199,15 @@ def _pcg(matrix, inv_diag, b, x, rtol):
                              float(np.linalg.norm(matrix @ x - b)))
 
 
-def _jacobi_cg(matrix, rtol, x0=None):
+def _jacobi_cg(matrix, rtol, x0):
     """solve(rhs) for the CSR ``matrix`` by Jacobi-preconditioned CG (_pcg)
     per column of the (N,) or (N, k) array rhs to relative residual
-    ``rtol``, from ``x0`` (shaped like rhs) or from zero."""
+    ``rtol``, from ``x0``, shaped like rhs (all zeros to start from zero)."""
     inv_diag = 1.0 / matrix.diagonal()
 
     def solve(rhs):
         cols = rhs.reshape(rhs.shape[0], -1)
-        starts = np.zeros_like(cols) if x0 is None else np.reshape(x0, cols.shape)
+        starts = np.reshape(x0, cols.shape)
         out = np.empty_like(cols)
         for j in range(cols.shape[1]):
             out[:, j], _ = _pcg(matrix, inv_diag, np.ascontiguousarray(cols[:, j]),
@@ -223,14 +223,14 @@ def make_solver(matrix, config: StepperConfig, factor: LaggedFactor, guess):
 
     The direct solver goes through ``factor``, which the caller keeps across
     steps to reuse its factorization, and its lagged PCG starts from the
-    guess.  The cg solver is Jacobi-CG from zero to CG_TOL, leaving out
-    ``factor`` and the guess by design: started from the guess it moved
-    example1's v error norms past the 1e-8 that the two solvers are held
-    to (CHANGES.md).
+    guess.  The cg solver is Jacobi-CG to CG_TOL from a zero start shaped
+    like the guess, leaving out ``factor`` and the guess's values by
+    design: started from the guess it moved example1's v error norms past
+    the 1e-8 that the two solvers are held to (CHANGES.md).
     """
     if config.solver == DIRECT:
         return factor.solver(matrix, guess)
-    return _jacobi_cg(matrix, CG_TOL)
+    return _jacobi_cg(matrix, CG_TOL, np.zeros_like(guess))
 
 
 def _advance_fields(spec, state, mesh_new, config):
@@ -264,12 +264,13 @@ def _new_surface(mesh, x, t, config):
     non-finite x, MeshDegenerated with its own quality for an angle below
     ABORT_MIN_ANGLE, a collapsed triangle, or a surface shrunk towards a
     point until its mass matrix vanishes beneath the rounding of tau A
-    (an area below 1e-14 tau), where the field systems are singular."""
+    (an area below 1e-14 tau), where the field systems are singular.  A
+    NaN angle or area, from a geometry that overflows, fails every check."""
     _check_finite(t, x=x)
     mesh_new = mesh.with_coords(x.reshape(-1, 3))
     quality = mesh_quality(mesh_new)
-    if quality.min_angle_deg < ABORT_MIN_ANGLE or mesh_new.degenerate \
-            or quality.min_area < 1e-14 * config.tau:
+    if not (quality.min_angle_deg >= ABORT_MIN_ANGLE and not mesh_new.degenerate
+            and quality.min_area >= 1e-14 * config.tau):
         raise MeshDegenerated(t, quality)
     return mesh_new
 
@@ -315,11 +316,15 @@ def step_coupled(state: SystemState, spec, config: StepperConfig, factor) -> Sys
 step_dynamic = step_coupled
 
 
-def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None, v0=None) -> SystemState:
-    """Build the starting state; fields default to the exact nodal data."""
+def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None) -> SystemState:
+    """The state at rest at t = 0; u defaults to the exact nodal data.  w0
+    is required for a two-field spec (len(spec.diffusion) == 2) and refused
+    for a one-field one, with ValueError."""
+    if (w0 is not None) != (len(spec.diffusion) == 2):
+        raise ValueError(f"a spec with {len(spec.diffusion)} field(s) "
+                         f"{'needs' if w0 is None else 'takes no'} w0")
     u0 = np.asarray(spec.initial_fields(mesh0) if u0 is None else u0, dtype=float)
-    v0 = np.zeros(3 * mesh0.num_nodes) if v0 is None else np.asarray(v0, dtype=float)
-    return SystemState(t=0.0, u=u0, v=v0, mesh=mesh0,
+    return SystemState(t=0.0, u=u0, v=np.zeros(3 * mesh0.num_nodes), mesh=mesh0,
                        w=None if w0 is None else np.asarray(w0, dtype=float))
 
 

@@ -180,22 +180,15 @@ class TestAddScaled:
             with pytest.raises(ValueError, match="read-only"):
                 matrix.indptr[0] = 0
 
-    @pytest.mark.parametrize("c", [0.37, -2.5])
-    def test_equal_pattern_in_other_arrays_accepted(self, c):
-        m = mesh.generate_icosphere(2, 1.3)
+    def test_foreign_pattern_refused(self):
+        # only the topology's own index arrays are accepted: equal entries
+        # in other arrays are refused too
+        m = mesh.generate_icosphere(1, 1.0)
         mass, stiff = assembly.assemble_mass(m), assembly.assemble_stiffness(m)
         copy = sp.csr_matrix((stiff.data.copy(), stiff.indices.copy(), stiff.indptr.copy()),
                              shape=stiff.shape)
         assert not np.shares_memory(copy.indices, mass.indices)
-        total, expected = assembly.add_scaled(mass, c, copy), (mass + c * stiff).tocsr()
-        for name in ("indices", "indptr"):
-            assert np.array_equal(getattr(total, name), getattr(expected, name)), name
-        assert np.array_equal(total.data.view(np.int64), expected.data.view(np.int64))
-
-    def test_foreign_pattern_refused(self):
-        m = mesh.generate_icosphere(1, 1.0)
-        mass = assembly.assemble_mass(m)
-        for other in (sp.identity(m.num_nodes, format="csr"),
+        for other in (sp.identity(m.num_nodes, format="csr"), copy,
                       assembly.assemble_stiffness(mesh.generate_icosphere(2, 1.0))):
             with pytest.raises(ValueError, match="pattern"):
                 assembly.add_scaled(mass, 1.0, other)

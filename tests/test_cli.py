@@ -448,10 +448,8 @@ def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # a stiff reaction overflows in the pre-relaxation; a huge coupling
-    # flings the surface out until its forcing overflows
+    # a stiff reaction overflows in the pre-relaxation
     ["tumor", "--level", "1", "--gamma", "1e6", "--t-end", "0.002"],
-    ["example1", "--levels", "1", "--t-end", "0.05", "--delta", "1e300"],
 ])
 def test_non_finite_integrand_exit_code_five(argv, tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
@@ -459,6 +457,22 @@ def test_non_finite_integrand_exit_code_five(argv, tmp_path, capsys):
     assert code == cli.EXIT_NONFINITE == 5
     err = capsys.readouterr().err
     assert err.startswith("run failed: integrand non-finite") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a huge coupling flings the surface out until its finite nodes give
+    # NaN areas, which the step refuses before its forcing overflows
+    (["tumor", "--level", "1", "--t-end", "0.002", "--delta", "1e300"],
+     "run failed: mesh degenerated"),
+    (["example1", "--levels", "1", "--t-end", "0.05", "--delta", "1e300"],
+     "level 1: mesh degenerated"),
+], ids=["tumor", "example1"])
+def test_overflowing_surface_exit_code_three(argv, message, tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main([*argv, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DEGENERATED == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

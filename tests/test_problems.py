@@ -344,8 +344,9 @@ class TestFieldStep:
     def test_no_source_solves_the_carried_mass_alone(self, count):
         m, fields = self.surface_and_fields()
         fields = tuple(fields[:count])
-        mass_old = 0.97 * assembly.assemble_mass(m)
-        stiff = assembly.assemble_stiffness(m)
+        mass, stiff = assembly.assemble_mass(m), assembly.assemble_stiffness(m)
+        # 0.97 M on the topology's own pattern, which add_scaled requires
+        mass_old = assembly._with_data(mass, 0.97 * mass.data)
         solves = [assembly.factorize(assembly.add_scaled(mass_old, 1e-3 * d, stiff)).solve
                   for d in (1.0, 10.0)[:count]]
         new = problems.field_step(m, None, mass_old, fields, 1e-3, solves, 0.0)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 
 import numpy as np
@@ -81,7 +82,8 @@ class TestStepDynamic:
         spec = problems.ProblemSpec(law=problems.VelocityLaw(1.0, dynamic=True))
         cfg = stepper.StepperConfig(tau=0.1, t_end=0.1)
         rng = np.random.Generator(np.random.Philox(2))
-        state = stepper.initial_state(spec, m0, v0=rng.standard_normal(3 * m0.num_nodes))
+        state = dataclasses.replace(stepper.initial_state(spec, m0),
+                                    v=rng.standard_normal(3 * m0.num_nodes))
         stiff0 = assembly.assemble_stiffness(m0)
         for _ in range(25):
             mass_cur = assembly.assemble_mass(state.mesh)
@@ -124,7 +126,8 @@ class TestLawFromSpec:
     def test_step_names_take_the_same_step(self, spec):
         m0 = mesh.generate_icosphere(2, 1.0)
         rng = np.random.Generator(np.random.Philox(6))
-        state = stepper.initial_state(spec, m0, v0=rng.standard_normal(3 * m0.num_nodes))
+        state = dataclasses.replace(stepper.initial_state(spec, m0),
+                                    v=rng.standard_normal(3 * m0.num_nodes))
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
         coupled = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
         dynamic = stepper.step_dynamic(state, spec, cfg, stepper.LaggedFactor())
@@ -174,6 +177,19 @@ class TestTwoSpeciesStepping:
         assert np.abs(final.w - ws).max() <= 1e-9
 
 
+class TestInitialState:
+    def test_two_field_spec_without_w0_refused_before_any_step(self, monkeypatch):
+        spec = problems.tumor_problem(0.0, 0.01, 0.01)
+        monkeypatch.setattr(stepper, "step_coupled", None)  # no step may run
+        with pytest.raises(ValueError, match="needs w0"):
+            stepper.run(spec, mesh.generate_icosphere(1, 1.0), stepper.StepperConfig(1e-3, 2e-3))
+
+    def test_one_field_spec_with_w0_refused(self):
+        m0 = mesh.generate_icosphere(1, 1.0)
+        with pytest.raises(ValueError, match="takes no w0"):
+            stepper.initial_state(quiescent_spec(), m0, w0=np.zeros(m0.num_nodes))
+
+
 class TestRun:
     def test_non_integer_step_count_rejected(self):
         m0 = mesh.generate_icosphere(0, 1.0)
@@ -216,6 +232,19 @@ class TestRun:
             stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
         assert info.value.quality.min_angle_deg > 50.0
         assert info.value.quality.min_area < 1e-14 * cfg.tau
+
+    def test_overflowing_geometry_degenerates(self):
+        # finite nodes whose squared lengths overflow give NaN areas, which
+        # every check refuses although each comparison with NaN is False
+        m0 = mesh.generate_icosphere(1, 1.0)
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
+        x = (m0.coords * 1e160).reshape(-1)
+        assert np.isfinite(x).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert m0.with_coords(x).degenerate
+            with pytest.raises(MeshDegenerated) as info:
+                stepper._new_surface(m0, x, 0.5, cfg)
+        assert info.value.time == 0.5 and np.isnan(info.value.quality.min_area)
 
     def test_collapse_reports_the_collapsed_surface(self, monkeypatch):
         # the velocity solve moves a vertex of triangle 0 onto another
@@ -306,6 +335,31 @@ class TestStepSizeFor:
         target = 0.1 * self.m0.h_max ** 2
         tau = experiments.step_size_for(self.m0, 0.05)
         assert tau <= target and tau == 0.05 / np.ceil(0.05 / target)
+
+
+class TestTumorTrace:
+    def test_envelope_is_the_range_over_the_rows(self):
+        trace = experiments.TumorTrace()
+        trace.rows = [(0, 0.0, 1.0, 2.0, -1.0, 0.5),
+                      (1, 0.1, 0.5, 3.0, 0.0, 0.25),
+                      (2, 0.2, 0.75, 2.5, -2.0, 0.0)]
+        assert trace.envelope() == {"u_min": 0.5, "u_max": 3.0, "w_min": -2.0, "w_max": 0.5}
+
+    def test_tumor_run_envelope_comes_from_its_trace(self, monkeypatch):
+        calls = []
+        real = experiments.TumorTrace.__call__
+
+        def counted(self, step_index, state):
+            calls.append(step_index)
+            return real(self, step_index, state)
+
+        monkeypatch.setattr(experiments.TumorTrace, "__call__", counted)
+        _, envelope, trace = experiments.tumor_experiment(
+            0.0, 0.01, level=1, tau=1e-3, t_end=5e-3, pre_time=0.01)
+        assert calls == list(range(5 + 1))
+        _, _, u_min, u_max, w_min, w_max = (list(c) for c in zip(*trace.rows))
+        assert envelope == {"u_min": min(u_min), "u_max": max(u_max),
+                            "w_min": min(w_min), "w_max": max(w_max)}
 
 
 def count_factorizations(monkeypatch):
@@ -725,7 +779,7 @@ def jacobi_operator(matrix):
 def scipy_jacobi_cg(matrix, rhs, x0, rtol):
     """Reference: spla.cg per column with the Jacobi LinearOperator."""
     matrix, cols = matrix.tocsr(), rhs.reshape(rhs.shape[0], -1)
-    starts = np.zeros_like(cols) if x0 is None else x0.reshape(cols.shape)
+    starts = x0.reshape(cols.shape)
     out = np.empty_like(cols)
     for j in range(cols.shape[1]):
         out[:, j], info = spla.cg(matrix, cols[:, j], x0=starts[:, j], rtol=rtol, atol=0.0,
@@ -747,7 +801,7 @@ class TestPCGKernel:
         rhs = rng.standard_normal(shape)
         if zero >= 0:
             rhs.reshape(shape[0], -1)[:, zero % k] = 0.0
-        x0 = rng.standard_normal(shape) if random_start else None
+        x0 = rng.standard_normal(shape) if random_start else np.zeros(shape)
         expected = scipy_jacobi_cg(matrix, rhs, x0, rtol)
         x = stepper._jacobi_cg(matrix, rtol, x0)(rhs)
         assert x.shape == expected.shape
@@ -763,7 +817,7 @@ class TestPCGKernel:
         for matrix in (assembly.add_scaled(mass, 1e-3, stiff),
                        assembly.add_scaled(assembly.add_scaled(mass, 0.5, stiff), 0.01, stiff)):
             assert not matrix.indices.flags.writeable
-            for start, rtol in ((None, stepper.CG_TOL), (x0, stepper.LAG_TOL)):
+            for start, rtol in ((np.zeros_like(x0), stepper.CG_TOL), (x0, stepper.LAG_TOL)):
                 expected = scipy_jacobi_cg(matrix, rhs, start, rtol)
                 x = stepper._jacobi_cg(matrix, rtol, start)(rhs)
                 assert np.array_equal(x.view(np.int64), expected.view(np.int64))
@@ -784,7 +838,7 @@ class TestPCGKernel:
         mass, stiff = sphere_matrices(1)
         rhs = np.full(mass.shape[0], np.nan)
         with pytest.raises(LinearSolveFailure, match="conjugate gradient") as info:
-            stepper._jacobi_cg(mass + stiff, stepper.CG_TOL)(rhs)
+            stepper._jacobi_cg(mass + stiff, stepper.CG_TOL, np.zeros_like(rhs))(rhs)
         assert np.isnan(info.value.residual)
 
     def test_iteration_cap_raises_with_the_residual(self, monkeypatch):
@@ -793,7 +847,7 @@ class TestPCGKernel:
         rhs = np.random.Generator(np.random.Philox(4)).standard_normal(mass.shape[0])
         monkeypatch.setattr(stepper, "CG_MAX_ITER", 2)
         with pytest.raises(LinearSolveFailure) as info:
-            stepper._jacobi_cg(matrix, stepper.LAG_TOL)(rhs)
+            stepper._jacobi_cg(matrix, stepper.LAG_TOL, np.zeros_like(rhs))(rhs)
         x, code = spla.cg(matrix, rhs, rtol=stepper.LAG_TOL, atol=0.0, maxiter=2,
                           M=jacobi_operator(matrix))
         assert code == 2
