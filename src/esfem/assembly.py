@@ -117,7 +117,7 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
     area = _checked_areas(mesh)
     # Each symmetric local block from its 6 distinct entries, summed in
     # einsum's order.
-    g = mesh.basis_gradients.T
+    g = mesh.basis_gradients
     local = np.empty((len(area), 3, 3))
     for i, j in _UPPER:
         local[:, i, j] = local[:, j, i] = einsum_dot(g[:, i], g[:, j]) * area
@@ -286,9 +286,10 @@ def discrete_norms(M, A, alpha: float, w) -> tuple[float, float, float]:
 # Bilinear forms over one surface (used by the lemma checks)
 
 def tangential_divergence(mesh: SurfaceMesh, e) -> np.ndarray:
-    """Elementwise-constant tangential divergence of the P1 field e (3N,)."""
+    """Elementwise-constant tangential divergence of the P1 field e (3N,), on
+    (T, 3, 3) gradients: einsum's summation order follows their layout."""
     e = np.asarray(e, dtype=float).reshape(-1, 3)
-    return np.einsum("tik,tik->t", mesh.basis_gradients, e[mesh.triangles])
+    return np.einsum("tik,tik->t", np.ascontiguousarray(mesh.basis_gradients.T), e[mesh.triangles])
 
 
 def mass_divergence_form(mesh: SurfaceMesh, velocity, w, z) -> float:
@@ -309,7 +310,7 @@ def stiffness_difference_form(mesh: SurfaceMesh, e, w, z) -> float:
     e = np.asarray(e, dtype=float).reshape(-1, 3)
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
-    g = mesh.basis_gradients
+    g = np.ascontiguousarray(mesh.basis_gradients.T)
     t = mesh.triangles
     E = np.einsum("tik,til->tkl", g, e[t])
     D = np.trace(E, axis1=1, axis2=2)[:, None, None] * np.eye(3) - (E + E.transpose(0, 2, 1))

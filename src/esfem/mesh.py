@@ -2,7 +2,9 @@
 
 Node vectors follow a flat, node-major layout: the position of node j
 occupies entries ``3*j .. 3*j+2`` of a length-``3N`` array, so
-``x.reshape(-1, 3)`` is the ``(N, 3)`` point array.
+``x.reshape(-1, 3)`` is the ``(N, 3)`` point array.  Per-element arrays
+are component-major and end in the triangle axis T, as (3, T) or
+(3, 3, T), so each per-component (T,) slice is contiguous.
 All triangles are flat (affine); the nodal basis is piecewise linear.
 """
 
@@ -84,17 +86,16 @@ class SurfaceMesh:
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """(T, 3, 3) edge vectors, the one coordinate gather all element
-        geometry derives from; edge k runs from vertex k to vertex k+1.
-        Stored component-major: ``edges.T`` is a contiguous (3, 3, T)
-        array, so every per-component (T,) slice is contiguous."""
+        """(3, 3, T) edge vectors, component x edge x triangle: the one
+        coordinate gather all element geometry derives from; edge k runs
+        from vertex k to vertex k+1."""
         p = np.take(self.coords.T, self.triangles.T, axis=1)  # coords.T[:, triangles.T]
-        return _locked(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1).T)
+        return _locked(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1))
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        """(T, 3) lengths of ``edges``."""
-        return _locked(_norm(self.edges.T).T)
+        """(3, T) lengths of ``edges``, edge x triangle."""
+        return _locked(_norm(self.edges))
 
     @cached_property
     def h_max(self) -> float:
@@ -104,7 +105,7 @@ class SurfaceMesh:
     @cached_property
     def _areas_normals(self):
         area, normal = triangle_areas_normals(self.edges)
-        return _locked(area), _locked(normal.T)
+        return _locked(area), _locked(normal)
 
     @property
     def element_areas(self) -> np.ndarray:
@@ -112,18 +113,12 @@ class SurfaceMesh:
 
     @property
     def normals(self) -> np.ndarray:
-        """(3, T) unit normals, component-major as the geometry pass
-        computes them: the layout every normal load reads."""
+        """(3, T) unit normals, component x triangle."""
         return self._areas_normals[1]
 
     @cached_property
-    def element_normals(self) -> np.ndarray:
-        """(T, 3) C-contiguous copy of ``normals``, made only when asked for."""
-        return _locked(np.ascontiguousarray(self.normals.T))
-
-    @cached_property
     def basis_gradients(self) -> np.ndarray:
-        return _locked(triangle_basis_gradients(self.edges, self.element_areas, self.normals.T))
+        return _locked(triangle_basis_gradients(self.edges, self.element_areas, self.normals))
 
     @cached_property
     def midpoint_positions(self) -> np.ndarray:
@@ -184,13 +179,13 @@ def _locked(array):
     return array
 
 
-# The element geometry works on component-major (3, ..., T) arrays, whose
-# (T,) slices are contiguous, and repeats numpy's own arithmetic, so every
-# value is bitwise equal to the plain (T, 3, 3) formulas: ``np.cross``
-# computes a1*b2 - a2*b1, ``.sum`` over three components adds left to
-# right, and numpy 2.x's ``einsum`` sums a length-3 contraction as
-# (p0 + p2) + p1 (checked for "tik,tjk->tij" and "tkj,tkj->tk" on
-# contiguous and misaligned arrays; tests/test_mesh.py keeps the oracle).
+# The element geometry works on the component-major arrays it publishes
+# and repeats numpy's own arithmetic, so every value is bitwise equal to
+# the plain (T, 3, 3) formulas: ``np.cross`` computes a1*b2 - a2*b1,
+# ``.sum`` over three components adds left to right, and numpy 2.x's
+# ``einsum`` sums a length-3 contraction as (p0 + p2) + p1 (checked for
+# "tik,tjk->tij" and "tkj,tkj->tk" on contiguous and misaligned arrays;
+# tests/test_mesh.py keeps the oracle).
 
 def _cross(a, b):
     """Component-major cross product with ``np.cross``'s arithmetic."""
@@ -210,35 +205,33 @@ def einsum_dot(a, b):
 
 
 def triangle_areas_normals(edges):
-    """Areas and unit normals of all triangles from their (T, 3, 3) edges.
+    """Areas (T,) and unit normals (3, T) of triangles from (3, 3, T) edges.
 
     Degenerate triangles get area 0 and a zero normal; callers decide
     whether that is an error.  The normal is the unit vector along
-    edge 2 x edge 0; normals are returned as a (T, 3) view of the
-    component-major (3, T) array they are computed in.
+    edge 2 x edge 0.
     """
-    e = edges.T
-    cr = _cross(e[:, 2], e[:, 0])
+    cr = _cross(edges[:, 2], edges[:, 0])
     two_area = _norm(cr)
     area = 0.5 * two_area
     with np.errstate(invalid="ignore", divide="ignore"):
         normal = np.where(two_area > 0.0, cr / two_area, 0.0)
-    return area, normal.T
+    return area, normal
 
 
 def triangle_basis_gradients(edges, area, normal):
     """Constant tangential gradients of the three nodal basis functions.
 
-    Returns a C-contiguous (T, 3, 3) array; entry [t, i] is the gradient
-    of the basis function attached to local vertex i of triangle t.  The
+    From (3, 3, T) edges, (T,) areas and (3, T) normals, returns a
+    C-contiguous (3, 3, T) array; entry [:, i, t] is the gradient of the
+    basis function attached to local vertex i of triangle t.  The
     gradient of basis i is the in-plane vector perpendicular to the
     opposite edge, edge i+1: ``normal x edge / (2 area)``.
     """
-    n, e = np.ascontiguousarray(normal.T), edges.T
-    g = np.empty((len(area), 3, 3))
+    g = np.empty((3, 3, len(area)))
     for i in range(3):
-        g[:, i] = _cross(n, e[:, (i + 1) % 3]).T
-    g /= (2.0 * area)[:, None, None]
+        g[:, i] = _cross(normal, edges[:, (i + 1) % 3])
+    g /= 2.0 * area
     return g
 
 
@@ -248,7 +241,7 @@ def mesh_quality(mesh: SurfaceMesh) -> QualityReport:
     Collapsed triangles are reported (angle 0, aspect inf), never raised;
     the time stepper uses this to decide when to abort.
     """
-    edge, elen, area = mesh.edges.T, mesh.edge_lengths.T, mesh.element_areas
+    edge, elen, area = mesh.edges, mesh.edge_lengths, mesh.element_areas
 
     # Angle at vertex k lies between edge k and reversed edge k-1; arccos
     # falls monotonically, so the smallest angle is that of the largest

@@ -264,13 +264,15 @@ def _new_surface(mesh, x, t, config):
     non-finite x, MeshDegenerated with its own quality for an angle below
     ABORT_MIN_ANGLE, a collapsed triangle, or a surface shrunk towards a
     point until its mass matrix vanishes beneath the rounding of tau A
-    (an area below 1e-14 tau), where the field systems are singular.  A
-    NaN angle or area, from a geometry that overflows, fails every check."""
+    (an area below 1e-14 tau), where the field systems are singular.  An
+    overflowing geometry's NaN fails every check, without numpy warnings."""
     _check_finite(t, x=x)
     mesh_new = mesh.with_coords(x.reshape(-1, 3))
-    quality = mesh_quality(mesh_new)
-    if not (quality.min_angle_deg >= ABORT_MIN_ANGLE and not mesh_new.degenerate
-            and quality.min_area >= 1e-14 * config.tau):
+    with np.errstate(over="ignore", invalid="ignore"):
+        quality = mesh_quality(mesh_new)
+        sound = (quality.min_angle_deg >= ABORT_MIN_ANGLE and not mesh_new.degenerate
+                 and quality.min_area >= 1e-14 * config.tau)
+    if not sound:
         raise MeshDegenerated(t, quality)
     return mesh_new
 

@@ -616,7 +616,7 @@ class TestLoadsMatchPerCornerFormulas:
         g = problems.example1_problem().velocity_forcing
         x = m.midpoint_positions.reshape(3, -1, 3)
         corner = per_corner_load(m, [g(x[q], 0.3) for q in range(3)])
-        normal = m.element_normals
+        normal = m.normals.T
         expected = node_major([per_corner_sum(m, [c * normal[:, l] for c in corner])
                                for l in range(3)])
         load = assembly.assemble_normal_load(m, g, 0.3)
@@ -625,7 +625,7 @@ class TestLoadsMatchPerCornerFormulas:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_nodal_coupling(self, seed):
         m, (u, _) = self.surface_and_fields(seed)
-        weight = (m.element_areas / 3.0)[:, None] * m.element_normals
+        weight = (m.element_areas / 3.0)[:, None] * m.normals.T
         expected = node_major([per_corner_sum(m, [weight[:, l]] * 3) * u for l in range(3)])
         out = assembly.assemble_normal_coupling(m, u, "nodal")
         assert out.tobytes() == expected.tobytes()
@@ -635,7 +635,7 @@ class TestLoadsMatchPerCornerFormulas:
         m, (u, _) = self.surface_and_fields(seed)
         # corner i: the integral of u_h phi_i, the mass template's row i
         coeff = (assembly._MASS_TEMPLATE @ u[m.triangles.T]) * m.element_areas
-        normal = m.element_normals
+        normal = m.normals.T
         expected = node_major([per_corner_sum(m, [c * normal[:, l] for c in coeff])
                                for l in range(3)])
         out = assembly.assemble_normal_coupling(m, u, "interpolated")

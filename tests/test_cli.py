@@ -1,6 +1,7 @@
 import csv
 import inspect
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -468,11 +469,14 @@ def test_non_finite_integrand_exit_code_five(argv, tmp_path, capsys):
      "level 1: mesh degenerated"),
 ], ids=["tumor", "example1"])
 def test_overflowing_surface_exit_code_three(argv, message, tmp_path, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
+    # without a numpy warning: the message is the one line on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main([*argv, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_DEGENERATED == 3
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

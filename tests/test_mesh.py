@@ -130,7 +130,7 @@ class TestSurfaceMeshValidation:
         m = mesh.generate_icosphere(2, 1.0)
         m = m.with_coords(m.coords.reshape(-1) * 1.1)
         for name in ("coords", "triangles", "edges", "edge_lengths", "element_areas",
-                     "element_normals", "basis_gradients", "midpoint_positions"):
+                     "normals", "basis_gradients", "midpoint_positions"):
             array = getattr(m, name)
             for a in [array] + ([array.base] if array.base is not None else []):
                 assert not a.flags.writeable, name
@@ -145,16 +145,16 @@ class TestElementGeometry:
         m = flat_triangle_mesh()
         area, normal = mesh.triangle_areas_normals(m.edges)
         assert area[0] == pytest.approx(0.5, abs=1e-15)
-        assert np.allclose(normal[0], [0, 0, 1], atol=1e-15)
+        assert np.allclose(normal[:, 0], [0, 0, 1], atol=1e-15)
         assert m.element_areas[0] == area[0]
-        assert np.array_equal(m.element_normals, normal)
+        assert np.array_equal(m.normals, normal)
 
     def test_barycentric_gradients(self):
         m = flat_triangle_mesh()
         expected = np.array([[-1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert np.allclose(m.basis_gradients[0], expected, atol=1e-14)
+        assert np.allclose(m.basis_gradients[..., 0].T, expected, atol=1e-14)
         area, normal = mesh.triangle_areas_normals(m.edges)
-        assert np.allclose(mesh.triangle_basis_gradients(m.edges, area, normal)[0],
+        assert np.allclose(mesh.triangle_basis_gradients(m.edges, area, normal)[..., 0].T,
                            expected, atol=1e-14)
 
     def test_gradient_invariants_random_triangles(self):
@@ -162,7 +162,7 @@ class TestElementGeometry:
         for _ in range(50):
             coords = rng.standard_normal((3, 3))
             m = mesh.SurfaceMesh(coords, np.array([[0, 1, 2]]), validate=False)
-            normal, g = m.element_normals[0], m.basis_gradients[0]
+            normal, g = m.normals[:, 0], m.basis_gradients[..., 0].T
             assert abs(np.linalg.norm(normal) - 1.0) < 1e-12
             assert np.linalg.norm(g.sum(axis=0)) < 1e-12 * np.abs(g).max()
             assert np.abs(g @ normal).max() < 1e-12 * np.abs(g).max()
@@ -172,7 +172,7 @@ class TestElementGeometry:
         m = mesh.SurfaceMesh(coords, np.array([[0, 1, 2]]), validate=False)
         # geometry reports the collapse; assembly refuses it
         assert m.element_areas[0] == 0.0
-        assert np.all(m.element_normals[0] == 0.0)
+        assert np.all(m.normals[:, 0] == 0.0)
         with pytest.raises(DegenerateElement):
             assembly.assemble_mass(m)
 
@@ -185,8 +185,8 @@ class TestElementGeometry:
         shift = rng.standard_normal(3)
         moved = m.with_coords(m.coords @ q.T + shift)
         assert np.allclose(moved.element_areas, m.element_areas, rtol=1e-12, atol=0)
-        assert np.allclose(moved.element_normals, m.element_normals @ q.T, atol=1e-12)
-        assert np.allclose(moved.basis_gradients, m.basis_gradients @ q.T, atol=1e-12)
+        assert np.allclose(moved.normals.T, m.normals.T @ q.T, atol=1e-12)
+        assert np.allclose(moved.basis_gradients.T, m.basis_gradients.T @ q.T, atol=1e-12)
 
 
 class TestMeshQuality:
@@ -208,7 +208,7 @@ class TestMeshQuality:
         for level in (0, 2, 3):
             m = mesh.generate_icosphere(level, 1.3)
             area, normal = mesh.triangle_areas_normals(m.edges)
-            s = np.linalg.norm((area[:, None] * normal).sum(axis=0))
+            s = np.linalg.norm((area * normal).sum(axis=1))
             assert s <= 1e-12 * area.sum()
 
 
@@ -229,7 +229,7 @@ def oracle_geometry(coords, triangles):
         normal = np.where(two_area[:, None] > 0.0, cr / two_area[:, None], 0.0)
         grads = np.cross(normal[:, None], edges[:, [1, 2, 0]]) / (2.0 * area)[:, None, None]
     return {"edges": edges, "edge_lengths": lengths, "element_areas": area,
-            "element_normals": normal, "basis_gradients": grads}
+            "normals": normal, "basis_gradients": grads}
 
 
 def oracle_quality(geometry):
@@ -252,14 +252,13 @@ def assert_bitwise(actual, expected):
 
 
 def assert_matches_oracle(m):
-    """Geometry and quality of ``m`` bitwise equal to the oracle's; returns
-    the oracle geometry."""
+    """Geometry and quality of ``m`` bitwise equal to the oracle's, each
+    mesh array to the transpose of the oracle's (T, ...) one; returns the
+    oracle geometry."""
     expected = oracle_geometry(m.coords, m.triangles)
     with np.errstate(invalid="ignore", divide="ignore"):
         for name, value in expected.items():
-            assert_bitwise(getattr(m, name), value)
-    assert m.basis_gradients.flags.c_contiguous
-    assert m.element_normals.flags.c_contiguous
+            assert_bitwise(getattr(m, name), value.T)
     assert_bitwise(astuple(mesh.mesh_quality(m)), astuple(oracle_quality(expected)))
     return expected
 
@@ -307,7 +306,7 @@ class TestOneGeometryPass:
         m = mesh.SurfaceMesh(coords, np.array([[0, 1, 2], [0, 3, 1]]), validate=False)
         assert_matches_oracle(m)
         assert m.element_areas[0] == 0.0
-        assert np.all(m.element_normals[0] == 0.0)
+        assert np.all(m.normals[:, 0] == 0.0)
         assert mesh.mesh_quality(m) == mesh.QualityReport(0.0, np.inf, 0.0)
 
     def test_coincident_nodes(self):
@@ -320,6 +319,20 @@ class TestOneGeometryPass:
         assert np.count_nonzero(collapsed.edge_lengths == 0.0) == 2
         q = mesh.mesh_quality(collapsed)
         assert (q.min_angle_deg, q.max_aspect_ratio, q.min_area) == (0.0, np.inf, 0.0)
+
+
+def test_element_geometry_is_component_major():
+    # every per-element array ends in the triangle axis, C-contiguous and
+    # read-only down to its base; no (T, 3) copy of the normals is kept
+    m = jittered(2, 7)
+    t = m.num_triangles
+    for name, shape in [("edges", (3, 3, t)), ("edge_lengths", (3, t)),
+                        ("normals", (3, t)), ("basis_gradients", (3, 3, t))]:
+        array = getattr(m, name)
+        assert array.shape == shape and array.flags.c_contiguous, name
+        for a in [array] + ([array.base] if array.base is not None else []):
+            assert not a.flags.writeable, name
+    assert not hasattr(m, "element_normals")
 
 
 class TestNodeVectorLayout:

@@ -1,0 +1,100 @@
+"""The example1 step written out once more as a textbook P1 method and held
+against ``stepper.run``.
+
+Nothing here comes from ``mesh.py`` or ``assembly.py``: the geometry is
+``np.cross`` per triangle, M and A are summed from COO triplets, the loads
+use the edge-midpoint rule and every system goes to ``spsolve``.  So the
+whole step, the layout of the element geometry included, is checked
+against code that shares nothing with it: to rounding under the direct
+solver, to the CG tolerances under cg.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from esfem import stepper
+from esfem.experiments import step_size_for
+from esfem.mesh import generate_icosphere
+from esfem.problems import example1_problem
+
+
+def geometry(x, tris):
+    """Corners (T, 3, 3), areas (T,), unit normals (T, 3) and basis
+    gradients (T, 3, 3), row i the gradient of the basis at corner i:
+    n x (opposite edge) / (2 area)."""
+    p = x[tris]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    two_area = np.linalg.norm(cross, axis=1)
+    normal = cross / two_area[:, None]
+    opposite = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+    grads = np.cross(normal[:, None], opposite) / two_area[:, None, None]
+    return p, two_area / 2, normal, grads
+
+
+def matrices(x, tris):
+    """Mass and stiffness from the local blocks area (2, 1, 1)/12 and
+    area grad phi_i . grad phi_j."""
+    _, area, _, grads = geometry(x, tris)
+    n = len(x)
+    rows, cols = np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()
+    blocks = [area[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12,
+              area[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)]
+    return [sp.coo_matrix((b.ravel(), (rows, cols)), shape=(n, n)).tocsc() for b in blocks]
+
+
+def corner_integrals(x, tris, integrand, t, *fields):
+    """Edge-midpoint rule for the integral of integrand * phi_i over each
+    triangle, (T, 3): midpoint q, on edge q -> q+1, has weight area/3, and
+    phi_i is 1/2 there when corner i ends that edge."""
+    p, area, _, _ = geometry(x, tris)
+    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    values = [0.5 * (f[tris] + np.roll(f[tris], -1, axis=1)).ravel() for f in fields]
+    g = integrand(mids.reshape(-1, 3), t, *values).reshape(-1, 3)
+    return area[:, None] / 3 * 0.5 * (g + np.roll(g, 1, axis=1))
+
+
+def scatter(tris, corner, n):
+    return np.bincount(tris.ravel(), weights=corner.ravel(), minlength=n)
+
+
+def normal_scatter(x, tris, corner):
+    """(N, 3): column l sums corner * (normal)_l into the nodes."""
+    normal = geometry(x, tris)[2]
+    return np.stack([scatter(tris, corner * normal[:, l, None], len(x)) for l in range(3)], axis=1)
+
+
+def reference_step(spec, x, u, t, tau, tris):
+    """(M + alpha A + tau beta A) x_new = (M + alpha A) x + tau l on the old
+    surface, l the nodal normal coupling delta u and the g load at t + tau;
+    then (M_new + tau A_new) u_new = M u + tau f on the new surface."""
+    law = spec.law
+    mass, stiff = matrices(x, tris)
+    k = mass + law.alpha * stiff
+    area = geometry(x, tris)[1]
+    load = (law.delta * normal_scatter(x, tris, np.repeat(area[:, None] / 3, 3, axis=1))
+            * u[:, None]
+            + normal_scatter(x, tris, corner_integrals(x, tris, spec.velocity_forcing, t + tau)))
+    x_new = spla.spsolve(k + tau * law.beta * stiff, k @ x + tau * load)
+    mass_new, stiff_new = matrices(x_new, tris)
+    f = scatter(tris, corner_integrals(x_new, tris, spec.source, t + tau, u), len(x))
+    u_new = spla.spsolve(mass_new + tau * spec.diffusion[0] * stiff_new, mass @ u + tau * f)
+    return x_new, u_new, (x_new - x) / tau
+
+
+@pytest.mark.parametrize("solver, tols", [("cholesky", (1e-13, 1e-13, 1e-10)),
+                                          ("cg", (1e-11, 1e-11, 1e-8))])
+@pytest.mark.parametrize("level, steps", [(1, 2), (2, 5)])
+def test_run_matches_the_textbook_step(level, steps, solver, tols):
+    spec = example1_problem()
+    m0 = generate_icosphere(level, 1.0)
+    tau = step_size_for(m0, 1.0)
+    final = stepper.run(spec, m0, stepper.StepperConfig(tau, steps * tau, solver=solver))
+    x, u, t = m0.coords, spec.initial_fields(m0), 0.0
+    for _ in range(steps):
+        x, u, v = reference_step(spec, x, u, t, tau, m0.triangles)
+        t += tau
+    for actual, expected, tol in zip((final.x, final.u, final.v),
+                                     (x.reshape(-1), u, v.reshape(-1)), tols):
+        assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,9 @@ class TestRun:
         assert np.isfinite(x).all()
         with np.errstate(over="ignore", invalid="ignore"):
             assert m0.with_coords(x).degenerate
+        # and the step refuses it without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(MeshDegenerated) as info:
                 stepper._new_surface(m0, x, 0.5, cfg)
         assert info.value.time == 0.5 and np.isnan(info.value.quality.min_area)

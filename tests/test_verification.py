@@ -171,6 +171,13 @@ class TestVerifySuite:
         assert provenance["matrix_derivative_mass_ratio"] == "recorded"
         assert provenance["matrix_difference_mass"] == "fixed"
 
+    def test_energy_norm_identity_measures_the_assembled_k(self, monkeypatch):
+        # |w|_K^2 is read off K = M + alpha A itself, so a K that lost its
+        # stiffness term fails the identity
+        monkeypatch.setattr(assembly, "add_scaled", lambda a, c, b: a)
+        results = {r.name: r for r in verify_suite(level=1, seed=0)}
+        assert not results["energy_norm_identity"].passed
+
     @pytest.mark.parametrize("level", [0, 6])
     def test_unrecorded_level_rejected_before_any_check(self, level, monkeypatch):
         def no_mesh(*args):
