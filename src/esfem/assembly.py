@@ -6,27 +6,33 @@ edge-midpoint rule, which is exact for quadratics and hence for all
 products of two linear basis functions; stiffness entries only involve
 constant gradients and are exact with the plain area weight.
 
-Assembly accumulates element contributions in a fixed order into a
-precomputed sparsity pattern, so repeated assemblies of the same mesh are
-bitwise identical, and the symmetric local blocks make the global
-matrices exactly symmetric entry by entry.  Every matrix of one topology
-(mass, stiffness and their sums, formed entry by entry by ``add_scaled``)
-is a shallow copy of the topology's one CSR template, which ``_pattern``
-caches with the pattern, holding its own data on the template's
-read-only index arrays, so no step runs SciPy's validating constructor.
-``matvec`` forms ``matrix @ x`` on SciPy's own compiled kernels without
-its dispatch; ``factorize`` is the one SuperLU entry point, and its
-``solve(rhs)`` is the one-argument contract of every linear solve.
+Assembly sums element contributions in a fixed order into a precomputed
+sparsity pattern, so repeated assemblies of the same mesh are bitwise
+identical, and the symmetric local blocks make the global matrices
+exactly symmetric entry by entry.  Every sum is a product with a 0/1
+incidence matrix cached per topology, on SciPy's compiled CSR kernel:
+each row lists its entries in the order a bincount over the same index
+would add them, so the sums are bitwise a bincount's.  Every matrix of
+one topology (mass, stiffness and their sums, formed entry by entry by
+``add_scaled``) is a shallow copy of the topology's one CSR template,
+which ``_pattern`` caches with the pair incidence, holding its own data
+on the template's read-only index arrays, so no step runs SciPy's
+validating constructor.  ``matvec`` forms ``matrix @ x`` on SciPy's own
+compiled kernels without its dispatch; ``factorize`` is the one SuperLU
+entry point, and its ``solve(rhs)`` is the one-argument contract of
+every linear solve.
 
 Every load runs through one field-major kernel: an integrand returns
 (k, Q) rows at the Q quadrature points, the corner values are (k, 3, T)
-and ``_scatter`` sums them into (k, N) nodal rows with one bincount, each
-node adding its entries in (i, t) order.  The normal load and both normal
-couplings are three such rows, one per component of the component-major
-(3, T) ``mesh.normals``, returned node-major as (3N,).
+and ``_scatter`` sums them into (k, N) nodal rows through the corner
+incidence, each node adding its entries in (i, t) order.  The normal load
+and both normal couplings are three such rows, one per component of the
+component-major (3, T) ``mesh.normals``, returned node-major as (3N,).
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,8 +44,11 @@ from .mesh import MIDPOINT_POINTS, SurfaceMesh, _locked, einsum_dot
 
 # Local P1 mass block for a triangle of unit area.
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-# Upper-triangle entries (i, j) of a symmetric local block.
+# Upper-triangle entries (i, j) of a symmetric local block: the rows of
+# its (6, T) element entries.
 _UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+# The row of entry (i, j) of a local block among them.
+_UPPER_ROW = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 #: Degree-2 rule at the three edge midpoints (``MIDPOINT_POINTS``, whose
@@ -56,15 +65,34 @@ def _checked_areas(mesh):
     return area
 
 
+# A 0/1 CSR incidence matrix as the arrays SciPy's kernels take, built
+# without the validating constructor.
+_Incidence = namedtuple("_Incidence", "shape indptr indices data")
+
+
+def _incidence(targets, columns, shape, ones):
+    """0/1 CSR matrix of ``shape`` whose row r sums the entries k with
+    targets[k] == r, at columns[k], in the order of k: the order in which
+    ``np.bincount(targets, weights)`` adds them, so its products are
+    bitwise that bincount.  Its data is a slice of the read-only ``ones``."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(targets, minlength=shape[0]), out=indptr[1:])
+    indices = columns[np.argsort(targets, kind="stable")].astype(np.int32)
+    return _Incidence(shape, _locked(indptr), _locked(indices), ones[:targets.size])
+
+
 def _pattern(mesh):
-    """(inv, template) of the P1 pair coupling, cached per topology: inv
-    sends each entry of the (T, 3, 3) local blocks to its CSR slot, and
-    the template is the topology's CSR matrix on read-only index arrays,
-    its data a zero-stride view, so it pins no nnz-length array."""
+    """(incidence, template) of the P1 pair coupling, cached per topology.
+    The incidence (nnz x 6T) sums the (6, T) upper entries of the local
+    blocks into their CSR slots, each slot adding the entries of the
+    (T, 3, 3) blocks in their flat order; its data is the topology's one
+    read-only vector of 9T ones.  The template is the topology's CSR
+    matrix on read-only index arrays, its data a zero-stride view, so it
+    pins no nnz-length array."""
     cache = mesh._topo_cache
     if "pattern" not in cache:
         t = mesh.triangles
-        n = mesh.num_nodes
+        n, nt = mesh.num_nodes, len(t)
         rows = np.repeat(t, 3, axis=1).ravel()
         cols = np.tile(t, (1, 3)).ravel()
         keys = rows.astype(np.int64) * n + cols
@@ -73,7 +101,7 @@ def _pattern(mesh):
         counts = np.bincount((unique_keys // n).astype(np.int64), minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
-        for arr in (inv, indices, indptr):
+        for arr in (indices, indptr):
             arr.setflags(write=False)
         template = sp.csr_matrix((np.broadcast_to(0.0, unique_keys.size), indices, indptr),
                                  shape=(n, n))
@@ -81,7 +109,11 @@ def _pattern(mesh):
         # themselves back, so one pattern stays one object
         template.indices, template.indptr = indices, indptr
         template.has_sorted_indices = True
-        cache["pattern"] = (inv, template)
+        # entry (t, i, j) of the blocks is column row(i, j) * T + t
+        columns = (_UPPER_ROW.ravel() * nt + np.arange(nt)[:, None]).ravel()
+        incidence = _incidence(inv, columns, (unique_keys.size, 6 * nt),
+                               _locked(np.ones(9 * nt)))
+        cache["pattern"] = (incidence, template)
     return cache["pattern"]
 
 
@@ -94,19 +126,18 @@ def _with_data(matrix, data):
     return copied
 
 
-def _assemble_pairs(mesh, local):
-    """Sum (T, 3, 3) local blocks into a global CSR matrix, a copy of the
-    topology's template."""
-    inv, template = _pattern(mesh)
-    data = np.bincount(inv, weights=local.ravel(), minlength=template.indices.size)
-    return _with_data(template, data)
+def _assemble_pairs(mesh, entries):
+    """Sum the (6, T) upper entries of the symmetric local blocks, rows in
+    ``_UPPER`` order, into a global CSR matrix, a copy of the topology's
+    template, through the pair incidence."""
+    incidence, template = _pattern(mesh)
+    return _with_data(template, matvec(incidence, entries.ravel()))
 
 
 def assemble_mass(mesh: SurfaceMesh) -> sp.csr_matrix:
     """Mass matrix M with M[j, k] = integral of phi_j phi_k."""
     area = _checked_areas(mesh)
-    local = area[:, None, None] * _MASS_TEMPLATE
-    return _assemble_pairs(mesh, local)
+    return _assemble_pairs(mesh, _MASS_TEMPLATE[tuple(zip(*_UPPER))][:, None] * area)
 
 
 def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
@@ -115,13 +146,13 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
     Constants lie in the kernel: A @ 1 = 0 up to roundoff.
     """
     area = _checked_areas(mesh)
-    # Each symmetric local block from its 6 distinct entries, summed in
+    # The 6 distinct entries of each symmetric local block, summed in
     # einsum's order.
     g = mesh.basis_gradients
-    local = np.empty((len(area), 3, 3))
-    for i, j in _UPPER:
-        local[:, i, j] = local[:, j, i] = einsum_dot(g[:, i], g[:, j]) * area
-    return _assemble_pairs(mesh, local)
+    entries = np.empty((6, len(area)))
+    for row, (i, j) in zip(entries, _UPPER):
+        np.multiply(einsum_dot(g[:, i], g[:, j]), area, out=row)
+    return _assemble_pairs(mesh, entries)
 
 
 def surface_matrices(mesh: SurfaceMesh):
@@ -174,27 +205,38 @@ def factorize(matrix):
         raise LinearSolveFailure(f"system not factorable: {err}", float("inf")) from err
 
 
-def _scatter_index(mesh, k):
-    """Entry j * N + n of k stacked nodal rows for each entry [j, i, t] of
-    (k, 3, T) corner values, n being the node at local vertex i of
-    triangle t.  One flat index per topology serves every k: it is cached
-    for the most rows asked for, and k rows are its first 3kT entries; for
-    k = 1 they are the corners' nodes, which the loads gather fields with."""
-    size = k * mesh.triangles.size
-    index = mesh._topo_cache.get("scatter")
-    if index is None or index.size < size:
-        index = np.arange(k)[:, None] * mesh.num_nodes + mesh.triangles.T.ravel()
-        index = mesh._topo_cache["scatter"] = _locked(index.ravel())
-    return index[:size]
+def _corners(mesh):
+    """(nodes, incidence, twin), cached per topology: the read-only (3, T)
+    node at each triangle corner; the N x 3T corner incidence, which sums
+    (3, T) corner values into their nodes, each node adding its entries in
+    (i, t) order; and its N x T twin (the same indptr, indices % T), which
+    sums one value per triangle into each of its three nodes.  Both take
+    their data from the pair incidence's ones."""
+    cache = mesh._topo_cache
+    if "corners" not in cache:
+        n, nt = mesh.num_nodes, mesh.num_triangles
+        nodes = _locked(np.ascontiguousarray(mesh.triangles.T))
+        incidence = _incidence(nodes.ravel(), np.arange(3 * nt), (n, 3 * nt), _pattern(mesh)[0].data)
+        twin = incidence._replace(shape=(n, nt), indices=_locked(incidence.indices % np.int32(nt)))
+        cache["corners"] = nodes, incidence, twin
+    return cache["corners"]
+
+
+def _sum_rows(incidence, rows):
+    """(k, N) products of the incidence with each of k contiguous rows, on
+    csr_matvec, one row at a time into one zeroed array."""
+    out = np.zeros((len(rows), incidence.shape[0]))
+    for row, sums in zip(rows, out):
+        csr_matvec(*incidence.shape, incidence.indptr, incidence.indices, incidence.data, row, sums)
+    return out
 
 
 def _scatter(mesh, corner_values):
     """Sum per-corner values, (k, 3, T) or (3, T), into nodal rows, (k, N)
-    or (N,), with one bincount; each node sums its entries in (i, t)
-    order."""
-    k = corner_values.size // mesh.triangles.size
-    out = np.bincount(_scatter_index(mesh, k), corner_values.ravel(), k * mesh.num_nodes)
-    return out.reshape(*corner_values.shape[:-2], -1)
+    or (N,), through the corner incidence; each node sums its entries in
+    (i, t) order."""
+    rows = corner_values.reshape(-1, mesh.triangles.size)
+    return _sum_rows(_corners(mesh)[1], rows).reshape(*corner_values.shape[:-2], -1)
 
 
 def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
@@ -213,10 +255,9 @@ def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
     normal = mesh.normals
     if mode == "nodal":
         # integral of phi_j over one triangle is area/3
-        w = normal * (area / 3.0)
-        out = _scatter(mesh, np.broadcast_to(w[:, None], (3, 3, len(area)))) * u
+        out = _sum_rows(_corners(mesh)[2], normal * (area / 3.0)) * u
     elif mode == "interpolated":
-        coeff = (_MASS_TEMPLATE @ u[_scatter_index(mesh, 1).reshape(3, -1)]) * area
+        coeff = (_MASS_TEMPLATE @ u[_corners(mesh)[0]]) * area
         out = _scatter(mesh, normal[:, None] * coeff)
     else:
         raise ValueError(f"unknown normal coupling mode: {mode!r}")
@@ -232,7 +273,7 @@ def _corner_loads(mesh, integrand, time, fields):
         if f.size != mesh.num_nodes:
             raise FieldLengthMismatch(f"field has {f.size} entries, expected {mesh.num_nodes}")
     area = _checked_areas(mesh)
-    corners = _scatter_index(mesh, 1).reshape(3, -1)
+    corners = _corners(mesh)[0]
     vals = [(MIDPOINT_POINTS @ f[corners]).ravel() for f in fields]
     f_vals = np.asarray(integrand(mesh.midpoint_positions, time, *vals), dtype=float)
     if not np.isfinite(f_vals).all():

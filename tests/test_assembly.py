@@ -179,6 +179,29 @@ class TestAddScaled:
                 matrix.indices[0] = matrix.indices[0]
             with pytest.raises(ValueError, match="read-only"):
                 matrix.indptr[0] = 0
+        # every surface of the topology shares the incidences, whose arrays
+        # are read-only down to their base and whose data is one vector of ones
+        moved = m.with_coords(1.5 * m.coords)
+        assembly.assemble_normal_load(moved, lambda x, t: x[:, 0], 0.0)
+        incidence, _ = assembly._pattern(moved)
+        nodes, corner, twin = corners = assembly._corners(m)
+        assert assembly._pattern(m)[0] is incidence and assembly._corners(moved) is corners
+        ones = incidence.data
+        assert ones.size == 9 * m.num_triangles and np.all(ones == 1.0)
+        assert twin.indptr is corner.indptr
+        assert np.array_equal(twin.indices, corner.indices % m.num_triangles)
+        for inc in (incidence, corner, twin):
+            assert np.shares_memory(inc.data, ones)
+            for array in (inc.data, inc.indices, inc.indptr):
+                assert array.dtype == np.float64 or array.dtype == np.int32
+                while isinstance(array, np.ndarray):
+                    assert not array.flags.writeable
+                    array = array.base
+        assert nodes.shape == (3, m.num_triangles) and not nodes.flags.writeable
+        # no bincount index is cached: neither inv nor a flat int64 scatter index
+        assert set(m._topo_cache) == {"pattern", "corners"}
+        cached = [*corners, *assembly._pattern(m)]
+        assert not any(isinstance(a, np.ndarray) and a.ndim == 1 for a in cached)
 
     def test_foreign_pattern_refused(self):
         # only the topology's own index arrays are accepted: equal entries
@@ -224,6 +247,91 @@ class TestTemplateCopy:
         rng = np.random.Generator(np.random.Philox(5))
         for x in (rng.standard_normal(copied.shape[0]), rng.standard_normal((copied.shape[0], 3))):
             assert np.array_equal((copied @ x).view(np.int64), (separate @ x).view(np.int64))
+
+
+def jittered_icosphere(level, seed):
+    m = mesh.generate_icosphere(level, 1.0)
+    rng = np.random.Generator(np.random.Philox(seed))
+    return m.with_coords(m.coords + rng.uniform(-0.2, 0.2, m.coords.shape) * m.h_max)
+
+
+def bipyramid(sides=12, seed=5):
+    """Closed bipyramid over a jittered ``sides``-gon, its triangles
+    shuffled and their corners rotated: both poles have valence ``sides``,
+    beyond the icosphere's 5 and 6, and appear at every local vertex."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    phi = 2.0 * np.pi * np.arange(sides) / sides
+    radius = rng.uniform(0.9, 1.1, sides)
+    ring = np.column_stack([radius * np.cos(phi), radius * np.sin(phi),
+                            rng.uniform(-0.1, 0.1, sides)])
+    coords = np.vstack([ring, [0.0, 0.0, 1.2], [0.0, 0.0, -0.9]])
+    k, nxt = np.arange(sides), (np.arange(sides) + 1) % sides
+    tris = np.vstack([np.column_stack([k, nxt, np.full(sides, sides)]),
+                      np.column_stack([nxt, k, np.full(sides, sides + 1)])])
+    tris = np.array([np.roll(tri, r) for tri, r in zip(tris, rng.integers(0, 3, len(tris)))])
+    return mesh.SurfaceMesh(coords, tris[rng.permutation(len(tris))])
+
+
+INCIDENCE_MESHES = {**{f"icosphere{level}": functools.partial(jittered_icosphere, level, level)
+                       for level in (1, 2, 3)},
+                    "bipyramid12": bipyramid}
+
+
+def bincount_pairs(m, local):
+    """Oracle: (T, 3, 3) local blocks summed onto the template's CSR slots
+    with one bincount, in the blocks' flat order."""
+    _, template = assembly._pattern(m)
+    n, t = m.num_nodes, m.triangles
+    slot_keys = np.repeat(np.arange(n), np.diff(template.indptr)) * n + template.indices
+    slots = np.searchsorted(slot_keys, (t[:, :, None] * n + t[:, None, :]).ravel())
+    return np.bincount(slots, weights=local.ravel(), minlength=slot_keys.size)
+
+
+def bincount_scatter(m, corner):
+    """Oracle: (k, 3, T) or (3, T) corner values summed into nodal rows
+    with one bincount, each node in (i, t) order."""
+    k, n = corner.size // m.triangles.size, m.num_nodes
+    index = (np.arange(k)[:, None] * n + m.triangles.T.ravel()).ravel()
+    return np.bincount(index, corner.ravel(), k * n).reshape(*corner.shape[:-2], -1)
+
+
+class TestIncidenceSums:
+    """Every incidence product bitwise equal to the bincount it replaces."""
+
+    @pytest.fixture(params=sorted(INCIDENCE_MESHES))
+    def m(self, request):
+        return INCIDENCE_MESHES[request.param]()
+
+    def test_mass_and_stiffness(self, m):
+        area, g = m.element_areas, m.basis_gradients
+        local = np.empty((m.num_triangles, 3, 3))
+        for i in range(3):
+            for j in range(3):
+                local[:, i, j] = mesh.einsum_dot(g[:, i], g[:, j]) * area
+        stiffness = assembly.assemble_stiffness(m)
+        assert stiffness.data.tobytes() == bincount_pairs(m, local).tobytes()
+        mass = assembly.assemble_mass(m)
+        expected = bincount_pairs(m, area[:, None, None] * assembly._MASS_TEMPLATE)
+        assert mass.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (3, 3)])
+    def test_scatter(self, m, shape):
+        rng = np.random.Generator(np.random.Philox(len(shape) + shape[0]))
+        corner = rng.standard_normal((*shape, m.num_triangles))
+        out = assembly._scatter(m, corner)
+        assert out.shape == (*shape[:-1], m.num_nodes)
+        assert out.tobytes() == bincount_scatter(m, corner).tobytes()
+
+    def test_normal_couplings(self, m):
+        u = np.random.Generator(np.random.Philox(9)).uniform(0.5, 1.5, m.num_nodes)
+        area, normal = m.element_areas, m.normals
+        w = normal * (area / 3.0)
+        nodal = bincount_scatter(m, np.broadcast_to(w[:, None], (3, 3, len(area)))) * u
+        coeff = (assembly._MASS_TEMPLATE @ u[m.triangles.T]) * area
+        interpolated = bincount_scatter(m, normal[:, None] * coeff)
+        for mode, expected in [("nodal", nodal), ("interpolated", interpolated)]:
+            out = assembly.assemble_normal_coupling(m, u, mode)
+            assert out.tobytes() == expected.T.reshape(-1).tobytes(), mode
 
 
 def matvec_inputs(matrix, seed=11):

@@ -1,0 +1,65 @@
+"""Print the median minor page faults and milliseconds per moving step.
+
+    python3 tools/step_faults.py
+
+Runs the benchmark's three sizes in this process, one after another:
+example1 at level 4 to t = 0.03 with each velocity solver, and the seeded
+level-3 tumor run (1,000 pre-relaxation and 100 moving steps, exporting
+every 10).  An observer appended to every ``stepper.run`` reads
+``ru_minflt`` and the monotonic clock after each step; the medians are
+over the differences between consecutive steps.  A step that allocates
+fresh memory beyond what the allocator keeps takes minor faults, so a
+nonzero median marks allocation churn that no timing shows directly.
+The times are raw, not scaled by the machine's speed; BLAS and OpenMP
+run on one thread, as in the benchmark.  It imports esfem
+from the ``src/`` next to it and is not part of the test suite.
+"""
+
+import os
+import resource
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from esfem import experiments, problems, stepper  # noqa: E402
+
+def example1(solver):
+    spec = problems.example1_problem(1.0, 0.0, 0.4, 1.0, 2.0, 0.5)
+    experiments.run_level(spec, 4, 0.03, solver=solver)
+
+
+def tumor():
+    with tempfile.TemporaryDirectory() as out:
+        experiments.tumor_experiment(0.0, 0.01, 0.01, level=3, tau=1e-3, t_end=0.1, seed=0,
+                                     pre_time=1.0, out_dir=out, export_every=10)
+
+
+def main():
+    stamps, run = [], stepper.run
+
+    def stamp(step_index, state):
+        stamps.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.monotonic()))
+
+    def run_with_stamps(*args, observers=(), **kwargs):
+        return run(*args, observers=(*observers, stamp), **kwargs)
+
+    stepper.run = run_with_stamps
+    workloads = {"coupled_direct": lambda: example1(stepper.DIRECT),
+                 "coupled_cg": lambda: example1(stepper.CG), "tumor": tumor}
+    for name, workload in workloads.items():
+        stamps.clear()
+        workload()
+        faults = [b[0] - a[0] for a, b in zip(stamps, stamps[1:])]
+        ms = [1e3 * (b[1] - a[1]) for a, b in zip(stamps, stamps[1:])]
+        print(f"{name:<16}{len(ms) + 1:>5} steps  faults/step {statistics.median(faults):g}"
+              f"  ms/step {statistics.median(ms):.3f}")
+
+
+if __name__ == "__main__":
+    main()
