@@ -90,7 +90,10 @@ class SurfaceMesh:
         coordinate gather all element geometry derives from; edge k runs
         from vertex k to vertex k+1."""
         p = np.take(self.coords.T, self.triangles.T, axis=1)  # coords.T[:, triangles.T]
-        return _locked(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1))
+        e = np.empty_like(p)
+        np.subtract(p[:, 1:], p[:, :2], out=e[:, :2])
+        np.subtract(p[:, 0], p[:, 2], out=e[:, 2])
+        return _locked(e)
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
@@ -187,10 +190,14 @@ def _locked(array):
 # "tik,tjk->tij" and "tkj,tkj->tk" on contiguous and misaligned arrays;
 # tests/test_mesh.py keeps the oracle).
 
-def _cross(a, b):
-    """Component-major cross product with ``np.cross``'s arithmetic."""
+def _cross(a, b, out):
+    """Component-major cross product with ``np.cross``'s arithmetic,
+    written row by row into ``out``, which it returns."""
     (a0, a1, a2), (b0, b1, b2) = a, b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    np.subtract(a1 * b2, a2 * b1, out=out[0])
+    np.subtract(a2 * b0, a0 * b2, out=out[1])
+    np.subtract(a0 * b1, a1 * b0, out=out[2])
+    return out
 
 
 def _norm(v):
@@ -211,11 +218,11 @@ def triangle_areas_normals(edges):
     whether that is an error.  The normal is the unit vector along
     edge 2 x edge 0.
     """
-    cr = _cross(edges[:, 2], edges[:, 0])
+    cr = _cross(edges[:, 2], edges[:, 0], np.empty_like(edges[:, 0]))
     two_area = _norm(cr)
     area = 0.5 * two_area
-    with np.errstate(invalid="ignore", divide="ignore"):
-        normal = np.where(two_area > 0.0, cr / two_area, 0.0)
+    with np.errstate(invalid="ignore"):
+        normal = np.divide(cr, two_area, out=np.zeros_like(cr), where=two_area > 0.0)
     return area, normal
 
 
@@ -230,7 +237,7 @@ def triangle_basis_gradients(edges, area, normal):
     """
     g = np.empty((3, 3, len(area)))
     for i in range(3):
-        g[:, i] = _cross(normal, edges[:, (i + 1) % 3])
+        _cross(normal, edges[:, (i + 1) % 3], g[:, i])
     g /= 2.0 * area
     return g
 
@@ -248,14 +255,12 @@ def mesh_quality(mesh: SurfaceMesh) -> QualityReport:
     # cosine.  A zero-length edge counts as cosine 1, angle 0.
     dot = -np.array([einsum_dot(edge[:, k], edge[:, k - 1]) for k in range(3)])
     denom = elen * elen[[2, 0, 1]]
-    ok = denom > 0.0
-    cosang = np.where(ok, dot / np.where(ok, denom, 1.0), 1.0)
+    cosang = np.divide(dot, denom, out=np.ones_like(dot), where=denom > 0.0)
     min_angle = np.degrees(np.arccos(np.clip(cosang.max(), -1.0, 1.0)))
 
     # aspect = longest edge over its own altitude = longest^2 / (2 area)
     longest = elen.max(axis=0)
-    with np.errstate(divide="ignore"):
-        aspect = np.where(area > 0.0, longest**2 / (2.0 * np.where(area > 0, area, 1.0)), np.inf)
+    aspect = np.divide(longest**2, 2.0 * area, out=np.full_like(area, np.inf), where=area > 0.0)
     return QualityReport(
         min_angle_deg=float(min_angle),
         max_aspect_ratio=float(aspect.max()),

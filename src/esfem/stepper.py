@@ -130,16 +130,25 @@ class LaggedFactor:
     def _lagged_solve(self, matrix, rhs, start):
         """Blocked PCG, preconditioned by the held factor and started from
         ``start`` corrected by it; each iteration applies the factor once to
-        the columns still short of ||r_j|| < LAG_TOL ||b_j||.  None if stale."""
+        the columns still short of ||r_j|| < LAG_TOL ||b_j||.  None if stale.
+
+        Column norms are numpy's axis-0 norm, bitwise (_column_norms):
+        einsum on the C-contiguous b and first r when k >= 2, where numpy
+        also folds the N rows in order, and norm itself for k = 1, where
+        numpy sums pairwise.  The selected r, p and z keep the layout
+        fancy indexing gives them, since einsum's dot order depends on it.
+        """
         b = rhs.reshape(rhs.shape[0], -1)
-        b_norms = np.linalg.norm(b, axis=0)
-        # a zero column must come back zero, which its tolerance 0 cannot
-        # confirm from a guess: start it from zero
-        g = np.where(b_norms != 0.0, np.reshape(start, b.shape), 0.0)
+        b_norms = _column_norms(b)
+        g = np.reshape(start, b.shape)
+        if not b_norms.all():
+            # a zero column must come back zero, which its tolerance 0 cannot
+            # confirm from a guess: start it from zero
+            g = np.where(b_norms != 0.0, g, 0.0)
         x = g + self._lu.solve(b - assembly.matvec(matrix, g))
         r = b - assembly.matvec(matrix, x)
         tol = LAG_TOL * b_norms
-        norms = np.linalg.norm(r, axis=0)
+        norms = _column_norms(r)
         # a zero residual (a zero column among them) is done although 0 < 0
         # fails; a NaN one is not, so it ends in the exact solve
         active = np.flatnonzero(~(norms < tol) & (norms != 0.0))
@@ -154,11 +163,23 @@ class LaggedFactor:
             rho = rho_new
             q = assembly.matvec(matrix, p)
             step = rho / np.einsum("ij,ij->j", p, q)
-            x[:, active] += step * p
+            if active.size == x.shape[1]:
+                x += step * p
+            else:
+                x[:, active] += step * p
             r -= step * q
-            keep = ~(np.linalg.norm(r, axis=0) < tol)
+            keep = ~(_column_norms(r) < tol)
             active, r, p, rho, tol = active[keep], r[:, keep], p[:, keep], rho[keep], tol[keep]
         return None if active.size else x.reshape(rhs.shape)
+
+
+def _column_norms(a):
+    """``np.linalg.norm(a, axis=0)`` of an (N, k) array, bitwise: by einsum,
+    without numpy's length-k inner loop per row, where both fold the rows
+    in order (a C-contiguous a with k >= 2); otherwise by norm."""
+    if a.shape[1] > 1 and a.flags.c_contiguous:
+        return np.sqrt(np.einsum("ij,ij->j", a, a))
+    return np.linalg.norm(a, axis=0)
 
 
 def _pcg(matrix, inv_diag, b, x, rtol):
@@ -178,6 +199,7 @@ def _pcg(matrix, inv_diag, b, x, rtol):
     tol = rtol * b_norm
     r = b - assembly.matvec(matrix, x) if x.any() else b.copy()
     z, q, scratch = np.empty_like(b), np.empty_like(b), np.empty_like(b)
+    kernel_args = (*matrix.shape, matrix.indptr, matrix.indices, matrix.data)
     p, rho_prev = None, None
     for iteration in range(CG_MAX_ITER):
         if math.sqrt(r.dot(r)) < tol:
@@ -190,7 +212,7 @@ def _pcg(matrix, inv_diag, b, x, rtol):
             p *= rho / rho_prev
             p += z
         q.fill(0.0)
-        csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, p, q)
+        csr_matvec(*kernel_args, p, q)
         alpha = rho / p.dot(q)
         x += np.multiply(alpha, p, out=scratch)
         r -= np.multiply(alpha, q, out=scratch)

@@ -645,6 +645,37 @@ class TestBlockedPCG:
             assert_matches_fresh_solve(x, matrix, rhs)
 
 
+class TestColumnNorms:
+    """The lagged solve's column norms are numpy's axis-0 norm, bitwise: a
+    numpy whose einsum or norm sums the rows in another order fails here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3]), n=st.integers(1, 3000),
+           exponents=st.lists(st.sampled_from([0, 0, -160, -155, 150, 154, 160]),
+                              min_size=3, max_size=3),
+           kinds=st.lists(st.sampled_from(["finite", "finite", "zero", "nan", "inf"]),
+                          min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_numpy_norm_on_c_contiguous_columns(self, k, n, exponents, kinds, seed):
+        a = np.random.Generator(np.random.Philox(seed)).standard_normal((n, k))
+        a *= 10.0 ** np.array(exponents[:k])  # squares near overflow and underflow
+        for j, kind in enumerate(kinds[:k]):
+            if kind == "zero":
+                a[:, j] = 0.0
+            elif kind != "finite":
+                a[seed % n, j] = np.nan if kind == "nan" else -np.inf
+        assert a.flags.c_contiguous
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms, expected = stepper._column_norms(a), np.linalg.norm(a, axis=0)
+        assert np.array_equal(norms.view(np.int64), expected.view(np.int64))
+
+    def test_other_layouts_are_numpy_norm(self):
+        a = np.random.Generator(np.random.Philox(3)).standard_normal((2562, 3))
+        for view in (np.asfortranarray(a), a[:, [0, 2]], a[::2]):
+            assert np.array_equal(stepper._column_norms(view).view(np.int64),
+                                  np.linalg.norm(view, axis=0).view(np.int64))
+
+
 class TestWarmStart:
     def test_extrapolated_guess_matches_a_fresh_solve(self):
         # x_new = x + tau v: the guess 2 x - x_prev is off by O(tau^2)
