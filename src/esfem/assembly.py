@@ -157,13 +157,16 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
 
 def surface_matrices(mesh: SurfaceMesh):
     """The (mass, stiffness) pair of ``mesh``, assembled on the first call
-    and kept on that surface, read-only, for every later one."""
+    and kept on that surface, read-only, for every later one.  Assembling
+    releases the surface's ``mesh._ASSEMBLY_GEOMETRY`` arrays, which a
+    step reads only to check quality and to assemble."""
     if mesh._matrices is None:
         pair = assemble_mass(mesh), assemble_stiffness(mesh)
         for matrix in pair:
             for array in (matrix.data, matrix.indices, matrix.indptr):
                 _locked(array)
         mesh._matrices = pair
+        mesh._release_assembly_geometry()
     return mesh._matrices
 
 

@@ -34,6 +34,10 @@ class QualityReport:
     min_area: float
 
 
+#: The cached arrays a surface drops once its M and A exist.
+_ASSEMBLY_GEOMETRY = ("edges", "edge_lengths", "basis_gradients")
+
+
 class SurfaceMesh:
     """A closed, consistently oriented triangulated surface.
 
@@ -49,13 +53,16 @@ class SurfaceMesh:
 
     Instances are immutable (the arrays, and any array they view, such as
     a node vector passed to ``with_coords``, are locked), so derived element
-    geometry is computed lazily once and can never go stale; meshes are
-    safe to share across threads and all per-element queries are pure.
-    Edge lengths, ``h_max``, areas, normals, basis gradients, quality and
-    the degeneracy rule all derive from one cached corner gather, ``edges``.
-    Export text is cached too: the node rows once per surface, shared by
-    its VTK and OBJ files, and the cell and face rows once per topology;
-    so are M and A, per surface (``assembly.surface_matrices``).
+    geometry is a pure function of them, computed lazily; meshes are safe
+    to share across threads.  Edge lengths, ``h_max``, areas, normals,
+    basis gradients, quality and the degeneracy rule all derive from one
+    corner gather, ``edges``.  Export text is cached too: the node rows
+    once per surface, shared by its VTK and OBJ files, and the cell and
+    face rows once per topology; so are M and A, per surface
+    (``assembly.surface_matrices``).  Once M and A exist, the surface drops
+    the arrays only quality and assembly read (``_ASSEMBLY_GEOMETRY``); a
+    later read recomputes them, bitwise equal and read-only.  That is
+    thread-safe: a reader holds its own reference to the array it got.
     """
 
     def __init__(self, coords, triangles, validate=True, _topo_cache=None):
@@ -141,6 +148,11 @@ class SurfaceMesh:
         geometry that overflows): the one rule by which assembly and the
         time stepper refuse a collapsed triangle."""
         return not self.element_areas.min() >= 1e-14 * self.h_max**2
+
+    def _release_assembly_geometry(self):
+        """Drop the cached ``_ASSEMBLY_GEOMETRY`` arrays (class docstring)."""
+        for name in _ASSEMBLY_GEOMETRY:
+            self.__dict__.pop(name, None)
 
     def with_coords(self, coords) -> "SurfaceMesh":
         """Same topology with moved nodes; finiteness is the only check."""

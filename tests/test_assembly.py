@@ -1,3 +1,4 @@
+import collections
 import functools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from esfem import assembly, mesh, problems
+from esfem import assembly, experiments, mesh, problems, stepper
 from esfem.errors import FieldLengthMismatch, NonFiniteIntegrand
 
 
@@ -153,6 +154,73 @@ class TestSurfaceMatrices:
             assert not matrix.data.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 matrix.data[0] = 0.0
+
+
+# The cached arrays a surface needs only until its M and A exist.
+ASSEMBLY_GEOMETRY = ("edges", "edge_lengths", "basis_gradients")
+
+
+class TestAssemblyReleasesGeometry:
+    """Once a surface has its M and A, it drops the edge, edge-length and
+    basis-gradient arrays; a later read recomputes them unchanged."""
+
+    def test_matrices_release_the_arrays_only_assembly_reads(self):
+        m = jittered_icosphere(2, 3)
+        before = {name: getattr(m, name) for name in ASSEMBLY_GEOMETRY}
+        assembly.surface_matrices(m)
+        assert not m.__dict__.keys() & set(ASSEMBLY_GEOMETRY)
+        # what later calls read stays: areas and normals, h_max, the matrices
+        assert {"_areas_normals", "h_max", "degenerate"} <= m.__dict__.keys()
+        assert m._matrices is not None
+        for name, array in before.items():
+            again = getattr(m, name)
+            assert again is not array and again.tobytes() == array.tobytes(), name
+            for a in [again] + ([again.base] if again.base is not None else []):
+                assert not a.flags.writeable, name
+
+    @staticmethod
+    def traced_run(monkeypatch, workload):
+        """Run ``workload`` with an observer appended to every stepper.run
+        that records which of ASSEMBLY_GEOMETRY each state's mesh still
+        caches, and count the surfaces made and the geometry calls."""
+        cached, surfaces, calls = [], [], collections.Counter()
+        run, init = stepper.run, mesh.SurfaceMesh.__init__
+
+        def observe(step_index, state):
+            cached.append(state.mesh.__dict__.keys() & set(ASSEMBLY_GEOMETRY))
+
+        def run_observed(*args, observers=(), **kwargs):
+            return run(*args, observers=(*observers, observe), **kwargs)
+
+        def init_recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            surfaces.append(self)
+
+        monkeypatch.setattr(stepper, "run", run_observed)
+        monkeypatch.setattr(mesh.SurfaceMesh, "__init__", init_recorded)
+        for name in ("triangle_areas_normals", "triangle_basis_gradients"):
+            def counted(*args, _name=name, _f=getattr(mesh, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(mesh, name, counted)
+        workload()
+        return cached, surfaces, calls
+
+    @pytest.mark.parametrize("workload", [
+        pytest.param(lambda solver=solver: experiments.run_level(
+            problems.example1_problem(), 2, 0.05, solver=solver), id=f"example1-{solver}")
+        for solver in stepper.StepperConfig.CHOICES["solver"]
+    ] + [pytest.param(lambda: experiments.tumor_experiment(
+        0.0, 0.01, 0.01, level=2, tau=1e-3, t_end=0.02, seed=3, pre_time=0.1), id="tumor")])
+    def test_runs_hold_no_released_array_and_compute_geometry_once(self, monkeypatch,
+                                                                   workload):
+        cached, surfaces, calls = self.traced_run(monkeypatch, workload)
+        assert len(cached) > 2 and not any(cached)
+        # every surface was assembled, so it took at least one call of
+        # each; as many calls as surfaces means exactly one each
+        assert all(s._matrices is not None for s in surfaces)
+        assert calls == {"triangle_areas_normals": len(surfaces),
+                         "triangle_basis_gradients": len(surfaces)}
 
 
 class TestAddScaled:

@@ -23,9 +23,20 @@ it sits in.  One line per run, ``<label> <sha256>``:
   example3, tumor and verify runs; the ``out=`` line of
   config_resolved.txt is left out, since it names the temporary directory.
 
+With ``--save PATH.npz`` it also saves the values behind each line, one
+array per key ``<label>/<name>``: final x, u, v and w, ``h_final``, each
+error norm, the tumor envelope and trace rows, and every written file as
+its bytes.  ``tools/output_compare.py`` compares two such archives value
+by value, which judges a change that moves the rounding:
+
+    python3 tools/output_digest.py --save before.npz   # in one checkout
+    python3 tools/output_digest.py --save after.npz    # in the other
+    python3 tools/output_compare.py before.npz after.npz
+
 It takes a few seconds and is not part of the test suite.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -64,63 +75,91 @@ def state_parts(final):
     return final.x, final.u, final.v, final.w
 
 
+def state_arrays(final):
+    """The final x, u, v and w that are set (a single-field run has no w)."""
+    return {name: part for name, part in zip("xuvw", state_parts(final)) if part is not None}
+
+
+def written_files(out):
+    """Every file in ``out``, by name, as its bytes."""
+    return {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+
+
+def byte_array(data):
+    return np.frombuffer(data, dtype=np.uint8)
+
+
 def level_digest(spec, level, t_end, **solve):
+    """(digest, arrays) of one example1 level."""
     result, final = experiments.run_level(spec, level, t_end, **solve)
-    norms = [float(value) for value in dataclasses.astuple(result.norms)]
-    return digest(*state_parts(final), float(result.h_final), norms)
-
-
-def file_parts(out):
-    return [part for path in sorted(Path(out).iterdir())
-            for part in (path.name, path.read_bytes())]
+    norms = dataclasses.asdict(result.norms)
+    arrays = {**state_arrays(final), "h_final": np.float64(result.h_final),
+              **{name: np.float64(value) for name, value in norms.items()}}
+    return digest(*state_parts(final), float(result.h_final),
+                  [float(value) for value in norms.values()]), arrays
 
 
 def tumor_digest(level, t_end, seed=3, pre_time=0.2):
+    """(digest, arrays) of one seeded tumor run and the files it writes."""
     with tempfile.TemporaryDirectory() as out:
         final, envelope, trace = experiments.tumor_experiment(
             alpha=0.0, beta=0.01, delta=0.01, level=level, tau=1e-3, t_end=t_end, seed=seed,
             pre_time=pre_time, out_dir=out, export_every=10)
-        return digest(*state_parts(final), sorted(envelope.items()), trace.rows,
-                      *file_parts(out))
+        files = written_files(out)
+    arrays = {**state_arrays(final),
+              **{f"envelope/{name}": np.float64(value) for name, value in envelope.items()},
+              "trace_rows": np.array(trace.rows, dtype=float),
+              **{f"file/{name}": byte_array(data) for name, data in files.items()}}
+    return digest(*state_parts(final), sorted(envelope.items()), trace.rows,
+                  *[part for item in files.items() for part in item]), arrays
 
 
 def cli_digests(experiment, argv):
-    """(file name, digest) for every file one command-line run writes."""
+    """(file name, digest, bytes) for every file one command-line run writes."""
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([experiment, *argv, "--out", out])
-        lines = [("exit", digest(code))]
-        for path in sorted(Path(out).iterdir()):
-            data = path.read_bytes()
-            if path.name == "config_resolved.txt":
+        lines = [("exit", digest(code), np.array(code))]
+        for name, data in written_files(out).items():
+            if name == "config_resolved.txt":
                 data = b"".join(line for line in data.splitlines(keepends=True)
                                 if not line.startswith(b"out="))
-            lines.append((path.name, digest(data)))
+            lines.append((name, digest(data), byte_array(data)))
         return lines
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", metavar="PATH.npz",
+                        help="also save the values behind each line to this archive")
+    args = parser.parse_args(argv)
+    saved = {}
+
+    def line(label, result):
+        value, arrays = result
+        print(label, value, flush=True)
+        saved.update({f"{label}/{name}": array for name, array in arrays.items()})
+
     choices = stepper.StepperConfig.CHOICES
     example1 = problems.example1_problem()
     for solver in choices["solver"]:
         for coupling in choices["normal_coupling"]:
-            print(f"example1/level3/{solver}/{coupling}",
-                  level_digest(example1, 3, 0.05, solver=solver, normal_coupling=coupling),
-                  flush=True)
+            line(f"example1/level3/{solver}/{coupling}",
+                 level_digest(example1, 3, 0.05, solver=solver, normal_coupling=coupling))
     for solver in choices["solver"]:
-        print(f"example1/level4/{solver}", level_digest(example1, 4, 0.03, solver=solver),
-              flush=True)
+        line(f"example1/level4/{solver}", level_digest(example1, 4, 0.03, solver=solver))
     dynamic = dataclasses.replace(
         example1, law=problems.VelocityLaw(1.0, 0.0, 0.4, dynamic=True))
     for solver in choices["solver"]:
-        print(f"dynamic/level2/{solver}", level_digest(dynamic, 2, 0.05, solver=solver),
-              flush=True)
-    print("tumor/level2/seed3", tumor_digest(2, 0.05), flush=True)
-    print("tumor/level3/seed3", tumor_digest(3, 0.02), flush=True)
-    print("tumor/level3/bench", tumor_digest(3, 0.1, seed=0, pre_time=1.0), flush=True)
+        line(f"dynamic/level2/{solver}", level_digest(dynamic, 2, 0.05, solver=solver))
+    line("tumor/level2/seed3", tumor_digest(2, 0.05))
+    line("tumor/level3/seed3", tumor_digest(3, 0.02))
+    line("tumor/level3/bench", tumor_digest(3, 0.1, seed=0, pre_time=1.0))
     for experiment, argv in CLI_RUNS.items():
-        for name, value in cli_digests(experiment, argv):
-            print(f"cli/{experiment}/{name}", value, flush=True)
+        for name, value, data in cli_digests(experiment, argv):
+            line(f"cli/{experiment}/{name}", (value, {"bytes": data}))
+    if args.save:
+        np.savez_compressed(args.save, **saved)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Print the median minor page faults and milliseconds per moving step.
+"""Print the median minor page faults and milliseconds per moving step,
+and the tracemalloc peak of each run.
 
     python3 tools/step_faults.py
 
@@ -10,6 +11,9 @@ every 10).  An observer appended to every ``stepper.run`` reads
 over the differences between consecutive steps.  A step that allocates
 fresh memory beyond what the allocator keeps takes minor faults, so a
 nonzero median marks allocation churn that no timing shows directly.
+A second pass runs the three again with ``tracemalloc`` on, resetting the
+peak before each, and prints each run's peak of traced memory above what
+the process held at its start; the timing pass stays untraced.
 The times are raw, not scaled by the machine's speed; BLAS and OpenMP
 run on one thread, as in the benchmark.  It imports esfem
 from the ``src/`` next to it and is not part of the test suite.
@@ -21,6 +25,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -58,7 +63,15 @@ def main():
         faults = [b[0] - a[0] for a, b in zip(stamps, stamps[1:])]
         ms = [1e3 * (b[1] - a[1]) for a, b in zip(stamps, stamps[1:])]
         print(f"{name:<16}{len(ms) + 1:>5} steps  faults/step {statistics.median(faults):g}"
-              f"  ms/step {statistics.median(ms):.3f}")
+              f"  ms/step {statistics.median(ms):.3f}", flush=True)
+    tracemalloc.start()
+    for name, workload in workloads.items():
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        workload()
+        peak = tracemalloc.get_traced_memory()[1] - held
+        print(f"{name:<16}tracemalloc peak {peak / 2**20:.3f} MiB", flush=True)
+    tracemalloc.stop()
 
 
 if __name__ == "__main__":
