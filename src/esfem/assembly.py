@@ -27,7 +27,8 @@ Every load runs through one field-major kernel: an integrand returns
 and ``_scatter`` sums them into (k, N) nodal rows through the corner
 incidence, each node adding its entries in (i, t) order.  The normal load
 and both normal couplings are three such rows, one per component of the
-component-major (3, T) ``mesh.normals``, returned node-major as (3N,).
+component-major (3, T) ``mesh.normals``, returned as their (N, 3) view, the
+node-vector layout (``mesh``).
 """
 
 from __future__ import annotations
@@ -162,9 +163,8 @@ def surface_matrices(mesh: SurfaceMesh):
     step reads only to check quality and to assemble."""
     if mesh._matrices is None:
         pair = assemble_mass(mesh), assemble_stiffness(mesh)
-        for matrix in pair:
-            for array in (matrix.data, matrix.indices, matrix.indptr):
-                _locked(array)
+        for matrix in pair:  # the index arrays are the template's, locked in _pattern
+            _locked(matrix.data)
         mesh._matrices = pair
         mesh._release_assembly_geometry()
     return mesh._matrices
@@ -243,10 +243,10 @@ def _scatter(mesh, corner_values):
 
 
 def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
-    """Normal coupling vector driving the velocity law with the field u.
+    """Normal coupling (N, 3) driving the velocity law with the field u.
 
     ``mode`` is StepperConfig's normal_coupling.  ``nodal`` puts the nodal
-    coefficient u_j inside the integral: entry 3j+l is u_j * integral of
+    coefficient u_j inside the integral: entry (j, l) is u_j * integral of
     (normal)_l phi_j.  ``interpolated`` integrates the interpolant u_h
     instead; the two differ at O(h^2).
     """
@@ -264,13 +264,14 @@ def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
         out = _scatter(mesh, normal[:, None] * coeff)
     else:
         raise ValueError(f"unknown normal coupling mode: {mode!r}")
-    return out.T.reshape(-1)
+    return out.T
 
 
 def _corner_loads(mesh, integrand, time, fields):
     """Midpoint-rule integrals of integrand * phi_i per corner, (k, 3, T)
     for an integrand of k rows.  The 3T quadrature points go through one
-    integrand call, midpoint-major; corner i collects midpoints i and i-1."""
+    integrand call, midpoint-major, without numpy warnings: a non-finite
+    result raises NonFiniteIntegrand; corner i collects midpoints i and i-1."""
     fields = [np.asarray(f, dtype=float) for f in fields]
     for f in fields:
         if f.size != mesh.num_nodes:
@@ -278,7 +279,8 @@ def _corner_loads(mesh, integrand, time, fields):
     area = _checked_areas(mesh)
     corners = _corners(mesh)[0]
     vals = [(MIDPOINT_POINTS @ f[corners]).ravel() for f in fields]
-    f_vals = np.asarray(integrand(mesh.midpoint_positions, time, *vals), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_vals = np.asarray(integrand(mesh.midpoint_positions, time, *vals), dtype=float)
     if not np.isfinite(f_vals).all():
         raise NonFiniteIntegrand(f"integrand non-finite at t={time}")
     weighted = f_vals * (MIDPOINT_WEIGHTS[:, None] * area).ravel()
@@ -297,47 +299,41 @@ def assemble_scalar_load(mesh: SurfaceMesh, integrand, time: float, fields=()) -
 
 
 def assemble_normal_load(mesh: SurfaceMesh, integrand, time: float, fields=()) -> np.ndarray:
-    """Vector load (3N,) with the element normal multiplying the integrand,
+    """Vector load (N, 3) with the element normal multiplying the integrand,
     which takes ``assemble_scalar_load``'s arguments and returns (Q,).
 
-    Entry 3j+l is the integral of integrand * (normal)_l * phi_j.
+    Entry (j, l) is the integral of integrand * (normal)_l * phi_j.
     """
     corner = _corner_loads(mesh, integrand, time, fields)
-    return _scatter(mesh, mesh.normals[:, None] * corner).T.reshape(-1)
+    return _scatter(mesh, mesh.normals[:, None] * corner).T
 
 
-def discrete_norms(M, A, alpha: float, w) -> tuple[float, float, float]:
-    """(|w|_M, |w|_A, |w|_K) with |w|_K^2 = |w|_M^2 + alpha |w|_A^2.
-
-    Length-N vectors are measured directly; length-3N vectors blockwise
-    (sum of the three componentwise quadratic forms).
-    """
+def discrete_norms(M, A, w) -> tuple[float, float]:
+    """(|w|_M, |w|_A) of a node field (N,) or node vector (N, k); the
+    columns of an (N, k) one are measured together, their quadratic forms
+    summed."""
     w = np.asarray(w, dtype=float)
-    n = M.shape[0]
-    if w.size == n:
-        cols = w[:, None]
-    elif w.size == 3 * n:
-        cols = w.reshape(-1, 3)
-    else:
-        raise FieldLengthMismatch(f"vector length {w.size} fits neither N={n} nor 3N={3 * n}")
+    if w.shape[0] != M.shape[0]:
+        raise FieldLengthMismatch(f"vector has {w.shape[0]} rows, expected N={M.shape[0]}")
+    cols = w[:, None] if w.ndim == 1 else w
     m2 = float(np.einsum("ij,ij->", cols, matvec(M, cols)))
     a2 = float(np.einsum("ij,ij->", cols, matvec(A, cols)))
-    m2, a2 = max(m2, 0.0), max(a2, 0.0)
-    return np.sqrt(m2), np.sqrt(a2), np.sqrt(m2 + alpha * a2)
+    return np.sqrt(max(m2, 0.0)), np.sqrt(max(a2, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # Bilinear forms over one surface (used by the lemma checks)
 
 def tangential_divergence(mesh: SurfaceMesh, e) -> np.ndarray:
-    """Elementwise-constant tangential divergence of the P1 field e (3N,), on
+    """Elementwise-constant tangential divergence of the P1 field e (N, 3), on
     (T, 3, 3) gradients: einsum's summation order follows their layout."""
-    e = np.asarray(e, dtype=float).reshape(-1, 3)
+    e = np.asarray(e, dtype=float)
     return np.einsum("tik,tik->t", np.ascontiguousarray(mesh.basis_gradients.T), e[mesh.triangles])
 
 
 def mass_divergence_form(mesh: SurfaceMesh, velocity, w, z) -> float:
-    """integral of w_h z_h (div velocity_h): the mass-transport form.
+    """integral of w_h z_h (div velocity_h), velocity (N, 3): the
+    mass-transport form.
 
     Exact for P1 data (quadratic integrand times a constant).
     """
@@ -350,8 +346,9 @@ def mass_divergence_form(mesh: SurfaceMesh, velocity, w, z) -> float:
 
 
 def stiffness_difference_form(mesh: SurfaceMesh, e, w, z) -> float:
-    """integral of grad w . (trace(E) I - E - E^T) grad z with E = grad e_h."""
-    e = np.asarray(e, dtype=float).reshape(-1, 3)
+    """integral of grad w . (trace(E) I - E - E^T) grad z with E = grad e_h,
+    for e (N, 3)."""
+    e = np.asarray(e, dtype=float)
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     g = np.ascontiguousarray(mesh.basis_gradients.T)

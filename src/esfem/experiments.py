@@ -166,8 +166,8 @@ def temporal_order_study():
     errors = []
     for tau in taus:
         final = terminal(tau)
-        eu = assembly.discrete_norms(m_ref, a_ref, 1.0, final.u - ref.u)[0]
-        ex = assembly.discrete_norms(m_ref, a_ref, 1.0, final.x - ref.x)[0]
+        eu = assembly.discrete_norms(m_ref, a_ref, final.u - ref.u)[0]
+        ex = assembly.discrete_norms(m_ref, a_ref, final.x - ref.x)[0]
         errors.append(eu + ex)
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
     return {"taus": list(taus), "errors": errors, "orders": orders}

@@ -1,10 +1,10 @@
 """Triangulated closed surfaces and their element geometry.
 
-Node vectors follow a flat, node-major layout: the position of node j
-occupies entries ``3*j .. 3*j+2`` of a length-``3N`` array, so
-``x.reshape(-1, 3)`` is the ``(N, 3)`` point array.  Per-element arrays
-are component-major and end in the triangle axis T, as (3, T) or
-(3, 3, T), so each per-component (T,) slice is contiguous.
+Node vectors are (N, 3), one row per node, the layout of ``coords``:
+positions, velocities, normal loads and displacements alike, so the
+velocity law's K = I_3 (x) (M + alpha A) acts on their three columns.
+Per-element arrays are component-major and end in the triangle axis T,
+as (3, T) or (3, 3, T), so each per-component (T,) slice is contiguous.
 All triangles are flat (affine); the nodal basis is piecewise linear.
 """
 
@@ -51,18 +51,18 @@ class SurfaceMesh:
         Check closedness, orientation and non-degeneracy.  Skipped by
         ``with_coords`` because moving nodes cannot change the topology.
 
-    Instances are immutable (the arrays, and any array they view, such as
-    a node vector passed to ``with_coords``, are locked), so derived element
-    geometry is a pure function of them, computed lazily; meshes are safe
-    to share across threads.  Edge lengths, ``h_max``, areas, normals,
-    basis gradients, quality and the degeneracy rule all derive from one
-    corner gather, ``edges``.  Export text is cached too: the node rows
-    once per surface, shared by its VTK and OBJ files, and the cell and
-    face rows once per topology; so are M and A, per surface
-    (``assembly.surface_matrices``).  Once M and A exist, the surface drops
-    the arrays only quality and assembly read (``_ASSEMBLY_GEOMETRY``); a
-    later read recomputes them, bitwise equal and read-only.  That is
-    thread-safe: a reader holds its own reference to the array it got.
+    Instances are immutable (the arrays, and any array they view, are
+    locked), so derived element geometry is a pure function of them,
+    computed lazily; meshes are safe to share across threads.  Edge
+    lengths, ``h_max``, areas, normals, basis gradients, quality and the
+    degeneracy rule all derive from one corner gather, ``edges``.  Export
+    text is cached too: the node rows once per surface, shared by its VTK
+    and OBJ files, and the cell and face rows once per topology; so are M
+    and A, per surface (``assembly.surface_matrices``).  Once M and A
+    exist, the surface drops the arrays only quality and assembly read
+    (``_ASSEMBLY_GEOMETRY``); a later read recomputes them, bitwise equal
+    and read-only.  That is thread-safe: a reader holds its own reference
+    to the array it got.
     """
 
     def __init__(self, coords, triangles, validate=True, _topo_cache=None):
@@ -155,12 +155,10 @@ class SurfaceMesh:
             self.__dict__.pop(name, None)
 
     def with_coords(self, coords) -> "SurfaceMesh":
-        """Same topology with moved nodes; finiteness is the only check."""
+        """Same topology with moved nodes, (N, 3); finiteness is the only check."""
         coords = np.asarray(coords, dtype=float)
-        if coords.ndim == 1:
-            coords = coords.reshape(-1, 3)
         if coords.shape != self.coords.shape:
-            raise ValueError("node count must not change")
+            raise ValueError(f"coords must have shape {self.coords.shape}, got {coords.shape}")
         return SurfaceMesh(coords, self.triangles, validate=False, _topo_cache=self._topo_cache)
 
     def _validate(self):
@@ -374,7 +372,7 @@ def _topology_rows(mesh):
 def export_surface(mesh: SurfaceMesh, nodal_fields, path) -> None:
     """Write the mesh and named point fields as legacy-ASCII VTK.
 
-    Scalar fields have length N, vector fields 3N (node-major).  Output is
+    Scalar fields are (N,), vector fields (N, 3).  Output is
     byte-deterministic for identical inputs (fixed 17-significant-digit
     formatting, fixed iteration order).
     """
@@ -386,14 +384,13 @@ def export_surface(mesh: SurfaceMesh, nodal_fields, path) -> None:
         lines.append(f"POINT_DATA {n}")
         for name, values in nodal_fields.items():
             values = np.asarray(values, dtype=float)
-            if values.size == n:
+            if values.shape == (n,):
                 lines += [f"SCALARS {name} double", "LOOKUP_TABLE default", *_rows("%.17g", values)]
-            elif values.size == 3 * n:
-                lines.append(f"VECTORS {name} double")
-                lines += _rows("%.17g %.17g %.17g", values.reshape(-1, 3))
+            elif values.shape == (n, 3):
+                lines += [f"VECTORS {name} double", *_rows("%.17g %.17g %.17g", values)]
             else:
                 raise FieldLengthMismatch(
-                    f"field '{name}' has {values.size} entries, expected {n} or {3 * n}")
+                    f"field '{name}' has shape {values.shape}, expected ({n},) or ({n}, 3)")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

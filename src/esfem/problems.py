@@ -78,12 +78,12 @@ class ManufacturedSphere:
 
 
 def exact_solution(sphere: ManufacturedSphere, p, t):
-    """Exact flow position, field and velocity at unit-sphere labels p.
+    """Exact flow position, field and velocity at unit-sphere labels p (N, 3).
 
     Returns (X, u, v) with X = r(t) p, u = X1 X2 exp(-6 t) and the purely
     radial velocity v = (rdot/r) X.
     """
-    p = np.asarray(p, dtype=float).reshape(-1, 3)
+    p = np.asarray(p, dtype=float)
     r = float(sphere.radius(t))
     rdot = float(sphere.radius_rate(t))
     x = r * p

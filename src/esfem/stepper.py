@@ -31,8 +31,9 @@ CG = "cg"
 class SystemState:
     """Snapshot of the coupled system at one time.
 
-    u is the scalar field (N), v the nodal velocity (3N), w the optional
-    second species; the mesh carries the topology and the node positions.
+    u is the scalar field (N,), v the nodal velocity, a C-contiguous (N, 3)
+    array, w the optional second species; the mesh carries the topology and
+    the node positions.
     """
 
     t: float
@@ -43,8 +44,8 @@ class SystemState:
 
     @property
     def x(self) -> np.ndarray:
-        """The flat node-major node vector (3N), a read-only view of mesh.coords."""
-        return self.mesh.coords.reshape(-1)
+        """The node positions (N, 3): mesh.coords, read-only."""
+        return self.mesh.coords
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,7 @@ def _new_surface(mesh, x, t, config):
     (an area below 1e-14 tau), where the field systems are singular.  An
     overflowing geometry's NaN fails every check, without numpy warnings."""
     _check_finite(t, x=x)
-    mesh_new = mesh.with_coords(x.reshape(-1, 3))
+    mesh_new = mesh.with_coords(x)
     with np.errstate(over="ignore", invalid="ignore"):
         quality = mesh_quality(mesh_new)
         sound = (quality.min_angle_deg >= ABORT_MIN_ANGLE and not mesh_new.degenerate
@@ -301,10 +302,12 @@ def _new_surface(mesh, x, t, config):
 
 def _velocity(state, spec, config, factor):
     """Solve (K + cA) y = K y0 + tau * load on the old surface from a guess of
-    y, where load = delta N(x) u + g load; returns the flat (x_new, v_new).
+    y, where load = delta N(x) u + g load; returns (x_new, v_new), (N, 3) each.
     Regularized: K = M + alpha A, c = tau beta, y = x_new from y0 = x and the
     guess x + tau v, which is O(tau^2) close; dynamic: K = M, c = tau alpha,
-    y = v_new from y0 = v and the guess v."""
+    y = v_new from y0 = v and the guess v.  y is copied C-contiguous (SuperLU
+    returns Fortran order), so every stored v is, and the sums that read it
+    keep their order."""
     law, tau, mesh = spec.law, config.tau, state.mesh
     mass, stiff = assembly.surface_matrices(mesh)
     if law.dynamic:
@@ -312,14 +315,13 @@ def _velocity(state, spec, config, factor):
     else:
         k = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
         c, y0, guess = tau * law.beta, state.x, state.x + tau * state.v
-    solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, factor,
-                        guess.reshape(-1, 3))
-    load = np.zeros(3 * mesh.num_nodes)
+    solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, factor, guess)
+    load = np.zeros((mesh.num_nodes, 3))
     if law.delta != 0.0:
         load += law.delta * assembly.assemble_normal_coupling(mesh, state.u, config.normal_coupling)
     if spec.velocity_forcing is not None:
         load += assembly.assemble_normal_load(mesh, spec.velocity_forcing, state.t + tau)
-    y = solve(assembly.matvec(k, y0.reshape(-1, 3)) + tau * load.reshape(-1, 3)).reshape(-1)
+    y = np.ascontiguousarray(solve(assembly.matvec(k, y0) + tau * load))
     return (state.x + tau * y, y) if law.dynamic else (y, (y - state.x) / tau)
 
 
@@ -348,7 +350,7 @@ def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None) -> SystemState:
         raise ValueError(f"a spec with {len(spec.diffusion)} field(s) "
                          f"{'needs' if w0 is None else 'takes no'} w0")
     u0 = np.asarray(spec.initial_fields(mesh0) if u0 is None else u0, dtype=float)
-    return SystemState(t=0.0, u=u0, v=np.zeros(3 * mesh0.num_nodes), mesh=mesh0,
+    return SystemState(t=0.0, u=u0, v=np.zeros((mesh0.num_nodes, 3)), mesh=mesh0,
                        w=None if w0 is None else np.asarray(w0, dtype=float))
 
 

@@ -69,19 +69,18 @@ def _check_intermediate(mesh):
 def check_matrix_difference(mesh_y: SurfaceMesh, e, w, z, theta_points: int = 8):
     """Matrix-difference identities for the mass and stiffness matrices.
 
-    Left sides are w^T (M(y+e) - M(y)) z and the stiffness analogue,
-    assembled directly.  Right sides integrate the corresponding surface
-    forms over the blended meshes y + theta e with Gauss-Legendre
-    quadrature in theta.  Returns dicts {lhs, rhs, abs_diff, rel} for the
+    For node displacements e (N, 3), left sides are w^T (M(y+e) - M(y)) z
+    and the stiffness analogue, assembled directly.  Right sides integrate
+    the corresponding surface forms over the blended meshes y + theta e
+    with Gauss-Legendre quadrature in theta.  Returns dicts {lhs, rhs, abs_diff, rel} for the
     mass and stiffness matrices; ``rel`` is |lhs-rhs| / (|lhs| + |w||z|).
     """
-    e = np.asarray(e, dtype=float).reshape(-1)
+    e = np.asarray(e, dtype=float)
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     coords_y = mesh_y.coords
-    coords_x = coords_y + e.reshape(-1, 3)
 
-    mesh_x = mesh_y.with_coords(coords_x)
+    mesh_x = mesh_y.with_coords(coords_y + e)
     _check_intermediate(mesh_x)
     mass_y, stiff_y = assembly.surface_matrices(mesh_y)
     mass_x, stiff_x = assembly.surface_matrices(mesh_x)
@@ -91,7 +90,7 @@ def check_matrix_difference(mesh_y: SurfaceMesh, e, w, z, theta_points: int = 8)
     nodes, weights = _gauss_legendre_01(theta_points)
     rhs_m = rhs_a = 0.0
     for theta, wq in zip(nodes, weights):
-        mesh_theta = mesh_y.with_coords(coords_y + theta * e.reshape(-1, 3))
+        mesh_theta = mesh_y.with_coords(coords_y + theta * e)
         _check_intermediate(mesh_theta)
         rhs_m += wq * assembly.mass_divergence_form(mesh_theta, e, w, z)
         rhs_a += wq * assembly.stiffness_difference_form(mesh_theta, e, w, z)
@@ -137,7 +136,7 @@ def check_transport(path, w, z, s: float = 0.3, eps: float = 1e-3):
         return float(w @ (assembly.assemble_mass(mesh) @ z))
 
     mesh_s = path.mesh0.with_coords(path.position(s))
-    exact = assembly.mass_divergence_form(mesh_s, path.velocity(s).reshape(-1), w, z)
+    exact = assembly.mass_divergence_form(mesh_s, path.velocity(s), w, z)
 
     fds = [(pairing(s + h) - pairing(s - h)) / (2.0 * h) for h in (eps, 0.5 * eps)]
     errors = [abs(fd - exact) for fd in fds]
@@ -160,14 +159,14 @@ def check_norm_equivalence(mesh_y: SurfaceMesh, seed: int = 0):
     worst = -np.inf
     for _ in range(100):
         w = rng.standard_normal(n)
-        e = rng.uniform(-1.0, 1.0, 3 * n) * (0.05 * h)
+        e = rng.uniform(-1.0, 1.0, (n, 3)) * (0.05 * h)
         mu = 0.0
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            mesh_theta = mesh_y.with_coords(mesh_y.coords + theta * e.reshape(-1, 3))
+            mesh_theta = mesh_y.with_coords(mesh_y.coords + theta * e)
             div = assembly.tangential_divergence(mesh_theta, e)
             mu = max(mu, float(np.abs(div).max()))
         mu *= 1.1
-        mesh_e = mesh_y.with_coords(mesh_y.coords + e.reshape(-1, 3))
+        mesh_e = mesh_y.with_coords(mesh_y.coords + e)
         mass_e = assembly.assemble_mass(mesh_e)
         num = np.sqrt(float(w @ (mass_e @ w)))
         den = np.sqrt(float(w @ (mass_y @ w)))
@@ -216,7 +215,7 @@ def matrix_derivative_ratio(level: int = 2, seed: int = 3):
     worst_m = worst_a = 0.0
     for t in (0.0, 0.4, 0.8):
         mesh = mesh0.with_coords(path.position(t))
-        vel = path.velocity(t).reshape(-1)
+        vel = path.velocity(t)
         mass, stiff = assembly.surface_matrices(mesh)
         for _ in range(5):
             w = rng.standard_normal(n)
@@ -242,7 +241,7 @@ def verify_suite(level: int = 2, seed: int = 0):
     results = []
 
     # Matrix-difference identities with a small rough perturbation.
-    e = rng.uniform(-1.0, 1.0, 3 * n) * (0.01 * mesh.h_max)
+    e = rng.uniform(-1.0, 1.0, (n, 3)) * (0.01 * mesh.h_max)
     w = rng.standard_normal(n)
     z = rng.standard_normal(n)
     res_m, res_a = check_matrix_difference(mesh, e, w, z)
@@ -272,7 +271,7 @@ def verify_suite(level: int = 2, seed: int = 0):
 
     alpha = 1.0
     wk = rng.standard_normal(n)
-    mn, an, _ = assembly.discrete_norms(mass, stiff, alpha, wk)
+    mn, an = assembly.discrete_norms(mass, stiff, wk)
     k2 = wk @ assembly.matvec(assembly.add_scaled(mass, alpha, stiff), wk)
     ident_err = abs(k2 - mn**2 - alpha * an**2) / k2
     results.append(_result("energy_norm_identity", ident_err, 1e-13))

@@ -227,7 +227,7 @@ class TestCriterion5:
         total0 = float(ones @ (mass @ u0))
         config = stepper.StepperConfig(tau=1e-3, t_end=1.0)
         final = stepper.run(spec, m0, config, start=stepper.initial_state(spec, m0, u0=u0))
-        node_drift = np.abs(final.x - m0.coords.reshape(-1)).max()
+        node_drift = np.abs(final.x - m0.coords).max()
         mass_end = assembly.assemble_mass(final.mesh)
         drift = abs(float(ones @ (mass_end @ final.u)) - total0) / abs(total0)
         ok = node_drift <= 1e-12 and drift <= 1e-10
@@ -254,7 +254,7 @@ class TestCriterion7:
             ok &= np.isfinite(final.u).all() and np.isfinite(final.w).all()
             ok &= bounds["u_min"] <= env["u_min"] and env["u_max"] <= bounds["u_max"]
             ok &= bounds["w_min"] <= env["w_min"] and env["w_max"] <= bounds["w_max"]
-            radii = np.linalg.norm(final.x.reshape(-1, 3), axis=1)
+            radii = np.linalg.norm(final.x, axis=1)
             ok &= bounds["radius_min"] <= radii.min() and radii.max() <= bounds["radius_max"]
             out = run["out"]
             ok &= (out / "surface_002500.vtk").exists()

@@ -451,13 +451,18 @@ def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     # a stiff reaction overflows in the pre-relaxation
     ["tumor", "--level", "1", "--gamma", "1e6", "--t-end", "0.002"],
+    # the integrand itself overflows at its first call
+    ["tumor", "--level", "1", "--t-end", "0.002", "--gamma", "1e300"],
 ])
 def test_non_finite_integrand_exit_code_five(argv, tmp_path, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
+    # without a numpy warning: the message is the one line on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main([*argv, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NONFINITE == 5
     err = capsys.readouterr().err
     assert err.startswith("run failed: integrand non-finite") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv, message", [

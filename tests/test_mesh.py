@@ -128,7 +128,8 @@ class TestSurfaceMeshValidation:
         # a view's base must be locked too, or a write through it would
         # change the cached geometry behind the mesh's back
         m = mesh.generate_icosphere(2, 1.0)
-        m = m.with_coords(m.coords.reshape(-1) * 1.1)
+        # coords that view another array, whose base must be locked as well
+        m = m.with_coords((m.coords.ravel() * 1.1).reshape(-1, 3))
         for name in ("coords", "triangles", "edges", "edge_lengths", "element_areas",
                      "normals", "basis_gradients", "midpoint_positions"):
             array = getattr(m, name)
@@ -349,18 +350,17 @@ def test_element_geometry_is_component_major():
 
 
 class TestNodeVectorLayout:
-    """Flat node-major vectors: node j occupies entries 3j..3j+2."""
+    """Node vectors are (N, 3), the layout of coords; no flat form."""
 
-    def test_round_trip(self):
+    def test_flat_vector_refused(self):
         m = mesh.generate_icosphere(0, 1.0)
-        assert np.array_equal(m.with_coords(m.coords.reshape(-1)).coords, m.coords)
-        moved = m.with_coords(np.arange(3.0 * m.num_nodes))
-        assert np.array_equal(moved.coords[5], [15.0, 16.0, 17.0])
+        with pytest.raises(ValueError, match=r"shape \(12, 3\), got \(36,\)"):
+            m.with_coords(m.coords.ravel())
 
     def test_bad_length(self):
         m = mesh.generate_icosphere(0, 1.0)
         with pytest.raises(ValueError):
-            m.with_coords(np.zeros(3 * m.num_nodes - 3))
+            m.with_coords(np.zeros((m.num_nodes - 1, 3)))
 
     def test_h_max_tracks_current_coords(self):
         m = mesh.generate_icosphere(1, 1.0)
@@ -372,7 +372,7 @@ class TestExport:
     def test_vtk_byte_deterministic(self, tmp_path):
         m = mesh.generate_icosphere(1, 1.0)
         u = np.linspace(0.0, 1.0, m.num_nodes)
-        v = np.tile([0.1, -0.2, 0.3], m.num_nodes)
+        v = np.tile([0.1, -0.2, 0.3], (m.num_nodes, 1))
         a, b = tmp_path / "a.vtk", tmp_path / "b.vtk"
         mesh.export_surface(m, {"u": u, "vel": v}, a)
         mesh.export_surface(m, {"u": u, "vel": v}, b)
@@ -388,8 +388,12 @@ class TestExport:
         with pytest.raises(FieldLengthMismatch):
             mesh.export_surface(m, {"u": np.zeros(5)}, tmp_path / "x.vtk")
         # a bad field after a good one still fails before the file is opened
-        with pytest.raises(FieldLengthMismatch, match="'bad' has 5 entries, expected 12 or 36"):
+        with pytest.raises(FieldLengthMismatch,
+                           match=r"'bad' has shape \(5,\), expected \(12,\) or \(12, 3\)"):
             mesh.export_surface(m, {"u": np.zeros(12), "bad": np.zeros(5)}, tmp_path / "x.vtk")
+        # a vector field is (N, 3), not a flat 3N vector
+        with pytest.raises(FieldLengthMismatch, match=r"'vel' has shape \(36,\)"):
+            mesh.export_surface(m, {"vel": np.zeros(36)}, tmp_path / "x.vtk")
         assert not (tmp_path / "x.vtk").exists()
 
     @pytest.mark.parametrize("surface, order", [("first", "vtk-obj"), ("moved", "vtk-obj"),
@@ -404,7 +408,7 @@ class TestExport:
             rows = first._topo_cache["export_rows"]
             m = first.with_coords(first.coords * 1.25 + 0.01)
         u = np.random.Generator(np.random.Philox(1)).standard_normal(m.num_nodes)
-        v = np.random.Generator(np.random.Philox(2)).standard_normal(3 * m.num_nodes)
+        v = np.random.Generator(np.random.Philox(2)).standard_normal((m.num_nodes, 3))
         fields = {"u": u, "vel": v, "w": -u}
         lines = ["# vtk DataFile Version 2.0", "surface snapshot", "ASCII",
                  "DATASET UNSTRUCTURED_GRID", f"POINTS {m.num_nodes} double"]
@@ -416,12 +420,12 @@ class TestExport:
         lines += ["5"] * nt
         lines.append(f"POINT_DATA {m.num_nodes}")
         for name, values in fields.items():
-            if values.size == m.num_nodes:
+            if values.ndim == 1:
                 lines += [f"SCALARS {name} double", "LOOKUP_TABLE default"]
                 lines += ["%.17g" % x for x in values]
             else:
                 lines.append(f"VECTORS {name} double")
-                lines += ["%.17g %.17g %.17g" % tuple(x) for x in values.reshape(-1, 3)]
+                lines += ["%.17g %.17g %.17g" % tuple(x) for x in values]
         obj = ["v %.17g %.17g %.17g" % tuple(p) for p in m.coords]
         obj += ["f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1) for t in m.triangles]
         expected = {"vtk": lines, "obj": obj}

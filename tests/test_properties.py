@@ -91,7 +91,7 @@ def test_unit_loads(level, seed):
     scalar = assembly.assemble_scalar_load(m, unit, 0.0)
     assert rel_diff(scalar, assembly.assemble_mass(m) @ ones) <= 1e-14
     # the element normals of a closed surface integrate to zero
-    normal = assembly.assemble_normal_load(m, unit, 0.0).reshape(-1, 3)
+    normal = assembly.assemble_normal_load(m, unit, 0.0)
     assert np.abs(normal.sum(axis=0)).max() <= 1e-13 * m.element_areas.sum()
 
 
@@ -155,7 +155,7 @@ def assert_equivariant(moved, base, perm, q, v_tol):
     assert rel_diff(moved.u, base.u[perm]) <= FIELD_TOL
     if base.w is not None:
         assert rel_diff(moved.w, base.w[perm]) <= FIELD_TOL
-    assert rel_diff(moved.v.reshape(-1, 3), (base.v.reshape(-1, 3) @ q.T)[perm]) <= v_tol
+    assert rel_diff(moved.v, (base.v @ q.T)[perm]) <= v_tol
 
 
 def example1_run(level, solver, m0):

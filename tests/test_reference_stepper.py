@@ -1,5 +1,6 @@
-"""The example1 step written out once more as a textbook P1 method and held
-against ``stepper.run``.
+"""The example1 step, under the regularized and the dynamic velocity law,
+written out once more as a textbook P1 method and held against
+``stepper.run``.
 
 Nothing here comes from ``mesh.py`` or ``assembly.py``: the geometry is
 ``np.cross`` per triangle, M and A are summed from COO triplets, the loads
@@ -9,6 +10,8 @@ against code that shares nothing with it: to rounding under the direct
 solver, to the CG tolerances under cg.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +20,7 @@ import scipy.sparse.linalg as spla
 from esfem import stepper
 from esfem.experiments import step_size_for
 from esfem.mesh import generate_icosphere
-from esfem.problems import example1_problem
+from esfem.problems import VelocityLaw, example1_problem
 
 
 def geometry(x, tris):
@@ -65,36 +68,57 @@ def normal_scatter(x, tris, corner):
     return np.stack([scatter(tris, corner * normal[:, l, None], len(x)) for l in range(3)], axis=1)
 
 
-def reference_step(spec, x, u, t, tau, tris):
-    """(M + alpha A + tau beta A) x_new = (M + alpha A) x + tau l on the old
-    surface, l the nodal normal coupling delta u and the g load at t + tau;
-    then (M_new + tau A_new) u_new = M u + tau f on the new surface."""
+def reference_step(spec, x, u, v, t, tau, tris):
+    """The velocity law on the old surface, l the nodal normal coupling
+    delta u and the g load at t + tau: regularized,
+    (M + alpha A + tau beta A) x_new = (M + alpha A) x + tau l and
+    v_new = (x_new - x) / tau; dynamic, (M + tau alpha A) v_new = M v + tau l
+    and x_new = x + tau v_new.  Then (M_new + tau A_new) u_new = M u + tau f
+    on the new surface."""
     law = spec.law
     mass, stiff = matrices(x, tris)
-    k = mass + law.alpha * stiff
     area = geometry(x, tris)[1]
     load = (law.delta * normal_scatter(x, tris, np.repeat(area[:, None] / 3, 3, axis=1))
             * u[:, None]
             + normal_scatter(x, tris, corner_integrals(x, tris, spec.velocity_forcing, t + tau)))
-    x_new = spla.spsolve(k + tau * law.beta * stiff, k @ x + tau * load)
+    if law.dynamic:
+        v_new = spla.spsolve(mass + tau * law.alpha * stiff, mass @ v + tau * load)
+        x_new = x + tau * v_new
+    else:
+        k = mass + law.alpha * stiff
+        x_new = spla.spsolve(k + tau * law.beta * stiff, k @ x + tau * load)
+        v_new = (x_new - x) / tau
     mass_new, stiff_new = matrices(x_new, tris)
     f = scatter(tris, corner_integrals(x_new, tris, spec.source, t + tau, u), len(x))
     u_new = spla.spsolve(mass_new + tau * spec.diffusion[0] * stiff_new, mass @ u + tau * f)
-    return x_new, u_new, (x_new - x) / tau
+    return x_new, u_new, v_new
+
+
+def assert_run_matches_the_textbook_step(spec, level, steps, solver, tols):
+    """Final x, u and v of ``stepper.run`` against ``steps`` reference steps
+    from rest, each to its relative max-norm tolerance."""
+    m0 = generate_icosphere(level, 1.0)
+    tau = step_size_for(m0, 1.0)
+    final = stepper.run(spec, m0, stepper.StepperConfig(tau, steps * tau, solver=solver))
+    x, u, v, t = m0.coords, spec.initial_fields(m0), np.zeros_like(m0.coords), 0.0
+    for _ in range(steps):
+        x, u, v = reference_step(spec, x, u, v, t, tau, m0.triangles)
+        t += tau
+    for actual, expected, tol in zip((final.x, final.u, final.v), (x, u, v), tols):
+        assert actual.shape == expected.shape
+        assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("solver, tols", [("cholesky", (1e-13, 1e-13, 1e-10)),
                                           ("cg", (1e-11, 1e-11, 1e-8))])
 @pytest.mark.parametrize("level, steps", [(1, 2), (2, 5)])
 def test_run_matches_the_textbook_step(level, steps, solver, tols):
-    spec = example1_problem()
-    m0 = generate_icosphere(level, 1.0)
-    tau = step_size_for(m0, 1.0)
-    final = stepper.run(spec, m0, stepper.StepperConfig(tau, steps * tau, solver=solver))
-    x, u, t = m0.coords, spec.initial_fields(m0), 0.0
-    for _ in range(steps):
-        x, u, v = reference_step(spec, x, u, t, tau, m0.triangles)
-        t += tau
-    for actual, expected, tol in zip((final.x, final.u, final.v),
-                                     (x.reshape(-1), u, v.reshape(-1)), tols):
-        assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()
+    assert_run_matches_the_textbook_step(example1_problem(), level, steps, solver, tols)
+
+
+@pytest.mark.parametrize("solver, tols", [("cholesky", (1e-13, 1e-13, 1e-13)),
+                                          ("cg", (1e-12, 1e-12, 1e-10))])
+@pytest.mark.parametrize("level, steps", [(1, 2), (2, 5)])
+def test_run_matches_the_textbook_dynamic_step(level, steps, solver, tols):
+    spec = dataclasses.replace(example1_problem(), law=VelocityLaw(1.0, 0.0, 0.4, dynamic=True))
+    assert_run_matches_the_textbook_step(spec, level, steps, solver, tols)

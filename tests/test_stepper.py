@@ -53,7 +53,7 @@ class TestStepCoupled:
         cfg = stepper.StepperConfig(tau=tau, t_end=tau)
         state = stepper.initial_state(spec, m0)
         new = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
-        radii = np.linalg.norm(new.x.reshape(-1, 3), axis=1)
+        radii = np.linalg.norm(new.x, axis=1)
         r_exact = float(spec.exact.radius(tau))
         assert radii.min() > 1.0  # moved outward
         assert np.abs(radii - r_exact).max() <= 1e-3 * (tau**2 + m0.h_max**2)
@@ -73,7 +73,7 @@ class TestStepDynamic:
         spec = problems.ProblemSpec(law=problems.VelocityLaw(1.0, dynamic=True))
         cfg = stepper.StepperConfig(tau=0.05, t_end=0.5)
         final = stepper.run(spec, m0, cfg)
-        assert np.array_equal(final.x, m0.coords.reshape(-1))
+        assert np.array_equal(final.x, m0.coords)
         assert np.all(final.v == 0.0)
 
     def test_velocity_norm_contracts_per_step(self):
@@ -84,13 +84,13 @@ class TestStepDynamic:
         cfg = stepper.StepperConfig(tau=0.1, t_end=0.1)
         rng = np.random.Generator(np.random.Philox(2))
         state = dataclasses.replace(stepper.initial_state(spec, m0),
-                                    v=rng.standard_normal(3 * m0.num_nodes))
+                                    v=rng.standard_normal((m0.num_nodes, 3)))
         stiff0 = assembly.assemble_stiffness(m0)
         for _ in range(25):
             mass_cur = assembly.assemble_mass(state.mesh)
-            before = assembly.discrete_norms(mass_cur, stiff0, 1.0, state.v)[0]
+            before = assembly.discrete_norms(mass_cur, stiff0, state.v)[0]
             new = stepper.step_dynamic(state, spec, cfg, stepper.LaggedFactor())
-            after = assembly.discrete_norms(mass_cur, stiff0, 1.0, new.v)[0]
+            after = assembly.discrete_norms(mass_cur, stiff0, new.v)[0]
             assert after <= before * (1 + 1e-12)
             state = new
 
@@ -111,7 +111,7 @@ class TestStepDynamic:
             state = stepper.SystemState(t=new.t, u=new.u, v=new.v, mesh=state.mesh, w=new.w)
         stiff = assembly.assemble_stiffness(m0)
         gload = assembly.assemble_normal_load(m0, lambda x, t: np.ones(len(x)), 0.0)
-        residual = alpha * np.asarray(stiff @ state.v.reshape(-1, 3)) - gload.reshape(-1, 3)
+        residual = alpha * np.asarray(stiff @ state.v) - gload
         assert np.abs(residual).max() <= 1e-9
 
 
@@ -128,7 +128,7 @@ class TestLawFromSpec:
         m0 = mesh.generate_icosphere(2, 1.0)
         rng = np.random.Generator(np.random.Philox(6))
         state = dataclasses.replace(stepper.initial_state(spec, m0),
-                                    v=rng.standard_normal(3 * m0.num_nodes))
+                                    v=rng.standard_normal((m0.num_nodes, 3)))
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
         coupled = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
         dynamic = stepper.step_dynamic(state, spec, cfg, stepper.LaggedFactor())
@@ -239,7 +239,7 @@ class TestRun:
         # every check refuses although each comparison with NaN is False
         m0 = mesh.generate_icosphere(1, 1.0)
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
-        x = (m0.coords * 1e160).reshape(-1)
+        x = m0.coords * 1e160
         assert np.isfinite(x).all()
         with np.errstate(over="ignore", invalid="ignore"):
             assert m0.with_coords(x).degenerate
@@ -257,9 +257,9 @@ class TestRun:
         def collapsing(state, spec, config, factor):
             x_new, v_new = real(state, spec, config, factor)
             i, j, _ = state.mesh.triangles[0]
-            x_new = x_new.reshape(-1, 3).copy()
+            x_new = x_new.copy()
             x_new[j] = x_new[i]
-            return x_new.reshape(-1), v_new
+            return x_new, v_new
 
         monkeypatch.setattr(stepper, "_velocity", collapsing)
         tau = 1e-3
@@ -422,7 +422,7 @@ class TestFactorReuse:
         cfg = stepper.StepperConfig(tau=1e-3, t_end=0.3)
         start = stepper.initial_state(spec, m0, u0=rng.standard_normal(m0.num_nodes))
         final = stepper.run(spec, m0, cfg, start=start)
-        assert np.abs(final.x - m0.coords.reshape(-1)).max() <= 5e-13
+        assert np.abs(final.x - m0.coords).max() <= 5e-13
 
     def test_stale_factor_refactors_once(self, monkeypatch):
         m0 = mesh.generate_icosphere(2, 1.0)
@@ -887,3 +887,40 @@ class TestPCGKernel:
                           M=jacobi_operator(matrix))
         assert code == 2
         assert info.value.residual == float(np.linalg.norm(matrix @ x - rhs)) > 0.0
+
+
+class TestRunNodeVectorLayout:
+    """After every step of a run, x is the surface's own read-only coords
+    and v a C-contiguous float64 (N, 3) array: the one node-vector layout."""
+
+    @staticmethod
+    def observed_steps(spec, m0, config, start=None):
+        steps = []
+
+        def check(step_index, state):
+            assert state.x is state.mesh.coords and not state.x.flags.writeable, step_index
+            assert state.v.shape == (state.mesh.num_nodes, 3), step_index
+            assert state.v.dtype == np.float64 and state.v.flags.c_contiguous, step_index
+            steps.append(step_index)
+
+        stepper.run(spec, m0, config, observers=(check,), start=start)
+        return steps
+
+    @pytest.mark.parametrize("solver", [stepper.DIRECT, stepper.CG])
+    @pytest.mark.parametrize("law", [problems.VelocityLaw(1.0, 0.0, 0.4),
+                                     problems.VelocityLaw(1.0, 0.0, 0.4, dynamic=True)],
+                             ids=["regularized", "dynamic"])
+    def test_example1(self, law, solver):
+        spec = dataclasses.replace(problems.example1_problem(), law=law)
+        config = stepper.StepperConfig(tau=1e-3, t_end=5e-3, solver=solver)
+        steps = self.observed_steps(spec, mesh.generate_icosphere(1, 1.0), config)
+        assert steps == list(range(6))
+
+    def test_tumor(self):
+        kin = problems.TumorKinetics()
+        spec = problems.tumor_problem(0.0, 0.01, 0.01, kin)
+        m0 = mesh.generate_icosphere(1, 1.0)
+        u0, w0 = problems.tumor_initial_data(m0, kin, seed=0, pre_time=0.01)
+        start = stepper.initial_state(spec, m0, u0=u0, w0=w0)
+        steps = self.observed_steps(spec, m0, stepper.StepperConfig(tau=1e-3, t_end=5e-3), start)
+        assert steps == list(range(6))

@@ -22,13 +22,13 @@ class TestMatrixDifference:
         self.z = self.rng.standard_normal(n)
 
     def test_zero_perturbation(self):
-        e = np.zeros(3 * self.mesh.num_nodes)
+        e = np.zeros_like(self.mesh.coords)
         res_m, res_a = check_matrix_difference(self.mesh, e, self.w, self.z)
         assert res_m["lhs"] == 0.0 and res_m["rhs"] == 0.0
         assert res_a["lhs"] == 0.0 and res_a["rhs"] == 0.0
 
     def test_translation_invariance(self):
-        e = np.tile([0.3, -0.2, 0.1], self.mesh.num_nodes)
+        e = np.tile([0.3, -0.2, 0.1], (self.mesh.num_nodes, 1))
         res_m, res_a = check_matrix_difference(self.mesh, e, self.w, self.z)
         scale = np.linalg.norm(self.w) * np.linalg.norm(self.z)
         assert abs(res_m["lhs"]) <= 1e-12 * scale
@@ -40,7 +40,7 @@ class TestMatrixDifference:
         # tolerance frozen after confirming 8 vs 16 quadrature points agree
         # far below it (both sit near 1e-18 relative for this scaling)
         n = self.mesh.num_nodes
-        e = self.rng.uniform(-1, 1, 3 * n) * (0.01 * self.mesh.h_max)
+        e = self.rng.uniform(-1, 1, (n, 3)) * (0.01 * self.mesh.h_max)
         for theta_points in (8, 16):
             res_m, res_a = check_matrix_difference(self.mesh, e, self.w, self.z,
                                                    theta_points)
@@ -55,7 +55,7 @@ class TestMatrixDifference:
         e[tri[1]] = self.mesh.coords[tri[0]] - self.mesh.coords[tri[1]]
         e[tri[2]] = self.mesh.coords[tri[0]] - self.mesh.coords[tri[2]]
         with pytest.raises(DegenerateIntermediateMesh):
-            check_matrix_difference(self.mesh, e.reshape(-1), self.w, self.z)
+            check_matrix_difference(self.mesh, e, self.w, self.z)
 
 
 class TestNormEquivalence:
@@ -77,7 +77,7 @@ class TestNormEquivalence:
         w = rng.standard_normal(m.num_nodes)
         ratio = np.sqrt(float(w @ (mass1 @ w)) / float(w @ (mass0 @ w)))
         assert ratio == pytest.approx(1 + eps, rel=1e-12)
-        e = (eps * m.coords).reshape(-1)
+        e = eps * m.coords
         mu = max(
             np.abs(assembly.tangential_divergence(
                 m.with_coords(m.coords * (1 + theta * eps)), e)).max()
@@ -113,7 +113,7 @@ class TestTransport:
         mesh_s = m.with_coords(path.position(s))
         ones = np.ones(m.num_nodes)
         area = float(ones @ (assembly.assemble_mass(mesh_s) @ ones))
-        q = assembly.mass_divergence_form(mesh_s, path.velocity(s).reshape(-1), ones, ones)
+        q = assembly.mass_divergence_form(mesh_s, path.velocity(s), ones, ones)
         r = float(path.sphere.radius(s))
         rdot = float(path.sphere.radius_rate(s))
         assert abs(q - 2 * (rdot / r) * area) <= 1e-10 * abs(q)

@@ -5,11 +5,14 @@
 Prints one line per key, ``<label>/<name> <result>``, in the first
 archive's order, then the keys only the second holds.  The result is
 ``bitwise`` where both archives hold the same dtype, shape and bytes;
+``reshaped`` with both shapes where they hold the same dtype, size and
+bytes in different shapes (the values did not move, only the layout);
 for a float array that differs, ``max|a - b| / max|a|`` with a from the
 first archive (``max|a - b|`` alone, marked ``abs``, where a is all zero);
 ``differs`` for any other array that differs (a written file's bytes,
 an exit code); ``shape`` for float arrays whose shapes differ, and
-``missing`` where one archive lacks the key.  Exits 0 when every entry reads ``bitwise``, 1 otherwise.
+``missing`` where one archive lacks the key.  Exits 0 when every entry
+reads ``bitwise``, 1 otherwise.
 """
 
 import sys
@@ -19,8 +22,8 @@ import numpy as np
 
 def compare(a, b):
     """The result text of one key held by both archives."""
-    if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
-        return "bitwise"
+    if a.dtype == b.dtype and a.tobytes() == b.tobytes():
+        return "bitwise" if a.shape == b.shape else f"reshaped {a.shape} -> {b.shape}"
     if a.dtype.kind != "f" or b.dtype.kind != "f":
         return "differs"
     if a.shape != b.shape:
