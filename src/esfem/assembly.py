@@ -10,17 +10,16 @@ Assembly sums element contributions in a fixed order into a precomputed
 sparsity pattern, so repeated assemblies of the same mesh are bitwise
 identical, and the symmetric local blocks make the global matrices
 exactly symmetric entry by entry.  Every sum is a product with a 0/1
-incidence matrix cached per topology, on SciPy's compiled CSR kernel:
-each row lists its entries in the order a bincount over the same index
-would add them, so the sums are bitwise a bincount's.  Every matrix of
-one topology (mass, stiffness and their sums, formed entry by entry by
-``add_scaled``) is a shallow copy of the topology's one CSR template,
-which ``_pattern`` caches with the pair incidence, holding its own data
-on the template's read-only index arrays, so no step runs SciPy's
-validating constructor.  ``matvec`` forms ``matrix @ x`` on SciPy's own
-compiled kernels without its dispatch; ``factorize`` is the one SuperLU
-entry point, and its ``solve(rhs)`` is the one-argument contract of
-every linear solve.
+incidence matrix of the topology's record (``_topology``), on SciPy's
+compiled CSR kernel: each row lists its entries in the order a bincount
+over the same index would add them, so the sums are bitwise a bincount's.
+Every matrix of one topology (mass, stiffness and their sums, formed
+entry by entry by ``add_scaled``) is a shallow copy of the record's one
+CSR template, holding its own data on the template's read-only index
+arrays, so no step runs SciPy's validating constructor.  ``matvec``
+forms ``matrix @ x`` on SciPy's own compiled kernels without its
+dispatch; ``factorize`` is the one SuperLU entry point, and its
+``solve(rhs)`` is the one-argument contract of every linear solve.
 
 Every load runs through one field-major kernel: an integrand returns
 (k, Q) rows at the Q quadrature points, the corner values are (k, 3, T)
@@ -75,47 +74,59 @@ def _incidence(targets, columns, shape, ones):
     """0/1 CSR matrix of ``shape`` whose row r sums the entries k with
     targets[k] == r, at columns[k], in the order of k: the order in which
     ``np.bincount(targets, weights)`` adds them, so its products are
-    bitwise that bincount.  Its data is a slice of the read-only ``ones``."""
+    bitwise that bincount.  Its data is a slice of the read-only ``ones``,
+    the topology's one vector of 9T ones (``_topology``)."""
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(targets, minlength=shape[0]), out=indptr[1:])
     indices = columns[np.argsort(targets, kind="stable")].astype(np.int32)
     return _Incidence(shape, _locked(indptr), _locked(indices), ones[:targets.size])
 
 
-def _pattern(mesh):
-    """(incidence, template) of the P1 pair coupling, cached per topology.
-    The incidence (nnz x 6T) sums the (6, T) upper entries of the local
-    blocks into their CSR slots, each slot adding the entries of the
-    (T, 3, 3) blocks in their flat order; its data is the topology's one
-    read-only vector of 9T ones.  The template is the topology's CSR
-    matrix on read-only index arrays, its data a zero-stride view, so it
-    pins no nnz-length array."""
+# The assembly structures of one topology, by name (``_topology``).
+_Topology = namedtuple("_Topology", "template pairs nodes corners twin")
+
+
+def _topology(mesh):
+    """The topology's assembly record, cached once for every surface on
+    its triangles.  Its fields:
+
+    - ``template``: the CSR matrix of the P1 pair coupling on read-only
+      index arrays, its data a zero-stride view, so it pins no
+      nnz-length array;
+    - ``pairs``: the nnz x 6T incidence that sums the (6, T) upper
+      entries of the local blocks into their CSR slots, each slot adding
+      the entries of the (T, 3, 3) blocks in their flat order;
+    - ``nodes``: the read-only (3, T) node at each triangle corner;
+    - ``corners``: the N x 3T incidence that sums (3, T) corner values
+      into their nodes, each node adding its entries in (i, t) order;
+    - ``twin``: its N x T twin (the same indptr, indices % T), which sums
+      one value per triangle into each of its three nodes.
+
+    The template's index arrays and every incidence come from
+    ``_incidence``, on the topology's one read-only vector of 9T ones."""
     cache = mesh._topo_cache
-    if "pattern" not in cache:
+    if "assembly" not in cache:
         t = mesh.triangles
         n, nt = mesh.num_nodes, len(t)
-        rows = np.repeat(t, 3, axis=1).ravel()
-        cols = np.tile(t, (1, 3)).ravel()
-        keys = rows.astype(np.int64) * n + cols
+        keys = np.repeat(t, 3, axis=1).ravel().astype(np.int64) * n + np.tile(t, (1, 3)).ravel()
         unique_keys, inv = np.unique(keys, return_inverse=True)
-        indices = (unique_keys % n).astype(np.int32)
-        counts = np.bincount((unique_keys // n).astype(np.int64), minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        for arr in (indices, indptr):
-            arr.setflags(write=False)
-        template = sp.csr_matrix((np.broadcast_to(0.0, unique_keys.size), indices, indptr),
-                                 shape=(n, n))
+        ones = _locked(np.ones(9 * nt))
+        # the keys are sorted, so the stable argsort keeps their order
+        slots = _incidence(unique_keys // n, unique_keys % n, (n, n), ones)
+        template = sp.csr_matrix((np.broadcast_to(0.0, unique_keys.size), slots.indices,
+                                  slots.indptr), shape=(n, n))
         # the constructor keeps views of the index arrays: put the arrays
         # themselves back, so one pattern stays one object
-        template.indices, template.indptr = indices, indptr
+        template.indices, template.indptr = slots.indices, slots.indptr
         template.has_sorted_indices = True
         # entry (t, i, j) of the blocks is column row(i, j) * T + t
         columns = (_UPPER_ROW.ravel() * nt + np.arange(nt)[:, None]).ravel()
-        incidence = _incidence(inv, columns, (unique_keys.size, 6 * nt),
-                               _locked(np.ones(9 * nt)))
-        cache["pattern"] = (incidence, template)
-    return cache["pattern"]
+        pairs = _incidence(inv, columns, (unique_keys.size, 6 * nt), ones)
+        nodes = _locked(np.ascontiguousarray(t.T))
+        corners = _incidence(nodes.ravel(), np.arange(3 * nt), (n, 3 * nt), ones)
+        twin = corners._replace(shape=(n, nt), indices=_locked(corners.indices % np.int32(nt)))
+        cache["assembly"] = _Topology(template, pairs, nodes, corners, twin)
+    return cache["assembly"]
 
 
 def _with_data(matrix, data):
@@ -131,8 +142,8 @@ def _assemble_pairs(mesh, entries):
     """Sum the (6, T) upper entries of the symmetric local blocks, rows in
     ``_UPPER`` order, into a global CSR matrix, a copy of the topology's
     template, through the pair incidence."""
-    incidence, template = _pattern(mesh)
-    return _with_data(template, matvec(incidence, entries.ravel()))
+    topology = _topology(mesh)
+    return _with_data(topology.template, matvec(topology.pairs, entries.ravel()))
 
 
 def assemble_mass(mesh: SurfaceMesh) -> sp.csr_matrix:
@@ -163,7 +174,7 @@ def surface_matrices(mesh: SurfaceMesh):
     step reads only to check quality and to assemble."""
     if mesh._matrices is None:
         pair = assemble_mass(mesh), assemble_stiffness(mesh)
-        for matrix in pair:  # the index arrays are the template's, locked in _pattern
+        for matrix in pair:  # index arrays locked in the topology's record (_topology)
             _locked(matrix.data)
         mesh._matrices = pair
         mesh._release_assembly_geometry()
@@ -208,23 +219,6 @@ def factorize(matrix):
         raise LinearSolveFailure(f"system not factorable: {err}", float("inf")) from err
 
 
-def _corners(mesh):
-    """(nodes, incidence, twin), cached per topology: the read-only (3, T)
-    node at each triangle corner; the N x 3T corner incidence, which sums
-    (3, T) corner values into their nodes, each node adding its entries in
-    (i, t) order; and its N x T twin (the same indptr, indices % T), which
-    sums one value per triangle into each of its three nodes.  Both take
-    their data from the pair incidence's ones."""
-    cache = mesh._topo_cache
-    if "corners" not in cache:
-        n, nt = mesh.num_nodes, mesh.num_triangles
-        nodes = _locked(np.ascontiguousarray(mesh.triangles.T))
-        incidence = _incidence(nodes.ravel(), np.arange(3 * nt), (n, 3 * nt), _pattern(mesh)[0].data)
-        twin = incidence._replace(shape=(n, nt), indices=_locked(incidence.indices % np.int32(nt)))
-        cache["corners"] = nodes, incidence, twin
-    return cache["corners"]
-
-
 def _sum_rows(incidence, rows):
     """(k, N) products of the incidence with each of k contiguous rows, on
     csr_matvec, one row at a time into one zeroed array."""
@@ -235,11 +229,9 @@ def _sum_rows(incidence, rows):
 
 
 def _scatter(mesh, corner_values):
-    """Sum per-corner values, (k, 3, T) or (3, T), into nodal rows, (k, N)
-    or (N,), through the corner incidence; each node sums its entries in
-    (i, t) order."""
-    rows = corner_values.reshape(-1, mesh.triangles.size)
-    return _sum_rows(_corners(mesh)[1], rows).reshape(*corner_values.shape[:-2], -1)
+    """Sum (k, 3, T) per-corner values into (k, N) nodal rows through the
+    corner incidence; each node sums its entries in (i, t) order."""
+    return _sum_rows(_topology(mesh).corners, corner_values.reshape(len(corner_values), -1))
 
 
 def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
@@ -258,9 +250,9 @@ def assemble_normal_coupling(mesh: SurfaceMesh, u, mode: str) -> np.ndarray:
     normal = mesh.normals
     if mode == "nodal":
         # integral of phi_j over one triangle is area/3
-        out = _sum_rows(_corners(mesh)[2], normal * (area / 3.0)) * u
+        out = _sum_rows(_topology(mesh).twin, normal * (area / 3.0)) * u
     elif mode == "interpolated":
-        coeff = (_MASS_TEMPLATE @ u[_corners(mesh)[0]]) * area
+        coeff = (_MASS_TEMPLATE @ u[_topology(mesh).nodes]) * area
         out = _scatter(mesh, normal[:, None] * coeff)
     else:
         raise ValueError(f"unknown normal coupling mode: {mode!r}")
@@ -277,8 +269,8 @@ def _corner_loads(mesh, integrand, time, fields):
         if f.size != mesh.num_nodes:
             raise FieldLengthMismatch(f"field has {f.size} entries, expected {mesh.num_nodes}")
     area = _checked_areas(mesh)
-    corners = _corners(mesh)[0]
-    vals = [(MIDPOINT_POINTS @ f[corners]).ravel() for f in fields]
+    nodes = _topology(mesh).nodes
+    vals = [(MIDPOINT_POINTS @ f[nodes]).ravel() for f in fields]
     with np.errstate(over="ignore", invalid="ignore"):
         f_vals = np.asarray(integrand(mesh.midpoint_positions, time, *vals), dtype=float)
     if not np.isfinite(f_vals).all():

@@ -329,6 +329,11 @@ def _subdivide_project(verts, faces, radius):
             new_faces.transpose(2, 0, 1).reshape(-1, 3))
 
 
+#: Finest icosphere level (655,362 nodes): memory grows about 4x per
+#: level, to about 1 GiB at level 8 by extrapolation from levels 4-6.
+MAX_LEVEL = 8
+
+
 def generate_icosphere(subdivision_level: int, radius: float) -> SurfaceMesh:
     """Projected icosahedral quadrisection of the sphere.
 
@@ -336,9 +341,10 @@ def generate_icosphere(subdivision_level: int, radius: float) -> SurfaceMesh:
     quarters every triangle and reprojects the new nodes, so the maximal
     edge length roughly halves per level (the 0 -> 1 ratio is the golden
     0.588 for geometric reasons; from level 1 on it sits near 0.5).
+    Levels above MAX_LEVEL are refused before any subdivision.
     """
-    if subdivision_level < 0:
-        raise ValueError("subdivision_level must be non-negative")
+    if not 0 <= subdivision_level <= MAX_LEVEL:
+        raise ValueError(f"subdivision_level {subdivision_level} is not in [0, {MAX_LEVEL}]")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     verts, faces = _icosahedron(radius)

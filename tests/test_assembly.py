@@ -150,7 +150,7 @@ class TestSurfaceMatrices:
                             (stiff, assembly.assemble_stiffness(moved))]:
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(kept, name), getattr(fresh, name))
-        template = assembly._pattern(m)[1]
+        template = assembly._topology(m).template
         for matrix in (*pair, mass, stiff):
             assert not matrix.data.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -240,7 +240,7 @@ class TestAddScaled:
 
     def test_one_topology_shares_one_read_only_pattern(self):
         m = mesh.generate_icosphere(2, 1.0)
-        _, template = assembly._pattern(m)
+        template = assembly._topology(m).template
         indices, indptr = template.indices, template.indptr
         mass, stiff = assembly.surface_matrices(m)
         total = assembly.add_scaled(mass, 0.37, stiff)
@@ -255,9 +255,9 @@ class TestAddScaled:
         # are read-only down to their base and whose data is one vector of ones
         moved = m.with_coords(1.5 * m.coords)
         assembly.assemble_normal_load(moved, lambda x, t: x[:, 0], 0.0)
-        incidence, _ = assembly._pattern(moved)
-        nodes, corner, twin = corners = assembly._corners(m)
-        assert assembly._pattern(m)[0] is incidence and assembly._corners(moved) is corners
+        topology = assembly._topology(moved)
+        assert assembly._topology(m) is topology
+        incidence, corner, twin = topology.pairs, topology.corners, topology.twin
         ones = incidence.data
         assert ones.size == 9 * m.num_triangles and np.all(ones == 1.0)
         assert twin.indptr is corner.indptr
@@ -269,11 +269,11 @@ class TestAddScaled:
                 while isinstance(array, np.ndarray):
                     assert not array.flags.writeable
                     array = array.base
-        assert nodes.shape == (3, m.num_triangles) and not nodes.flags.writeable
+        assert topology.nodes.shape == (3, m.num_triangles)
+        assert not topology.nodes.flags.writeable
         # no bincount index is cached: neither inv nor a flat int64 scatter index
-        assert set(m._topo_cache) == {"pattern", "corners"}
-        cached = [*corners, *assembly._pattern(m)]
-        assert not any(isinstance(a, np.ndarray) and a.ndim == 1 for a in cached)
+        assert set(m._topo_cache) == {"assembly"}
+        assert not any(isinstance(a, np.ndarray) and a.ndim == 1 for a in topology)
 
     def test_foreign_pattern_refused(self):
         # only the topology's own index arrays are accepted: equal entries
@@ -294,7 +294,7 @@ class TestTemplateCopy:
 
     @staticmethod
     def template_and_copy(level=2):
-        _, template = assembly._pattern(mesh.generate_icosphere(level, 1.0))
+        template = assembly._topology(mesh.generate_icosphere(level, 1.0)).template
         data = np.random.Generator(np.random.Philox(3)).standard_normal(template.indices.size)
         return template, assembly._with_data(template, data)
 
@@ -352,7 +352,7 @@ INCIDENCE_MESHES = {**{f"icosphere{level}": functools.partial(jittered_icosphere
 def bincount_pairs(m, local):
     """Oracle: (T, 3, 3) local blocks summed onto the template's CSR slots
     with one bincount, in the blocks' flat order."""
-    _, template = assembly._pattern(m)
+    template = assembly._topology(m).template
     n, t = m.num_nodes, m.triangles
     slot_keys = np.repeat(np.arange(n), np.diff(template.indptr)) * n + template.indices
     slots = np.searchsorted(slot_keys, (t[:, :, None] * n + t[:, None, :]).ravel())
@@ -386,7 +386,7 @@ class TestIncidenceSums:
         expected = bincount_pairs(m, area[:, None, None] * assembly._MASS_TEMPLATE)
         assert mass.data.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("shape", [(k, 3) for k in (1, 2, 3)], ids=lambda s: f"shape{s[0]}")
     def test_scatter(self, m, shape):
         rng = np.random.Generator(np.random.Philox(len(shape) + shape[0]))
         corner = rng.standard_normal((*shape, m.num_triangles))
@@ -404,6 +404,23 @@ class TestIncidenceSums:
         for mode, expected in [("nodal", nodal), ("interpolated", interpolated)]:
             out = assembly.assemble_normal_coupling(m, u, mode)
             assert out.tobytes() == expected.T.tobytes(), mode
+
+
+class TestTemplateAgainstScipy:
+    @pytest.mark.parametrize("name", sorted(INCIDENCE_MESHES))
+    def test_index_arrays_those_of_scipys_conversion(self, name):
+        # every (t_i, t_j) pair of every triangle, through SciPy's own
+        # COO -> CSR conversion and duplicate sum
+        m = INCIDENCE_MESHES[name]()
+        t, n, nt = m.triangles, m.num_nodes, m.num_triangles
+        rows = np.broadcast_to(t[:, :, None], (nt, 3, 3)).ravel()
+        cols = np.broadcast_to(t[:, None, :], (nt, 3, 3)).ravel()
+        expected = sp.coo_matrix((np.ones(9 * nt), (rows, cols)), shape=(n, n)).tocsr()
+        expected.sum_duplicates()
+        template = assembly._topology(m).template
+        assert np.array_equal(template.indices, expected.indices)
+        assert np.array_equal(template.indptr, expected.indptr)
+        assert template.has_sorted_indices and template.data.strides == (0,)
 
 
 def matvec_inputs(matrix, seed=11):
@@ -698,7 +715,8 @@ class TestMidpointPositionsCached:
         t, P = m.triangles, assembly.MIDPOINT_POINTS
         pos = (P @ m.coords[t.T].reshape(3, -1)).reshape(-1, 3)
         f = integrand(pos, 0.0, (P @ u[t.T]).ravel())
-        corner = P.T @ (f * (assembly.MIDPOINT_WEIGHTS[:, None] * m.element_areas).ravel()).reshape(3, -1)
+        weighted = f * (assembly.MIDPOINT_WEIGHTS[:, None] * m.element_areas).ravel()
+        corner = P.T @ weighted.reshape(1, 3, -1)
         return assembly._scatter(m, corner)
 
     def test_loads_share_one_read_only_positions_array(self):

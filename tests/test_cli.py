@@ -504,12 +504,33 @@ def test_overflowing_surface_exit_code_three(argv, message, tmp_path, capsys):
     ["tumor", "--level", "1", "--t-end", "0.002", "--tau", "1e-320"],
     # 0.01 / 0.003 is no whole number of steps, and no other tau runs instead
     ["tumor", "--level", "1", "--t-end", "0.01", "--tau", "0.003"],
+    # past mesh.MAX_LEVEL: refused before any mesh is built
+    ["tumor", "--level", "30", "--t-end", "0.002"],
+    ["example1", "--levels", "1..30"],
 ])
 def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     # the value parses; the library's own range check rejects it
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tumor", "--level", "30", "--t-end", "0.002"],
+    ["tumor", "--level", "30", "--t-end", "0.002", "--dump-matrices"],
+    ["example1", "--levels", "1..30"],
+    ["example3", "--levels", "1..9"],
+])
+def test_level_above_max_exits_before_any_mesh(argv, monkeypatch, tmp_path, capsys):
+    # example1 and example3 must not run levels 1-8 first
+    def unreachable(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(mesh, "_icosahedron", unreachable)
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert re.fullmatch(r"configuration error: (subdivision_)?level (30|9) .*\n",
+                        capsys.readouterr().err)
 
 
 def test_fixed_tau_runs_as_given(monkeypatch, tmp_path):

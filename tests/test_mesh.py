@@ -92,6 +92,15 @@ class TestIcosphere:
         with pytest.raises(ValueError):
             mesh.generate_icosphere(1, 0.0)
 
+    @pytest.mark.parametrize("level", [mesh.MAX_LEVEL + 1, 30])
+    def test_level_above_max_refused_before_any_allocation(self, level, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(mesh, "_icosahedron", unreachable)
+        with pytest.raises(ValueError, match=f"subdivision_level {level} is not in"):
+            mesh.generate_icosphere(level, 1.0)
+
 
 class TestSurfaceMeshValidation:
     def test_inward_orientation_rejected(self):
@@ -281,7 +290,7 @@ def assert_matrices_match_oracle(m, geometry):
     g, area = geometry["basis_gradients"], geometry["element_areas"]
     local_stiffness = area[:, None, None] * np.einsum("tik,tjk->tij", g, g)
     local_mass = area[:, None, None] * assembly._MASS_TEMPLATE
-    _, template = assembly._pattern(m)
+    template = assembly._topology(m).template
     for actual, local in [(assembly.assemble_stiffness(m), local_stiffness),
                           (assembly.assemble_mass(m), local_mass)]:
         assert actual.indices is template.indices and actual.indptr is template.indptr

@@ -546,7 +546,7 @@ class TestPerStepMatrices:
         assert step[0] == n_steps + 1
         # step 1 builds the one template; steps 2..n construct nothing
         assert constructed == {1: 1}
-        _, template = assembly._pattern(m0)
+        template = assembly._topology(m0).template
         indices, indptr = template.indices, template.indptr
         assert template.data.strides == (0,)
         assert len(matrices) >= 3 * n_steps
