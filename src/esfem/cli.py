@@ -172,7 +172,8 @@ def _prepare_out(config) -> Path:
         # the mesh the run starts from
         if config.experiment in ("tumor", "verify"):
             mesh0 = mesh.generate_icosphere(config.level, 1.0)
-        else:
+        else:  # the finest level is checked before the dump, as the study checks it
+            mesh.check_level(max(config.levels))
             mesh0 = mesh.generate_icosphere(config.levels[0], config.r0)
         mass, stiff = assembly.surface_matrices(mesh0)
         assembly.write_coordinate_matrix(mass, out / "mass_matrix.txt")

@@ -57,8 +57,7 @@ def example1_study(levels=(1, 2, 3, 4), alpha=1.0, beta=0.0, delta=0.4,
     ``on_failure(level, error)``); the returned report holds the completed
     levels only.
     """
-    if max(levels, default=0) > mesh.MAX_LEVEL:  # before the coarser levels run
-        raise ValueError(f"level {max(levels)} exceeds mesh.MAX_LEVEL = {mesh.MAX_LEVEL}")
+    mesh.check_level(max(levels, default=0))  # before the coarser levels run
     spec = problems.example1_problem(alpha, beta, delta, r0, rK, k)
     report = analysis.ErrorReport()
     for level in levels:

@@ -174,7 +174,11 @@ class SurfaceMesh:
         rev = directed[:, 1] * n + directed[:, 0]
         if not np.array_equal(np.sort(keys), np.sort(rev)):
             raise ValueError("surface is not closed (unmatched edge)")
-        if np.any(self.element_areas <= 0.0):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused here, not warned
+            area = self.element_areas
+        if not np.isfinite(area).all():
+            raise ValueError("element areas are not finite: the coordinates are too large")
+        if np.any(area <= 0.0):
             raise ValueError("mesh contains a zero-area triangle")
         # Outward orientation: signed enclosed volume must be positive.
         a, b, c = (self.coords[t[:, k]] for k in range(3))
@@ -332,6 +336,15 @@ def _subdivide_project(verts, faces, radius):
 #: Finest icosphere level (655,362 nodes): memory grows about 4x per
 #: level, to about 1 GiB at level 8 by extrapolation from levels 4-6.
 MAX_LEVEL = 8
+#: Radii whose element geometry stays finite and normal at every level up to
+#: MAX_LEVEL: an area's cross-product norm squares terms of order radius^2.
+RADIUS_RANGE = (1e-50, 1e50)
+
+
+def check_level(level):
+    """ValueError for an icosphere level outside [0, MAX_LEVEL]."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"subdivision_level {level} is not in [0, {MAX_LEVEL}]")
 
 
 def generate_icosphere(subdivision_level: int, radius: float) -> SurfaceMesh:
@@ -341,12 +354,12 @@ def generate_icosphere(subdivision_level: int, radius: float) -> SurfaceMesh:
     quarters every triangle and reprojects the new nodes, so the maximal
     edge length roughly halves per level (the 0 -> 1 ratio is the golden
     0.588 for geometric reasons; from level 1 on it sits near 0.5).
-    Levels above MAX_LEVEL are refused before any subdivision.
+    Levels above MAX_LEVEL and radii outside RADIUS_RANGE are refused
+    before any subdivision.
     """
-    if not 0 <= subdivision_level <= MAX_LEVEL:
-        raise ValueError(f"subdivision_level {subdivision_level} is not in [0, {MAX_LEVEL}]")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    check_level(subdivision_level)
+    if not RADIUS_RANGE[0] <= radius <= RADIUS_RANGE[1]:
+        raise ValueError(f"radius {radius} is not in [{RADIUS_RANGE[0]}, {RADIUS_RANGE[1]}]")
     verts, faces = _icosahedron(radius)
     for _ in range(subdivision_level):
         verts, faces = _subdivide_project(verts, faces, radius)

@@ -572,6 +572,11 @@ class TestNormalCoupling:
         with pytest.raises(FieldLengthMismatch):
             assembly.assemble_normal_coupling(m, np.ones(5), "nodal")
 
+    def test_unknown_mode_refused(self):
+        m = mesh.generate_icosphere(0, 1.0)
+        with pytest.raises(ValueError, match="unknown normal coupling mode: 'lumped'"):
+            assembly.assemble_normal_coupling(m, np.ones(m.num_nodes), "lumped")
+
 
 class TestScalarLoad:
     def test_constant_integrand_gives_mass_row_sums(self):

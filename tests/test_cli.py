@@ -91,7 +91,7 @@ class TestConfigRoundTrip:
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "conf.txt"
-        path.write_text("alpha=0.25\ndelta=0.3\n")
+        path.write_text("# a comment-only line\nalpha=0.25\n\ndelta=0.3  # trailing\n")
         args = cli.build_parser().parse_args(
             ["example1", "--config", str(path), "--alpha", "0.75"])
         config = cli.resolve_config(args)
@@ -507,10 +507,21 @@ def test_overflowing_surface_exit_code_three(argv, message, tmp_path, capsys):
     # past mesh.MAX_LEVEL: refused before any mesh is built
     ["tumor", "--level", "30", "--t-end", "0.002"],
     ["example1", "--levels", "1..30"],
+    # a non-finite value parses as a float but is refused
+    ["example1", "--alpha", "nan"],
+    ["tumor", "--t-end", "inf"],
+    # radii outside mesh.RADIUS_RANGE: the element geometry would overflow
+    # or the midpoint projection divide by zero
+    ["example1", "--levels", "1", "--t-end", "0.01", "--r0", "1e100"],
+    ["example1", "--levels", "1", "--t-end", "0.01", "--r0", "1e200"],
+    ["example1", "--levels", "1", "--t-end", "0.01", "--r0", "1e-200"],
 ])
 def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
-    # the value parses; the library's own range check rejects it
-    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    # the value parses; the library's own range check rejects it, without
+    # a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
@@ -521,16 +532,20 @@ def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     ["tumor", "--level", "30", "--t-end", "0.002", "--dump-matrices"],
     ["example1", "--levels", "1..30"],
     ["example3", "--levels", "1..9"],
+    ["example1", "--levels", "1..30", "--dump-matrices"],
+    ["example3", "--levels", "1..9", "--dump-matrices"],
 ])
 def test_level_above_max_exits_before_any_mesh(argv, monkeypatch, tmp_path, capsys):
-    # example1 and example3 must not run levels 1-8 first
+    # example1 and example3 must not run levels 1-8 first, nor dump level 1
     def unreachable(*args):
         raise AssertionError("a mesh was built")
 
     monkeypatch.setattr(mesh, "_icosahedron", unreachable)
-    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
     assert re.fullmatch(r"configuration error: (subdivision_)?level (30|9) .*\n",
                         capsys.readouterr().err)
+    assert not list(out.glob("*_matrix.txt"))
 
 
 def test_fixed_tau_runs_as_given(monkeypatch, tmp_path):

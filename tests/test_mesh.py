@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -89,8 +90,23 @@ class TestIcosphere:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             mesh.generate_icosphere(-1, 1.0)
-        with pytest.raises(ValueError):
-            mesh.generate_icosphere(1, 0.0)
+        for radius in (0.0, -1.0, 0.9e-50, 1.1e50, np.inf, np.nan):
+            with pytest.raises(ValueError, match="radius"):
+                mesh.generate_icosphere(1, radius)
+
+    @pytest.mark.parametrize("radius", mesh.RADIUS_RANGE)
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_radius_range_ends_give_finite_geometry(self, level, radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m = mesh.generate_icosphere(level, radius)
+            quality = mesh.mesh_quality(m)
+            pair = assembly.surface_matrices(m)
+        area = m.element_areas
+        assert np.all(np.isfinite(area)) and np.all(area > 0.0) and not m.degenerate
+        unit = mesh.mesh_quality(mesh.generate_icosphere(level, 1.0))
+        assert quality.min_angle_deg == pytest.approx(unit.min_angle_deg, rel=1e-12)
+        assert all(np.isfinite(matrix.data).all() for matrix in pair)
 
     @pytest.mark.parametrize("level", [mesh.MAX_LEVEL + 1, 30])
     def test_level_above_max_refused_before_any_allocation(self, level, monkeypatch):
@@ -127,6 +143,30 @@ class TestSurfaceMeshValidation:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             mesh.SurfaceMesh(bad, m.triangles)
+
+    def test_malformed_input_refused(self):
+        m = mesh.generate_icosphere(0, 1.0)
+        high, negative, coincident = m.triangles.copy(), m.triangles.copy(), m.coords.copy()
+        high[0, 0], negative[0, 0] = m.num_nodes, -1
+        coincident[0] = coincident[11]  # face (0, 11, 5) collapses to a segment
+        for coords, triangles, message in [
+            (m.coords[:, :2], m.triangles, "coords must have shape"),
+            (m.coords.ravel(), m.triangles, "coords must have shape"),
+            (m.coords, m.triangles[:, :2], "triangles must have shape"),
+            (m.coords, high, "out of range"),
+            (m.coords, negative, "out of range"),
+            (coincident, m.triangles, "zero-area"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                mesh.SurfaceMesh(coords, triangles)
+
+    def test_overflowing_areas_refused_without_warnings(self):
+        m = mesh.generate_icosphere(1, 1.0)
+        for scale in (1e100, 1e200):  # inf areas, then NaN ones
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match="not finite"):
+                    mesh.SurfaceMesh(m.coords * scale, m.triangles)
 
     def test_arrays_locked(self):
         m = mesh.generate_icosphere(0, 1.0)

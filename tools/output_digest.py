@@ -19,9 +19,11 @@ it sits in.  One line per run, ``<label> <sha256>``:
   0.02), and at the benchmark's full tumor size (level 3, pre_time 1.0,
   t_end 0.1, seed 0): final x, u, v, w, the field envelope, the trace
   rows and every file it writes
-- one line per file that the command line writes for small example1,
-  example3, tumor and verify runs; the ``out=`` line of
-  config_resolved.txt is left out, since it names the temporary directory.
+- one line per file that the command line writes for small example1
+  (with ``--dump-matrices``, so the matrix files too), example3, tumor
+  and verify runs, and for ``verify --level 2 --seed 7``; the ``out=``
+  line of config_resolved.txt is left out, since it names the temporary
+  directory.
 
 With ``--save PATH.npz`` it also saves the values behind each line, one
 array per key ``<label>/<name>``: final x, u, v and w, ``h_final``, each
@@ -51,11 +53,13 @@ import numpy as np  # noqa: E402
 
 from esfem import cli, experiments, problems, stepper  # noqa: E402
 
+# label -> command line of one run
 CLI_RUNS = {
-    "example1": ["--levels", "1..2", "--t-end", "0.05"],
-    "example3": ["--levels", "1..2", "--t-end", "0.05"],
-    "tumor": ["--level", "1", "--t-end", "0.01", "--export-every", "5"],
-    "verify": ["--level", "1"],
+    "example1": ["example1", "--levels", "1..2", "--t-end", "0.05", "--dump-matrices"],
+    "example3": ["example3", "--levels", "1..2", "--t-end", "0.05"],
+    "tumor": ["tumor", "--level", "1", "--t-end", "0.01", "--export-every", "5"],
+    "verify": ["verify", "--level", "1"],
+    "verify/level2/seed7": ["verify", "--level", "2", "--seed", "7"],
 }
 
 
@@ -114,11 +118,11 @@ def tumor_digest(level, t_end, seed=3, pre_time=0.2):
                   *[part for item in files.items() for part in item]), arrays
 
 
-def cli_digests(experiment, argv):
+def cli_digests(argv):
     """(file name, digest, bytes) for every file one command-line run writes."""
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([experiment, *argv, "--out", out])
+            code = cli.main([*argv, "--out", out])
         lines = [("exit", digest(code), np.array(code))]
         for name, data in written_files(out).items():
             if name == "config_resolved.txt":
@@ -155,9 +159,9 @@ def main(argv=None):
     line("tumor/level2/seed3", tumor_digest(2, 0.05))
     line("tumor/level3/seed3", tumor_digest(3, 0.02))
     line("tumor/level3/bench", tumor_digest(3, 0.1, seed=0, pre_time=1.0))
-    for experiment, argv in CLI_RUNS.items():
-        for name, value, data in cli_digests(experiment, argv):
-            line(f"cli/{experiment}/{name}", (value, {"bytes": data}))
+    for label, argv in CLI_RUNS.items():
+        for name, value, data in cli_digests(argv):
+            line(f"cli/{label}/{name}", (value, {"bytes": data}))
     if args.save:
         np.savez_compressed(args.save, **saved)
 
