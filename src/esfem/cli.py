@@ -164,18 +164,45 @@ def build_parser():
     return parser
 
 
+def _check(config):
+    """The range checks the run makes before its first step, in its order,
+    so that a run they refuse exits before --out is created or written.
+    Only the study's check reads a mesh: its first level's step size
+    depends on the mesh that level starts from."""
+    if config.experiment == "verify":
+        verification.check_recorded_level(config.level)
+        problems.check_seed(config.seed)
+        return
+    solve = _solve_options(config)
+    if config.experiment == "tumor":
+        kin = _kinetics(config)
+        experiments.check_export_every(config.export_every)
+        problems.tumor_problem(config.alpha, config.beta, config.delta, kin)
+        mesh.check_level(config.level)
+        tau = experiments.step_size_for(None, config.t_end, tau=config.tau)  # reads no mesh
+        stepper.StepperConfig(tau, config.t_end, **solve)
+        problems.check_seed(config.seed)
+        return
+    mesh.check_level(max(config.levels))
+    for alpha, beta, delta in _arms(config).values():
+        problems.example1_problem(alpha, beta, delta, config.r0, config.rk, config.k)
+    tau = experiments.step_size_for(_starting_mesh(config), config.t_end, tau_c=config.tau_c)
+    stepper.StepperConfig(tau, config.t_end, **solve)
+
+
+def _starting_mesh(config):
+    """The icosphere the run starts from (a study's first level)."""
+    if config.experiment in ("tumor", "verify"):
+        return mesh.generate_icosphere(config.level, 1.0)
+    return mesh.generate_icosphere(config.levels[0], config.r0)
+
+
 def _prepare_out(config) -> Path:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_resolved.txt").write_text(serialize_config(config))
     if config.dump_matrices:
-        # the mesh the run starts from
-        if config.experiment in ("tumor", "verify"):
-            mesh0 = mesh.generate_icosphere(config.level, 1.0)
-        else:  # the finest level is checked before the dump, as the study checks it
-            mesh.check_level(max(config.levels))
-            mesh0 = mesh.generate_icosphere(config.levels[0], config.r0)
-        mass, stiff = assembly.surface_matrices(mesh0)
+        mass, stiff = assembly.surface_matrices(_starting_mesh(config))
         assembly.write_coordinate_matrix(mass, out / "mass_matrix.txt")
         assembly.write_coordinate_matrix(stiff, out / "stiffness_matrix.txt")
     return out
@@ -194,12 +221,17 @@ def _warn_failure(level, err):
 _EXAMPLE3_ARMS = {"table_alpha.csv": (1.0, 0.0, 0.0), "table_beta.csv": (0.0, 1.0, 0.0)}
 
 
+def _arms(config):
+    """table -> (alpha, beta, delta) of each arm of the study (example1 has one)."""
+    if config.experiment == "example3":
+        return _EXAMPLE3_ARMS
+    return {"table.csv": (config.alpha, config.beta, config.delta)}
+
+
 def _run_study(config, out: Path) -> int:
-    """One table per arm (example1 has one); exit 3 if no arm completed a level."""
-    arms = _EXAMPLE3_ARMS if config.experiment == "example3" else {
-        "table.csv": (config.alpha, config.beta, config.delta)}
+    """One table per arm; exit 3 if no arm completed a level."""
     wrote_any = False
-    for table, (alpha, beta, delta) in arms.items():
+    for table, (alpha, beta, delta) in _arms(config).items():
         report = experiments.example1_study(
             levels=config.levels, alpha=alpha, beta=beta, delta=delta, r0=config.r0,
             rK=config.rk, k=config.k, t_end=config.t_end, tau_c=config.tau_c,
@@ -210,9 +242,12 @@ def _run_study(config, out: Path) -> int:
     return EXIT_OK if wrote_any else EXIT_DEGENERATED
 
 
+def _kinetics(config):
+    return problems.TumorKinetics(D_c=config.d_c, gamma=config.gamma, a=config.a, b=config.b)
+
+
 def _run_tumor(config, out: Path) -> int:
-    kin = problems.TumorKinetics(D_c=config.d_c, gamma=config.gamma,
-                                 a=config.a, b=config.b)
+    kin = _kinetics(config)
     experiments.tumor_experiment(
         alpha=config.alpha, beta=config.beta, delta=config.delta,
         level=config.level, tau=config.tau, t_end=config.t_end,
@@ -243,6 +278,7 @@ def main(argv=None) -> int:
         if extra:
             raise _unread(args.experiment, " ".join(extra))
         config = resolve_config(args)
+        _check(config)
         return _RUNNERS[config.experiment](config, _prepare_out(config))
     except (ValueError, OSError) as exc:
         # a bad flag or key, the library's own range checks (e.g. a negative

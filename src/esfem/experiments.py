@@ -118,6 +118,12 @@ class TumorTrace:
 FieldEnvelopeObserver = TumorTrace
 
 
+def check_export_every(export_every):
+    """ValueError for a negative snapshot interval (0 exports none)."""
+    if export_every < 0:
+        raise ValueError(f"export_every must be non-negative, got {export_every}")
+
+
 def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
                      seed=0, kinetics=None, pre_time=5.0, out_dir=None, export_every=0,
                      **solve):
@@ -127,8 +133,7 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
     trace.envelope(), the range of u and w over every state.  With
     ``out_dir`` set the trace CSV and surface snapshots are written there.
     """
-    if export_every < 0:
-        raise ValueError(f"export_every must be non-negative, got {export_every}")
+    check_export_every(export_every)
     kin = kinetics if kinetics is not None else problems.TumorKinetics()
     spec = problems.tumor_problem(alpha, beta, delta, kin)
     mesh0 = mesh.generate_icosphere(level, 1.0)

@@ -236,6 +236,12 @@ MAX_STEPS = 10**6
 TAU_PRE = 1e-3
 
 
+def check_seed(seed):
+    """ValueError for a negative seed, which np.random.Philox refuses."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def tumor_initial_data(mesh: SurfaceMesh, kinetics: TumorKinetics, seed: int,
                        perturbation_bound: float = 0.01, pre_time: float = 5.0):
     """Initial fields for the tumor run.

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.sparse._sparsetools import csr_matvec
 
 from . import assembly, problems
@@ -184,39 +185,41 @@ def _column_norms(a):
 
 
 def _pcg(matrix, inv_diag, b, x, rtol):
-    """Jacobi-preconditioned CG on one contiguous column b from x (updated
-    in place) to ||r|| < rtol ||b||; returns (x, iterations).
+    """Jacobi-preconditioned CG on one contiguous column b from x to
+    ||r|| < rtol ||b||; returns (x, iterations).
 
-    The floating-point operations, and their order, are those of SciPy
-    1.17's ``scipy.sparse.linalg.cg`` with ``atol=0``, so the results are
-    bitwise its results; a zero b returns b.  Each product q = matrix @ p
-    calls the compiled CSR kernel that ``matrix @ p`` ends in, summing
-    into one zeroed buffer, without the sparse dispatch and its fresh
-    array.  Raises LinearSolveFailure after CG_MAX_ITER iterations.
+    The iteration is SciPy 1.17's ``scipy.sparse.linalg.cg`` with
+    ``atol=0``, each vector operation one BLAS level-1 call: ``ddot`` for
+    the dot products, ``dscal`` then ``daxpy`` for p = z + beta p, and
+    ``daxpy`` for x += alpha p and r -= alpha q.  Those two updates are
+    fused multiply-adds, rounded once where ``cg`` rounds alpha p first,
+    so the results agree with ``cg``'s to rounding, in as many iterations.
+    ``daxpy`` updates a contiguous float64 y in place and a copy of any
+    other, so each update rebinds to its result: x is the start updated in
+    place when it is contiguous.  A zero b returns b.  Each product
+    q = matrix @ p calls the compiled CSR kernel that ``matrix @ p`` ends
+    in, summing into one zeroed buffer, without the sparse dispatch and its
+    fresh array.  Raises LinearSolveFailure after CG_MAX_ITER iterations.
     """
-    b_norm = math.sqrt(b.dot(b))
+    b_norm = math.sqrt(ddot(b, b))
     if b_norm == 0.0:
         return b, 0
     tol = rtol * b_norm
     r = b - assembly.matvec(matrix, x) if x.any() else b.copy()
-    z, q, scratch = np.empty_like(b), np.empty_like(b), np.empty_like(b)
+    z, q = np.empty_like(b), np.empty_like(b)
     kernel_args = (*matrix.shape, matrix.indptr, matrix.indices, matrix.data)
     p, rho_prev = None, None
     for iteration in range(CG_MAX_ITER):
-        if math.sqrt(r.dot(r)) < tol:
+        if math.sqrt(ddot(r, r)) < tol:
             return x, iteration
         np.multiply(inv_diag, r, out=z)
-        rho = r.dot(z)
-        if p is None:
-            p = z.copy()
-        else:
-            p *= rho / rho_prev
-            p += z
+        rho = ddot(r, z)
+        p = z.copy() if p is None else daxpy(z, dscal(rho / rho_prev, p))
         q.fill(0.0)
         csr_matvec(*kernel_args, p, q)
-        alpha = rho / p.dot(q)
-        x += np.multiply(alpha, p, out=scratch)
-        r -= np.multiply(alpha, q, out=scratch)
+        alpha = rho / ddot(p, q)
+        x = daxpy(p, x, a=alpha)
+        r = daxpy(q, r, a=-alpha)
         rho_prev = rho
     raise LinearSolveFailure("conjugate gradient did not converge",
                              float(np.linalg.norm(matrix @ x - b)))

@@ -222,14 +222,20 @@ def matrix_derivative_ratio(level: int = 2, seed: int = 3):
     return {"mass_ratio": worst[0], "stiffness_ratio": worst[1]}
 
 
-def verify_suite(level: int = 2, seed: int = 0):
-    """Run every check and return the list of CheckResult records;
-    ValueError for a level without a recorded area-defect bound."""
-    golden = load_golden_bounds()
-    recorded = golden["sphere_area_defect_rel"]
+def check_recorded_level(level):
+    """ValueError for a level without a recorded area-defect bound."""
+    recorded = load_golden_bounds()["sphere_area_defect_rel"]
     if str(level) not in recorded:
         raise ValueError(f"verify has area-defect bounds recorded for levels "
                          f"{', '.join(recorded)} only, got level {level}")
+
+
+def verify_suite(level: int = 2, seed: int = 0):
+    """Run every check and return the list of CheckResult records;
+    ValueError for a level without a recorded area-defect bound."""
+    check_recorded_level(level)
+    golden = load_golden_bounds()
+    recorded = golden["sphere_area_defect_rel"]
     rng = np.random.Generator(np.random.Philox(seed))
     mesh = generate_icosphere(level, 1.0)
     n = mesh.num_nodes

@@ -57,12 +57,32 @@ def changed(name, default):
         return "2..3"
     if name in cli._CHOICES:
         return next(c for c in cli._CHOICES[name] if c != default)
+    if name == "tau":
+        return str(default / 2)  # a fixed tau must divide t_end
     return str(default + 1)
 
 
 def read_rows(path):
     with open(path) as f:
         return list(csv.reader(f))
+
+
+def snapshot(path):
+    """The bytes of the file ``path``, or of each file under the directory
+    ``path`` by relative name; None when nothing is there."""
+    if path.is_file():
+        return path.read_bytes()
+    if not path.exists():
+        return None
+    return {str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+            for p in sorted(path.rglob("*"))}
+
+
+def assert_refused(argv, out):
+    """``argv --out out`` exits 2 and leaves out absent or as it was."""
+    before = snapshot(out)
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert snapshot(out) == before
 
 
 class TestLevelsParsing:
@@ -129,8 +149,9 @@ class TestConfigRoundTrip:
 
 
 class TestMainContracts:
-    def test_bad_flags_exit_code_two(self, capsys):
-        assert cli.main(["example1", "--solver", "qr"]) == 2
+    def test_bad_flags_exit_code_two(self, tmp_path, capsys):
+        assert_refused(["example1", "--solver", "qr"], tmp_path / "o")
+        assert cli.EXIT_CONFIG == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("experiment", ["example1", "example3"])
@@ -150,7 +171,7 @@ class TestMainContracts:
     def test_out_naming_a_file_exit_code_two(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("")
-        assert cli.main(["verify", "--out", str(target)]) == cli.EXIT_CONFIG
+        assert_refused(["verify"], target)
         assert capsys.readouterr().err.startswith("configuration error: ")
 
     @pytest.mark.parametrize("argv, blocked", [
@@ -164,6 +185,9 @@ class TestMainContracts:
         assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+        # the run passed its checks and started, so it wrote its resolved
+        # configuration before the output it could not write
+        assert (tmp_path / "config_resolved.txt").exists()
 
     def test_verify_failure_exit_code_one(self, tmp_path, monkeypatch, capsys):
         from esfem import verification
@@ -179,8 +203,7 @@ class TestMainContracts:
     def test_bad_config_file_exit_code_two(self, tmp_path, capsys):
         bad = tmp_path / "c.txt"
         bad.write_text("nonsense\n")
-        code = cli.main(["example1", "--config", str(bad), "--out", str(tmp_path)])
-        assert code == 2
+        assert_refused(["example1", "--config", str(bad)], tmp_path)
         capsys.readouterr()
 
     def test_example1_writes_table_with_row_per_level(self, tmp_path):
@@ -515,13 +538,14 @@ def test_overflowing_surface_exit_code_three(argv, message, tmp_path, capsys):
     ["example1", "--levels", "1", "--t-end", "0.01", "--r0", "1e100"],
     ["example1", "--levels", "1", "--t-end", "0.01", "--r0", "1e200"],
     ["example1", "--levels", "1", "--t-end", "0.01", "--r0", "1e-200"],
+    ["tumor", "--level", "1", "--t-end", "0.002", "--seed", "-1"],
 ])
 def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     # the value parses; the library's own range check rejects it, without
-    # a numpy warning
+    # a numpy warning, before --out is created
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert_refused(argv, tmp_path / "o")
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
@@ -541,11 +565,24 @@ def test_level_above_max_exits_before_any_mesh(argv, monkeypatch, tmp_path, caps
         raise AssertionError("a mesh was built")
 
     monkeypatch.setattr(mesh, "_icosahedron", unreachable)
-    out = tmp_path / "o"
-    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert_refused(argv, tmp_path / "o")
     assert re.fullmatch(r"configuration error: (subdivision_)?level (30|9) .*\n",
                         capsys.readouterr().err)
-    assert not list(out.glob("*_matrix.txt"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["tumor", "--t-end", "-1"],
+    ["example1", "--levels", "1", "--r0", "1e100"],
+    ["example1", "--levels", "1..30", "--dump-matrices"],
+    ["verify", "--seed", "-1", "--dump-matrices"],
+])
+def test_refused_run_leaves_an_earlier_run_as_it_was(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "config_resolved.txt").write_text("experiment=verify\n")
+    (out / "mass_matrix.txt").write_text("0 0 1.0\n")
+    assert_refused(argv, out)
+    capsys.readouterr()
 
 
 def test_fixed_tau_runs_as_given(monkeypatch, tmp_path):
@@ -571,8 +608,8 @@ def test_step_count_checked_before_the_pre_relaxation(monkeypatch, tmp_path, cap
         raise AssertionError("the pre-relaxation started")
 
     monkeypatch.setattr(problems, "tumor_initial_data", unreachable)
-    argv = ["tumor", "--level", "3", "--t-end", "0.002", "--tau", "1e-300"]
-    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert_refused(["tumor", "--level", "3", "--t-end", "0.002", "--tau", "1e-300"],
+                   tmp_path / "o")
     assert capsys.readouterr().err.startswith("configuration error: t_end/tau = 2e+297 exceeds")
 
 

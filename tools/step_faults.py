@@ -1,5 +1,5 @@
 """Print the median minor page faults and milliseconds per moving step,
-and the tracemalloc peak of each run.
+the Jacobi-PCG calls and iterations, and the tracemalloc peak of each run.
 
     python3 tools/step_faults.py
 
@@ -11,9 +11,13 @@ every 10).  An observer appended to every ``stepper.run`` reads
 over the differences between consecutive steps.  A step that allocates
 fresh memory beyond what the allocator keeps takes minor faults, so a
 nonzero median marks allocation churn that no timing shows directly.
+The same pass counts the calls of ``stepper._pcg`` and the iterations
+they return, over the whole run (pre-relaxation included): exact counts,
+so two commits that claim the same iterations print the same numbers.
 A second pass runs the three again with ``tracemalloc`` on, resetting the
 peak before each, and prints each run's peak of traced memory above what
-the process held at its start; the timing pass stays untraced.
+the process held at its start, to 0.01 MiB, the digit that repeats
+from run to run; the timing pass stays untraced.
 The times are raw, not scaled by the machine's speed; BLAS and OpenMP
 run on one thread, as in the benchmark.  It imports esfem
 from the ``src/`` next to it and is not part of the test suite.
@@ -46,7 +50,7 @@ def tumor():
 
 
 def main():
-    stamps, run = [], stepper.run
+    stamps, run, pcg, iterations = [], stepper.run, stepper._pcg, []
 
     def stamp(step_index, state):
         stamps.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.monotonic()))
@@ -54,23 +58,31 @@ def main():
     def run_with_stamps(*args, observers=(), **kwargs):
         return run(*args, observers=(*observers, stamp), **kwargs)
 
-    stepper.run = run_with_stamps
+    def pcg_with_count(*args):
+        x, n = pcg(*args)
+        iterations.append(n)
+        return x, n
+
+    stepper.run, stepper._pcg = run_with_stamps, pcg_with_count
     workloads = {"coupled_direct": lambda: example1(stepper.DIRECT),
                  "coupled_cg": lambda: example1(stepper.CG), "tumor": tumor}
     for name, workload in workloads.items():
         stamps.clear()
+        iterations.clear()
         workload()
         faults = [b[0] - a[0] for a, b in zip(stamps, stamps[1:])]
         ms = [1e3 * (b[1] - a[1]) for a, b in zip(stamps, stamps[1:])]
         print(f"{name:<16}{len(ms) + 1:>5} steps  faults/step {statistics.median(faults):g}"
-              f"  ms/step {statistics.median(ms):.3f}", flush=True)
+              f"  ms/step {statistics.median(ms):.3f}  _pcg calls {len(iterations)}"
+              f"  iterations {sum(iterations)}", flush=True)
+    stepper._pcg = pcg
     tracemalloc.start()
     for name, workload in workloads.items():
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         workload()
         peak = tracemalloc.get_traced_memory()[1] - held
-        print(f"{name:<16}tracemalloc peak {peak / 2**20:.3f} MiB", flush=True)
+        print(f"{name:<16}tracemalloc peak {peak / 2**20:.2f} MiB", flush=True)
     tracemalloc.stop()
 
 
