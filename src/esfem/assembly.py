@@ -18,8 +18,10 @@ entry by entry by ``add_scaled``) is a shallow copy of the record's one
 CSR template, holding its own data on the template's read-only index
 arrays, so no step runs SciPy's validating constructor.  ``matvec``
 forms ``matrix @ x`` on SciPy's own compiled kernels without its
-dispatch; ``factorize`` is the one SuperLU entry point, and its
-``solve(rhs)`` is the one-argument contract of every linear solve.
+dispatch.  ``factorize`` is the one factor entry point: a band Cholesky
+in a reverse Cuthill-McKee order cached per topology, or SuperLU where
+the band does not serve; its ``solve(rhs)`` is the one-argument contract
+of every linear solve.
 
 Every load runs through one field-major kernel: an integrand returns
 (k, Q) rows at the Q quadrature points, the corner values are (k, 3, T)
@@ -37,6 +39,7 @@ from collections import namedtuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import DegenerateElement, FieldLengthMismatch, LinearSolveFailure, NonFiniteIntegrand
@@ -119,6 +122,7 @@ def _topology(mesh):
         # themselves back, so one pattern stays one object
         template.indices, template.indptr = slots.indices, slots.indptr
         template.has_sorted_indices = True
+        template._band = {}  # the band plan, shared by every copy (_band_plan)
         # entry (t, i, j) of the blocks is column row(i, j) * T + t
         columns = (_UPPER_ROW.ravel() * nt + np.arange(nt)[:, None]).ravel()
         pairs = _incidence(inv, columns, (unique_keys.size, 6 * nt), ones)
@@ -210,9 +214,115 @@ def matvec(matrix, x) -> np.ndarray:
     return out.reshape(m, *x.shape[1:])
 
 
+def _rcm(indptr, indices):
+    """Reverse Cuthill-McKee order of a structurally symmetric CSR pattern,
+    new position -> old node: SciPy's ``csgraph.reverse_cuthill_mckee``,
+    one breadth-first level at a time.  As there, a node's degree counts
+    its diagonal twice, each component starts from the first unvisited
+    node of ``np.argsort`` over the int32 degrees, and each node's
+    unvisited neighbours join the next level in row order, sorted stably
+    by degree, a neighbour of several nodes going to the first of them."""
+    n = len(indptr) - 1
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(n), counts)
+    degree = (counts + np.bincount(rows[indices == rows], minlength=n)).astype(np.int32)
+    seeds = np.argsort(degree)
+    visited = np.zeros(n, dtype=bool)
+    order, done = [], 0
+    while done < n:
+        front = seeds[~visited[seeds]][:1]
+        visited[front] = True
+        while front.size:
+            order.append(front)
+            done += front.size
+            c = counts[front]
+            slots = np.repeat(indptr[front] - np.cumsum(c) + c, c) + np.arange(c.sum())
+            parent = np.repeat(np.arange(front.size), c)
+            fresh = ~visited[indices[slots]]
+            neighbours, parent = indices[slots][fresh], parent[fresh]
+            first = np.sort(np.unique(neighbours, return_index=True)[1])
+            neighbours, parent = neighbours[first], parent[first]
+            front = neighbours[np.lexsort((degree[neighbours], parent))]
+            visited[front] = True
+    return np.concatenate(order)[::-1]
+
+
+# The band factor holds at most this many entries (8 MiB): icosphere levels
+# up to 4.  Its cost grows like N^1.5, so SuperLU's sparse LU factors the
+# larger systems; the measured crossover is in ROADMAP.md.
+BAND_MAX_ENTRIES = 2**20
+
+# The band layout of one pattern (``_band_plan``): its order ``perm``
+# (new -> old) and inverse ``pos``, the band's half-width, each slot's
+# flat index in the Fortran-ordered (width + 1, N) upper band, and the
+# slot of each slot's transpose.
+_BandPlan = namedtuple("_BandPlan", "perm pos width index mirror")
+
+
+def _band_plan(matrix):
+    """The band layout of ``matrix``'s pattern, cached in its template's
+    ``_band`` dict when it has one (``_topology``), so it is built once per
+    topology, on its first factorization.  None unless the pattern is
+    canonical and structurally symmetric, with a band of at most
+    BAND_MAX_ENTRIES entries in the RCM order."""
+    cache = matrix.__dict__.get("_band", {})
+    if "plan" not in cache:
+        cache["plan"] = _build_band_plan(matrix.indptr, matrix.indices)
+    return cache["plan"]
+
+
+def _build_band_plan(indptr, indices):
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    keys = rows * n + indices
+    if not (np.diff(keys) > 0).all():  # unsorted or duplicated slots
+        return None
+    transposed = indices * n + rows
+    mirror = np.minimum(np.searchsorted(keys, transposed), keys.size - 1)
+    if not np.array_equal(keys[mirror], transposed):
+        return None
+    perm = _rcm(indptr, indices)
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(n)
+    lo, hi = np.minimum(pos[rows], pos[indices]), np.maximum(pos[rows], pos[indices])
+    width = int((hi - lo).max(initial=0))
+    if (width + 1) * n > BAND_MAX_ENTRIES:
+        return None
+    # entry (lo, hi), lo <= hi, of the reordered matrix is band[width + lo - hi, hi]
+    return _BandPlan(perm, pos, width, width + lo + width * hi, mirror)
+
+
+class BandCholesky:
+    """Cholesky factor of a symmetric positive definite matrix in the RCM
+    band of its pattern (``_band_plan``), from LAPACK's ``dpbtrf`` on the
+    upper band; ``solve(rhs)`` takes (N,) or (N, k) right-hand sides, as
+    SuperLU's does, and returns the (N, k) solution in Fortran order."""
+
+    def __init__(self, plan, band):
+        self.plan, self.band = plan, band
+
+    def solve(self, rhs):
+        # gathers along the last axis of the transpose: the (N, k) columns
+        # reach dpbtrs in the Fortran order it solves in place
+        b = np.take(np.asarray(rhs, dtype=float).T, self.plan.perm, axis=-1).T
+        y, _ = dpbtrs(self.band, b, lower=0, overwrite_b=1)
+        return np.take(y.T, self.plan.pos, axis=-1).T
+
+
 def factorize(matrix):
-    """SuperLU factor of a sparse system; LinearSolveFailure if SuperLU
+    """Factor of a sparse system with ``solve(rhs)`` for (N,) or (N, k)
+    right-hand sides: a BandCholesky when the matrix is symmetric, its band
+    small enough (``_band_plan``) and ``dpbtrf`` finds it positive
+    definite; SuperLU's LU otherwise.  LinearSolveFailure if SuperLU
     refuses it (an exactly singular matrix)."""
+    plan = _band_plan(matrix)
+    if plan is not None and np.array_equal(matrix.data, matrix.data[plan.mirror]):
+        band = np.zeros((plan.width + 1) * len(plan.perm))
+        band[plan.index] = matrix.data  # a slot and its mirror hold one value
+        band, info = dpbtrf(band.reshape(plan.width + 1, -1, order="F"), lower=0,
+                            overwrite_ab=1)
+        if info == 0:
+            return BandCholesky(plan, band)
     try:
         return spla.splu(matrix.tocsc())
     except RuntimeError as err:  # "Factor is exactly singular"

@@ -167,8 +167,8 @@ def build_parser():
 def _check(config):
     """The range checks the run makes before its first step, in its order,
     so that a run they refuse exits before --out is created or written.
-    Only the study's check reads a mesh: its first level's step size
-    depends on the mesh that level starts from."""
+    Only the study's check reads a mesh: its finest level, which takes
+    the most steps, is built to check their count before any level runs."""
     if config.experiment == "verify":
         verification.check_recorded_level(config.level)
         problems.check_seed(config.seed)
@@ -186,7 +186,7 @@ def _check(config):
     mesh.check_level(max(config.levels))
     for alpha, beta, delta in _arms(config).values():
         problems.example1_problem(alpha, beta, delta, config.r0, config.rk, config.k)
-    tau = experiments.step_size_for(_starting_mesh(config), config.t_end, tau_c=config.tau_c)
+    tau = experiments.finest_step_size(config.levels, config.r0, config.t_end, config.tau_c)
     stepper.StepperConfig(tau, config.t_end, **solve)
 
 

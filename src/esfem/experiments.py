@@ -30,6 +30,14 @@ def step_size_for(mesh0, t_end, tau=None, tau_c=0.1):
     return t_end / n
 
 
+def finest_step_size(levels, r0, t_end, tau_c):
+    """step_size_for on the icosphere of the finest of ``levels`` (radius
+    r0), whose h is the smallest and whose step count the largest: a study
+    calls it before any level runs."""
+    return step_size_for(mesh.generate_icosphere(max(levels, default=0), r0), t_end,
+                         tau_c=tau_c)
+
+
 def run_level(spec, level, t_end, tau_c=0.1, **solve):
     """One refinement level: march from the icosphere of radius r0 to t_end
     and measure the errors.
@@ -57,8 +65,10 @@ def example1_study(levels=(1, 2, 3, 4), alpha=1.0, beta=0.0, delta=0.4,
     ``on_failure(level, error)``); the returned report holds the completed
     levels only.
     """
-    mesh.check_level(max(levels, default=0))  # before the coarser levels run
+    # the checks of the finest level, before the coarser levels run
+    mesh.check_level(max(levels, default=0))
     spec = problems.example1_problem(alpha, beta, delta, r0, rK, k)
+    finest_step_size(levels, r0, t_end, tau_c)
     report = analysis.ErrorReport()
     for level in levels:
         try:

@@ -87,22 +87,23 @@ ABORT_MIN_ANGLE = 5.0
 # factorizations' time (the measured counts are in CHANGES.md).
 LAG_MAX_ITER = 30
 # Relative residual of a lagged velocity solve and of a field solve: the
-# held factor moves example1's error norms far less than a different
-# SuperLU ordering does.  Both start from a guess of the solution, so the
+# held factor moves example1's error norms far less than factoring in a
+# different ordering does.  Both start from a guess of the solution, so the
 # rounding scales with that start's residual and a still surface stays
 # still to criterion 5's 1e-12 (CHANGES.md).
 LAG_TOL = 1e-14
 
 
 class LaggedFactor:
-    """The velocity system's SuperLU factor, kept across the steps of a run.
+    """The velocity system's factor (assembly.factorize), kept across the
+    steps of a run.
 
     The matrices of the linearly implicit scheme change only O(tau) per
     step, so an old factor is a close preconditioner for the current one.
     The first system is factored where its solve is built, and that solve
     is the factor's own, exact; later ones run one blocked PCG on all
     columns of the right-hand side, preconditioned by the held factor and
-    started from the guess g corrected by it, g + LU^-1 (b - K g), each
+    started from the guess g corrected by it, g + F^-1 (b - K g), each
     column with its own step lengths and stopping test.  A solve that has
     not converged within LAG_MAX_ITER iterations drops the factor,
     refactors and solves exactly.  A singular matrix raises
@@ -308,9 +309,9 @@ def _velocity(state, spec, config, factor):
     y, where load = delta N(x) u + g load; returns (x_new, v_new), (N, 3) each.
     Regularized: K = M + alpha A, c = tau beta, y = x_new from y0 = x and the
     guess x + tau v, which is O(tau^2) close; dynamic: K = M, c = tau alpha,
-    y = v_new from y0 = v and the guess v.  y is copied C-contiguous (SuperLU
-    returns Fortran order), so every stored v is, and the sums that read it
-    keep their order."""
+    y = v_new from y0 = v and the guess v.  y is copied C-contiguous (a
+    factor's solve returns Fortran order), so every stored v is, and the
+    sums that read it keep their order."""
     law, tau, mesh = spec.law, config.tau, state.mesh
     mass, stiff = assembly.surface_matrices(mesh)
     if law.dynamic:

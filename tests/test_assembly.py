@@ -483,6 +483,76 @@ class TestMatvec:
                 assembly.matvec(matrix, x)
 
 
+def spd_system(level, c=1.0):
+    """M + c A on the unit icosphere of ``level``, a template copy, and the mesh."""
+    m = mesh.generate_icosphere(level, 1.0)
+    mass, stiff = assembly.surface_matrices(m)
+    return assembly.add_scaled(mass, c, stiff), m
+
+
+class TestBandCholesky:
+    """``factorize`` is a Cholesky factor in the RCM band up to level 4,
+    with SuperLU's ``solve`` contract, and SuperLU where the band does not
+    serve."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [1.0, 1e-3])
+    def test_agrees_with_superlu_in_every_shape_and_layout(self, level, c):
+        matrix, _ = spd_system(level, c)
+        factor = assembly.factorize(matrix)
+        assert isinstance(factor, assembly.BandCholesky)
+        lu = spla.splu(matrix.tocsc())
+        rng = np.random.Generator(np.random.Philox(level))
+        n = matrix.shape[0]
+        for shape in [(n,), (n, 1), (n, 3)]:
+            c_order = rng.standard_normal(shape)
+            for rhs in (c_order, np.asfortranarray(c_order)):
+                kept = rhs.copy()
+                x, expected = factor.solve(rhs), lu.solve(rhs)
+                assert x.shape == rhs.shape
+                assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+                assert np.array_equal(rhs, kept)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
+    def test_order_is_scipys_reverse_cuthill_mckee(self, level):
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        template = assembly._topology(mesh.generate_icosphere(level, 1.0)).template
+        ones = sp.csr_matrix((np.ones(template.nnz), template.indices, template.indptr),
+                             shape=template.shape)
+        assert np.array_equal(assembly._rcm(template.indptr, template.indices),
+                              reverse_cuthill_mckee(ones))
+
+    def test_order_is_built_once_per_topology(self, monkeypatch):
+        calls = []
+        real = assembly._rcm
+        monkeypatch.setattr(assembly, "_rcm", lambda *args: calls.append(1) or real(*args))
+        matrix, m0 = spd_system(2)
+        assembly.factorize(matrix)
+        moved = m0.with_coords(1.5 * m0.coords)
+        mass, stiff = assembly.surface_matrices(moved)
+        assembly.factorize(assembly.add_scaled(mass, 0.1, stiff))
+        assembly.factorize(mass)
+        assert len(calls) == 1
+        assembly.factorize(spd_system(2)[0])  # a new topology orders again
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("case", ["level 5", "indefinite", "not symmetric"])
+    def test_superlu_where_the_band_does_not_serve(self, case):
+        matrix, m = spd_system(5 if case == "level 5" else 2)
+        if case == "indefinite":
+            mass, stiff = assembly.surface_matrices(m)
+            matrix = assembly.add_scaled(mass, -10.0, stiff)
+        elif case == "not symmetric":
+            data = matrix.data.copy()
+            data[1] *= 1.5  # an off-diagonal slot of row 0
+            matrix = assembly._with_data(matrix, data)
+        factor = assembly.factorize(matrix)
+        assert isinstance(factor, spla.SuperLU)
+        rhs = np.random.Generator(np.random.Philox(3)).standard_normal((matrix.shape[0], 3))
+        assert np.array_equal(factor.solve(rhs), spla.splu(matrix.tocsc()).solve(rhs))
+
+
 def block_apply(scalar, w):
     """The velocity law's block operator K = I_3 (x) scalar on an (N, 3)
     node vector, applied as the stepper does: to its three columns."""

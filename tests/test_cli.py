@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esfem import analysis, assembly, cli, errors, experiments, mesh, problems, verification
+from esfem import (analysis, assembly, cli, errors, experiments, mesh, problems, stepper,
+                   verification)
 
 # The fields each experiment's run reads; every experiment also reads out
 # and dump_matrices.
@@ -319,9 +320,14 @@ class TestMainContracts:
                                                       capsys):
         import scipy.sparse.linalg as spla
 
+        def not_positive_definite(band, **kwargs):
+            return band, 1  # dpbtrf's breakdown at the first column
+
         def singular(matrix, *args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
+        # both factor kinds fail: the band Cholesky, then SuperLU
+        monkeypatch.setattr(assembly, "dpbtrf", not_positive_definite)
         monkeypatch.setattr(spla, "splu", singular)
         code = cli.main([*argv, "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_SOLVER == 4
@@ -611,6 +617,21 @@ def test_step_count_checked_before_the_pre_relaxation(monkeypatch, tmp_path, cap
     assert_refused(["tumor", "--level", "3", "--t-end", "0.002", "--tau", "1e-300"],
                    tmp_path / "o")
     assert capsys.readouterr().err.startswith("configuration error: t_end/tau = 2e+297 exceeds")
+
+
+def test_step_count_of_the_finest_level_checked_before_any_level_runs(monkeypatch, tmp_path,
+                                                                      capsys):
+    # level 0 alone would take about 350,000 steps; level 1 takes more than
+    # problems.MAX_STEPS
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a level started")
+
+    monkeypatch.setattr(stepper, "run", unreachable)
+    assert_refused(["example1", "--levels", "0..1", "--t-end", "0.01", "--tau-c", "2.584e-8"],
+                   tmp_path / "o")
+    assert capsys.readouterr().err.startswith("configuration error: t_end/tau = 1013171")
+    with pytest.raises(ValueError, match="exceeds"):
+        experiments.example1_study(levels=(0, 1), t_end=0.01, tau_c=2.584e-8)
 
 
 @pytest.mark.parametrize("argv", [

@@ -367,16 +367,21 @@ class TestTumorTrace:
 
 
 def count_factorizations(monkeypatch):
-    """Record the shape of every spla.splu call from now on."""
+    """Record the shape of every assembly.factorize call from now on."""
     calls = []
-    real = spla.splu
+    real = assembly.factorize
 
-    def splu(matrix, *args, **kwargs):
+    def factorize(matrix):
         calls.append(matrix.shape)
-        return real(matrix, *args, **kwargs)
+        return real(matrix)
 
-    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(assembly, "factorize", factorize)
     return calls
+
+
+def fresh_solve(matrix, rhs):
+    """The solve of a fresh factorization of ``matrix``."""
+    return assembly.factorize(matrix).solve(rhs)
 
 
 def seeded_two_species_start(spec, m0, seed):
@@ -429,7 +434,7 @@ class TestFactorReuse:
         mass, stiff = assembly.assemble_mass(m0), assembly.assemble_stiffness(m0)
         far = (mass + 10.0 * stiff).tocsr()
         rhs = np.random.Generator(np.random.Philox(4)).standard_normal((m0.num_nodes, 3))
-        expected = spla.splu(far.tocsc()).solve(rhs)
+        expected = fresh_solve(far, rhs)
         held = stepper.LaggedFactor()
         held.solver((mass + 1e-6 * stiff).tocsr(), np.zeros_like(rhs))
         calls = count_factorizations(monkeypatch)
@@ -565,8 +570,8 @@ class TestPerStepMatrices:
 
 
 class CountingFactor:
-    """Stands in for a held SuperLU factor; records the column count of
-    every solve."""
+    """Stands in for a held factor; records the column count of every
+    solve."""
 
     def __init__(self, lu):
         self.lu, self.widths = lu, []
@@ -620,7 +625,7 @@ class TestBlockedPCG:
         far = (mass + 10.0 * stiff).tocsr()
         rhs = np.random.Generator(np.random.Philox(6)).standard_normal((m0.num_nodes, 3))
         rhs[:, 0] = 0.0
-        expected = spla.splu(far.tocsc()).solve(rhs)
+        expected = fresh_solve(far, rhs)
         held = stepper.LaggedFactor()
         held.solver((mass + 1e-6 * stiff).tocsr(), np.zeros_like(rhs))
         calls = count_factorizations(monkeypatch)
@@ -705,7 +710,7 @@ class TestWarmStart:
     def test_nan_guess_refactors_once(self, monkeypatch):
         m0, held_matrix, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
-        expected = spla.splu(matrix.tocsc()).solve(rhs)
+        expected = fresh_solve(matrix, rhs)
         held = stepper.LaggedFactor()
         held.solver(held_matrix, np.zeros_like(rhs))
         calls = count_factorizations(monkeypatch)
@@ -717,7 +722,7 @@ class TestWarmStart:
         m0, _, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
         x = stepper.LaggedFactor().solver(matrix, np.full_like(rhs, np.nan))(rhs)
-        assert np.array_equal(x, spla.splu(matrix.tocsc()).solve(rhs))
+        assert np.array_equal(x, fresh_solve(matrix, rhs))
 
     @pytest.mark.parametrize("level, t_end, bound", [
         # measured 3.0 and 2.0; started from the factor's solve of b they

@@ -1,5 +1,6 @@
 """Print the median minor page faults and milliseconds per moving step,
-the Jacobi-PCG calls and iterations, and the tracemalloc peak of each run.
+the Jacobi-PCG calls and iterations, the factorizations by kind and their
+applications, and the tracemalloc peak of each run.
 
     python3 tools/step_faults.py
 
@@ -12,8 +13,10 @@ over the differences between consecutive steps.  A step that allocates
 fresh memory beyond what the allocator keeps takes minor faults, so a
 nonzero median marks allocation churn that no timing shows directly.
 The same pass counts the calls of ``stepper._pcg`` and the iterations
-they return, over the whole run (pre-relaxation included): exact counts,
-so two commits that claim the same iterations print the same numbers.
+they return, the factorizations of ``assembly.factorize`` by kind (the
+band Cholesky or SuperLU) and the applications of their ``solve``, over
+the whole run (pre-relaxation included): exact counts, so two commits
+that claim the same iterations print the same numbers.
 A second pass runs the three again with ``tracemalloc`` on, resetting the
 peak before each, and prints each run's peak of traced memory above what
 the process held at its start, to 0.01 MiB, the digit that repeats
@@ -36,7 +39,19 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from esfem import experiments, problems, stepper  # noqa: E402
+from esfem import assembly, experiments, problems, stepper  # noqa: E402
+
+
+class CountedFactor:
+    """A factor whose ``solve`` calls are counted in ``applications``."""
+
+    def __init__(self, factor, applications):
+        self.factor, self.applications = factor, applications
+
+    def solve(self, rhs):
+        self.applications.append(rhs.shape)
+        return self.factor.solve(rhs)
+
 
 def example1(solver):
     spec = problems.example1_problem(1.0, 0.0, 0.4, 1.0, 2.0, 0.5)
@@ -51,6 +66,7 @@ def tumor():
 
 def main():
     stamps, run, pcg, iterations = [], stepper.run, stepper._pcg, []
+    factorize, kinds, applications = assembly.factorize, [], []
 
     def stamp(step_index, state):
         stamps.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.monotonic()))
@@ -63,19 +79,26 @@ def main():
         iterations.append(n)
         return x, n
 
+    def factorize_with_count(matrix):
+        factor = factorize(matrix)
+        kinds.append("band" if isinstance(factor, assembly.BandCholesky) else "SuperLU")
+        return CountedFactor(factor, applications)
+
     stepper.run, stepper._pcg = run_with_stamps, pcg_with_count
+    assembly.factorize = factorize_with_count
     workloads = {"coupled_direct": lambda: example1(stepper.DIRECT),
                  "coupled_cg": lambda: example1(stepper.CG), "tumor": tumor}
     for name, workload in workloads.items():
-        stamps.clear()
-        iterations.clear()
+        for counts in (stamps, iterations, kinds, applications):
+            counts.clear()
         workload()
         faults = [b[0] - a[0] for a, b in zip(stamps, stamps[1:])]
         ms = [1e3 * (b[1] - a[1]) for a, b in zip(stamps, stamps[1:])]
         print(f"{name:<16}{len(ms) + 1:>5} steps  faults/step {statistics.median(faults):g}"
               f"  ms/step {statistics.median(ms):.3f}  _pcg calls {len(iterations)}"
-              f"  iterations {sum(iterations)}", flush=True)
-    stepper._pcg = pcg
+              f"  iterations {sum(iterations)}  factorizations band {kinds.count('band')}"
+              f" SuperLU {kinds.count('SuperLU')}  applications {len(applications)}", flush=True)
+    stepper._pcg, assembly.factorize = pcg, factorize
     tracemalloc.start()
     for name, workload in workloads.items():
         tracemalloc.reset_peak()
