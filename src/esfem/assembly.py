@@ -95,7 +95,8 @@ def _topology(mesh):
 
     - ``template``: the CSR matrix of the P1 pair coupling on read-only
       index arrays, its data a zero-stride view, so it pins no
-      nnz-length array;
+      nnz-length array; its ``_band`` dict, which every copy shares,
+      keeps the band plan of the first factorization (``_band_plan``);
     - ``pairs``: the nnz x 6T incidence that sums the (6, T) upper
       entries of the local blocks into their CSR slots, each slot adding
       the entries of the (T, 3, 3) blocks in their flat order;
@@ -122,7 +123,7 @@ def _topology(mesh):
         # themselves back, so one pattern stays one object
         template.indices, template.indptr = slots.indices, slots.indptr
         template.has_sorted_indices = True
-        template._band = {}  # the band plan, shared by every copy (_band_plan)
+        template._band = {}
         # entry (t, i, j) of the blocks is column row(i, j) * T + t
         columns = (_UPPER_ROW.ravel() * nt + np.arange(nt)[:, None]).ravel()
         pairs = _incidence(inv, columns, (unique_keys.size, 6 * nt), ones)
