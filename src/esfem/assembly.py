@@ -19,9 +19,9 @@ CSR template, holding its own data on the template's read-only index
 arrays, so no step runs SciPy's validating constructor.  ``matvec``
 forms ``matrix @ x`` on SciPy's own compiled kernels without its
 dispatch.  ``factorize`` is the one factor entry point: a band Cholesky
-in a reverse Cuthill-McKee order cached per topology, or SuperLU where
-the band does not serve; its ``solve(rhs)`` is the one-argument contract
-of every linear solve.
+of a matrix on a topology's own pattern, in SciPy's reverse Cuthill-McKee
+order built once per topology, or SuperLU where the band does not serve;
+its ``solve(rhs)`` is the one-argument contract of every linear solve.
 
 Every load runs through one field-major kernel: an integrand returns
 (k, Q) rows at the Q quadrature points, the corner values are (k, 3, T)
@@ -95,8 +95,9 @@ def _topology(mesh):
 
     - ``template``: the CSR matrix of the P1 pair coupling on read-only
       index arrays, its data a zero-stride view, so it pins no
-      nnz-length array; its ``_band`` dict, which every copy shares,
-      keeps the band plan of the first factorization (``_band_plan``);
+      nnz-length array; its ``_band`` dict, which every copy shares and
+      only copies carry, keeps the band plan of the topology's first
+      factorization (``_band_plan``);
     - ``pairs``: the nnz x 6T incidence that sums the (6, T) upper
       entries of the local blocks into their CSR slots, each slot adding
       the entries of the (T, 3, 3) blocks in their flat order;
@@ -215,45 +216,12 @@ def matvec(matrix, x) -> np.ndarray:
     return out.reshape(m, *x.shape[1:])
 
 
-def _rcm(indptr, indices):
-    """Reverse Cuthill-McKee order of a structurally symmetric CSR pattern,
-    new position -> old node: SciPy's ``csgraph.reverse_cuthill_mckee``,
-    one breadth-first level at a time.  As there, a node's degree counts
-    its diagonal twice, each component starts from the first unvisited
-    node of ``np.argsort`` over the int32 degrees, and each node's
-    unvisited neighbours join the next level in row order, sorted stably
-    by degree, a neighbour of several nodes going to the first of them."""
-    n = len(indptr) - 1
-    counts = np.diff(indptr)
-    rows = np.repeat(np.arange(n), counts)
-    degree = (counts + np.bincount(rows[indices == rows], minlength=n)).astype(np.int32)
-    seeds = np.argsort(degree)
-    visited = np.zeros(n, dtype=bool)
-    order, done = [], 0
-    while done < n:
-        front = seeds[~visited[seeds]][:1]
-        visited[front] = True
-        while front.size:
-            order.append(front)
-            done += front.size
-            c = counts[front]
-            slots = np.repeat(indptr[front] - np.cumsum(c) + c, c) + np.arange(c.sum())
-            parent = np.repeat(np.arange(front.size), c)
-            fresh = ~visited[indices[slots]]
-            neighbours, parent = indices[slots][fresh], parent[fresh]
-            first = np.sort(np.unique(neighbours, return_index=True)[1])
-            neighbours, parent = neighbours[first], parent[first]
-            front = neighbours[np.lexsort((degree[neighbours], parent))]
-            visited[front] = True
-    return np.concatenate(order)[::-1]
-
-
 # The band factor holds at most this many entries (8 MiB): icosphere levels
 # up to 4.  Its cost grows like N^1.5, so SuperLU's sparse LU factors the
 # larger systems; the measured crossover is in ROADMAP.md.
 BAND_MAX_ENTRIES = 2**20
 
-# The band layout of one pattern (``_band_plan``): its order ``perm``
+# The band layout of one topology (``_band_plan``): its order ``perm``
 # (new -> old) and inverse ``pos``, the band's half-width, each slot's
 # flat index in the Fortran-ordered (width + 1, N) upper band, and the
 # slot of each slot's transpose.
@@ -261,36 +229,35 @@ _BandPlan = namedtuple("_BandPlan", "perm pos width index mirror")
 
 
 def _band_plan(matrix):
-    """The band layout of ``matrix``'s pattern, cached in its template's
-    ``_band`` dict when it has one (``_topology``), so it is built once per
-    topology, on its first factorization.  None unless the pattern is
-    canonical and structurally symmetric, with a band of at most
-    BAND_MAX_ENTRIES entries in the RCM order."""
-    cache = matrix.__dict__.get("_band", {})
+    """The band layout of a copy of its topology's template (``_topology``),
+    built on the topology's first factorization and kept in the ``_band``
+    dict that every copy shares; None for any other matrix, or where the
+    band in SciPy's reverse Cuthill-McKee order holds more than
+    BAND_MAX_ENTRIES entries.  The template's pattern is canonical and
+    structurally symmetric, so every slot has a mirror."""
+    cache = matrix.__dict__.get("_band")
+    if cache is None:
+        return None
     if "plan" not in cache:
-        cache["plan"] = _build_band_plan(matrix.indptr, matrix.indices)
+        # imported here: a run that factors nothing never loads csgraph
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        indptr, indices = matrix.indptr, matrix.indices
+        n = len(indptr) - 1
+        perm = reverse_cuthill_mckee(matrix, symmetric_mode=True).astype(np.int64)
+        pos = np.empty_like(perm)
+        pos[perm] = np.arange(n)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        lo, hi = np.minimum(pos[rows], pos[indices]), np.maximum(pos[rows], pos[indices])
+        width = int((hi - lo).max(initial=0))
+        cache["plan"] = None
+        if (width + 1) * n <= BAND_MAX_ENTRIES:
+            # listed by column, and by row within one, the symmetric pattern's
+            # slots run through the transposes of its slots in CSR order
+            mirror = np.argsort(indices, kind="stable")
+            # entry (lo, hi), lo <= hi, of the reordered matrix is band[width + lo - hi, hi]
+            cache["plan"] = _BandPlan(perm, pos, width, width + lo + width * hi, mirror)
     return cache["plan"]
-
-
-def _build_band_plan(indptr, indices):
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    keys = rows * n + indices
-    if not (np.diff(keys) > 0).all():  # unsorted or duplicated slots
-        return None
-    transposed = indices * n + rows
-    mirror = np.minimum(np.searchsorted(keys, transposed), keys.size - 1)
-    if not np.array_equal(keys[mirror], transposed):
-        return None
-    perm = _rcm(indptr, indices)
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(n)
-    lo, hi = np.minimum(pos[rows], pos[indices]), np.maximum(pos[rows], pos[indices])
-    width = int((hi - lo).max(initial=0))
-    if (width + 1) * n > BAND_MAX_ENTRIES:
-        return None
-    # entry (lo, hi), lo <= hi, of the reordered matrix is band[width + lo - hi, hi]
-    return _BandPlan(perm, pos, width, width + lo + width * hi, mirror)
 
 
 class BandCholesky:
@@ -312,10 +279,11 @@ class BandCholesky:
 
 def factorize(matrix):
     """Factor of a sparse system with ``solve(rhs)`` for (N,) or (N, k)
-    right-hand sides: a BandCholesky when the matrix is symmetric, its band
-    small enough (``_band_plan``) and ``dpbtrf`` finds it positive
-    definite; SuperLU's LU otherwise.  LinearSolveFailure if SuperLU
-    refuses it (an exactly singular matrix)."""
+    right-hand sides: a BandCholesky when the matrix is a copy of its
+    topology's template with a small enough band (``_band_plan``), its
+    values are symmetric and ``dpbtrf`` finds it positive definite;
+    SuperLU's LU otherwise.  LinearSolveFailure if SuperLU refuses it (an
+    exactly singular matrix)."""
     plan = _band_plan(matrix)
     if plan is not None and np.array_equal(matrix.data, matrix.data[plan.mirror]):
         band = np.zeros((plan.width + 1) * len(plan.perm))

@@ -183,7 +183,6 @@ def _check(config):
         stepper.StepperConfig(tau, config.t_end, **solve)
         problems.check_seed(config.seed)
         return
-    mesh.check_level(max(config.levels))
     for alpha, beta, delta in _arms(config).values():
         problems.example1_problem(alpha, beta, delta, config.r0, config.rk, config.k)
     tau = experiments.finest_step_size(config.levels, config.r0, config.t_end, config.tau_c)

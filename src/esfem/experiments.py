@@ -32,8 +32,11 @@ def step_size_for(mesh0, t_end, tau=None, tau_c=0.1):
 
 def finest_step_size(levels, r0, t_end, tau_c):
     """step_size_for on the icosphere of the finest of ``levels`` (radius
-    r0), whose h is the smallest and whose step count the largest: a study
-    calls it before any level runs."""
+    r0), whose h is the smallest and whose step count the largest, after
+    mesh.check_level on every level: a study calls it before any level
+    runs."""
+    for level in levels:
+        mesh.check_level(level)
     return step_size_for(mesh.generate_icosphere(max(levels, default=0), r0), t_end,
                          tau_c=tau_c)
 
@@ -65,10 +68,8 @@ def example1_study(levels=(1, 2, 3, 4), alpha=1.0, beta=0.0, delta=0.4,
     ``on_failure(level, error)``); the returned report holds the completed
     levels only.
     """
-    # the checks of the finest level, before the coarser levels run
-    mesh.check_level(max(levels, default=0))
     spec = problems.example1_problem(alpha, beta, delta, r0, rK, k)
-    finest_step_size(levels, r0, t_end, tau_c)
+    finest_step_size(levels, r0, t_end, tau_c)  # checks every level before any runs
     report = analysis.ErrorReport()
     for level in levels:
         try:

@@ -295,6 +295,15 @@ class TestConvergenceStudy:
             np.testing.assert_array_equal(coords, mesh.generate_icosphere(level, 1.5).coords)
         assert report.eocs("u_linf_l2")[1] >= 1.5
 
+    @pytest.mark.parametrize("levels, bad", [((3, -1), -1), ((-1, 3), -1), ((2, 9), 9)])
+    def test_every_level_checked_before_any_runs(self, levels, bad, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(experiments, "run_level", unreachable)
+        with pytest.raises(ValueError, match=f"subdivision_level {bad} "):
+            experiments.example1_study(levels=levels, t_end=0.01)
+
 
 class TestReferenceTables:
     def test_known_entries(self):

@@ -1,5 +1,9 @@
 import collections
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,19 +518,25 @@ class TestBandCholesky:
                 assert np.array_equal(rhs, kept)
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
-    def test_order_is_scipys_reverse_cuthill_mckee(self, level):
+    def test_order_is_scipys_reverse_cuthill_mckee(self, level, monkeypatch):
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        template = assembly._topology(mesh.generate_icosphere(level, 1.0)).template
-        ones = sp.csr_matrix((np.ones(template.nnz), template.indices, template.indptr),
-                             shape=template.shape)
-        assert np.array_equal(assembly._rcm(template.indptr, template.indices),
-                              reverse_cuthill_mckee(ones))
+        # level 5's band is past the size rule, and its order is the same
+        monkeypatch.setattr(assembly, "BAND_MAX_ENTRIES", np.inf)
+        matrix, _ = spd_system(level)
+        ones = sp.csr_matrix((np.ones(matrix.nnz), matrix.indices, matrix.indptr),
+                             shape=matrix.shape)
+        perm = assembly._band_plan(matrix).perm
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, reverse_cuthill_mckee(ones))
 
     def test_order_is_built_once_per_topology(self, monkeypatch):
+        from scipy.sparse import csgraph
+
         calls = []
-        real = assembly._rcm
-        monkeypatch.setattr(assembly, "_rcm", lambda *args: calls.append(1) or real(*args))
+        real = csgraph.reverse_cuthill_mckee
+        monkeypatch.setattr(csgraph, "reverse_cuthill_mckee",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         matrix, m0 = spd_system(2)
         assembly.factorize(matrix)
         moved = m0.with_coords(1.5 * m0.coords)
@@ -537,20 +547,37 @@ class TestBandCholesky:
         assembly.factorize(spd_system(2)[0])  # a new topology orders again
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("case", ["level 5", "indefinite", "not symmetric"])
+    @pytest.mark.parametrize("case", ["level 5", "indefinite", "not symmetric",
+                                      "off the template"])
     def test_superlu_where_the_band_does_not_serve(self, case):
         matrix, m = spd_system(5 if case == "level 5" else 2)
+        mass, stiff = assembly.surface_matrices(m)
         if case == "indefinite":
-            mass, stiff = assembly.surface_matrices(m)
             matrix = assembly.add_scaled(mass, -10.0, stiff)
         elif case == "not symmetric":
             data = matrix.data.copy()
             data[1] *= 1.5  # an off-diagonal slot of row 0
             matrix = assembly._with_data(matrix, data)
+        elif case == "off the template":
+            matrix = (mass + stiff).tocsr()  # SciPy's own sum: no topology's band plan
         factor = assembly.factorize(matrix)
         assert isinstance(factor, spla.SuperLU)
         rhs = np.random.Generator(np.random.Philox(3)).standard_normal((matrix.shape[0], 3))
         assert np.array_equal(factor.solve(rhs), spla.splu(matrix.tocsc()).solve(rhs))
+
+    def test_a_run_without_a_factor_never_imports_csgraph(self):
+        # the band's order comes from scipy.sparse.csgraph, imported by the
+        # first factorization only
+        code = ("import sys\n"
+                "from esfem import experiments, problems\n"
+                "spec = problems.example1_problem(1.0, 0.0, 0.4, 1.0, 2.0, 0.5)\n"
+                "experiments.run_level(spec, 2, 0.01, solver='cg')\n"
+                "print('scipy.sparse.csgraph' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 def block_apply(scalar, w):

@@ -207,6 +207,12 @@ class TestMainContracts:
         assert_refused(["example1", "--config", str(bad)], tmp_path)
         capsys.readouterr()
 
+    def test_negative_level_in_config_file_exit_code_two(self, tmp_path, capsys):
+        conf = tmp_path / "c.txt"
+        conf.write_text("experiment=example1\nlevels=-1..1\nt_end=0.01\n")
+        assert_refused(["example1", "--config", str(conf)], tmp_path / "o")
+        assert capsys.readouterr().err.startswith("configuration error: subdivision_level -1 ")
+
     def test_example1_writes_table_with_row_per_level(self, tmp_path):
         out = tmp_path / "res"
         code = cli.main(["example1", "--levels", "1..2", "--tau-c", "0.5",
@@ -545,6 +551,10 @@ def test_overflowing_surface_exit_code_three(argv, message, tmp_path, capsys):
     ["example1", "--levels", "1", "--t-end", "0.01", "--r0", "1e200"],
     ["example1", "--levels", "1", "--t-end", "0.01", "--r0", "1e-200"],
     ["tumor", "--level", "1", "--t-end", "0.002", "--seed", "-1"],
+    # below level 0: refused before --out is written
+    ["example1", "--levels=-1..1", "--t-end", "0.01"],
+    ["example1", "--levels=-1..1", "--t-end", "0.01", "--dump-matrices"],
+    ["example3", "--levels=-1..1", "--t-end", "0.01"],
 ])
 def test_out_of_range_value_exit_code_two(argv, tmp_path, capsys):
     # the value parses; the library's own range check rejects it, without
@@ -581,6 +591,8 @@ def test_level_above_max_exits_before_any_mesh(argv, monkeypatch, tmp_path, caps
     ["example1", "--levels", "1", "--r0", "1e100"],
     ["example1", "--levels", "1..30", "--dump-matrices"],
     ["verify", "--seed", "-1", "--dump-matrices"],
+    ["example1", "--levels=-1..1", "--t-end", "0.01"],
+    ["example3", "--levels=-1..1", "--t-end", "0.01", "--dump-matrices"],
 ])
 def test_refused_run_leaves_an_earlier_run_as_it_was(argv, tmp_path, capsys):
     out = tmp_path / "o"

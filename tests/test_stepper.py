@@ -250,6 +250,22 @@ class TestRun:
                 stepper._new_surface(m0, x, 0.5, cfg)
         assert info.value.time == 0.5 and np.isnan(info.value.quality.min_area)
 
+    @pytest.mark.parametrize("shift, angle, refused", [(0.905, 4.0, True), (0.865, 6.0, False)])
+    def test_abort_angle_is_five_degrees(self, shift, angle, refused):
+        # node 0 moved most of the way to its neighbour 12 shortens their
+        # shared edge, and narrows the angles opposite it
+        m0 = mesh.generate_icosphere(1, 1.0)
+        x = m0.coords.copy()
+        x[0] += shift * (x[12] - x[0])
+        assert mesh.mesh_quality(m0.with_coords(x)).min_angle_deg == pytest.approx(angle, abs=0.2)
+        cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
+        if refused:
+            with pytest.raises(MeshDegenerated) as info:
+                stepper._new_surface(m0, x, 0.5, cfg)
+            assert info.value.quality.min_angle_deg < 5.0
+        else:
+            assert np.array_equal(stepper._new_surface(m0, x, 0.5, cfg).coords, x)
+
     def test_collapse_reports_the_collapsed_surface(self, monkeypatch):
         # the velocity solve moves a vertex of triangle 0 onto another
         real = stepper._velocity

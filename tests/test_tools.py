@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-COMPARE = Path(__file__).resolve().parents[1] / "tools" / "output_compare.py"
+ROOT = Path(__file__).resolve().parents[1]
+COMPARE = ROOT / "tools" / "output_compare.py"
+
+
+def src_lines():
+    """tools/src_lines.py as a module."""
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_output_compare_reads_bitwise_or_the_relative_gap(tmp_path):
@@ -36,3 +46,29 @@ def test_output_compare_reads_a_layout_only_change_as_reshaped(tmp_path):
     assert rows["run/x"] == "reshaped (6,) -> (2, 3)"
     assert rows["run/v"] == "shape (6,) -> (3,)"
     assert done.returncode == 1
+
+
+def test_src_lines_counts_each_kind(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        '"""Module docstring,\n\non three lines."""\n'  # 3 docstring lines, one blank
+        "\n"
+        "# a comment\n"
+        "x = 1  # code with a comment\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        "    return x\n")
+    assert src_lines().count(module) == {"total": 11, "code": 3, "docstring": 4,
+                                         "comment": 1, "blank": 3}
+
+
+def test_src_lines_rows_add_up_to_each_file():
+    tool = src_lines()
+    paths = sorted(tool.SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        row = tool.count(path)
+        assert sum(row[kind] for kind in tool.KINDS[1:]) == row["total"], path.name
+        assert row["total"] == path.read_bytes().count(b"\n"), path.name  # as wc -l counts
