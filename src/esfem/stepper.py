@@ -53,6 +53,13 @@ class SystemState:
 class StepperConfig:
     """Step size, horizon and solve options of one run.
 
+    ``solver`` chooses how a velocity system whose K holds a stiffness part
+    (K = M + alpha A, alpha > 0) is solved: ``cholesky`` factors it and
+    keeps the factor for the run (LaggedFactor), ``cg`` runs Jacobi-CG.
+    Every other system, the field systems and the velocity system where
+    K = M, is mass-dominated and runs the same Jacobi-PCG under both, so
+    those runs end bitwise equal whichever solver is chosen.
+
     ``CHOICES`` lists the allowed values of each solve option (solver,
     normal_coupling); the command line and the experiment drivers take the
     options, their defaults and their values from here.
@@ -74,8 +81,8 @@ class StepperConfig:
                                  f"got {getattr(self, name)!r}")
 
 
-# Relative residual and iteration cap of the cg solver's velocity solve.
-# The field solves share the cap.
+# Relative residual and iteration cap of the cg solver's velocity solve of
+# a system with alpha > 0.  Every other Jacobi-PCG solve shares the cap.
 CG_TOL = 1e-12
 CG_MAX_ITER = 10000
 # A step whose surface has a triangle angle below this many degrees raises
@@ -92,11 +99,17 @@ LAG_MAX_ITER = 30
 # rounding scales with that start's residual and a still surface stays
 # still to criterion 5's 1e-12 (CHANGES.md).
 LAG_TOL = 1e-14
+# Relative residual of the Jacobi-PCG velocity solve of a system with K = M:
+# v = (x_new - x) / tau carries x_new's residual times 1/tau, and at LAG_TOL
+# the level-2 tumor v missed the textbook step's 1e-9 (CHANGES.md).
+MASS_TOL = 1e-15
 
 
 class LaggedFactor:
-    """The velocity system's factor (assembly.factorize), kept across the
-    steps of a run.
+    """What one run keeps across its steps: the velocity system's factor
+    (assembly.factorize), built only where K = M + alpha A with alpha > 0,
+    and the fields of the step before the last, from which the Jacobi-PCG
+    solves extrapolate their starts (``previous``).
 
     The matrices of the linearly implicit scheme change only O(tau) per
     step, so an old factor is a close preconditioner for the current one.
@@ -112,6 +125,20 @@ class LaggedFactor:
 
     def __init__(self):
         self._lu = None
+        self._last = None  # (the state stepped to last, the (v, u, w) it came from)
+
+    def previous(self, state):
+        """(v, u, w) of the state that the last step left to reach
+        ``state``; three Nones where ``state`` is not that step's result."""
+        if self._last is not None and self._last[0] is state:
+            return self._last[1]
+        return None, None, None
+
+    def stepped(self, old, new, with_v):
+        """Keep ``old``'s fields for the step from ``new``, its v only
+        ``with_v``: a velocity system with K = M extrapolates v, and the
+        others start from x + tau v alone."""
+        self._last = new, (old.v if with_v else None, old.u, old.w)
 
     def solver(self, matrix, start):
         """solve(rhs) for (N,) or (N, k) right-hand sides of ``matrix``;
@@ -200,9 +227,23 @@ def _pcg(matrix, inv_diag, b, x, rtol):
     place when it is contiguous.  A zero b returns b.  Each product
     q = matrix @ p calls the compiled CSR kernel that ``matrix @ p`` ends
     in, summing into one zeroed buffer, without the sparse dispatch and its
-    fresh array.  Raises LinearSolveFailure after CG_MAX_ITER iterations.
+    fresh array.  A finite b whose norm lies outside 2^-500..2^500, where
+    its squares and r.z would over- or underflow, is solved scaled by a
+    power of two, with its start: every operation carries such a scale
+    exactly, so the iterations and the bits are those of the unscaled
+    solve wherever that one neither overflows nor underflows.  Raises
+    LinearSolveFailure in the iteration where rho or alpha first turns
+    non-finite (a NaN or infinite b, start or matrix entry), and after
+    CG_MAX_ITER iterations, with the residual of the column it solved (a
+    scaled one's, scaled).
     """
     b_norm = math.sqrt(ddot(b, b))
+    if not 2.0**-500 < b_norm < 2.0**500 and b.any() and np.isfinite(b).all():
+        exponent = int(np.frexp(np.abs(b).max())[1])
+        x, iterations = _pcg(matrix, inv_diag, np.ldexp(b, -exponent), np.ldexp(x, -exponent),
+                             rtol)
+        with np.errstate(over="ignore"):  # an infinite x is the step's non-finite state
+            return np.ldexp(x, exponent), iterations
     if b_norm == 0.0:
         return b, 0
     tol = rtol * b_norm
@@ -219,11 +260,14 @@ def _pcg(matrix, inv_diag, b, x, rtol):
         q.fill(0.0)
         csr_matvec(*kernel_args, p, q)
         alpha = rho / ddot(p, q)
+        if not math.isfinite(alpha):  # a non-finite rho makes alpha so too
+            break
         x = daxpy(p, x, a=alpha)
         r = daxpy(q, r, a=-alpha)
         rho_prev = rho
-    raise LinearSolveFailure("conjugate gradient did not converge",
-                             float(np.linalg.norm(matrix @ x - b)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(matrix @ x - b))
+    raise LinearSolveFailure("conjugate gradient did not converge", residual)
 
 
 def _jacobi_cg(matrix, rtol, x0):
@@ -244,35 +288,50 @@ def _jacobi_cg(matrix, rtol, x0):
     return solve
 
 
-def make_solver(matrix, config: StepperConfig, factor: LaggedFactor, guess):
+def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor], guess):
     """solve(rhs) for the velocity system and (N,) or (N, k) right-hand
     sides; ``guess``, shaped like rhs, is a guess of the solution.
 
-    The direct solver goes through ``factor``, which the caller keeps across
-    steps to reuse its factorization, and its lagged PCG starts from the
-    guess.  The cg solver is Jacobi-CG to CG_TOL from a zero start shaped
-    like the guess, leaving out ``factor`` and the guess's values by
-    design: started from the guess it moved example1's v error norms past
-    the 1e-8 that the two solvers are held to (CHANGES.md).
+    ``factor`` None marks a system with K = M, which c = O(h^2) keeps as
+    mass-dominated as the field systems: under either solver it is solved
+    as they are, by Jacobi-CG from the guess, to MASS_TOL, with no factor.
+    Otherwise the direct solver goes through ``factor``, which the caller
+    keeps across steps to reuse its factorization, and its lagged PCG
+    starts from the guess.  The cg solver is Jacobi-CG to CG_TOL from a
+    zero start shaped like the guess, leaving out ``factor`` and the
+    guess's values by design: started from the guess it moved example1's
+    v error norms past the 1e-8 that the two solvers are held to
+    (CHANGES.md).
     """
+    if factor is None:
+        return _jacobi_cg(matrix, MASS_TOL, guess)
     if config.solver == DIRECT:
         return factor.solver(matrix, guess)
     return _jacobi_cg(matrix, CG_TOL, np.zeros_like(guess))
 
 
-def _advance_fields(spec, state, mesh_new, config):
+def _extrapolated(current, previous):
+    """2 current - previous: the first-order start ``current`` plus the
+    change of the step before; ``current`` itself where previous is None."""
+    return current if previous is None else 2.0 * current - previous
+
+
+def _advance_fields(spec, state, mesh_new, config, previous):
     """PDE step of every field on the new surface; returns (u_new, w_new),
     w_new None for a single field.
 
     tau ~ h^2 keeps each field system M + tau d A (d from spec.diffusion)
     mass-dominated, so under either solver it is solved by Jacobi-CG to
-    LAG_TOL, started from the old field.
+    LAG_TOL, started from the old field extrapolated by ``previous``, the
+    fields (u, w) of the state before it, None where there is none
+    (_extrapolated).
     """
     tau = config.tau
     mass_new, stiff_new = assembly.surface_matrices(mesh_new)
     fields = (state.u, state.w)[:len(spec.diffusion)]
-    solves = [_jacobi_cg(assembly.add_scaled(mass_new, tau * d, stiff_new), LAG_TOL, f)
-              for d, f in zip(spec.diffusion, fields)]
+    solves = [_jacobi_cg(assembly.add_scaled(mass_new, tau * d, stiff_new), LAG_TOL,
+                         _extrapolated(f, f_prev))
+              for d, f, f_prev in zip(spec.diffusion, fields, previous)]
     mass_old = assembly.surface_matrices(state.mesh)[0]
     new = problems.field_step(mesh_new, spec.source, mass_old, fields, tau, solves, state.t + tau)
     return (*new, None)[:2]
@@ -304,22 +363,33 @@ def _new_surface(mesh, x, t, config):
     return mesh_new
 
 
+def _k_is_mass(law):
+    """K = M in the velocity system: the dynamic law, and the regularized
+    law with alpha = 0."""
+    return law.dynamic or law.alpha == 0.0
+
+
 def _velocity(state, spec, config, factor):
     """Solve (K + cA) y = K y0 + tau * load on the old surface from a guess of
     y, where load = delta N(x) u + g load; returns (x_new, v_new), (N, 3) each.
     Regularized: K = M + alpha A, c = tau beta, y = x_new from y0 = x and the
     guess x + tau v, which is O(tau^2) close; dynamic: K = M, c = tau alpha,
-    y = v_new from y0 = v and the guess v.  y is copied C-contiguous (a
-    factor's solve returns Fortran order), so every stored v is, and the
-    sums that read it keep their order."""
+    y = v_new from y0 = v and the guess v.  Where K = M the system goes to
+    make_solver without ``factor``, and v in the guess is extrapolated from
+    the state before (LaggedFactor.previous, _extrapolated).  y is copied
+    C-contiguous (a factor's solve returns Fortran order), so every stored
+    v is, and the sums that read it keep their order."""
     law, tau, mesh = spec.law, config.tau, state.mesh
     mass, stiff = assembly.surface_matrices(mesh)
     if law.dynamic:
-        k, c, y0, guess = mass, tau * law.alpha, state.v, state.v
+        k, c, y0 = mass, tau * law.alpha, state.v
     else:
         k = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
-        c, y0, guess = tau * law.beta, state.x, state.x + tau * state.v
-    solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, factor, guess)
+        c, y0 = tau * law.beta, state.x
+    v = _extrapolated(state.v, factor.previous(state)[0])  # kept only where K = M
+    guess = v if law.dynamic else state.x + tau * v
+    held = None if _k_is_mass(law) else factor
+    solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, held, guess)
     load = np.zeros((mesh.num_nodes, 3))
     if law.delta != 0.0:
         load += law.delta * assembly.assemble_normal_coupling(mesh, state.u, config.normal_coupling)
@@ -332,14 +402,19 @@ def _velocity(state, spec, config, factor):
 def step_coupled(state: SystemState, spec, config: StepperConfig, factor) -> SystemState:
     """One step of the velocity law ``spec.law`` on the old surface, then of
     the fields on the new one; returns the new state.  ``factor`` is the
-    velocity system's LaggedFactor, kept across the steps of one run on one
-    mesh; a new one factors the velocity system afresh."""
+    run's LaggedFactor, kept across the steps of one run on one mesh: its
+    velocity factor, and the fields of the state before ``state`` when
+    ``state`` is its last step's result, from which the Jacobi-PCG solves
+    extrapolate their starts.  A new one factors afresh and starts the
+    solves from the old values."""
     t_new = state.t + config.tau
     x_new, v_new = _velocity(state, spec, config, factor)
     mesh_new = _new_surface(state.mesh, x_new, t_new, config)
-    u_new, w_new = _advance_fields(spec, state, mesh_new, config)
+    u_new, w_new = _advance_fields(spec, state, mesh_new, config, factor.previous(state)[1:])
     _check_finite(t_new, u=u_new, w=w_new)
-    return SystemState(t_new, u_new, v_new, mesh_new, w_new)
+    new = SystemState(t_new, u_new, v_new, mesh_new, w_new)
+    factor.stepped(state, new, _k_is_mass(spec.law))
+    return new
 
 
 # One step for every law; bench/tracer.py patches both names.
@@ -365,8 +440,8 @@ def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
     t_end/tau must be an integer to 1e-9.  Observers are the view of the
     intermediate states: they are called synchronously as
     observer(step_index, state) for the initial state and after every step,
-    and must not mutate the state.  The velocity system keeps its
-    factorization for the whole run (one LaggedFactor).
+    and must not mutate the state.  One LaggedFactor carries the velocity
+    factorization, where there is one, and the warm starts across the run.
     """
     n_steps = problems.step_count(config.t_end, config.tau, "t_end/tau")
 

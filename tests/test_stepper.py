@@ -477,12 +477,15 @@ class TestFactorReuse:
         dynamic = problems.ProblemSpec(law=problems.VelocityLaw(1.0, dynamic=True),
                                        velocity_forcing=lambda x, t: np.ones(len(x)))
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
-        results = []
+        results, factored = [], []
         for step, spec in [(stepper.step_coupled, coupled), (stepper.step_dynamic, dynamic)]:
             for level in (2, 1, 2):
                 state = stepper.initial_state(spec, mesh.generate_icosphere(level, 1.0))
                 results.append(step(state, spec, cfg, stepper.LaggedFactor()))
-        assert len(calls) == len(results)  # every standalone step factors its velocity system
+            factored.append(len(calls))
+        # every standalone step of the regularized law (alpha = 1) factors its
+        # velocity system; the dynamic law's, K = M, runs Jacobi-PCG
+        assert factored == [3, 3]
         for first, again in [(results[0], results[2]), (results[3], results[5])]:
             assert np.array_equal(first.x, again.x) and np.array_equal(first.u, again.u)
 
@@ -501,8 +504,8 @@ class TestFactorReuse:
         assert np.array_equal(state.x, expected.x) and np.array_equal(state.u, expected.u)
 
     def test_runs_repeat_bitwise_after_a_run_at_another_level(self):
-        # one held factor (velocity) and two warm-started field CGs (u, w);
-        # neither the factor nor a field start outlives its run
+        # three warm-started CGs (the velocity, K = M, and the fields u, w),
+        # each started from the last two steps; no start outlives its run
         spec = problems.tumor_problem(0.0, 0.01, 0.01)
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-2)
 
@@ -805,7 +808,7 @@ class TestFieldSolve:
         iterations = count_cg_iterations(monkeypatch)
         cfg = stepper.StepperConfig(tau=tau, t_end=1.0, solver=solver)
         state = stepper.initial_state(quiescent_spec(), smaller, u0=u_prev)
-        u, w = stepper._advance_fields(quiescent_spec(), state, m0, cfg)
+        u, w = stepper._advance_fields(quiescent_spec(), state, m0, cfg, (None, None))
         rhs = assembly.surface_matrices(smaller)[0] @ u_prev
         assert np.linalg.norm(system @ u - rhs) <= 1e-14 * np.linalg.norm(rhs)
         assert calls == [] and w is None
@@ -819,6 +822,152 @@ class TestFieldSolve:
         assert iterations == [0]
         stepper._jacobi_cg(system, stepper.LAG_TOL, 1.001 * u_prev)(system @ u_prev)
         assert iterations[1] > 0
+
+
+def count_cg_iterations_by_kind(monkeypatch):
+    """Record the iteration count of every stepper._pcg call from now on,
+    under "velocity" for the columns of a solve that stepper.make_solver
+    built and under "field" for the others."""
+    iterations, kind = {"velocity": [], "field": []}, ["field"]
+    real_pcg, real_make_solver = stepper._pcg, stepper.make_solver
+
+    def pcg(*args):
+        x, n = real_pcg(*args)
+        iterations[kind[0]].append(n)
+        return x, n
+
+    def make_solver(*args):
+        solve = real_make_solver(*args)
+
+        def velocity_solve(rhs):
+            kind[0] = "velocity"
+            try:
+                return solve(rhs)
+            finally:
+                kind[0] = "field"
+
+        return velocity_solve
+
+    monkeypatch.setattr(stepper, "_pcg", pcg)
+    monkeypatch.setattr(stepper, "make_solver", make_solver)
+    return iterations
+
+
+# the regularized law with alpha = 0 (the tumor and example3's beta arm)
+# and the dynamic law: K = M in the velocity system
+MASS_VELOCITY_SPECS = {
+    "tumor": problems.tumor_problem(0.0, 0.01, 0.01),
+    "beta_arm": problems.example1_problem(0.0, 1.0, 0.0),
+    "dynamic": dataclasses.replace(problems.example1_problem(),
+                                   law=problems.VelocityLaw(1.0, 0.0, 0.4, dynamic=True)),
+}
+
+
+class TestMassVelocitySolve:
+    """Where K = M the velocity system runs Jacobi-PCG like the field
+    systems: no factor, the same solve under both solvers."""
+
+    def test_tumor_run_factors_only_its_pre_relaxation(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        experiments.tumor_experiment(0.0, 0.01, level=1, tau=1e-3, t_end=5e-3, pre_time=0.01)
+        assert len(calls) == 2  # M + tau_pre A and M + tau_pre D_c A; was 3
+
+    def test_alpha_zero_study_factors_nothing(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        report = experiments.example1_study(levels=(1, 2), alpha=0.0, beta=1.0, delta=0.0,
+                                            t_end=0.05)
+        assert len(report.levels) == 2
+        assert calls == []  # was 1 per level
+
+    @pytest.mark.parametrize("case", sorted(MASS_VELOCITY_SPECS))
+    def test_both_solvers_end_bitwise_equal(self, monkeypatch, case):
+        spec, m0 = MASS_VELOCITY_SPECS[case], mesh.generate_icosphere(2, 1.0)
+        start = (seeded_two_species_start(spec, m0, 3) if case == "tumor"
+                 else stepper.initial_state(spec, m0))
+        calls = count_factorizations(monkeypatch)
+        finals = [stepper.run(spec, m0, stepper.StepperConfig(2e-3, 0.02, solver=solver),
+                              start=start) for solver in (stepper.DIRECT, stepper.CG)]
+        assert calls == []
+        for name in ("x", "u", "v", "w"):
+            a, b = (getattr(final, name) for final in finals)
+            assert (a is None and b is None) or np.array_equal(a.view(np.int64),
+                                                               b.view(np.int64)), name
+
+    @pytest.mark.parametrize("solver", [stepper.DIRECT, stepper.CG])
+    def test_bench_tumor_iterations(self, monkeypatch, solver):
+        # the benchmark's run (level 3, 1,000 pre-relaxation and 100 moving
+        # steps): measured 9.2 per velocity column and 12.0 per field solve;
+        # the field solves took 15.5 from the old field, not extrapolated
+        iterations = count_cg_iterations_by_kind(monkeypatch)
+        experiments.tumor_experiment(0.0, 0.01, 0.01, level=3, tau=1e-3, t_end=0.1, seed=0,
+                                     pre_time=1.0, solver=solver)
+        velocity, field = iterations["velocity"], iterations["field"]
+        assert len(velocity) == 3 * 100 and len(field) == 2 * 100
+        assert sum(velocity) <= 9.5 * len(velocity)
+        assert sum(field) <= 12.5 * len(field)
+
+    def test_example1_field_iterations(self, monkeypatch):
+        # level 4, the benchmark's coupled size: measured 7.1 per field
+        # solve, 9.0 from the old field; the velocity keeps its factor
+        iterations = count_cg_iterations_by_kind(monkeypatch)
+        m0 = mesh.generate_icosphere(4, 1.0)
+        cfg = stepper.StepperConfig(tau=experiments.step_size_for(m0, 0.03), t_end=0.03)
+        stepper.run(problems.example1_problem(), m0, cfg)
+        assert iterations["velocity"] == [] and len(iterations["field"]) == 44
+        assert sum(iterations["field"]) <= 7.5 * len(iterations["field"])
+
+
+class TestExtrapolatedStarts:
+    def test_each_start_adds_the_change_of_the_step_before(self, monkeypatch):
+        spec, m0 = MASS_VELOCITY_SPECS["tumor"], mesh.generate_icosphere(1, 1.0)
+        starts = []
+        real = stepper._jacobi_cg
+
+        def recording(matrix, rtol, x0):
+            starts.append((rtol, x0))
+            return real(matrix, rtol, x0)
+
+        monkeypatch.setattr(stepper, "_jacobi_cg", recording)
+        tau, states = 1e-3, []
+        stepper.run(spec, m0, stepper.StepperConfig(tau, 3 * tau),
+                    observers=(lambda n, state: states.append(state),),
+                    start=seeded_two_species_start(spec, m0, 4))
+        # per step: the velocity (N, 3) to MASS_TOL, then u and w to LAG_TOL
+        assert [rtol for rtol, _ in starts] == 3 * [stepper.MASS_TOL, stepper.LAG_TOL, stepper.LAG_TOL]
+        for n in range(3):
+            velocity, u, w = (x0 for _, x0 in starts[3 * n:3 * n + 3])
+            now, before = states[n], states[n - 1] if n else None
+            v = now.v if before is None else 2.0 * now.v - before.v
+            assert np.array_equal(velocity, now.x + tau * v)
+            for start, name in ((u, "u"), (w, "w")):
+                f = getattr(now, name)
+                expected = f if before is None else 2.0 * f - getattr(before, name)
+                assert np.array_equal(start, expected), (n, name)
+
+    def test_only_the_last_result_has_a_previous_step(self):
+        spec, m0 = MASS_VELOCITY_SPECS["dynamic"], mesh.generate_icosphere(1, 1.0)
+        cfg = stepper.StepperConfig(1e-3, 1e-3)
+        held = stepper.LaggedFactor()
+        first = stepper.initial_state(spec, m0)
+        assert held.previous(first) == (None, None, None)
+        second = stepper.step_coupled(first, spec, cfg, held)
+        assert all(a is b for a, b in zip(held.previous(second), (first.v, first.u, None)))
+        # a state the last step did not produce starts from its own values
+        copy = dataclasses.replace(second)
+        assert held.previous(copy) == (None, None, None)
+        assert held.previous(first) == (None, None, None)
+
+    def test_a_factored_velocity_keeps_no_old_velocity(self):
+        # alpha > 0: the velocity solve starts from x + tau v, under either
+        # solver, so only the field is extrapolated
+        spec, m0 = problems.example1_problem(), mesh.generate_icosphere(1, 1.0)
+        for solver in (stepper.DIRECT, stepper.CG):
+            held = stepper.LaggedFactor()
+            first = stepper.initial_state(spec, m0)
+            second = stepper.step_coupled(first, spec, stepper.StepperConfig(1e-3, 1e-3, solver),
+                                          held)
+            v, u, w = held.previous(second)
+            assert v is None and u is first.u and w is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -927,6 +1076,61 @@ class TestPCGKernel:
         with pytest.raises(LinearSolveFailure, match="conjugate gradient") as info:
             stepper._jacobi_cg(mass + stiff, stepper.CG_TOL, np.zeros_like(rhs))(rhs)
         assert np.isnan(info.value.residual)
+
+    @pytest.mark.parametrize("exponent", [1000, 600, -600, -1000])
+    def test_column_near_over_or_underflow_is_solved_exactly_scaled(self, exponent):
+        # ||b||^2 overflows (or underflows): _pcg solves b / 2^e, and a power
+        # of two scales every operation exactly
+        mass, stiff = sphere_matrices(2)
+        matrix = assembly.add_scaled(mass, 0.01, stiff)
+        inv_diag = 1.0 / matrix.diagonal()
+        rng = np.random.Generator(np.random.Philox(5))
+        rhs, start = rng.standard_normal(mass.shape[0]), rng.standard_normal(mass.shape[0])
+        expected, expected_iterations = stepper._pcg(matrix, inv_diag, rhs, start.copy(), 1e-14)
+        b = np.ldexp(rhs, exponent)
+        assert not 2.0**-500 < np.sqrt(stepper.ddot(b, b)) < 2.0**500
+        x, iterations = stepper._pcg(matrix, inv_diag, b, np.ldexp(start, exponent), 1e-14)
+        assert iterations == expected_iterations > 0
+        assert np.array_equal(x, np.ldexp(expected, exponent))
+
+    def test_huge_finite_column_solves(self):
+        mass, stiff = sphere_matrices(2)
+        matrix = assembly.add_scaled(mass, 0.01, stiff)
+        rhs = 1e300 * np.random.Generator(np.random.Philox(6)).standard_normal(mass.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = stepper._jacobi_cg(matrix, stepper.LAG_TOL, np.zeros_like(rhs))(rhs)
+        expected = spla.splu(matrix.tocsc()).solve(rhs)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("case", ["nan rhs", "inf rhs", "nan start", "nan entry"])
+    def test_non_finite_rho_or_alpha_fails_at_once(self, monkeypatch, case):
+        mass, stiff = sphere_matrices(2)
+        matrix = assembly.add_scaled(mass, 0.01, stiff)
+        rng = np.random.Generator(np.random.Philox(7))
+        rhs, start = rng.standard_normal(mass.shape[0]), np.zeros(mass.shape[0])
+        if case == "nan entry":
+            # an off-diagonal entry: rho is finite, p.q and with it alpha not
+            data = matrix.data.copy()
+            data[np.flatnonzero(matrix.indices != np.repeat(
+                np.arange(matrix.shape[0]), np.diff(matrix.indptr)))[0]] = np.nan
+            matrix = assembly._with_data(matrix, data)
+        else:
+            target = start if case == "nan start" else rhs
+            target[3] = np.inf if case == "inf rhs" else np.nan
+        counted = []
+        real = stepper.csr_matvec
+
+        def counting(*args):
+            counted.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(stepper, "csr_matvec", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LinearSolveFailure, match="conjugate gradient"):
+                stepper._pcg(matrix, 1.0 / matrix.diagonal(), rhs, start, 1e-14)
+        assert len(counted) == 1  # the first iteration's product
 
     def test_iteration_cap_raises_with_the_residual(self, monkeypatch):
         mass, stiff = sphere_matrices(2)

@@ -1,6 +1,7 @@
 """Print the median minor page faults and milliseconds per moving step,
-the Jacobi-PCG calls and iterations, the factorizations by kind and their
-applications, and the tracemalloc peak of each run.
+the Jacobi-PCG iterations per velocity column and per field solve, the
+factorizations by kind and their applications, and the tracemalloc peak
+of each run.
 
     python3 tools/step_faults.py
 
@@ -13,10 +14,12 @@ over the differences between consecutive steps.  A step that allocates
 fresh memory beyond what the allocator keeps takes minor faults, so a
 nonzero median marks allocation churn that no timing shows directly.
 The same pass counts the calls of ``stepper._pcg`` and the iterations
-they return, the factorizations of ``assembly.factorize`` by kind (the
-band Cholesky or SuperLU) and the applications of their ``solve``, over
-the whole run (pre-relaxation included): exact counts, so two commits
-that claim the same iterations print the same numbers.
+they return, apart for the velocity columns (the solves that
+``stepper.make_solver`` builds) and the field solves, the factorizations
+of ``assembly.factorize`` by kind (the band Cholesky or SuperLU) and the
+applications of their ``solve``, over the whole run (pre-relaxation
+included): exact counts, so two commits that claim the same iterations
+print the same numbers.
 A second pass runs the three again with ``tracemalloc`` on, resetting the
 peak before each, and prints each run's peak of traced memory above what
 the process held at its start, to 0.01 MiB, the digit that repeats
@@ -65,7 +68,9 @@ def tumor():
 
 
 def main():
-    stamps, run, pcg, iterations = [], stepper.run, stepper._pcg, []
+    stamps, run, pcg, make_solver = [], stepper.run, stepper._pcg, stepper.make_solver
+    iterations = {"velocity": [], "field": []}
+    solving = ["field"]  # which kind of solve the _pcg calls belong to
     factorize, kinds, applications = assembly.factorize, [], []
 
     def stamp(step_index, state):
@@ -76,8 +81,20 @@ def main():
 
     def pcg_with_count(*args):
         x, n = pcg(*args)
-        iterations.append(n)
+        iterations[solving[0]].append(n)
         return x, n
+
+    def make_velocity_solver(*args):
+        solve = make_solver(*args)
+
+        def velocity_solve(rhs):
+            solving[0] = "velocity"
+            try:
+                return solve(rhs)
+            finally:
+                solving[0] = "field"
+
+        return velocity_solve
 
     def factorize_with_count(matrix):
         factor = factorize(matrix)
@@ -85,20 +102,22 @@ def main():
         return CountedFactor(factor, applications)
 
     stepper.run, stepper._pcg = run_with_stamps, pcg_with_count
-    assembly.factorize = factorize_with_count
+    stepper.make_solver, assembly.factorize = make_velocity_solver, factorize_with_count
     workloads = {"coupled_direct": lambda: example1(stepper.DIRECT),
                  "coupled_cg": lambda: example1(stepper.CG), "tumor": tumor}
     for name, workload in workloads.items():
-        for counts in (stamps, iterations, kinds, applications):
+        for counts in (stamps, *iterations.values(), kinds, applications):
             counts.clear()
         workload()
         faults = [b[0] - a[0] for a, b in zip(stamps, stamps[1:])]
         ms = [1e3 * (b[1] - a[1]) for a, b in zip(stamps, stamps[1:])]
+        pcg_counts = "".join(f"  _pcg {kind} {len(n)}/{sum(n)} ({sum(n) / max(len(n), 1):.1f})"
+                             for kind, n in iterations.items())
         print(f"{name:<16}{len(ms) + 1:>5} steps  faults/step {statistics.median(faults):g}"
-              f"  ms/step {statistics.median(ms):.3f}  _pcg calls {len(iterations)}"
-              f"  iterations {sum(iterations)}  factorizations band {kinds.count('band')}"
+              f"  ms/step {statistics.median(ms):.3f}{pcg_counts}"
+              f"  factorizations band {kinds.count('band')}"
               f" SuperLU {kinds.count('SuperLU')}  applications {len(applications)}", flush=True)
-    stepper._pcg, assembly.factorize = pcg, factorize
+    stepper._pcg, stepper.make_solver, assembly.factorize = pcg, make_solver, factorize
     tracemalloc.start()
     for name, workload in workloads.items():
         tracemalloc.reset_peak()
