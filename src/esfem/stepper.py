@@ -12,6 +12,7 @@ telescoping exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -89,9 +90,10 @@ CG_MAX_ITER = 10000
 # MeshDegenerated.
 ABORT_MIN_ANGLE = 5.0
 
-# A lagged velocity solve that has not converged within this many blocked
-# PCG iterations refactors: a stale factor then costs at most about two
-# factorizations' time (the measured counts are in CHANGES.md).
+# A lagged velocity solve refactors when one of its columns has not
+# converged within this many PCG iterations: a stale factor then costs at
+# most about two factorizations' time (the measured counts are in
+# CHANGES.md).
 LAG_MAX_ITER = 30
 # Relative residual of a lagged velocity solve and of a field solve: the
 # held factor moves example1's error norms far less than factoring in a
@@ -114,13 +116,12 @@ class LaggedFactor:
     The matrices of the linearly implicit scheme change only O(tau) per
     step, so an old factor is a close preconditioner for the current one.
     The first system is factored where its solve is built, and that solve
-    is the factor's own, exact; later ones run one blocked PCG on all
-    columns of the right-hand side, preconditioned by the held factor and
-    started from the guess g corrected by it, g + F^-1 (b - K g), each
-    column with its own step lengths and stopping test.  A solve that has
-    not converged within LAG_MAX_ITER iterations drops the factor,
-    refactors and solves exactly.  A singular matrix raises
-    LinearSolveFailure.
+    is the factor's own, exact; later ones run _pcg on each column of the
+    right-hand side, preconditioned by the held factor and started from
+    the guess g corrected by it, g + F^-1 (b - K g).  A column that has
+    not converged within LAG_MAX_ITER iterations, or turns non-finite,
+    drops the factor, which is refactored to solve every column exactly.
+    A singular matrix raises LinearSolveFailure.
     """
 
     def __init__(self):
@@ -147,8 +148,14 @@ class LaggedFactor:
             return self._refactor(matrix).solve
 
         def solve(rhs):
-            x = self._lagged_solve(matrix, rhs, start)
-            return self._refactor(matrix).solve(rhs) if x is None else x
+            # self._lu is read as the solve runs, so after a refactor it is
+            # this matrix's own factor
+            x0 = start + self._lu.solve(rhs - assembly.matvec(matrix, start))
+            try:
+                return _pcg_solver(matrix, LAG_TOL, x0, lambda r, out: self._lu.solve(r),
+                                   LAG_MAX_ITER)(rhs)
+            except LinearSolveFailure:
+                return self._refactor(matrix).solve(rhs)
 
         return solve
 
@@ -157,64 +164,11 @@ class LaggedFactor:
         self._lu = assembly.factorize(matrix)
         return self._lu
 
-    def _lagged_solve(self, matrix, rhs, start):
-        """Blocked PCG, preconditioned by the held factor and started from
-        ``start`` corrected by it; each iteration applies the factor once to
-        the columns still short of ||r_j|| < LAG_TOL ||b_j||.  None if stale.
 
-        Column norms are numpy's axis-0 norm, bitwise (_column_norms):
-        einsum on the C-contiguous b and first r when k >= 2, where numpy
-        also folds the N rows in order, and norm itself for k = 1, where
-        numpy sums pairwise.  The selected r, p and z keep the layout
-        fancy indexing gives them, since einsum's dot order depends on it.
-        """
-        b = rhs.reshape(rhs.shape[0], -1)
-        b_norms = _column_norms(b)
-        g = np.reshape(start, b.shape)
-        if not b_norms.all():
-            # a zero column must come back zero, which its tolerance 0 cannot
-            # confirm from a guess: start it from zero
-            g = np.where(b_norms != 0.0, g, 0.0)
-        x = g + self._lu.solve(b - assembly.matvec(matrix, g))
-        r = b - assembly.matvec(matrix, x)
-        tol = LAG_TOL * b_norms
-        norms = _column_norms(r)
-        # a zero residual (a zero column among them) is done although 0 < 0
-        # fails; a NaN one is not, so it ends in the exact solve
-        active = np.flatnonzero(~(norms < tol) & (norms != 0.0))
-        r, tol = r[:, active], tol[active]
-        p, rho = None, None
-        for _ in range(LAG_MAX_ITER):
-            if active.size == 0:
-                break
-            z = self._lu.solve(r)
-            rho_new = np.einsum("ij,ij->j", r, z)
-            p = z if p is None else z + (rho_new / rho) * p
-            rho = rho_new
-            q = assembly.matvec(matrix, p)
-            step = rho / np.einsum("ij,ij->j", p, q)
-            if active.size == x.shape[1]:
-                x += step * p
-            else:
-                x[:, active] += step * p
-            r -= step * q
-            keep = ~(_column_norms(r) < tol)
-            active, r, p, rho, tol = active[keep], r[:, keep], p[:, keep], rho[keep], tol[keep]
-        return None if active.size else x.reshape(rhs.shape)
-
-
-def _column_norms(a):
-    """``np.linalg.norm(a, axis=0)`` of an (N, k) array, bitwise: by einsum,
-    without numpy's length-k inner loop per row, where both fold the rows
-    in order (a C-contiguous a with k >= 2); otherwise by norm."""
-    if a.shape[1] > 1 and a.flags.c_contiguous:
-        return np.sqrt(np.einsum("ij,ij->j", a, a))
-    return np.linalg.norm(a, axis=0)
-
-
-def _pcg(matrix, inv_diag, b, x, rtol):
-    """Jacobi-preconditioned CG on one contiguous column b from x to
-    ||r|| < rtol ||b||; returns (x, iterations).
+def _pcg(matrix, precondition, b, x, rtol, max_iter):
+    """Preconditioned CG on one contiguous column b from x to
+    ||r|| < rtol ||b||; returns (x, iterations).  ``precondition(r,
+    out=z)`` returns the preconditioned residual, written into z or fresh.
 
     The iteration is SciPy 1.17's ``scipy.sparse.linalg.cg`` with
     ``atol=0``, each vector operation one BLAS level-1 call: ``ddot`` for
@@ -234,14 +188,14 @@ def _pcg(matrix, inv_diag, b, x, rtol):
     solve wherever that one neither overflows nor underflows.  Raises
     LinearSolveFailure in the iteration where rho or alpha first turns
     non-finite (a NaN or infinite b, start or matrix entry), and after
-    CG_MAX_ITER iterations, with the residual of the column it solved (a
+    max_iter iterations, with the residual of the column it solved (a
     scaled one's, scaled).
     """
     b_norm = math.sqrt(ddot(b, b))
     if not 2.0**-500 < b_norm < 2.0**500 and b.any() and np.isfinite(b).all():
         exponent = int(np.frexp(np.abs(b).max())[1])
-        x, iterations = _pcg(matrix, inv_diag, np.ldexp(b, -exponent), np.ldexp(x, -exponent),
-                             rtol)
+        x, iterations = _pcg(matrix, precondition, np.ldexp(b, -exponent),
+                             np.ldexp(x, -exponent), rtol, max_iter)
         with np.errstate(over="ignore"):  # an infinite x is the step's non-finite state
             return np.ldexp(x, exponent), iterations
     if b_norm == 0.0:
@@ -251,10 +205,10 @@ def _pcg(matrix, inv_diag, b, x, rtol):
     z, q = np.empty_like(b), np.empty_like(b)
     kernel_args = (*matrix.shape, matrix.indptr, matrix.indices, matrix.data)
     p, rho_prev = None, None
-    for iteration in range(CG_MAX_ITER):
+    for iteration in range(max_iter):
         if math.sqrt(ddot(r, r)) < tol:
             return x, iteration
-        np.multiply(inv_diag, r, out=z)
+        z = precondition(r, out=z)
         rho = ddot(r, z)
         p = z.copy() if p is None else daxpy(z, dscal(rho / rho_prev, p))
         q.fill(0.0)
@@ -270,19 +224,22 @@ def _pcg(matrix, inv_diag, b, x, rtol):
     raise LinearSolveFailure("conjugate gradient did not converge", residual)
 
 
-def _jacobi_cg(matrix, rtol, x0):
-    """solve(rhs) for the CSR ``matrix`` by Jacobi-preconditioned CG (_pcg)
-    per column of the (N,) or (N, k) array rhs to relative residual
-    ``rtol``, from ``x0``, shaped like rhs (all zeros to start from zero)."""
-    inv_diag = 1.0 / matrix.diagonal()
+def _pcg_solver(matrix, rtol, x0, precondition=None, max_iter=None):
+    """solve(rhs) for the CSR ``matrix`` by _pcg per column of the (N,) or
+    (N, k) array rhs to relative residual ``rtol``, from ``x0``, shaped
+    like rhs (all zeros to start from zero), within ``max_iter``
+    iterations, CG_MAX_ITER where None; ``precondition`` is Jacobi's,
+    1 / diag(matrix), where None."""
+    if precondition is None:
+        precondition = functools.partial(np.multiply, 1.0 / matrix.diagonal())
 
     def solve(rhs):
         cols = rhs.reshape(rhs.shape[0], -1)
         starts = np.reshape(x0, cols.shape)
         out = np.empty_like(cols)
         for j in range(cols.shape[1]):
-            out[:, j], _ = _pcg(matrix, inv_diag, np.ascontiguousarray(cols[:, j]),
-                                np.array(starts[:, j]), rtol)
+            out[:, j], _ = _pcg(matrix, precondition, np.ascontiguousarray(cols[:, j]),
+                                np.array(starts[:, j]), rtol, max_iter or CG_MAX_ITER)
         return out.reshape(rhs.shape)
 
     return solve
@@ -296,18 +253,18 @@ def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor], g
     mass-dominated as the field systems: under either solver it is solved
     as they are, by Jacobi-CG from the guess, to MASS_TOL, with no factor.
     Otherwise the direct solver goes through ``factor``, which the caller
-    keeps across steps to reuse its factorization, and its lagged PCG
-    starts from the guess.  The cg solver is Jacobi-CG to CG_TOL from a
+    keeps across steps to reuse its factorization, and its PCG, which the
+    held factor preconditions, starts from the guess.  The cg solver is Jacobi-CG to CG_TOL from a
     zero start shaped like the guess, leaving out ``factor`` and the
     guess's values by design: started from the guess it moved example1's
     v error norms past the 1e-8 that the two solvers are held to
     (CHANGES.md).
     """
     if factor is None:
-        return _jacobi_cg(matrix, MASS_TOL, guess)
+        return _pcg_solver(matrix, MASS_TOL, guess)
     if config.solver == DIRECT:
         return factor.solver(matrix, guess)
-    return _jacobi_cg(matrix, CG_TOL, np.zeros_like(guess))
+    return _pcg_solver(matrix, CG_TOL, np.zeros_like(guess))
 
 
 def _extrapolated(current, previous):
@@ -329,8 +286,8 @@ def _advance_fields(spec, state, mesh_new, config, previous):
     tau = config.tau
     mass_new, stiff_new = assembly.surface_matrices(mesh_new)
     fields = (state.u, state.w)[:len(spec.diffusion)]
-    solves = [_jacobi_cg(assembly.add_scaled(mass_new, tau * d, stiff_new), LAG_TOL,
-                         _extrapolated(f, f_prev))
+    solves = [_pcg_solver(assembly.add_scaled(mass_new, tau * d, stiff_new), LAG_TOL,
+                          _extrapolated(f, f_prev))
               for d, f, f_prev in zip(spec.diffusion, fields, previous)]
     mass_old = assembly.surface_matrices(state.mesh)[0]
     new = problems.field_step(mesh_new, spec.source, mass_old, fields, tau, solves, state.t + tau)

@@ -473,8 +473,9 @@ class TestDumpMatrices:
 
 def test_non_finite_state_exit_code_five(tmp_path, monkeypatch, capsys):
     from esfem import stepper
-    # the field solves; the default direct velocity solve does not use it
-    monkeypatch.setattr(stepper, "_jacobi_cg",
+    # the field solves; the direct velocity solve of the first step, its
+    # factor's own, does not use it
+    monkeypatch.setattr(stepper, "_pcg_solver",
                         lambda *args: lambda rhs: rhs * float("nan"))
     code = cli.main(["example1", "--levels", "1..1", "--tau-c", "0.5",
                      "--out", str(tmp_path / "o")])

@@ -373,7 +373,7 @@ class TestFieldStep:
         mass, stiff = assembly.surface_matrices(m)
         kin = problems.TumorKinetics()
         systems = [assembly.add_scaled(mass, 1e-3 * d, stiff) for d in (1.0, kin.D_c)]
-        cg = [stepper._jacobi_cg(k, stepper.LAG_TOL, f) for k, f in zip(systems, fields)]
+        cg = [stepper._pcg_solver(k, stepper.LAG_TOL, f) for k, f in zip(systems, fields)]
         lu = [assembly.factorize(k).solve for k in systems]
         moving = problems.field_step(m, kin.source, mass, tuple(fields), 1e-3, cg, 0.0)
         pre = problems.field_step(m, kin.source, mass, tuple(fields), 1e-3, lu, 0.0)

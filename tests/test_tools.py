@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +11,21 @@ ROOT = Path(__file__).resolve().parents[1]
 COMPARE = ROOT / "tools" / "output_compare.py"
 
 
-def src_lines():
-    """tools/src_lines.py as a module."""
-    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+def load_tool(name):
+    """tools/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_step_faults_counts_factor_applications_as_columns(monkeypatch):
+    # the tool sets BLAS thread counts and sys.path as it loads: on copies
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    # the held factor's start on (N, 3), then one column per PCG iteration
+    shapes = [(2562, 3), (2562,), (2562,), (2562, 1), (2562, 2)]
+    assert load_tool("step_faults").columns(shapes) == 3 + 1 + 1 + 1 + 2
 
 
 def test_output_compare_reads_bitwise_or_the_relative_gap(tmp_path):
@@ -60,12 +70,12 @@ def test_src_lines_counts_each_kind(tmp_path):
         "def f():\n"
         '    """Function docstring."""\n'
         "    return x\n")
-    assert src_lines().count(module) == {"total": 11, "code": 3, "docstring": 4,
+    assert load_tool("src_lines").count(module) == {"total": 11, "code": 3, "docstring": 4,
                                          "comment": 1, "blank": 3}
 
 
 def test_src_lines_rows_add_up_to_each_file():
-    tool = src_lines()
+    tool = load_tool("src_lines")
     paths = sorted(tool.SRC.glob("*.py"))
     assert paths
     for path in paths:

@@ -15,11 +15,13 @@ fresh memory beyond what the allocator keeps takes minor faults, so a
 nonzero median marks allocation churn that no timing shows directly.
 The same pass counts the calls of ``stepper._pcg`` and the iterations
 they return, apart for the velocity columns (the solves that
-``stepper.make_solver`` builds) and the field solves, the factorizations
-of ``assembly.factorize`` by kind (the band Cholesky or SuperLU) and the
-applications of their ``solve``, over the whole run (pre-relaxation
-included): exact counts, so two commits that claim the same iterations
-print the same numbers.
+``stepper.make_solver`` builds, the columns that a held factor
+preconditions among them) and the field solves, the factorizations of
+``assembly.factorize`` by kind (the band Cholesky or SuperLU) and the
+applications of their ``solve``, as calls and as columns (``columns``),
+over the whole run (pre-relaxation included): exact counts, so two
+commits that claim the same iterations print the same numbers, and the
+same work prints the same columns however it is split into calls.
 A second pass runs the three again with ``tracemalloc`` on, resetting the
 peak before each, and prints each run's peak of traced memory above what
 the process held at its start, to 0.01 MiB, the digit that repeats
@@ -54,6 +56,12 @@ class CountedFactor:
     def solve(self, rhs):
         self.applications.append(rhs.shape)
         return self.factor.solve(rhs)
+
+
+def columns(shapes):
+    """The columns of the right-hand sides of the given shapes: 1 for an
+    (N,) one, k for an (N, k) one."""
+    return sum(1 if len(shape) == 1 else shape[1] for shape in shapes)
 
 
 def example1(solver):
@@ -116,7 +124,8 @@ def main():
         print(f"{name:<16}{len(ms) + 1:>5} steps  faults/step {statistics.median(faults):g}"
               f"  ms/step {statistics.median(ms):.3f}{pcg_counts}"
               f"  factorizations band {kinds.count('band')}"
-              f" SuperLU {kinds.count('SuperLU')}  applications {len(applications)}", flush=True)
+              f" SuperLU {kinds.count('SuperLU')}  applications {len(applications)}"
+              f" ({columns(applications)} columns)", flush=True)
     stepper._pcg, stepper.make_solver, assembly.factorize = pcg, make_solver, factorize
     tracemalloc.start()
     for name, workload in workloads.items():
