@@ -55,11 +55,15 @@ class StepperConfig:
     """Step size, horizon and solve options of one run.
 
     ``solver`` chooses how a velocity system whose K holds a stiffness part
-    (K = M + alpha A, alpha > 0) is solved: ``cholesky`` factors it and
-    keeps the factor for the run (LaggedFactor), ``cg`` runs Jacobi-CG.
-    Every other system, the field systems and the velocity system where
-    K = M, is mass-dominated and runs the same Jacobi-PCG under both, so
-    those runs end bitwise equal whichever solver is chosen.
+    (K = M + alpha A, alpha > 0) is solved.  A run's first such system is
+    solved from scratch: ``cholesky`` factors it and solves exactly, ``cg``
+    runs Jacobi-CG from zero to CG_TOL.  Every later one runs _pcg from the
+    extrapolated guess to LAG_TOL, and the option picks only its
+    preconditioner: the factor that ``cholesky`` keeps for the run
+    (LaggedFactor), or Jacobi's under ``cg``.  Every other system, the
+    field systems and the velocity system where K = M, is mass-dominated
+    and runs the same Jacobi-PCG under both, so those runs end bitwise
+    equal whichever solver is chosen.
 
     ``CHOICES`` lists the allowed values of each solve option (solver,
     normal_coupling); the command line and the experiment drivers take the
@@ -83,7 +87,10 @@ class StepperConfig:
 
 
 # Relative residual and iteration cap of the cg solver's velocity solve of
-# a system with alpha > 0.  Every other Jacobi-PCG solve shares the cap.
+# a run's first system with alpha > 0, from zero: started from its guess,
+# example1's level-4 v error moved past the 1e-8 that the two solvers are
+# held to (CHANGES.md).  Later ones run to LAG_TOL from the extrapolated
+# guess; every Jacobi-PCG solve shares the cap.
 CG_TOL = 1e-12
 CG_MAX_ITER = 10000
 # A step whose surface has a triangle angle below this many degrees raises
@@ -95,9 +102,10 @@ ABORT_MIN_ANGLE = 5.0
 # most about two factorizations' time (the measured counts are in
 # CHANGES.md).
 LAG_MAX_ITER = 30
-# Relative residual of a lagged velocity solve and of a field solve: the
-# held factor moves example1's error norms far less than factoring in a
-# different ordering does.  Both start from a guess of the solution, so the
+# Relative residual of a field solve and of every velocity solve with
+# alpha > 0 after a run's first, under either solver: the held factor
+# moves example1's error norms far less than factoring in a different
+# ordering does.  Each starts from a guess of the solution, so the
 # rounding scales with that start's residual and a still surface stays
 # still to criterion 5's 1e-12 (CHANGES.md).
 LAG_TOL = 1e-14
@@ -108,38 +116,40 @@ MASS_TOL = 1e-15
 
 
 class LaggedFactor:
-    """What one run keeps across its steps: the velocity system's factor
-    (assembly.factorize), built only where K = M + alpha A with alpha > 0,
-    and the fields of the step before the last, from which the Jacobi-PCG
-    solves extrapolate their starts (``previous``).
+    """What one run keeps across its steps: the fields of the step before
+    the last, from which every solve extrapolates its start
+    (``previous``), and under the cholesky solver the factor of the
+    velocity system where K = M + alpha A with alpha > 0
+    (assembly.factorize).
 
     The matrices of the linearly implicit scheme change only O(tau) per
     step, so an old factor is a close preconditioner for the current one.
     The first system is factored where its solve is built, and that solve
     is the factor's own, exact; later ones run _pcg on each column of the
-    right-hand side, preconditioned by the held factor and started from
-    the guess g corrected by it, g + F^-1 (b - K g).  A column that has
-    not converged within LAG_MAX_ITER iterations, or turns non-finite,
-    drops the factor, which is refactored to solve every column exactly.
-    A singular matrix raises LinearSolveFailure.
+    right-hand side from the guess, preconditioned by the held factor.
+    A column that has not converged within LAG_MAX_ITER iterations, or
+    turns non-finite, drops the factor, which is refactored to solve every
+    column exactly.  A singular matrix raises LinearSolveFailure.
     """
 
     def __init__(self):
         self._lu = None
-        self._last = None  # (the state stepped to last, the (v, u, w) it came from)
+        # (the state stepped to last, the (v, u, w) it came from)
+        self._last = None, (None, None, None)
+
+    @property
+    def first(self):
+        """No step has been kept yet: the run's first system is to come."""
+        return self._last[0] is None
 
     def previous(self, state):
         """(v, u, w) of the state that the last step left to reach
         ``state``; three Nones where ``state`` is not that step's result."""
-        if self._last is not None and self._last[0] is state:
-            return self._last[1]
-        return None, None, None
+        return self._last[1] if self._last[0] is state else (None, None, None)
 
-    def stepped(self, old, new, with_v):
-        """Keep ``old``'s fields for the step from ``new``, its v only
-        ``with_v``: a velocity system with K = M extrapolates v, and the
-        others start from x + tau v alone."""
-        self._last = new, (old.v if with_v else None, old.u, old.w)
+    def stepped(self, old, new):
+        """Keep ``old``'s fields for the step from ``new``."""
+        self._last = new, (old.v, old.u, old.w)
 
     def solver(self, matrix, start):
         """solve(rhs) for (N,) or (N, k) right-hand sides of ``matrix``;
@@ -150,9 +160,8 @@ class LaggedFactor:
         def solve(rhs):
             # self._lu is read as the solve runs, so after a refactor it is
             # this matrix's own factor
-            x0 = start + self._lu.solve(rhs - assembly.matvec(matrix, start))
             try:
-                return _pcg_solver(matrix, LAG_TOL, x0, lambda r, out: self._lu.solve(r),
+                return _pcg_solver(matrix, LAG_TOL, start, lambda r, out: self._lu.solve(r),
                                    LAG_MAX_ITER)(rhs)
             except LinearSolveFailure:
                 return self._refactor(matrix).solve(rhs)
@@ -163,6 +172,21 @@ class LaggedFactor:
         self._lu = None  # free the stale factor before building its replacement
         self._lu = assembly.factorize(matrix)
         return self._lu
+
+
+# OpenBLAS splits a ddot of more than 10,000 entries across its threads,
+# so that its rounding follows the thread count; _pcg sums a longer dot
+# product over chunks of this many entries, in order.
+DOT_CHUNK = 8192
+
+
+def _chunked_ddot(x, y):
+    """ddot(x, y) as the in-order sum over chunks of DOT_CHUNK entries: the
+    same bits under every BLAS thread count."""
+    total = 0.0
+    for i in range(0, len(x), DOT_CHUNK):
+        total += ddot(x[i:i + DOT_CHUNK], y[i:i + DOT_CHUNK])
+    return total
 
 
 def _pcg(matrix, precondition, b, x, rtol, max_iter):
@@ -176,6 +200,8 @@ def _pcg(matrix, precondition, b, x, rtol, max_iter):
     ``daxpy`` for x += alpha p and r -= alpha q.  Those two updates are
     fused multiply-adds, rounded once where ``cg`` rounds alpha p first,
     so the results agree with ``cg``'s to rounding, in as many iterations.
+    A column of more than DOT_CHUNK entries takes its dot products by
+    _chunked_ddot, so its bits do not depend on the BLAS thread count.
     ``daxpy`` updates a contiguous float64 y in place and a copy of any
     other, so each update rebinds to its result: x is the start updated in
     place when it is contiguous.  A zero b returns b.  Each product
@@ -191,7 +217,8 @@ def _pcg(matrix, precondition, b, x, rtol, max_iter):
     max_iter iterations, with the residual of the column it solved (a
     scaled one's, scaled).
     """
-    b_norm = math.sqrt(ddot(b, b))
+    dot = ddot if len(b) <= DOT_CHUNK else _chunked_ddot
+    b_norm = math.sqrt(dot(b, b))
     if not 2.0**-500 < b_norm < 2.0**500 and b.any() and np.isfinite(b).all():
         exponent = int(np.frexp(np.abs(b).max())[1])
         x, iterations = _pcg(matrix, precondition, np.ldexp(b, -exponent),
@@ -206,14 +233,14 @@ def _pcg(matrix, precondition, b, x, rtol, max_iter):
     kernel_args = (*matrix.shape, matrix.indptr, matrix.indices, matrix.data)
     p, rho_prev = None, None
     for iteration in range(max_iter):
-        if math.sqrt(ddot(r, r)) < tol:
+        if math.sqrt(dot(r, r)) < tol:
             return x, iteration
         z = precondition(r, out=z)
-        rho = ddot(r, z)
+        rho = dot(r, z)
         p = z.copy() if p is None else daxpy(z, dscal(rho / rho_prev, p))
         q.fill(0.0)
         csr_matvec(*kernel_args, p, q)
-        alpha = rho / ddot(p, q)
+        alpha = rho / dot(p, q)
         if not math.isfinite(alpha):  # a non-finite rho makes alpha so too
             break
         x = daxpy(p, x, a=alpha)
@@ -252,19 +279,20 @@ def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor], g
     ``factor`` None marks a system with K = M, which c = O(h^2) keeps as
     mass-dominated as the field systems: under either solver it is solved
     as they are, by Jacobi-CG from the guess, to MASS_TOL, with no factor.
-    Otherwise the direct solver goes through ``factor``, which the caller
-    keeps across steps to reuse its factorization, and its PCG, which the
-    held factor preconditions, starts from the guess.  The cg solver is Jacobi-CG to CG_TOL from a
-    zero start shaped like the guess, leaving out ``factor`` and the
-    guess's values by design: started from the guess it moved example1's
-    v error norms past the 1e-8 that the two solvers are held to
-    (CHANGES.md).
+    Otherwise ``factor`` is the run's LaggedFactor.  The run's first
+    system is solved from scratch: the direct solver factors it and solves
+    exactly, the cg solver runs Jacobi-CG from zero to CG_TOL.  Every later
+    one runs _pcg from the guess to LAG_TOL, preconditioned by the held
+    factor (LaggedFactor.solver) or, under cg, by Jacobi's within
+    CG_MAX_ITER.
     """
     if factor is None:
         return _pcg_solver(matrix, MASS_TOL, guess)
     if config.solver == DIRECT:
         return factor.solver(matrix, guess)
-    return _pcg_solver(matrix, CG_TOL, np.zeros_like(guess))
+    if factor.first:
+        return _pcg_solver(matrix, CG_TOL, np.zeros_like(guess))
+    return _pcg_solver(matrix, LAG_TOL, guess)
 
 
 def _extrapolated(current, previous):
@@ -320,22 +348,16 @@ def _new_surface(mesh, x, t, config):
     return mesh_new
 
 
-def _k_is_mass(law):
-    """K = M in the velocity system: the dynamic law, and the regularized
-    law with alpha = 0."""
-    return law.dynamic or law.alpha == 0.0
-
-
 def _velocity(state, spec, config, factor):
     """Solve (K + cA) y = K y0 + tau * load on the old surface from a guess of
     y, where load = delta N(x) u + g load; returns (x_new, v_new), (N, 3) each.
     Regularized: K = M + alpha A, c = tau beta, y = x_new from y0 = x and the
-    guess x + tau v, which is O(tau^2) close; dynamic: K = M, c = tau alpha,
-    y = v_new from y0 = v and the guess v.  Where K = M the system goes to
-    make_solver without ``factor``, and v in the guess is extrapolated from
-    the state before (LaggedFactor.previous, _extrapolated).  y is copied
-    C-contiguous (a factor's solve returns Fortran order), so every stored
-    v is, and the sums that read it keep their order."""
+    guess x + tau v; dynamic: K = M, c = tau alpha, y = v_new from y0 = v
+    and the guess v.  Under every law v is extrapolated from the state
+    before (LaggedFactor.previous, _extrapolated).  Where K = M the system
+    goes to make_solver without ``factor``.  y is copied C-contiguous (a
+    factor's solve returns Fortran order), so every stored v is, and the
+    sums that read it keep their order."""
     law, tau, mesh = spec.law, config.tau, state.mesh
     mass, stiff = assembly.surface_matrices(mesh)
     if law.dynamic:
@@ -343,9 +365,9 @@ def _velocity(state, spec, config, factor):
     else:
         k = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
         c, y0 = tau * law.beta, state.x
-    v = _extrapolated(state.v, factor.previous(state)[0])  # kept only where K = M
+    v = _extrapolated(state.v, factor.previous(state)[0])
     guess = v if law.dynamic else state.x + tau * v
-    held = None if _k_is_mass(law) else factor
+    held = None if k is mass else factor
     solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, held, guess)
     load = np.zeros((mesh.num_nodes, 3))
     if law.delta != 0.0:
@@ -370,7 +392,7 @@ def step_coupled(state: SystemState, spec, config: StepperConfig, factor) -> Sys
     u_new, w_new = _advance_fields(spec, state, mesh_new, config, factor.previous(state)[1:])
     _check_finite(t_new, u=u_new, w=w_new)
     new = SystemState(t_new, u_new, v_new, mesh_new, w_new)
-    factor.stepped(state, new, _k_is_mass(spec.law))
+    factor.stepped(state, new)
     return new
 
 

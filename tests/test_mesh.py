@@ -254,6 +254,19 @@ class TestMeshQuality:
         assert q.min_area == 0.0
         assert q.max_aspect_ratio == np.inf
 
+    @pytest.mark.parametrize("collapsed", [
+        [[0.3, 0.7, 2.0], [0.3, 0.7, 2.0], [1.9, -0.4, 1.1]],  # one zero-length edge
+        [[0.3, 0.7, 2.0]] * 3])  # three
+    def test_zero_length_edge_reads_angle_zero(self, collapsed):
+        # beside an equilateral triangle: a zero-length edge counts as
+        # cosine 1, angle 0; read as cosine 0 (90 degrees), the minimum
+        # would come from the rounding of the other corners, or be 60
+        equilateral = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(0.75), 0.0]]
+        m = mesh.SurfaceMesh(np.array(equilateral + collapsed), np.array([[0, 1, 2], [3, 4, 5]]),
+                             validate=False)
+        q = mesh.mesh_quality(m)
+        assert q.min_angle_deg == 0.0 and q.max_aspect_ratio == np.inf
+
     def test_closed_surface_normal_sum(self):
         for level in (0, 2, 3):
             m = mesh.generate_icosphere(level, 1.3)

@@ -1,7 +1,11 @@
 import collections
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,8 +439,9 @@ class TestFactorReuse:
             assert abs(getattr(lagged.norms, name) - value) <= 1e-10 * abs(value), name
 
     def test_still_surface_stays_still_with_lagged_solves(self):
-        # criterion 5 at a third of its length: measured drift 4e-14; CG
-        # started from zero instead of from the factor's solve drifts 3.3e-12
+        # criterion 5 at a third of its length: measured drift 3.8e-14 from
+        # the extrapolated guess, 1.0e-14 from that guess corrected once by
+        # the factor; CG started from zero drifts 3.3e-12
         m0 = mesh.generate_icosphere(2, 1.0)
         rng = np.random.Generator(np.random.Philox(5))
         spec = quiescent_spec()
@@ -625,9 +630,9 @@ def assert_matches_fresh_solve(x, matrix, rhs):
 
 
 class TestBlockedPCG:
-    """A lagged solve of an (N, k) block of right-hand sides: the held
-    factor corrects the start of all k columns at once, then each column
-    runs _pcg, preconditioned by that factor, to its own stopping test."""
+    """A lagged solve of an (N, k) block of right-hand sides: each column
+    runs _pcg from its start, preconditioned by the held factor, to its own
+    stopping test."""
 
     def test_columns_converge_apart_and_a_zero_column_stays_zero(self, monkeypatch):
         m0, held_matrix, matrix = velocity_like_systems(2)
@@ -638,12 +643,13 @@ class TestBlockedPCG:
         x, widths = lagged_solve(held_matrix, matrix, rhs, np.zeros_like(rhs))
         assert_matches_fresh_solve(x, matrix, rhs)
         assert np.array_equal(x[:, 1], np.zeros(m0.num_nodes))
-        # the start solves all three columns; the zero column never
-        # iterates, and the smooth one converges before the noisy one
+        # the zero column never iterates, and the smooth one converges
+        # before the noisy one
         assert len(iterations) == 3 and iterations[1] == 0
         assert 0 < iterations[2] < iterations[0]
-        # then each iteration applies the factor to its own column once
-        assert widths == [3] + sum(iterations) * [1]
+        # each iteration applies the factor to its own column once, and
+        # nothing else does
+        assert widths == sum(iterations) * [1]
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_columns_near_under_or_overflow_keep_the_factor(self, scale):
@@ -695,12 +701,13 @@ class TestWarmStart:
         x_new, _ = lagged_solve(held_matrix, matrix, rhs, 2.0 * x - x_prev)
         assert_matches_fresh_solve(x_new, matrix, rhs)
 
-    def test_exact_guess_takes_one_factor_application(self):
+    def test_exact_guess_takes_no_factor_application(self, monkeypatch):
         m0, held_matrix, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
         exact = spla.splu(matrix.tocsc()).solve(rhs)
+        iterations = count_cg_iterations(monkeypatch)
         x, widths = lagged_solve(held_matrix, matrix, rhs, exact)
-        assert widths == [3]
+        assert widths == [] and iterations == [0, 0, 0]
         assert_matches_fresh_solve(x, matrix, rhs)
 
     def test_zero_column_with_a_guess_returns_zeros(self):
@@ -729,8 +736,9 @@ class TestWarmStart:
         assert np.array_equal(x, fresh_solve(matrix, rhs))
 
     @pytest.mark.parametrize("level, t_end, bound", [
-        # measured 3.0 and 2.0 per column; started from the factor's solve
-        # of b they took 4.9 and 3.9
+        # measured 3.0 and 1.5 per column from the extrapolated guess, 2.9
+        # and 2.0 from that guess corrected once by the factor; started from
+        # the factor's solve of b they took 4.9 and 3.9
         (2, 0.1, 3.5), (4, 0.03, 2.5)])
     def test_example1_factor_applications_per_lagged_solve(self, monkeypatch, level, t_end,
                                                             bound):
@@ -944,17 +952,75 @@ class TestExtrapolatedStarts:
         assert held.previous(copy) == (None, None, None)
         assert held.previous(first) == (None, None, None)
 
-    def test_a_factored_velocity_keeps_no_old_velocity(self):
-        # alpha > 0: the velocity solve starts from x + tau v, under either
-        # solver, so only the field is extrapolated
+    def test_every_law_keeps_its_old_velocity(self):
+        # every velocity solve starts from v extrapolated, 2 v - v_prev,
+        # whatever its K and under either solver
+        m0 = mesh.generate_icosphere(1, 1.0)
+        for spec in (problems.example1_problem(), *MASS_VELOCITY_SPECS.values()):
+            first = (seeded_two_species_start(spec, m0, 4) if len(spec.diffusion) == 2
+                     else stepper.initial_state(spec, m0))
+            for solver in (stepper.DIRECT, stepper.CG):
+                held = stepper.LaggedFactor()
+                second = stepper.step_coupled(first, spec,
+                                              stepper.StepperConfig(1e-3, 1e-3, solver), held)
+                v, u, w = held.previous(second)
+                assert v is first.v and u is first.u and w is first.w
+
+
+class TestLaterVelocitySolves:
+    """A run's first velocity system with alpha > 0 is solved from scratch;
+    every later one runs _pcg from the extrapolated guess to LAG_TOL under
+    either solver, which picks only the preconditioner."""
+
+    def test_first_cg_step_is_a_zero_start_solve(self, monkeypatch):
+        spec, m0 = problems.example1_problem(), mesh.generate_icosphere(2, 1.0)
+        cfg = stepper.StepperConfig(1e-3, 1e-3, stepper.CG)
+        first = stepper.run(spec, m0, cfg)
+        real = stepper._pcg_solver
+        monkeypatch.setattr(stepper, "make_solver", lambda matrix, config, factor, guess:
+                            real(matrix, stepper.CG_TOL, np.zeros_like(guess)))
+        from_zero = stepper.run(spec, m0, cfg)
+        for name in ("x", "u", "v"):
+            a, b = getattr(first, name), getattr(from_zero, name)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+    @pytest.mark.parametrize("solver", [stepper.DIRECT, stepper.CG])
+    def test_later_steps_start_from_the_extrapolated_guess(self, monkeypatch, solver):
         spec, m0 = problems.example1_problem(), mesh.generate_icosphere(1, 1.0)
-        for solver in (stepper.DIRECT, stepper.CG):
-            held = stepper.LaggedFactor()
-            first = stepper.initial_state(spec, m0)
-            second = stepper.step_coupled(first, spec, stepper.StepperConfig(1e-3, 1e-3, solver),
-                                          held)
-            v, u, w = held.previous(second)
-            assert v is None and u is first.u and w is None
+        starts = []
+        real = stepper._pcg_solver
+
+        def recording(matrix, rtol, x0, *args):
+            starts.append((rtol, x0))
+            return real(matrix, rtol, x0, *args)
+
+        monkeypatch.setattr(stepper, "_pcg_solver", recording)
+        tau, states = 1e-3, []
+        stepper.run(spec, m0, stepper.StepperConfig(tau, 3 * tau, solver),
+                    observers=(lambda n, state: states.append(state),))
+        # the velocity solves are the (N, 3) ones; the u solves are (N,)
+        velocity = [(rtol, x0) for rtol, x0 in starts if x0.ndim == 2]
+        if solver == stepper.CG:
+            rtol, x0 = velocity.pop(0)
+            assert rtol == stepper.CG_TOL and not x0.any()
+        # the cholesky solver's first system is its new factor's own solve
+        assert len(velocity) == 2
+        for n, (rtol, x0) in enumerate(velocity, start=1):
+            now, before = states[n], states[n - 1]
+            assert rtol == stepper.LAG_TOL
+            assert np.array_equal(x0, now.x + tau * (2.0 * now.v - before.v)), n
+
+    def test_example1_cg_velocity_iterations(self, monkeypatch):
+        # level 3 to t = 0.2: measured 24.3 per velocity column; from zero
+        # at every step they took 40.2
+        iterations = count_cg_iterations_by_kind(monkeypatch)
+        m0 = mesh.generate_icosphere(3, 1.0)
+        cfg = stepper.StepperConfig(tau=experiments.step_size_for(m0, 0.2), t_end=0.2,
+                                    solver=stepper.CG)
+        stepper.run(problems.example1_problem(), m0, cfg)
+        velocity = iterations["velocity"]
+        assert len(velocity) == 3 * round(0.2 / cfg.tau)
+        assert sum(velocity) <= 25.0 * len(velocity)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1126,6 +1192,28 @@ class TestPCGKernel:
             with pytest.raises(LinearSolveFailure, match="conjugate gradient"):
                 stepper._pcg(matrix, jacobi(matrix), rhs, start, 1e-14, stepper.CG_MAX_ITER)
         assert len(counted) == 1  # the first iteration's product
+
+    def test_long_column_has_the_same_bits_under_one_and_two_blas_threads(self):
+        # OpenBLAS splits a ddot of more than 10,000 entries across its
+        # threads; _pcg sums such dot products over fixed chunks instead
+        code = ("import hashlib\n"
+                "import numpy as np, scipy.sparse as sp\n"
+                "from esfem import stepper\n"
+                "n = 12000\n"
+                "rng = np.random.Generator(np.random.Philox(2))\n"
+                "off = -np.ones(n - 1)\n"
+                "matrix = sp.diags([off, 2.01 + rng.random(n), off], [-1, 0, 1], format='csr')\n"
+                "x = stepper._pcg_solver(matrix, 1e-14, np.zeros(n))(rng.standard_normal(n))\n"
+                "print(hashlib.sha256(x.tobytes()).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
 
     def test_iteration_cap_raises_with_the_residual(self, monkeypatch):
         mass, stiff = sphere_matrices(2)

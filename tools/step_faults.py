@@ -12,7 +12,9 @@ every 10).  An observer appended to every ``stepper.run`` reads
 ``ru_minflt`` and the monotonic clock after each step; the medians are
 over the differences between consecutive steps.  A step that allocates
 fresh memory beyond what the allocator keeps takes minor faults, so a
-nonzero median marks allocation churn that no timing shows directly.
+nonzero median marks allocation churn that no timing shows directly; a
+loaded machine adds faults of its own, so the 1, 5 and 15 minute load
+averages (``os.getloadavg``) are printed beside the median.
 The same pass counts the calls of ``stepper._pcg`` and the iterations
 they return, apart for the velocity columns (the solves that
 ``stepper.make_solver`` builds, the columns that a held factor
@@ -121,7 +123,9 @@ def main():
         ms = [1e3 * (b[1] - a[1]) for a, b in zip(stamps, stamps[1:])]
         pcg_counts = "".join(f"  _pcg {kind} {len(n)}/{sum(n)} ({sum(n) / max(len(n), 1):.1f})"
                              for kind, n in iterations.items())
+        load = " ".join(f"{x:.2f}" for x in os.getloadavg())
         print(f"{name:<16}{len(ms) + 1:>5} steps  faults/step {statistics.median(faults):g}"
+              f" (load {load})"
               f"  ms/step {statistics.median(ms):.3f}{pcg_counts}"
               f"  factorizations band {kinds.count('band')}"
               f" SuperLU {kinds.count('SuperLU')}  applications {len(applications)}"
