@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,16 +55,12 @@ class SystemState:
 class StepperConfig:
     """Step size, horizon and solve options of one run.
 
-    ``solver`` chooses how a velocity system whose K holds a stiffness part
-    (K = M + alpha A, alpha > 0) is solved.  A run's first such system is
-    solved from scratch: ``cholesky`` factors it and solves exactly, ``cg``
-    runs Jacobi-CG from zero to CG_TOL.  Every later one runs _pcg from the
-    extrapolated guess to LAG_TOL, and the option picks only its
-    preconditioner: the factor that ``cholesky`` keeps for the run
-    (LaggedFactor), or Jacobi's under ``cg``.  Every other system, the
-    field systems and the velocity system where K = M, is mass-dominated
-    and runs the same Jacobi-PCG under both, so those runs end bitwise
-    equal whichever solver is chosen.
+    ``solver`` chooses only how a velocity system whose K holds a stiffness
+    part (K = M + alpha A, alpha > 0) is solved (make_solver): ``cholesky``
+    with a factor that the run keeps (RunRecord), ``cg`` with Jacobi's
+    preconditioner.  Every other system, the field systems and the velocity
+    system where K = M, is mass-dominated and runs the same Jacobi-PCG
+    under both, so those runs end bitwise equal whichever solver is chosen.
 
     ``CHOICES`` lists the allowed values of each solve option (solver,
     normal_coupling); the command line and the experiment drivers take the
@@ -89,18 +86,17 @@ class StepperConfig:
 # Relative residual and iteration cap of the cg solver's velocity solve of
 # a run's first system with alpha > 0, from zero: started from its guess,
 # example1's level-4 v error moved past the 1e-8 that the two solvers are
-# held to (CHANGES.md).  Later ones run to LAG_TOL from the extrapolated
-# guess; every Jacobi-PCG solve shares the cap.
+# held to (CHANGES.md).  Every Jacobi-PCG solve shares the cap.
 CG_TOL = 1e-12
 CG_MAX_ITER = 10000
 # A step whose surface has a triangle angle below this many degrees raises
 # MeshDegenerated.
 ABORT_MIN_ANGLE = 5.0
 
-# A lagged velocity solve refactors when one of its columns has not
-# converged within this many PCG iterations: a stale factor then costs at
-# most about two factorizations' time (the measured counts are in
-# CHANGES.md).
+# A lagged velocity solve refactors, and solves every column exactly, when
+# one of its columns has not converged within this many PCG iterations or
+# turns non-finite: a stale factor then costs at most about two
+# factorizations' time (the measured counts are in CHANGES.md).
 LAG_MAX_ITER = 30
 # Relative residual of a field solve and of every velocity solve with
 # alpha > 0 after a run's first, under either solver: the held factor
@@ -115,25 +111,24 @@ LAG_TOL = 1e-14
 MASS_TOL = 1e-15
 
 
-class LaggedFactor:
-    """What one run keeps across its steps: the fields of the step before
-    the last, from which every solve extrapolates its start
-    (``previous``), and under the cholesky solver the factor of the
-    velocity system where K = M + alpha A with alpha > 0
-    (assembly.factorize).
-
-    The matrices of the linearly implicit scheme change only O(tau) per
-    step, so an old factor is a close preconditioner for the current one.
-    The first system is factored where its solve is built, and that solve
-    is the factor's own, exact; later ones run _pcg on each column of the
-    right-hand side from the guess, preconditioned by the held factor.
-    A column that has not converged within LAG_MAX_ITER iterations, or
-    turns non-finite, drops the factor, which is refactored to solve every
-    column exactly.  A singular matrix raises LinearSolveFailure.
+class RunRecord:
+    """What one run on one mesh keeps across its steps, and what its linear
+    algebra did: the fields of the step before the last, from which every
+    solve extrapolates its start (``previous``), and under the cholesky
+    solver the velocity factor where alpha > 0 (assembly.factorize), which
+    preconditions the later systems, each only O(tau) from the last
+    (``solver``).  Its counts are exact and untimed: ``pcg_calls`` and
+    ``pcg_iterations`` by system (``velocity``, ``field``),
+    ``factorizations`` by class (BandCholesky, SuperLU) and
+    ``factor_columns``, the columns that the held factor has solved.
     """
 
     def __init__(self):
-        self._lu = None
+        self.pcg_calls = {"velocity": 0, "field": 0}
+        self.pcg_iterations = {"velocity": 0, "field": 0}
+        self.factorizations = Counter()
+        self.factor_columns = 0
+        self._factor = None
         # (the state stepped to last, the (v, u, w) it came from)
         self._last = None, (None, None, None)
 
@@ -152,26 +147,33 @@ class LaggedFactor:
         self._last = new, (old.v, old.u, old.w)
 
     def solver(self, matrix, start):
-        """solve(rhs) for (N,) or (N, k) right-hand sides of ``matrix``;
-        ``start``, shaped like rhs, is the guess of the solution."""
-        if self._lu is None:
-            return self._refactor(matrix).solve
+        """solve(rhs) for (N,) or (N, k) right-hand sides of ``matrix`` from
+        the guess ``start``, shaped like rhs: the first system's by its new
+        factor, exactly, later ones by _pcg per column to LAG_TOL,
+        preconditioned by the held factor, refactored as LAG_MAX_ITER says.
+        A singular matrix raises LinearSolveFailure."""
+        if self._factor is None:
+            return self._refactor(matrix)
 
         def solve(rhs):
-            # self._lu is read as the solve runs, so after a refactor it is
-            # this matrix's own factor
             try:
-                return _pcg_solver(matrix, LAG_TOL, start, lambda r, out: self._lu.solve(r),
+                return _pcg_solver(matrix, LAG_TOL, start, self, "velocity", self._solve,
                                    LAG_MAX_ITER)(rhs)
             except LinearSolveFailure:
-                return self._refactor(matrix).solve(rhs)
+                return self._refactor(matrix)(rhs)
 
         return solve
 
     def _refactor(self, matrix):
-        self._lu = None  # free the stale factor before building its replacement
-        self._lu = assembly.factorize(matrix)
-        return self._lu
+        self._factor = None  # free the stale factor before building its replacement
+        self._factor = assembly.factorize(matrix)
+        self.factorizations[type(self._factor).__name__] += 1
+        return self._solve
+
+    def _solve(self, rhs, out=None):
+        """The held factor's solve, counting the columns of rhs; out unused."""
+        self.factor_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
+        return self._factor.solve(rhs)
 
 
 # OpenBLAS splits a ddot of more than 10,000 entries across its threads,
@@ -251,12 +253,12 @@ def _pcg(matrix, precondition, b, x, rtol, max_iter):
     raise LinearSolveFailure("conjugate gradient did not converge", residual)
 
 
-def _pcg_solver(matrix, rtol, x0, precondition=None, max_iter=None):
+def _pcg_solver(matrix, rtol, x0, record, system, precondition=None, max_iter=None):
     """solve(rhs) for the CSR ``matrix`` by _pcg per column of the (N,) or
     (N, k) array rhs to relative residual ``rtol``, from ``x0``, shaped
-    like rhs (all zeros to start from zero), within ``max_iter``
-    iterations, CG_MAX_ITER where None; ``precondition`` is Jacobi's,
-    1 / diag(matrix), where None."""
+    like rhs (all zeros to start from zero), within ``max_iter`` (or
+    CG_MAX_ITER) iterations, counted by the RunRecord ``record`` for
+    ``system``; ``precondition`` is Jacobi's, 1 / diag(matrix), where None."""
     if precondition is None:
         precondition = functools.partial(np.multiply, 1.0 / matrix.diagonal())
 
@@ -265,34 +267,34 @@ def _pcg_solver(matrix, rtol, x0, precondition=None, max_iter=None):
         starts = np.reshape(x0, cols.shape)
         out = np.empty_like(cols)
         for j in range(cols.shape[1]):
-            out[:, j], _ = _pcg(matrix, precondition, np.ascontiguousarray(cols[:, j]),
-                                np.array(starts[:, j]), rtol, max_iter or CG_MAX_ITER)
+            out[:, j], iterations = _pcg(matrix, precondition, np.ascontiguousarray(cols[:, j]),
+                                         np.array(starts[:, j]), rtol, max_iter or CG_MAX_ITER)
+            record.pcg_calls[system] += 1
+            record.pcg_iterations[system] += iterations
         return out.reshape(rhs.shape)
 
     return solve
 
 
-def make_solver(matrix, config: StepperConfig, factor: Optional[LaggedFactor], guess):
+def make_solver(matrix, config: StepperConfig, record: RunRecord, guess, mass_only):
     """solve(rhs) for the velocity system and (N,) or (N, k) right-hand
-    sides; ``guess``, shaped like rhs, is a guess of the solution.
+    sides from ``guess``, shaped like rhs, counted by the RunRecord ``record``.
 
-    ``factor`` None marks a system with K = M, which c = O(h^2) keeps as
-    mass-dominated as the field systems: under either solver it is solved
-    as they are, by Jacobi-CG from the guess, to MASS_TOL, with no factor.
-    Otherwise ``factor`` is the run's LaggedFactor.  The run's first
-    system is solved from scratch: the direct solver factors it and solves
-    exactly, the cg solver runs Jacobi-CG from zero to CG_TOL.  Every later
-    one runs _pcg from the guess to LAG_TOL, preconditioned by the held
-    factor (LaggedFactor.solver) or, under cg, by Jacobi's within
-    CG_MAX_ITER.
+    ``mass_only`` marks a system with K = M, which c = O(h^2) keeps as
+    mass-dominated as the field systems: it is solved as they are, by
+    Jacobi-CG from the guess, to MASS_TOL.  Otherwise the run's first
+    system is solved from scratch, by the direct solver's new factor
+    (RunRecord.solver) or by Jacobi-CG from zero to CG_TOL, and every later
+    one by _pcg from the guess to LAG_TOL, preconditioned by the held
+    factor or, within CG_MAX_ITER, by Jacobi's.
     """
-    if factor is None:
-        return _pcg_solver(matrix, MASS_TOL, guess)
+    if mass_only:
+        return _pcg_solver(matrix, MASS_TOL, guess, record, "velocity")
     if config.solver == DIRECT:
-        return factor.solver(matrix, guess)
-    if factor.first:
-        return _pcg_solver(matrix, CG_TOL, np.zeros_like(guess))
-    return _pcg_solver(matrix, LAG_TOL, guess)
+        return record.solver(matrix, guess)
+    if record.first:
+        return _pcg_solver(matrix, CG_TOL, np.zeros_like(guess), record, "velocity")
+    return _pcg_solver(matrix, LAG_TOL, guess, record, "velocity")
 
 
 def _extrapolated(current, previous):
@@ -301,22 +303,21 @@ def _extrapolated(current, previous):
     return current if previous is None else 2.0 * current - previous
 
 
-def _advance_fields(spec, state, mesh_new, config, previous):
+def _advance_fields(spec, state, mesh_new, config, record):
     """PDE step of every field on the new surface; returns (u_new, w_new),
     w_new None for a single field.
 
     tau ~ h^2 keeps each field system M + tau d A (d from spec.diffusion)
     mass-dominated, so under either solver it is solved by Jacobi-CG to
-    LAG_TOL, started from the old field extrapolated by ``previous``, the
-    fields (u, w) of the state before it, None where there is none
-    (_extrapolated).
+    LAG_TOL from the old field extrapolated by the one of the state before it
+    (RunRecord.previous, _extrapolated), counted by the RunRecord ``record``.
     """
     tau = config.tau
     mass_new, stiff_new = assembly.surface_matrices(mesh_new)
     fields = (state.u, state.w)[:len(spec.diffusion)]
     solves = [_pcg_solver(assembly.add_scaled(mass_new, tau * d, stiff_new), LAG_TOL,
-                          _extrapolated(f, f_prev))
-              for d, f, f_prev in zip(spec.diffusion, fields, previous)]
+                          _extrapolated(f, f_prev), record, "field")
+              for d, f, f_prev in zip(spec.diffusion, fields, record.previous(state)[1:])]
     mass_old = assembly.surface_matrices(state.mesh)[0]
     new = problems.field_step(mesh_new, spec.source, mass_old, fields, tau, solves, state.t + tau)
     return (*new, None)[:2]
@@ -348,16 +349,16 @@ def _new_surface(mesh, x, t, config):
     return mesh_new
 
 
-def _velocity(state, spec, config, factor):
+def _velocity(state, spec, config, record):
     """Solve (K + cA) y = K y0 + tau * load on the old surface from a guess of
     y, where load = delta N(x) u + g load; returns (x_new, v_new), (N, 3) each.
     Regularized: K = M + alpha A, c = tau beta, y = x_new from y0 = x and the
     guess x + tau v; dynamic: K = M, c = tau alpha, y = v_new from y0 = v
     and the guess v.  Under every law v is extrapolated from the state
-    before (LaggedFactor.previous, _extrapolated).  Where K = M the system
-    goes to make_solver without ``factor``.  y is copied C-contiguous (a
-    factor's solve returns Fortran order), so every stored v is, and the
-    sums that read it keep their order."""
+    before, which the RunRecord ``record`` keeps (RunRecord.previous,
+    _extrapolated).  y is copied C-contiguous (a factor's solve returns
+    Fortran order), so every stored v is, and the sums that read it keep
+    their order."""
     law, tau, mesh = spec.law, config.tau, state.mesh
     mass, stiff = assembly.surface_matrices(mesh)
     if law.dynamic:
@@ -365,10 +366,10 @@ def _velocity(state, spec, config, factor):
     else:
         k = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
         c, y0 = tau * law.beta, state.x
-    v = _extrapolated(state.v, factor.previous(state)[0])
+    v = _extrapolated(state.v, record.previous(state)[0])
     guess = v if law.dynamic else state.x + tau * v
-    held = None if k is mass else factor
-    solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, held, guess)
+    solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, record,
+                        guess, k is mass)
     load = np.zeros((mesh.num_nodes, 3))
     if law.delta != 0.0:
         load += law.delta * assembly.assemble_normal_coupling(mesh, state.u, config.normal_coupling)
@@ -378,21 +379,19 @@ def _velocity(state, spec, config, factor):
     return (state.x + tau * y, y) if law.dynamic else (y, (y - state.x) / tau)
 
 
-def step_coupled(state: SystemState, spec, config: StepperConfig, factor) -> SystemState:
+def step_coupled(state: SystemState, spec, config: StepperConfig, record: RunRecord) -> SystemState:
     """One step of the velocity law ``spec.law`` on the old surface, then of
-    the fields on the new one; returns the new state.  ``factor`` is the
-    run's LaggedFactor, kept across the steps of one run on one mesh: its
-    velocity factor, and the fields of the state before ``state`` when
-    ``state`` is its last step's result, from which the Jacobi-PCG solves
-    extrapolate their starts.  A new one factors afresh and starts the
-    solves from the old values."""
+    the fields on the new one; returns the new state.  ``record`` is the
+    RunRecord of one run on one mesh, which holds its velocity factor and
+    the fields from which the solves extrapolate their starts, and counts
+    the solves; a new one factors afresh and starts from the old values."""
     t_new = state.t + config.tau
-    x_new, v_new = _velocity(state, spec, config, factor)
+    x_new, v_new = _velocity(state, spec, config, record)
     mesh_new = _new_surface(state.mesh, x_new, t_new, config)
-    u_new, w_new = _advance_fields(spec, state, mesh_new, config, factor.previous(state)[1:])
+    u_new, w_new = _advance_fields(spec, state, mesh_new, config, record)
     _check_finite(t_new, u=u_new, w=w_new)
     new = SystemState(t_new, u_new, v_new, mesh_new, w_new)
-    factor.stepped(state, new)
+    record.stepped(state, new)
     return new
 
 
@@ -413,23 +412,24 @@ def initial_state(spec, mesh0: SurfaceMesh, u0=None, w0=None) -> SystemState:
 
 
 def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
-        start: Optional[SystemState] = None) -> SystemState:
+        start: Optional[SystemState] = None, record: Optional[RunRecord] = None) -> SystemState:
     """Advance from t=0 to t_end with uniform steps; returns the final state.
 
     t_end/tau must be an integer to 1e-9.  Observers are the view of the
     intermediate states: they are called synchronously as
     observer(step_index, state) for the initial state and after every step,
-    and must not mutate the state.  One LaggedFactor carries the velocity
-    factorization, where there is one, and the warm starts across the run.
+    and must not mutate the state.  One RunRecord, ``record`` or a new one
+    where None, carries the velocity factorization, where there is one,
+    and the warm starts across the run, and counts its solves.
     """
     n_steps = problems.step_count(config.t_end, config.tau, "t_end/tau")
 
     state = start if start is not None else initial_state(spec, mesh0)
     for obs in observers:
         obs(0, state)
-    factor = LaggedFactor()
+    record = RunRecord() if record is None else record
     for n in range(1, n_steps + 1):
-        state = step_coupled(state, spec, config, factor)
+        state = step_coupled(state, spec, config, record)
         for obs in observers:
             obs(n, state)
     return state

@@ -30,7 +30,7 @@ def test_traced_smoke_run_reports_its_layers(workload, tmp_path):
     layers = json.loads(report.read_text())["layers"]
     assert layers["stepper.solve_calls"] > 0
     # the tracer counts CG iterations by wrapping spla.cg, which no esfem path
-    # calls: every Jacobi-CG solve runs on stepper._pcg, whose iterations
-    # tests/test_stepper.py counts
+    # calls: every Jacobi-CG solve runs on stepper._pcg, whose calls and
+    # iterations the run's stepper.RunRecord counts
     assert layers["stepper.cg_iterations"] == 0
     assert layers["assembly.load_calls"] > 0

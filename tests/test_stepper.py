@@ -29,7 +29,7 @@ class TestStepCoupled:
         spec = quiescent_spec()
         cfg = stepper.StepperConfig(tau=0.01, t_end=0.01)
         state = stepper.initial_state(spec, m0, u0=np.zeros(m0.num_nodes))
-        new = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
+        new = stepper.step_coupled(state, spec, cfg, stepper.RunRecord())
         assert np.abs(new.x - state.x).max() <= 1e-13
         assert np.abs(new.v).max() <= 1e-11
 
@@ -43,7 +43,7 @@ class TestStepCoupled:
         total0 = float(np.ones_like(u0) @ (mass @ u0))
         state = stepper.initial_state(spec, m0, u0=u0)
         for _ in range(200):
-            state = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
+            state = stepper.step_coupled(state, spec, cfg, stepper.RunRecord())
         mass_end = assembly.assemble_mass(state.mesh)
         total_end = float(np.ones_like(u0) @ (mass_end @ state.u))
         assert abs(total_end - total0) <= 1e-10 * abs(total0)
@@ -56,7 +56,7 @@ class TestStepCoupled:
         tau = 1e-3
         cfg = stepper.StepperConfig(tau=tau, t_end=tau)
         state = stepper.initial_state(spec, m0)
-        new = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
+        new = stepper.step_coupled(state, spec, cfg, stepper.RunRecord())
         radii = np.linalg.norm(new.x, axis=1)
         r_exact = float(spec.exact.radius(tau))
         assert radii.min() > 1.0  # moved outward
@@ -67,7 +67,7 @@ class TestStepCoupled:
         m0 = mesh.generate_icosphere(1, 1.0)
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3, normal_coupling="interpolated")
         state = stepper.initial_state(spec, m0)
-        new = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
+        new = stepper.step_coupled(state, spec, cfg, stepper.RunRecord())
         assert np.isfinite(new.x).all()
 
 
@@ -93,7 +93,7 @@ class TestStepDynamic:
         for _ in range(25):
             mass_cur = assembly.assemble_mass(state.mesh)
             before = assembly.discrete_norms(mass_cur, stiff0, state.v)[0]
-            new = stepper.step_dynamic(state, spec, cfg, stepper.LaggedFactor())
+            new = stepper.step_dynamic(state, spec, cfg, stepper.RunRecord())
             after = assembly.discrete_norms(mass_cur, stiff0, new.v)[0]
             assert after <= before * (1 + 1e-12)
             state = new
@@ -111,7 +111,7 @@ class TestStepDynamic:
         cfg = stepper.StepperConfig(tau=0.1, t_end=0.1)
         state = stepper.initial_state(spec, m0)
         for _ in range(400):
-            new = stepper.step_dynamic(state, spec, cfg, stepper.LaggedFactor())
+            new = stepper.step_dynamic(state, spec, cfg, stepper.RunRecord())
             state = stepper.SystemState(t=new.t, u=new.u, v=new.v, mesh=state.mesh, w=new.w)
         stiff = assembly.assemble_stiffness(m0)
         gload = assembly.assemble_normal_load(m0, lambda x, t: np.ones(len(x)), 0.0)
@@ -134,8 +134,8 @@ class TestLawFromSpec:
         state = dataclasses.replace(stepper.initial_state(spec, m0),
                                     v=rng.standard_normal((m0.num_nodes, 3)))
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
-        coupled = stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
-        dynamic = stepper.step_dynamic(state, spec, cfg, stepper.LaggedFactor())
+        coupled = stepper.step_coupled(state, spec, cfg, stepper.RunRecord())
+        dynamic = stepper.step_dynamic(state, spec, cfg, stepper.RunRecord())
         assert isinstance(coupled, stepper.SystemState) and coupled.t == dynamic.t
         for name in ("x", "u", "v"):
             assert np.array_equal(getattr(coupled, name), getattr(dynamic, name)), name
@@ -234,7 +234,7 @@ class TestRun:
         cfg = stepper.StepperConfig(tau=1e-3, t_end=1e-3)
         state = stepper.initial_state(spec, mesh.generate_icosphere(1, 1e-9))
         with pytest.raises(MeshDegenerated) as info:
-            stepper.step_coupled(state, spec, cfg, stepper.LaggedFactor())
+            stepper.step_coupled(state, spec, cfg, stepper.RunRecord())
         assert info.value.quality.min_angle_deg > 50.0
         assert info.value.quality.min_area < 1e-14 * cfg.tau
 
@@ -274,8 +274,8 @@ class TestRun:
         # the velocity solve moves a vertex of triangle 0 onto another
         real = stepper._velocity
 
-        def collapsing(state, spec, config, factor):
-            x_new, v_new = real(state, spec, config, factor)
+        def collapsing(state, spec, config, record):
+            x_new, v_new = real(state, spec, config, record)
             i, j, _ = state.mesh.triangles[0]
             x_new = x_new.copy()
             x_new[j] = x_new[i]
@@ -399,9 +399,26 @@ def count_factorizations(monkeypatch):
     return calls
 
 
+def factorizations(record):
+    """The factorizations that ``record`` counted, of either kind."""
+    return sum(record.factorizations.values())
+
+
 def fresh_solve(matrix, rhs):
     """The solve of a fresh factorization of ``matrix``."""
     return assembly.factorize(matrix).solve(rhs)
+
+
+def record_runs(monkeypatch):
+    """The RunRecord of every stepper.run call from now on, in order."""
+    records, real = [], stepper.run
+
+    def run(*args, **kwargs):
+        records.append(stepper.RunRecord())
+        return real(*args, record=records[-1], **kwargs)
+
+    monkeypatch.setattr(stepper, "run", run)
+    return records
 
 
 def seeded_two_species_start(spec, m0, seed):
@@ -429,8 +446,8 @@ class TestFactorReuse:
         lagged, lagged_final = experiments.run_level(spec, level, 0.1)
         real = stepper.make_solver
         monkeypatch.setattr(stepper, "make_solver",
-                            lambda matrix, config, factor, guess:
-                            real(matrix, config, stepper.LaggedFactor(), guess))
+                            lambda matrix, config, record, guess, mass_only:
+                            real(matrix, config, stepper.RunRecord(), guess, mass_only))
         fresh, fresh_final = experiments.run_level(spec, level, 0.1)
         for name in ("x", "u"):
             a, b = getattr(lagged_final, name), getattr(fresh_final, name)
@@ -450,31 +467,30 @@ class TestFactorReuse:
         final = stepper.run(spec, m0, cfg, start=start)
         assert np.abs(final.x - m0.coords).max() <= 5e-13
 
-    def test_stale_factor_refactors_once(self, monkeypatch):
+    def test_stale_factor_refactors_once(self):
         m0 = mesh.generate_icosphere(2, 1.0)
         mass, stiff = assembly.assemble_mass(m0), assembly.assemble_stiffness(m0)
         far = (mass + 10.0 * stiff).tocsr()
         rhs = np.random.Generator(np.random.Philox(4)).standard_normal((m0.num_nodes, 3))
         expected = fresh_solve(far, rhs)
-        held = stepper.LaggedFactor()
+        held = stepper.RunRecord()
         held.solver((mass + 1e-6 * stiff).tocsr(), np.zeros_like(rhs))
-        calls = count_factorizations(monkeypatch)
         solve = held.solver(far, np.zeros_like(rhs))
-        assert calls == []
+        assert factorizations(held) == 1
         assert np.array_equal(solve(rhs), expected)
-        assert len(calls) == 1
+        assert factorizations(held) == 2
         # the replacement is this matrix's own factor: later solves need
         # no further factorization
         scale = np.abs(expected).max()
         assert np.abs(solve(rhs) - expected).max() <= 1e-13 * scale
         column = held.solver(far, np.zeros_like(rhs[:, 0]))(rhs[:, 0])
         assert np.abs(column - expected[:, 0]).max() <= 1e-13 * scale
-        assert len(calls) == 1
+        assert factorizations(held) == 2
 
     def test_exactly_singular_system_is_a_solve_failure(self):
         singular = sp.diags([1.0, 0.0, 1.0]).tocsr()
         with pytest.raises(LinearSolveFailure, match="singular"):
-            stepper.LaggedFactor().solver(singular, np.zeros(3))
+            stepper.RunRecord().solver(singular, np.zeros(3))
 
     def test_standalone_steps_on_two_meshes(self, monkeypatch):
         calls = count_factorizations(monkeypatch)
@@ -486,7 +502,7 @@ class TestFactorReuse:
         for step, spec in [(stepper.step_coupled, coupled), (stepper.step_dynamic, dynamic)]:
             for level in (2, 1, 2):
                 state = stepper.initial_state(spec, mesh.generate_icosphere(level, 1.0))
-                results.append(step(state, spec, cfg, stepper.LaggedFactor()))
+                results.append(step(state, spec, cfg, stepper.RunRecord()))
             factored.append(len(calls))
         # every standalone step of the regularized law (alpha = 1) factors its
         # velocity system; the dynamic law's, K = M, runs Jacobi-PCG
@@ -502,9 +518,9 @@ class TestFactorReuse:
         expected = stepper.run(spec, m0, cfg)
         calls = count_factorizations(monkeypatch)
         state = stepper.initial_state(spec, m0)
-        factor = stepper.LaggedFactor()
+        record = stepper.RunRecord()
         for _ in range(4):
-            state = stepper.step_coupled(state, spec, cfg, factor)
+            state = stepper.step_coupled(state, spec, cfg, record)
         assert len(calls) == 1
         assert np.array_equal(state.x, expected.x) and np.array_equal(state.u, expected.u)
 
@@ -614,14 +630,14 @@ def velocity_like_systems(level):
 
 
 def lagged_solve(held_matrix, matrix, rhs, start):
-    """Solve from ``start`` with ``held_matrix``'s factor held; the factor
-    must not go stale."""
-    held = stepper.LaggedFactor()
+    """Solve from ``start`` with ``held_matrix``'s factor held; returns the
+    solution and the run record, whose _pcg calls and factor columns are
+    that solve's.  The factor must not go stale."""
+    held = stepper.RunRecord()
     held.solver(held_matrix, start)
-    counting = held._lu = CountingFactor(held._lu)
     x = held.solver(matrix, start)(rhs)
-    assert held._lu is counting, "refactored"
-    return x, counting.widths
+    assert factorizations(held) == 1, "refactored"
+    return x, held
 
 
 def assert_matches_fresh_solve(x, matrix, rhs):
@@ -634,22 +650,29 @@ class TestBlockedPCG:
     runs _pcg from its start, preconditioned by the held factor, to its own
     stopping test."""
 
-    def test_columns_converge_apart_and_a_zero_column_stays_zero(self, monkeypatch):
+    def test_columns_converge_apart_and_a_zero_column_stays_zero(self):
         m0, held_matrix, matrix = velocity_like_systems(2)
         noise = np.random.Generator(np.random.Philox(4)).standard_normal(m0.num_nodes)
         smooth = held_matrix @ (m0.coords[:, 0] * m0.coords[:, 1])
         rhs = np.stack([noise, np.zeros(m0.num_nodes), smooth], axis=1)
-        iterations = count_cg_iterations(monkeypatch)
-        x, widths = lagged_solve(held_matrix, matrix, rhs, np.zeros_like(rhs))
+        x, record = lagged_solve(held_matrix, matrix, rhs, np.zeros_like(rhs))
         assert_matches_fresh_solve(x, matrix, rhs)
         assert np.array_equal(x[:, 1], np.zeros(m0.num_nodes))
+        # each column solved alone takes the same bits and iterations
+        iterations = []
+        for j in range(3):
+            column, alone = lagged_solve(held_matrix, matrix, rhs[:, j], np.zeros(m0.num_nodes))
+            assert np.array_equal(column, x[:, j])
+            assert alone.pcg_calls["velocity"] == 1
+            iterations.append(alone.pcg_iterations["velocity"])
         # the zero column never iterates, and the smooth one converges
         # before the noisy one
-        assert len(iterations) == 3 and iterations[1] == 0
+        assert record.pcg_calls["velocity"] == 3 and iterations[1] == 0
         assert 0 < iterations[2] < iterations[0]
-        # each iteration applies the factor to its own column once, and
-        # nothing else does
-        assert widths == sum(iterations) * [1]
+        assert record.pcg_iterations["velocity"] == sum(iterations)
+        # each iteration applies the factor to one column, and nothing
+        # else applies it
+        assert record.factor_columns == sum(iterations)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_columns_near_under_or_overflow_keep_the_factor(self, scale):
@@ -660,18 +683,17 @@ class TestBlockedPCG:
         x, _ = lagged_solve(held_matrix, matrix, rhs, np.zeros_like(rhs))
         assert_matches_fresh_solve(x, matrix, rhs)
 
-    def test_stale_factor_with_a_zero_column_refactors_once(self, monkeypatch):
+    def test_stale_factor_with_a_zero_column_refactors_once(self):
         m0 = mesh.generate_icosphere(2, 1.0)
         mass, stiff = assembly.assemble_mass(m0), assembly.assemble_stiffness(m0)
         far = (mass + 10.0 * stiff).tocsr()
         rhs = np.random.Generator(np.random.Philox(6)).standard_normal((m0.num_nodes, 3))
         rhs[:, 0] = 0.0
         expected = fresh_solve(far, rhs)
-        held = stepper.LaggedFactor()
+        held = stepper.RunRecord()
         held.solver((mass + 1e-6 * stiff).tocsr(), np.zeros_like(rhs))
-        calls = count_factorizations(monkeypatch)
         x = held.solver(far, np.zeros_like(rhs))(rhs)
-        assert len(calls) == 1
+        assert factorizations(held) == 2
         assert np.array_equal(x, expected)
         assert np.array_equal(x[:, 0], np.zeros(m0.num_nodes))
 
@@ -701,13 +723,13 @@ class TestWarmStart:
         x_new, _ = lagged_solve(held_matrix, matrix, rhs, 2.0 * x - x_prev)
         assert_matches_fresh_solve(x_new, matrix, rhs)
 
-    def test_exact_guess_takes_no_factor_application(self, monkeypatch):
+    def test_exact_guess_takes_no_factor_application(self):
         m0, held_matrix, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
         exact = spla.splu(matrix.tocsc()).solve(rhs)
-        iterations = count_cg_iterations(monkeypatch)
-        x, widths = lagged_solve(held_matrix, matrix, rhs, exact)
-        assert widths == [] and iterations == [0, 0, 0]
+        x, record = lagged_solve(held_matrix, matrix, rhs, exact)
+        assert record.factor_columns == 0
+        assert record.pcg_calls["velocity"] == 3 and record.pcg_iterations["velocity"] == 0
         assert_matches_fresh_solve(x, matrix, rhs)
 
     def test_zero_column_with_a_guess_returns_zeros(self):
@@ -718,21 +740,20 @@ class TestWarmStart:
         assert np.array_equal(x[:, 1], np.zeros(m0.num_nodes))
         assert_matches_fresh_solve(x, matrix, rhs)
 
-    def test_nan_guess_refactors_once(self, monkeypatch):
+    def test_nan_guess_refactors_once(self):
         m0, held_matrix, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
         expected = fresh_solve(matrix, rhs)
-        held = stepper.LaggedFactor()
+        held = stepper.RunRecord()
         held.solver(held_matrix, np.zeros_like(rhs))
-        calls = count_factorizations(monkeypatch)
         x = held.solver(matrix, np.full_like(rhs, np.nan))(rhs)
-        assert len(calls) == 1
+        assert factorizations(held) == 2
         assert np.array_equal(x, expected)
 
     def test_first_solve_is_exact_whatever_the_guess(self):
         m0, _, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
-        x = stepper.LaggedFactor().solver(matrix, np.full_like(rhs, np.nan))(rhs)
+        x = stepper.RunRecord().solver(matrix, np.full_like(rhs, np.nan))(rhs)
         assert np.array_equal(x, fresh_solve(matrix, rhs))
 
     @pytest.mark.parametrize("level, t_end, bound", [
@@ -740,31 +761,18 @@ class TestWarmStart:
         # and 2.0 from that guess corrected once by the factor; started from
         # the factor's solve of b they took 4.9 and 3.9
         (2, 0.1, 3.5), (4, 0.03, 2.5)])
-    def test_example1_factor_applications_per_lagged_solve(self, monkeypatch, level, t_end,
-                                                            bound):
-        columns, held = [], []
-        real_refactor, real_solver = stepper.LaggedFactor._refactor, stepper.LaggedFactor.solver
-
-        def refactor(self, matrix):
-            lu = real_refactor(self, matrix)
-            held.append(CountingFactor(lu))
-            self._lu = held[-1]
-            return lu
-
-        def solver(self, matrix, start):
-            if self._lu is not None:  # a lagged solve, not the first, exact one
-                columns.append(start.shape[1])
-            return real_solver(self, matrix, start)
-
-        monkeypatch.setattr(stepper.LaggedFactor, "_refactor", refactor)
-        monkeypatch.setattr(stepper.LaggedFactor, "solver", solver)
+    def test_example1_factor_applications_per_lagged_solve(self, level, t_end, bound):
         m0 = mesh.generate_icosphere(level, 1.0)
         tau = experiments.step_size_for(m0, t_end)
         cfg = stepper.StepperConfig(tau=tau, t_end=t_end)
-        stepper.run(problems.example1_problem(), m0, cfg)
-        assert len(held) == 1 and len(columns) == round(t_end / tau) - 1
+        record = stepper.RunRecord()
+        stepper.run(problems.example1_problem(), m0, cfg, record=record)
+        # one factor, so every step after the first is a lagged solve, one
+        # _pcg call per column
+        lagged_columns = record.pcg_calls["velocity"]
+        assert factorizations(record) == 1 and lagged_columns == 3 * (round(t_end / tau) - 1)
         # the first, exact solve applies the factor to its three columns
-        assert sum(held[0].widths) - 3 <= bound * sum(columns)
+        assert record.factor_columns - 3 <= bound * lagged_columns
 
 
 def field_system(level=3, seed=8):
@@ -778,20 +786,6 @@ def field_system(level=3, seed=8):
     return m0, mass, stiff, tau, assembly.add_scaled(mass, tau, stiff), u_prev
 
 
-def count_cg_iterations(monkeypatch):
-    """Record the iteration count of every stepper._pcg call from now on."""
-    iterations = []
-    real = stepper._pcg
-
-    def pcg(*args):
-        x, n = real(*args)
-        iterations.append(n)
-        return x, n
-
-    monkeypatch.setattr(stepper, "_pcg", pcg)
-    return iterations
-
-
 class TestFieldSolve:
     @pytest.mark.parametrize("solver", [stepper.DIRECT, stepper.CG])
     def test_reaches_the_relative_residual_without_a_factor(self, monkeypatch, solver):
@@ -799,29 +793,32 @@ class TestFieldSolve:
         m0, mass, stiff, tau, system, u_prev = field_system()
         smaller = m0.with_coords(np.sqrt(0.99) * m0.coords)
         calls = count_factorizations(monkeypatch)
-        iterations = count_cg_iterations(monkeypatch)
+        record = stepper.RunRecord()
         cfg = stepper.StepperConfig(tau=tau, t_end=1.0, solver=solver)
         state = stepper.initial_state(quiescent_spec(), smaller, u0=u_prev)
-        u, w = stepper._advance_fields(quiescent_spec(), state, m0, cfg, (None, None))
+        u, w = stepper._advance_fields(quiescent_spec(), state, m0, cfg, record)
         rhs = assembly.surface_matrices(smaller)[0] @ u_prev
         assert np.linalg.norm(system @ u - rhs) <= 1e-14 * np.linalg.norm(rhs)
         assert calls == [] and w is None
-        assert len(iterations) == 1 and iterations[0] > 0
+        assert record.pcg_calls == {"velocity": 0, "field": 1}
+        assert record.pcg_iterations["field"] > 0
 
-    def test_exact_start_returns_without_iterating(self, monkeypatch):
+    def test_exact_start_returns_without_iterating(self):
         *_, system, u_prev = field_system()
-        iterations = count_cg_iterations(monkeypatch)
-        x = stepper._pcg_solver(system, stepper.LAG_TOL, u_prev)(system @ u_prev)
+        record = stepper.RunRecord()
+        x = stepper._pcg_solver(system, stepper.LAG_TOL, u_prev, record, "field")(system @ u_prev)
         assert np.array_equal(x, u_prev)
-        assert iterations == [0]
-        stepper._pcg_solver(system, stepper.LAG_TOL, 1.001 * u_prev)(system @ u_prev)
-        assert iterations[1] > 0
+        assert record.pcg_calls["field"] == 1 and record.pcg_iterations["field"] == 0
+        stepper._pcg_solver(system, stepper.LAG_TOL, 1.001 * u_prev, record,
+                            "field")(system @ u_prev)
+        assert record.pcg_calls["field"] == 2 and record.pcg_iterations["field"] > 0
 
 
 def count_cg_iterations_by_kind(monkeypatch):
     """Record the iteration count of every stepper._pcg call from now on,
     under "velocity" for the columns of a solve that stepper.make_solver
-    built and under "field" for the others."""
+    built and under "field" for the others: the oracle that the run
+    record's counts are held to (TestRunRecord)."""
     iterations, kind = {"velocity": [], "field": []}, ["field"]
     real_pcg, real_make_solver = stepper._pcg, stepper.make_solver
 
@@ -892,24 +889,25 @@ class TestMassVelocitySolve:
         # the benchmark's run (level 3, 1,000 pre-relaxation and 100 moving
         # steps): measured 9.2 per velocity column and 12.0 per field solve;
         # the field solves took 15.5 from the old field, not extrapolated
-        iterations = count_cg_iterations_by_kind(monkeypatch)
+        records = record_runs(monkeypatch)
         experiments.tumor_experiment(0.0, 0.01, 0.01, level=3, tau=1e-3, t_end=0.1, seed=0,
                                      pre_time=1.0, solver=solver)
-        velocity, field = iterations["velocity"], iterations["field"]
-        assert len(velocity) == 3 * 100 and len(field) == 2 * 100
-        assert sum(velocity) <= 9.5 * len(velocity)
-        assert sum(field) <= 12.5 * len(field)
+        (record,) = records
+        calls, iterations = record.pcg_calls, record.pcg_iterations
+        assert calls == {"velocity": 3 * 100, "field": 2 * 100}
+        assert iterations["velocity"] <= 9.5 * calls["velocity"]
+        assert iterations["field"] <= 12.5 * calls["field"]
 
-    def test_example1_field_iterations(self, monkeypatch):
+    def test_example1_field_iterations(self):
         # level 4, the benchmark's coupled size: measured 7.1 per field
         # solve, 9.0 from the old field; the velocity keeps its factor, which
         # preconditions the three columns of every step after the first
-        iterations = count_cg_iterations_by_kind(monkeypatch)
+        record = stepper.RunRecord()
         m0 = mesh.generate_icosphere(4, 1.0)
         cfg = stepper.StepperConfig(tau=experiments.step_size_for(m0, 0.03), t_end=0.03)
-        stepper.run(problems.example1_problem(), m0, cfg)
-        assert len(iterations["velocity"]) == 3 * 43 and len(iterations["field"]) == 44
-        assert sum(iterations["field"]) <= 7.5 * len(iterations["field"])
+        stepper.run(problems.example1_problem(), m0, cfg, record=record)
+        assert record.pcg_calls == {"velocity": 3 * 43, "field": 44}
+        assert record.pcg_iterations["field"] <= 7.5 * record.pcg_calls["field"]
 
 
 class TestExtrapolatedStarts:
@@ -942,7 +940,7 @@ class TestExtrapolatedStarts:
     def test_only_the_last_result_has_a_previous_step(self):
         spec, m0 = MASS_VELOCITY_SPECS["dynamic"], mesh.generate_icosphere(1, 1.0)
         cfg = stepper.StepperConfig(1e-3, 1e-3)
-        held = stepper.LaggedFactor()
+        held = stepper.RunRecord()
         first = stepper.initial_state(spec, m0)
         assert held.previous(first) == (None, None, None)
         second = stepper.step_coupled(first, spec, cfg, held)
@@ -960,7 +958,7 @@ class TestExtrapolatedStarts:
             first = (seeded_two_species_start(spec, m0, 4) if len(spec.diffusion) == 2
                      else stepper.initial_state(spec, m0))
             for solver in (stepper.DIRECT, stepper.CG):
-                held = stepper.LaggedFactor()
+                held = stepper.RunRecord()
                 second = stepper.step_coupled(first, spec,
                                               stepper.StepperConfig(1e-3, 1e-3, solver), held)
                 v, u, w = held.previous(second)
@@ -977,8 +975,8 @@ class TestLaterVelocitySolves:
         cfg = stepper.StepperConfig(1e-3, 1e-3, stepper.CG)
         first = stepper.run(spec, m0, cfg)
         real = stepper._pcg_solver
-        monkeypatch.setattr(stepper, "make_solver", lambda matrix, config, factor, guess:
-                            real(matrix, stepper.CG_TOL, np.zeros_like(guess)))
+        monkeypatch.setattr(stepper, "make_solver", lambda matrix, config, record, guess, mass_only:
+                            real(matrix, stepper.CG_TOL, np.zeros_like(guess), record, "velocity"))
         from_zero = stepper.run(spec, m0, cfg)
         for name in ("x", "u", "v"):
             a, b = getattr(first, name), getattr(from_zero, name)
@@ -1010,17 +1008,94 @@ class TestLaterVelocitySolves:
             assert rtol == stepper.LAG_TOL
             assert np.array_equal(x0, now.x + tau * (2.0 * now.v - before.v)), n
 
-    def test_example1_cg_velocity_iterations(self, monkeypatch):
+    def test_example1_cg_velocity_iterations(self):
         # level 3 to t = 0.2: measured 24.3 per velocity column; from zero
         # at every step they took 40.2
-        iterations = count_cg_iterations_by_kind(monkeypatch)
+        record = stepper.RunRecord()
         m0 = mesh.generate_icosphere(3, 1.0)
         cfg = stepper.StepperConfig(tau=experiments.step_size_for(m0, 0.2), t_end=0.2,
                                     solver=stepper.CG)
-        stepper.run(problems.example1_problem(), m0, cfg)
-        velocity = iterations["velocity"]
-        assert len(velocity) == 3 * round(0.2 / cfg.tau)
-        assert sum(velocity) <= 25.0 * len(velocity)
+        stepper.run(problems.example1_problem(), m0, cfg, record=record)
+        calls = record.pcg_calls["velocity"]
+        assert calls == 3 * round(0.2 / cfg.tau)
+        assert record.pcg_iterations["velocity"] <= 25.0 * calls
+
+
+def recorded_run(case):
+    """The RunRecord of a short run: example1 at level 2 under the solver
+    ``case``, or, for ``case`` "tumor", the two-species tumor spec (K = M)
+    at level 1."""
+    if case == "tumor":
+        spec, m0 = MASS_VELOCITY_SPECS["tumor"], mesh.generate_icosphere(1, 1.0)
+        start, solver = seeded_two_species_start(spec, m0, 5), stepper.DIRECT
+    else:
+        spec, m0 = problems.example1_problem(), mesh.generate_icosphere(2, 1.0)
+        start, solver = None, case
+    record = stepper.RunRecord()
+    stepper.run(spec, m0, stepper.StepperConfig(1e-3, 8e-3, solver), start=start, record=record)
+    return record
+
+
+def counts(record):
+    """Every count that ``record`` holds."""
+    return (record.pcg_calls, record.pcg_iterations, record.factorizations,
+            record.factor_columns)
+
+
+RECORDED_CASES = [stepper.DIRECT, stepper.CG, "tumor"]
+
+
+class TestRunRecord:
+    """The run record's counts equal those taken from outside the stepper:
+    a stepper._pcg wrapper, an assembly.factorize wrapper and a
+    CountingFactor."""
+
+    @pytest.mark.parametrize("case", RECORDED_CASES)
+    def test_pcg_counts_match_a_pcg_wrapper(self, monkeypatch, case):
+        iterations = count_cg_iterations_by_kind(monkeypatch)
+        record = recorded_run(case)
+        for system, n in iterations.items():
+            assert record.pcg_calls[system] == len(n) > 0, system
+            assert record.pcg_iterations[system] == sum(n) > 0, system
+
+    @pytest.mark.parametrize("case", RECORDED_CASES)
+    def test_factorizations_match_a_factorize_wrapper(self, monkeypatch, case):
+        kinds, real = [], assembly.factorize
+
+        def factorize(matrix):
+            factor = real(matrix)
+            kinds.append(type(factor).__name__)
+            return factor
+
+        monkeypatch.setattr(assembly, "factorize", factorize)
+        record = recorded_run(case)
+        assert kinds == (["BandCholesky"] if case == stepper.DIRECT else [])
+        assert record.factorizations == collections.Counter(kinds)
+
+    @pytest.mark.parametrize("case", RECORDED_CASES)
+    def test_factor_columns_match_a_counting_factor(self, monkeypatch, case):
+        factors, real = [], assembly.factorize
+
+        def factorize(matrix):
+            factors.append(CountingFactor(real(matrix)))
+            return factors[-1]
+
+        monkeypatch.setattr(assembly, "factorize", factorize)
+        columns = recorded_run(case).factor_columns
+        assert columns == sum(sum(factor.widths) for factor in factors)
+        assert (columns > 0) == (case == stepper.DIRECT)
+
+    @pytest.mark.parametrize("case", RECORDED_CASES)
+    def test_identical_runs_give_identical_records(self, case):
+        first = recorded_run(case)
+        assert counts(first) == counts(recorded_run(case))
+        # a record that counts nothing repeats too: each count the run
+        # must make is there
+        for system in ("velocity", "field"):
+            assert first.pcg_calls[system] > 0 and first.pcg_iterations[system] > 0
+        factored = case == stepper.DIRECT
+        assert first.factorizations == collections.Counter(BandCholesky=int(factored))
+        assert (first.factor_columns > 0) == factored
 
 
 @functools.lru_cache(maxsize=None)
@@ -1059,13 +1134,17 @@ def scipy_jacobi_cg(matrix, rhs, x0, rtol):
 
 
 def assert_agrees_with_scipy_cg(matrix, rhs, x0, rtol):
-    """_pcg_solver takes spla.cg's iteration count per column, and each
-    column of its solution agrees with cg's within 1e-13 max|x|: the BLAS
-    updates of _pcg round once where cg rounds twice."""
+    """_pcg_solver takes spla.cg's iteration count per column, as a run
+    record counts it for that column alone, and each column of its
+    solution agrees with cg's within 1e-13 max|x|: the BLAS updates of _pcg
+    round once where cg rounds twice."""
     expected, expected_iterations = scipy_jacobi_cg(matrix, rhs, x0, rtol)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        iterations = count_cg_iterations(monkeypatch)
-        x = stepper._pcg_solver(matrix, rtol, x0)(rhs)
+    x = stepper._pcg_solver(matrix, rtol, x0, stepper.RunRecord(), "field")(rhs)
+    iterations = []
+    for b, start in zip(rhs.reshape(len(rhs), -1).T, x0.reshape(len(rhs), -1).T):
+        record = stepper.RunRecord()
+        stepper._pcg_solver(matrix, rtol, start, record, "field")(b)
+        iterations.append(record.pcg_iterations["field"])
     assert iterations == expected_iterations
     assert x.shape == expected.shape
     x, expected = x.reshape(x.shape[0], -1), expected.reshape(x.shape[0], -1)
@@ -1133,7 +1212,8 @@ class TestPCGKernel:
         mass, stiff = sphere_matrices(1)
         rhs = np.full(mass.shape[0], np.nan)
         with pytest.raises(LinearSolveFailure, match="conjugate gradient") as info:
-            stepper._pcg_solver(mass + stiff, stepper.CG_TOL, np.zeros_like(rhs))(rhs)
+            stepper._pcg_solver(mass + stiff, stepper.CG_TOL, np.zeros_like(rhs),
+                                stepper.RunRecord(), "field")(rhs)
         assert np.isnan(info.value.residual)
 
     @pytest.mark.parametrize("exponent", [1000, 600, -600, -1000])
@@ -1160,7 +1240,8 @@ class TestPCGKernel:
         rhs = 1e300 * np.random.Generator(np.random.Philox(6)).standard_normal(mass.shape[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            x = stepper._pcg_solver(matrix, stepper.LAG_TOL, np.zeros_like(rhs))(rhs)
+            x = stepper._pcg_solver(matrix, stepper.LAG_TOL, np.zeros_like(rhs),
+                                    stepper.RunRecord(), "field")(rhs)
         expected = spla.splu(matrix.tocsc()).solve(rhs)
         assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -1203,7 +1284,8 @@ class TestPCGKernel:
                 "rng = np.random.Generator(np.random.Philox(2))\n"
                 "off = -np.ones(n - 1)\n"
                 "matrix = sp.diags([off, 2.01 + rng.random(n), off], [-1, 0, 1], format='csr')\n"
-                "x = stepper._pcg_solver(matrix, 1e-14, np.zeros(n))(rng.standard_normal(n))\n"
+                "x = stepper._pcg_solver(matrix, 1e-14, np.zeros(n), stepper.RunRecord(),\n"
+                "                        'field')(rng.standard_normal(n))\n"
                 "print(hashlib.sha256(x.tobytes()).hexdigest())\n")
         digests = []
         for threads in ("1", "2"):
@@ -1221,7 +1303,8 @@ class TestPCGKernel:
         rhs = np.random.Generator(np.random.Philox(4)).standard_normal(mass.shape[0])
         monkeypatch.setattr(stepper, "CG_MAX_ITER", 2)
         with pytest.raises(LinearSolveFailure) as info:
-            stepper._pcg_solver(matrix, stepper.LAG_TOL, np.zeros_like(rhs))(rhs)
+            stepper._pcg_solver(matrix, stepper.LAG_TOL, np.zeros_like(rhs), stepper.RunRecord(),
+                                "field")(rhs)
         x, code = spla.cg(matrix, rhs, rtol=stepper.LAG_TOL, atol=0.0, maxiter=2,
                           M=jacobi_operator(matrix))
         assert code == 2

@@ -23,7 +23,7 @@ def test_step_faults_counts_factor_applications_as_columns(monkeypatch):
     # the tool sets BLAS thread counts and sys.path as it loads: on copies
     monkeypatch.setattr(os, "environ", dict(os.environ))
     monkeypatch.setattr(sys, "path", list(sys.path))
-    # the held factor's start on (N, 3), then one column per PCG iteration
+    # the first, exact solve on (N, 3), then one column per PCG iteration
     shapes = [(2562, 3), (2562,), (2562,), (2562, 1), (2562, 2)]
     assert load_tool("step_faults").columns(shapes) == 3 + 1 + 1 + 1 + 2
 

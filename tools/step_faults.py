@@ -1,5 +1,5 @@
 """Print the median minor page faults and milliseconds per moving step,
-the Jacobi-PCG iterations per velocity column and per field solve, the
+the _pcg iterations per velocity column and per field solve, the
 factorizations by kind and their applications, and the tracemalloc peak
 of each run.
 
@@ -8,22 +8,23 @@ of each run.
 Runs the benchmark's three sizes in this process, one after another:
 example1 at level 4 to t = 0.03 with each velocity solver, and the seeded
 level-3 tumor run (1,000 pre-relaxation and 100 moving steps, exporting
-every 10).  An observer appended to every ``stepper.run`` reads
-``ru_minflt`` and the monotonic clock after each step; the medians are
-over the differences between consecutive steps.  A step that allocates
-fresh memory beyond what the allocator keeps takes minor faults, so a
-nonzero median marks allocation churn that no timing shows directly; a
-loaded machine adds faults of its own, so the 1, 5 and 15 minute load
-averages (``os.getloadavg``) are printed beside the median.
-The same pass counts the calls of ``stepper._pcg`` and the iterations
-they return, apart for the velocity columns (the solves that
-``stepper.make_solver`` builds, the columns that a held factor
-preconditions among them) and the field solves, the factorizations of
-``assembly.factorize`` by kind (the band Cholesky or SuperLU) and the
-applications of their ``solve``, as calls and as columns (``columns``),
-over the whole run (pre-relaxation included): exact counts, so two
-commits that claim the same iterations print the same numbers, and the
-same work prints the same columns however it is split into calls.
+every 10).  Every ``stepper.run`` gets a ``stepper.RunRecord`` and an
+observer that reads ``ru_minflt`` and the monotonic clock after each
+step; the medians are over the differences between consecutive steps,
+one per moving step, and "steps" counts the moving steps.  A step that
+allocates fresh memory beyond what the allocator keeps takes minor
+faults, so a nonzero median marks allocation churn that no timing shows
+directly; a loaded machine adds faults of its own, so the 1, 5 and 15
+minute load averages (``os.getloadavg``) are printed beside the median.
+The same pass prints the record's calls of ``stepper._pcg`` and their
+iterations, apart for the velocity columns and the field solves, and
+counts the factorizations of ``assembly.factorize`` by kind (the band
+Cholesky or SuperLU) and the applications of their ``solve``, as calls
+and as columns (``columns``), over the whole run.  Those two counts take
+a wrapper, not the record: they include the tumor pre-relaxation's two
+factors, built before ``stepper.run`` starts.  All are exact counts, so
+two commits that claim the same iterations print the same numbers, and
+the same work prints the same columns however it is split into calls.
 A second pass runs the three again with ``tracemalloc`` on, resetting the
 peak before each, and prints each run's peak of traced memory above what
 the process held at its start, to 0.01 MiB, the digit that repeats
@@ -78,59 +79,43 @@ def tumor():
 
 
 def main():
-    stamps, run, pcg, make_solver = [], stepper.run, stepper._pcg, stepper.make_solver
-    iterations = {"velocity": [], "field": []}
-    solving = ["field"]  # which kind of solve the _pcg calls belong to
+    stamps, run, records = [], stepper.run, []
     factorize, kinds, applications = assembly.factorize, [], []
 
     def stamp(step_index, state):
         stamps.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.monotonic()))
 
     def run_with_stamps(*args, observers=(), **kwargs):
-        return run(*args, observers=(*observers, stamp), **kwargs)
-
-    def pcg_with_count(*args):
-        x, n = pcg(*args)
-        iterations[solving[0]].append(n)
-        return x, n
-
-    def make_velocity_solver(*args):
-        solve = make_solver(*args)
-
-        def velocity_solve(rhs):
-            solving[0] = "velocity"
-            try:
-                return solve(rhs)
-            finally:
-                solving[0] = "field"
-
-        return velocity_solve
+        records.append(stepper.RunRecord())
+        return run(*args, observers=(*observers, stamp), record=records[-1], **kwargs)
 
     def factorize_with_count(matrix):
         factor = factorize(matrix)
         kinds.append("band" if isinstance(factor, assembly.BandCholesky) else "SuperLU")
         return CountedFactor(factor, applications)
 
-    stepper.run, stepper._pcg = run_with_stamps, pcg_with_count
-    stepper.make_solver, assembly.factorize = make_velocity_solver, factorize_with_count
+    stepper.run, assembly.factorize = run_with_stamps, factorize_with_count
     workloads = {"coupled_direct": lambda: example1(stepper.DIRECT),
                  "coupled_cg": lambda: example1(stepper.CG), "tumor": tumor}
     for name, workload in workloads.items():
-        for counts in (stamps, *iterations.values(), kinds, applications):
+        for counts in (stamps, records, kinds, applications):
             counts.clear()
         workload()
         faults = [b[0] - a[0] for a, b in zip(stamps, stamps[1:])]
         ms = [1e3 * (b[1] - a[1]) for a, b in zip(stamps, stamps[1:])]
-        pcg_counts = "".join(f"  _pcg {kind} {len(n)}/{sum(n)} ({sum(n) / max(len(n), 1):.1f})"
-                             for kind, n in iterations.items())
+        (record,) = records  # one stepper.run per workload
+        pcg_counts = ""
+        for kind, calls in record.pcg_calls.items():
+            its = record.pcg_iterations[kind]
+            pcg_counts += f"  _pcg {kind} {calls}/{its} ({its / max(calls, 1):.1f})"
         load = " ".join(f"{x:.2f}" for x in os.getloadavg())
-        print(f"{name:<16}{len(ms) + 1:>5} steps  faults/step {statistics.median(faults):g}"
+        print(f"{name:<16}{len(ms):>5} steps  faults/step {statistics.median(faults):g}"
               f" (load {load})"
               f"  ms/step {statistics.median(ms):.3f}{pcg_counts}"
               f"  factorizations band {kinds.count('band')}"
               f" SuperLU {kinds.count('SuperLU')}  applications {len(applications)}"
               f" ({columns(applications)} columns)", flush=True)
-    stepper._pcg, stepper.make_solver, assembly.factorize = pcg, make_solver, factorize
+    stepper.run, assembly.factorize = run, factorize
     tracemalloc.start()
     for name, workload in workloads.items():
         tracemalloc.reset_peak()
