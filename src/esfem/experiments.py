@@ -143,19 +143,21 @@ def tumor_experiment(alpha, beta, delta=0.01, level=3, tau=1e-3, t_end=5.0,
     Returns (final_state, envelope dict, trace), the envelope being
     trace.envelope(), the range of u and w over every state.  With
     ``out_dir`` set the trace CSV and surface snapshots are written there.
+    One stepper.RunRecord counts the pre-relaxation's factors and the run.
     """
     check_export_every(export_every)
     kin = kinetics if kinetics is not None else problems.TumorKinetics()
     spec = problems.tumor_problem(alpha, beta, delta, kin)
     mesh0 = mesh.generate_icosphere(level, 1.0)
     config = stepper.StepperConfig(step_size_for(mesh0, t_end, tau=tau), t_end, **solve)
-    u0, w0 = problems.tumor_initial_data(mesh0, kin, seed, pre_time=pre_time)
+    record = stepper.RunRecord()
+    u0, w0 = problems.tumor_initial_data(mesh0, kin, seed, pre_time=pre_time, record=record)
     start = stepper.initial_state(spec, mesh0, u0=u0, w0=w0)
     trace = TumorTrace()
     observers = [trace]
     if out_dir is not None and export_every > 0:
         observers.append(SurfaceExporter(out_dir, export_every))
-    final = stepper.run(spec, mesh0, config, observers=observers, start=start)
+    final = stepper.run(spec, mesh0, config, observers=observers, start=start, record=record)
     if out_dir is not None:
         trace.write(f"{out_dir}/tumor_summary.csv")
         mesh.export_surface(final.mesh, {"u": final.u, "w": final.w},

@@ -243,7 +243,7 @@ def check_seed(seed):
 
 
 def tumor_initial_data(mesh: SurfaceMesh, kinetics: TumorKinetics, seed: int,
-                       perturbation_bound: float = 0.01, pre_time: float = 5.0):
+                       perturbation_bound: float = 0.01, pre_time: float = 5.0, *, record):
     """Initial fields for the tumor run.
 
     Perturbs the steady state by per-node uniform [0, perturbation_bound]
@@ -251,6 +251,7 @@ def tumor_initial_data(mesh: SurfaceMesh, kinetics: TumorKinetics, seed: int,
     fields) and relaxes the pure reaction-diffusion system on the frozen
     initial surface until ``pre_time`` with linearly implicit Euler steps
     of tau_pre = TAU_PRE; pre_time/tau_pre must be an integer >= 0 to 1e-9.
+    Its two systems are factored by ``record.factor`` (stepper.RunRecord).
     """
     n_steps = step_count(pre_time, TAU_PRE, "pre_time/tau_pre", minimum=0)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -260,7 +261,7 @@ def tumor_initial_data(mesh: SurfaceMesh, kinetics: TumorKinetics, seed: int,
     w = w_star + rng.uniform(0.0, perturbation_bound, n)
 
     mass, stiff = assembly.surface_matrices(mesh)
-    solves = [assembly.factorize(assembly.add_scaled(mass, TAU_PRE * d, stiff)).solve
+    solves = [record.factor(assembly.add_scaled(mass, TAU_PRE * d, stiff))
               for d in (1.0, kinetics.D_c)]
     for _ in range(n_steps):
         u, w = field_step(mesh, kinetics.source, mass, (u, w), TAU_PRE, solves, 0.0)

@@ -112,23 +112,23 @@ MASS_TOL = 1e-15
 
 
 class RunRecord:
-    """What one run on one mesh keeps across its steps, and what its linear
-    algebra did: the fields of the step before the last, from which every
-    solve extrapolates its start (``previous``), and under the cholesky
-    solver the velocity factor where alpha > 0 (assembly.factorize), which
-    preconditions the later systems, each only O(tau) from the last
-    (``solver``).  Its counts are exact and untimed: ``pcg_calls`` and
-    ``pcg_iterations`` by system (``velocity``, ``field``),
-    ``factorizations`` by class (BandCholesky, SuperLU) and
-    ``factor_columns``, the columns that the held factor has solved.
+    """What one run on one mesh keeps across its steps and what its linear
+    algebra did: the fields of the state before the last, from which every
+    solve extrapolates its start (``previous``), ``held``, the solve of the
+    cholesky velocity factor that make_solver keeps, or None, and exact,
+    untimed counts: ``pcg_calls`` and ``pcg_iterations`` by system
+    (``velocity``, ``field``), ``factorizations`` by class (BandCholesky,
+    SuperLU) and ``factor_columns``, the columns its factors (``factor``) solved.
     """
+
+    factor_columns = property(lambda self: self._columns[0])
 
     def __init__(self):
         self.pcg_calls = {"velocity": 0, "field": 0}
         self.pcg_iterations = {"velocity": 0, "field": 0}
         self.factorizations = Counter()
-        self.factor_columns = 0
-        self._factor = None
+        self._columns = [0]  # factor_columns; a solve holding self would make a cycle
+        self.held = None
         # (the state stepped to last, the (v, u, w) it came from)
         self._last = None, (None, None, None)
 
@@ -146,34 +146,17 @@ class RunRecord:
         """Keep ``old``'s fields for the step from ``new``."""
         self._last = new, (old.v, old.u, old.w)
 
-    def solver(self, matrix, start):
-        """solve(rhs) for (N,) or (N, k) right-hand sides of ``matrix`` from
-        the guess ``start``, shaped like rhs: the first system's by its new
-        factor, exactly, later ones by _pcg per column to LAG_TOL,
-        preconditioned by the held factor, refactored as LAG_MAX_ITER says.
-        A singular matrix raises LinearSolveFailure."""
-        if self._factor is None:
-            return self._refactor(matrix)
+    def factor(self, matrix):
+        """solve(rhs, out=None) of assembly.factorize(matrix), which this
+        counts by class, counting the columns of each rhs; out unused."""
+        factor, columns = assembly.factorize(matrix), self._columns
+        self.factorizations[type(factor).__name__] += 1
 
-        def solve(rhs):
-            try:
-                return _pcg_solver(matrix, LAG_TOL, start, self, "velocity", self._solve,
-                                   LAG_MAX_ITER)(rhs)
-            except LinearSolveFailure:
-                return self._refactor(matrix)(rhs)
+        def solve(rhs, out=None):
+            columns[0] += 1 if rhs.ndim == 1 else rhs.shape[1]
+            return factor.solve(rhs)
 
         return solve
-
-    def _refactor(self, matrix):
-        self._factor = None  # free the stale factor before building its replacement
-        self._factor = assembly.factorize(matrix)
-        self.factorizations[type(self._factor).__name__] += 1
-        return self._solve
-
-    def _solve(self, rhs, out=None):
-        """The held factor's solve, counting the columns of rhs; out unused."""
-        self.factor_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return self._factor.solve(rhs)
 
 
 # OpenBLAS splits a ddot of more than 10,000 entries across its threads,
@@ -283,18 +266,32 @@ def make_solver(matrix, config: StepperConfig, record: RunRecord, guess, mass_on
     ``mass_only`` marks a system with K = M, which c = O(h^2) keeps as
     mass-dominated as the field systems: it is solved as they are, by
     Jacobi-CG from the guess, to MASS_TOL.  Otherwise the run's first
-    system is solved from scratch, by the direct solver's new factor
-    (RunRecord.solver) or by Jacobi-CG from zero to CG_TOL, and every later
-    one by _pcg from the guess to LAG_TOL, preconditioned by the held
-    factor or, within CG_MAX_ITER, by Jacobi's.
+    system is solved from scratch, by a factor held in ``record`` or by
+    Jacobi-CG from zero to CG_TOL, and each later one by _pcg from the
+    guess to LAG_TOL, preconditioned by Jacobi's or by the held factor,
+    refactored to solve exactly where a column fails within LAG_MAX_ITER.
     """
+    direct = config.solver == DIRECT
     if mass_only:
         return _pcg_solver(matrix, MASS_TOL, guess, record, "velocity")
-    if config.solver == DIRECT:
-        return record.solver(matrix, guess)
-    if record.first:
+    if direct and record.held is None:
+        record.held = record.factor(matrix)
+        return record.held
+    if not direct and record.first:
         return _pcg_solver(matrix, CG_TOL, np.zeros_like(guess), record, "velocity")
-    return _pcg_solver(matrix, LAG_TOL, guess, record, "velocity")
+
+    def solve(rhs):
+        try:  # record.held is None, so Jacobi's, under cg
+            return _pcg_solver(matrix, LAG_TOL, guess, record, "velocity", record.held,
+                               LAG_MAX_ITER if direct else None)(rhs)
+        except LinearSolveFailure:
+            if not direct:
+                raise
+        record.held = None  # the stale factor, freed with the exception, goes first
+        record.held = record.factor(matrix)
+        return record.held(rhs)
+
+    return solve
 
 
 def _extrapolated(current, previous):

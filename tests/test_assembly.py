@@ -856,7 +856,8 @@ class TestMidpointPositionsCached:
         prop.__set_name__(mesh.SurfaceMesh, "midpoint_positions")
         monkeypatch.setattr(mesh.SurfaceMesh, "midpoint_positions", prop)
         m = mesh.generate_icosphere(1, 1.0)
-        problems.tumor_initial_data(m, problems.TumorKinetics(), seed=0, pre_time=1.0)
+        problems.tumor_initial_data(m, problems.TumorKinetics(), seed=0, pre_time=1.0,
+                                    record=stepper.RunRecord())
         assert len(calls) == 1  # 1000 steps, 1000 loads, one gather
 
 

@@ -246,7 +246,7 @@ class TestTumorInitialData:
         m = mesh.generate_icosphere(1, 1.0)
         u0, w0 = problems.tumor_initial_data(m, self.kin, seed=1,
                                              perturbation_bound=0.0,
-                                             pre_time=0.05)
+                                             pre_time=0.05, record=stepper.RunRecord())
         us, ws = self.kin.steady_state()
         assert np.abs(u0 - us).max() <= 1e-10
         assert np.abs(w0 - ws).max() <= 1e-10
@@ -255,21 +255,25 @@ class TestTumorInitialData:
     def test_pre_time_must_be_a_whole_number_of_steps(self, pre_time):
         m = mesh.generate_icosphere(0, 1.0)
         with pytest.raises(ValueError, match="pre_time/tau_pre"):
-            problems.tumor_initial_data(m, self.kin, seed=1, pre_time=pre_time)
+            problems.tumor_initial_data(m, self.kin, seed=1, pre_time=pre_time,
+                                        record=stepper.RunRecord())
 
     def test_same_seed_bitwise_identical(self):
         m = mesh.generate_icosphere(1, 1.0)
-        a = problems.tumor_initial_data(m, self.kin, seed=42, pre_time=0.02)
-        b = problems.tumor_initial_data(m, self.kin, seed=42, pre_time=0.02)
+        a = problems.tumor_initial_data(m, self.kin, seed=42, pre_time=0.02,
+                                        record=stepper.RunRecord())
+        b = problems.tumor_initial_data(m, self.kin, seed=42, pre_time=0.02,
+                                        record=stepper.RunRecord())
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        c = problems.tumor_initial_data(m, self.kin, seed=43, pre_time=0.02)
+        c = problems.tumor_initial_data(m, self.kin, seed=43, pre_time=0.02,
+                                        record=stepper.RunRecord())
         assert not np.array_equal(a[0], c[0])
 
     def test_coarse_level_envelope(self):
         # full pre-relaxation at the coarse level stays within [0, 2(a+b)];
         # measured envelope at level 2, seed 7: u [0.478, 1.725], w [0.602, 1.134]
         m = mesh.generate_icosphere(2, 1.0)
-        u0, w0 = problems.tumor_initial_data(m, self.kin, seed=7)
+        u0, w0 = problems.tumor_initial_data(m, self.kin, seed=7, record=stepper.RunRecord())
         bound = 2 * (self.kin.a + self.kin.b)
         for field in (u0, w0):
             assert np.all(field >= 0.0)
@@ -280,7 +284,7 @@ class TestTumorInitialData:
         # guide; first-run-recorded bounds (seed 7): u [0.305, 2.224],
         # w [0.386, 1.198], frozen with margin
         m = mesh.generate_icosphere(1, 1.0)
-        u0, w0 = problems.tumor_initial_data(m, self.kin, seed=7)
+        u0, w0 = problems.tumor_initial_data(m, self.kin, seed=7, record=stepper.RunRecord())
         assert 0.25 <= u0.min() and u0.max() <= 2.4
         assert 0.3 <= w0.min() and w0.max() <= 1.35
 

@@ -186,7 +186,8 @@ def tumor_start():
     """The seeded level-2 start after 200 pre-relaxation steps, and the
     run of 50 moving steps from it."""
     m0 = mesh.generate_icosphere(2, 1.0)
-    u0, w0 = problems.tumor_initial_data(m0, problems.TumorKinetics(), 7, pre_time=0.2)
+    u0, w0 = problems.tumor_initial_data(m0, problems.TumorKinetics(), 7, pre_time=0.2,
+                                         record=stepper.RunRecord())
     start = stepper.initial_state(TUMOR_SPEC, m0, u0=u0, w0=w0)
     return start, stepper.run(TUMOR_SPEC, m0, TUMOR_CONFIG, start=start)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -404,17 +405,22 @@ def factorizations(record):
     return sum(record.factorizations.values())
 
 
+# the cholesky solver's config, for stepper.make_solver on a bare matrix
+CHOLESKY = stepper.StepperConfig(1e-3, 1e-3, stepper.DIRECT)
+
+
 def fresh_solve(matrix, rhs):
     """The solve of a fresh factorization of ``matrix``."""
     return assembly.factorize(matrix).solve(rhs)
 
 
 def record_runs(monkeypatch):
-    """The RunRecord of every stepper.run call from now on, in order."""
+    """The RunRecord of every stepper.run call from now on, in order: the
+    caller's, or a new one where it passes none."""
     records, real = [], stepper.run
 
-    def run(*args, **kwargs):
-        records.append(stepper.RunRecord())
+    def run(*args, record=None, **kwargs):
+        records.append(stepper.RunRecord() if record is None else record)
         return real(*args, record=records[-1], **kwargs)
 
     monkeypatch.setattr(stepper, "run", run)
@@ -474,8 +480,9 @@ class TestFactorReuse:
         rhs = np.random.Generator(np.random.Philox(4)).standard_normal((m0.num_nodes, 3))
         expected = fresh_solve(far, rhs)
         held = stepper.RunRecord()
-        held.solver((mass + 1e-6 * stiff).tocsr(), np.zeros_like(rhs))
-        solve = held.solver(far, np.zeros_like(rhs))
+        near = (mass + 1e-6 * stiff).tocsr()
+        stepper.make_solver(near, CHOLESKY, held, np.zeros_like(rhs), False)
+        solve = stepper.make_solver(far, CHOLESKY, held, np.zeros_like(rhs), False)
         assert factorizations(held) == 1
         assert np.array_equal(solve(rhs), expected)
         assert factorizations(held) == 2
@@ -483,14 +490,15 @@ class TestFactorReuse:
         # no further factorization
         scale = np.abs(expected).max()
         assert np.abs(solve(rhs) - expected).max() <= 1e-13 * scale
-        column = held.solver(far, np.zeros_like(rhs[:, 0]))(rhs[:, 0])
+        column = stepper.make_solver(far, CHOLESKY, held, np.zeros_like(rhs[:, 0]),
+                                     False)(rhs[:, 0])
         assert np.abs(column - expected[:, 0]).max() <= 1e-13 * scale
         assert factorizations(held) == 2
 
     def test_exactly_singular_system_is_a_solve_failure(self):
         singular = sp.diags([1.0, 0.0, 1.0]).tocsr()
         with pytest.raises(LinearSolveFailure, match="singular"):
-            stepper.RunRecord().solver(singular, np.zeros(3))
+            stepper.make_solver(singular, CHOLESKY, stepper.RunRecord(), np.zeros(3), False)
 
     def test_standalone_steps_on_two_meshes(self, monkeypatch):
         calls = count_factorizations(monkeypatch)
@@ -634,8 +642,8 @@ def lagged_solve(held_matrix, matrix, rhs, start):
     solution and the run record, whose _pcg calls and factor columns are
     that solve's.  The factor must not go stale."""
     held = stepper.RunRecord()
-    held.solver(held_matrix, start)
-    x = held.solver(matrix, start)(rhs)
+    stepper.make_solver(held_matrix, CHOLESKY, held, start, False)
+    x = stepper.make_solver(matrix, CHOLESKY, held, start, False)(rhs)
     assert factorizations(held) == 1, "refactored"
     return x, held
 
@@ -691,8 +699,9 @@ class TestBlockedPCG:
         rhs[:, 0] = 0.0
         expected = fresh_solve(far, rhs)
         held = stepper.RunRecord()
-        held.solver((mass + 1e-6 * stiff).tocsr(), np.zeros_like(rhs))
-        x = held.solver(far, np.zeros_like(rhs))(rhs)
+        near = (mass + 1e-6 * stiff).tocsr()
+        stepper.make_solver(near, CHOLESKY, held, np.zeros_like(rhs), False)
+        x = stepper.make_solver(far, CHOLESKY, held, np.zeros_like(rhs), False)(rhs)
         assert factorizations(held) == 2
         assert np.array_equal(x, expected)
         assert np.array_equal(x[:, 0], np.zeros(m0.num_nodes))
@@ -745,15 +754,16 @@ class TestWarmStart:
         rhs = matrix @ m0.coords
         expected = fresh_solve(matrix, rhs)
         held = stepper.RunRecord()
-        held.solver(held_matrix, np.zeros_like(rhs))
-        x = held.solver(matrix, np.full_like(rhs, np.nan))(rhs)
+        stepper.make_solver(held_matrix, CHOLESKY, held, np.zeros_like(rhs), False)
+        x = stepper.make_solver(matrix, CHOLESKY, held, np.full_like(rhs, np.nan), False)(rhs)
         assert factorizations(held) == 2
         assert np.array_equal(x, expected)
 
     def test_first_solve_is_exact_whatever_the_guess(self):
         m0, _, matrix = velocity_like_systems(2)
         rhs = matrix @ m0.coords
-        x = stepper.RunRecord().solver(matrix, np.full_like(rhs, np.nan))(rhs)
+        x = stepper.make_solver(matrix, CHOLESKY, stepper.RunRecord(), np.full_like(rhs, np.nan),
+                                False)(rhs)
         assert np.array_equal(x, fresh_solve(matrix, rhs))
 
     @pytest.mark.parametrize("level, t_end, bound", [
@@ -1085,6 +1095,26 @@ class TestRunRecord:
         assert columns == sum(sum(factor.widths) for factor in factors)
         assert (columns > 0) == (case == stepper.DIRECT)
 
+    def test_tumor_record_counts_its_pre_relaxation_factors(self, monkeypatch):
+        # the moving run (K = M) holds no factor: the record's factors are
+        # the pre-relaxation's two, one column per field and step
+        calls = count_factorizations(monkeypatch)
+        records = record_runs(monkeypatch)
+        experiments.tumor_experiment(0.0, 0.01, level=1, tau=1e-3, t_end=5e-3, pre_time=0.01)
+        (record,) = records
+        assert record.factorizations == collections.Counter(BandCholesky=2)
+        assert sum(record.factorizations.values()) == len(calls)
+        assert record.factor_columns == 2 * 10
+
+    def test_a_record_holding_a_factor_is_freed_with_its_last_reference(self):
+        # the held solve counts columns without holding the record, so no
+        # cycle waits for the collector with the factor in it
+        record = recorded_run(stepper.DIRECT)
+        assert record.held is not None
+        gone = weakref.ref(record)
+        del record
+        assert gone() is None
+
     @pytest.mark.parametrize("case", RECORDED_CASES)
     def test_identical_runs_give_identical_records(self, case):
         first = recorded_run(case)
@@ -1344,7 +1374,8 @@ class TestRunNodeVectorLayout:
         kin = problems.TumorKinetics()
         spec = problems.tumor_problem(0.0, 0.01, 0.01, kin)
         m0 = mesh.generate_icosphere(1, 1.0)
-        u0, w0 = problems.tumor_initial_data(m0, kin, seed=0, pre_time=0.01)
+        u0, w0 = problems.tumor_initial_data(m0, kin, seed=0, pre_time=0.01,
+                                             record=stepper.RunRecord())
         start = stepper.initial_state(spec, m0, u0=u0, w0=w0)
         steps = self.observed_steps(spec, m0, stepper.StepperConfig(tau=1e-3, t_end=5e-3), start)
         assert steps == list(range(6))

@@ -1,5 +1,4 @@
 import importlib.util
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,15 +16,6 @@ def load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_step_faults_counts_factor_applications_as_columns(monkeypatch):
-    # the tool sets BLAS thread counts and sys.path as it loads: on copies
-    monkeypatch.setattr(os, "environ", dict(os.environ))
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    # the first, exact solve on (N, 3), then one column per PCG iteration
-    shapes = [(2562, 3), (2562,), (2562,), (2562, 1), (2562, 2)]
-    assert load_tool("step_faults").columns(shapes) == 3 + 1 + 1 + 1 + 2
 
 
 def test_output_compare_reads_bitwise_or_the_relative_gap(tmp_path):

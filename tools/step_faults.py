@@ -1,30 +1,30 @@
 """Print the median minor page faults and milliseconds per moving step,
 the _pcg iterations per velocity column and per field solve, the
-factorizations by kind and their applications, and the tracemalloc peak
-of each run.
+factorizations by class and their columns, and the tracemalloc peak of
+each run.
 
     python3 tools/step_faults.py
 
 Runs the benchmark's three sizes in this process, one after another:
 example1 at level 4 to t = 0.03 with each velocity solver, and the seeded
 level-3 tumor run (1,000 pre-relaxation and 100 moving steps, exporting
-every 10).  Every ``stepper.run`` gets a ``stepper.RunRecord`` and an
-observer that reads ``ru_minflt`` and the monotonic clock after each
-step; the medians are over the differences between consecutive steps,
-one per moving step, and "steps" counts the moving steps.  A step that
-allocates fresh memory beyond what the allocator keeps takes minor
-faults, so a nonzero median marks allocation churn that no timing shows
-directly; a loaded machine adds faults of its own, so the 1, 5 and 15
-minute load averages (``os.getloadavg``) are printed beside the median.
+every 10).  Every ``stepper.run`` gets an observer that reads
+``ru_minflt`` and the monotonic clock after each step, and keeps its
+caller's ``stepper.RunRecord`` or gets a new one; the medians are over
+the differences between consecutive steps, one per moving step, and
+"steps" counts the moving steps.  A step that allocates fresh memory
+beyond what the allocator keeps takes minor faults, so a nonzero median
+marks allocation churn that no timing shows directly; a loaded machine
+adds faults of its own, so the 1, 5 and 15 minute load averages
+(``os.getloadavg``) are printed beside the median.
 The same pass prints the record's calls of ``stepper._pcg`` and their
-iterations, apart for the velocity columns and the field solves, and
-counts the factorizations of ``assembly.factorize`` by kind (the band
-Cholesky or SuperLU) and the applications of their ``solve``, as calls
-and as columns (``columns``), over the whole run.  Those two counts take
-a wrapper, not the record: they include the tumor pre-relaxation's two
-factors, built before ``stepper.run`` starts.  All are exact counts, so
-two commits that claim the same iterations print the same numbers, and
-the same work prints the same columns however it is split into calls.
+iterations, apart for the velocity columns and the field solves, its
+factorizations by class (BandCholesky or SuperLU) and the columns that
+their solves took (``factor_columns``), over the whole run; the tumor
+run's record holds its pre-relaxation's two factors too.  All are exact
+counts, so two commits that claim the same iterations print the same
+numbers, and the same work prints the same columns however it is split
+into calls.
 A second pass runs the three again with ``tracemalloc`` on, resetting the
 peak before each, and prints each run's peak of traced memory above what
 the process held at its start, to 0.01 MiB, the digit that repeats
@@ -47,24 +47,7 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from esfem import assembly, experiments, problems, stepper  # noqa: E402
-
-
-class CountedFactor:
-    """A factor whose ``solve`` calls are counted in ``applications``."""
-
-    def __init__(self, factor, applications):
-        self.factor, self.applications = factor, applications
-
-    def solve(self, rhs):
-        self.applications.append(rhs.shape)
-        return self.factor.solve(rhs)
-
-
-def columns(shapes):
-    """The columns of the right-hand sides of the given shapes: 1 for an
-    (N,) one, k for an (N, k) one."""
-    return sum(1 if len(shape) == 1 else shape[1] for shape in shapes)
+from esfem import experiments, problems, stepper  # noqa: E402
 
 
 def example1(solver):
@@ -80,26 +63,20 @@ def tumor():
 
 def main():
     stamps, run, records = [], stepper.run, []
-    factorize, kinds, applications = assembly.factorize, [], []
 
     def stamp(step_index, state):
         stamps.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.monotonic()))
 
-    def run_with_stamps(*args, observers=(), **kwargs):
-        records.append(stepper.RunRecord())
+    def run_with_stamps(*args, observers=(), record=None, **kwargs):
+        records.append(stepper.RunRecord() if record is None else record)
         return run(*args, observers=(*observers, stamp), record=records[-1], **kwargs)
 
-    def factorize_with_count(matrix):
-        factor = factorize(matrix)
-        kinds.append("band" if isinstance(factor, assembly.BandCholesky) else "SuperLU")
-        return CountedFactor(factor, applications)
-
-    stepper.run, assembly.factorize = run_with_stamps, factorize_with_count
+    stepper.run = run_with_stamps
     workloads = {"coupled_direct": lambda: example1(stepper.DIRECT),
                  "coupled_cg": lambda: example1(stepper.CG), "tumor": tumor}
     for name, workload in workloads.items():
-        for counts in (stamps, records, kinds, applications):
-            counts.clear()
+        stamps.clear()
+        records.clear()
         workload()
         faults = [b[0] - a[0] for a, b in zip(stamps, stamps[1:])]
         ms = [1e3 * (b[1] - a[1]) for a, b in zip(stamps, stamps[1:])]
@@ -109,13 +86,13 @@ def main():
             its = record.pcg_iterations[kind]
             pcg_counts += f"  _pcg {kind} {calls}/{its} ({its / max(calls, 1):.1f})"
         load = " ".join(f"{x:.2f}" for x in os.getloadavg())
+        kinds = " ".join(f"{kind} {n}" for kind, n in sorted(record.factorizations.items()))
         print(f"{name:<16}{len(ms):>5} steps  faults/step {statistics.median(faults):g}"
               f" (load {load})"
               f"  ms/step {statistics.median(ms):.3f}{pcg_counts}"
-              f"  factorizations band {kinds.count('band')}"
-              f" SuperLU {kinds.count('SuperLU')}  applications {len(applications)}"
-              f" ({columns(applications)} columns)", flush=True)
-    stepper.run, assembly.factorize = run, factorize
+              f"  factorizations {kinds or 'none'}"
+              f"  factor columns {record.factor_columns}", flush=True)
+    stepper.run = run
     tracemalloc.start()
     for name, workload in workloads.items():
         tracemalloc.reset_peak()
