@@ -36,7 +36,9 @@ class SystemState:
 
     u is the scalar field (N,), v the nodal velocity, a C-contiguous (N, 3)
     array, w the optional second species; the mesh carries the topology and
-    the node positions.
+    the node positions.  ``previous`` is the (v, u, w) of the state this one
+    was stepped from, from which every solve extrapolates its start; three
+    Nones for a start state.
     """
 
     t: float
@@ -44,6 +46,7 @@ class SystemState:
     v: np.ndarray
     mesh: SurfaceMesh
     w: Optional[np.ndarray] = None
+    previous: tuple = (None, None, None)
 
     @property
     def x(self) -> np.ndarray:
@@ -113,38 +116,22 @@ MASS_TOL = 1e-15
 
 class RunRecord:
     """What one run on one mesh keeps across its steps and what its linear
-    algebra did: the fields of the state before the last, from which every
-    solve extrapolates its start (``previous``), ``held``, the solve of the
-    cholesky velocity factor that make_solver keeps, or None, and exact,
-    untimed counts: ``pcg_calls`` and ``pcg_iterations`` by system
-    (``velocity``, ``field``), ``factorizations`` by class (BandCholesky,
-    SuperLU) and ``factor_columns``, the columns its factors (``factor``) solved.
+    algebra did: ``held``, the solve of the cholesky velocity factor that
+    make_solver keeps, or None, and exact, untimed counts: ``steps``,
+    ``pcg_calls`` and ``pcg_iterations`` by system (``velocity``,
+    ``field``), ``factorizations`` by class (BandCholesky, SuperLU) and
+    ``factor_columns``, the columns its factors (``factor``) solved.
     """
 
     factor_columns = property(lambda self: self._columns[0])
 
     def __init__(self):
+        self.steps = 0
         self.pcg_calls = {"velocity": 0, "field": 0}
         self.pcg_iterations = {"velocity": 0, "field": 0}
         self.factorizations = Counter()
         self._columns = [0]  # factor_columns; a solve holding self would make a cycle
         self.held = None
-        # (the state stepped to last, the (v, u, w) it came from)
-        self._last = None, (None, None, None)
-
-    @property
-    def first(self):
-        """No step has been kept yet: the run's first system is to come."""
-        return self._last[0] is None
-
-    def previous(self, state):
-        """(v, u, w) of the state that the last step left to reach
-        ``state``; three Nones where ``state`` is not that step's result."""
-        return self._last[1] if self._last[0] is state else (None, None, None)
-
-    def stepped(self, old, new):
-        """Keep ``old``'s fields for the step from ``new``."""
-        self._last = new, (old.v, old.u, old.w)
 
     def factor(self, matrix):
         """solve(rhs, out=None) of assembly.factorize(matrix), which this
@@ -266,10 +253,11 @@ def make_solver(matrix, config: StepperConfig, record: RunRecord, guess, mass_on
     ``mass_only`` marks a system with K = M, which c = O(h^2) keeps as
     mass-dominated as the field systems: it is solved as they are, by
     Jacobi-CG from the guess, to MASS_TOL.  Otherwise the run's first
-    system is solved from scratch, by a factor held in ``record`` or by
-    Jacobi-CG from zero to CG_TOL, and each later one by _pcg from the
-    guess to LAG_TOL, preconditioned by Jacobi's or by the held factor,
-    refactored to solve exactly where a column fails within LAG_MAX_ITER.
+    system (``record.steps`` 0) is solved from scratch, by a factor held in
+    ``record`` or by Jacobi-CG from zero to CG_TOL, and each later one by
+    _pcg from the guess to LAG_TOL, preconditioned by Jacobi's or by the
+    held factor, refactored to solve exactly where a column fails within
+    LAG_MAX_ITER.
     """
     direct = config.solver == DIRECT
     if mass_only:
@@ -277,7 +265,7 @@ def make_solver(matrix, config: StepperConfig, record: RunRecord, guess, mass_on
     if direct and record.held is None:
         record.held = record.factor(matrix)
         return record.held
-    if not direct and record.first:
+    if not direct and record.steps == 0:
         return _pcg_solver(matrix, CG_TOL, np.zeros_like(guess), record, "velocity")
 
     def solve(rhs):
@@ -306,15 +294,15 @@ def _advance_fields(spec, state, mesh_new, config, record):
 
     tau ~ h^2 keeps each field system M + tau d A (d from spec.diffusion)
     mass-dominated, so under either solver it is solved by Jacobi-CG to
-    LAG_TOL from the old field extrapolated by the one of the state before it
-    (RunRecord.previous, _extrapolated), counted by the RunRecord ``record``.
+    LAG_TOL from the old field extrapolated by state.previous's, counted by
+    the RunRecord ``record``.
     """
     tau = config.tau
     mass_new, stiff_new = assembly.surface_matrices(mesh_new)
     fields = (state.u, state.w)[:len(spec.diffusion)]
     solves = [_pcg_solver(assembly.add_scaled(mass_new, tau * d, stiff_new), LAG_TOL,
                           _extrapolated(f, f_prev), record, "field")
-              for d, f, f_prev in zip(spec.diffusion, fields, record.previous(state)[1:])]
+              for d, f, f_prev in zip(spec.diffusion, fields, state.previous[1:])]
     mass_old = assembly.surface_matrices(state.mesh)[0]
     new = problems.field_step(mesh_new, spec.source, mass_old, fields, tau, solves, state.t + tau)
     return (*new, None)[:2]
@@ -351,11 +339,9 @@ def _velocity(state, spec, config, record):
     y, where load = delta N(x) u + g load; returns (x_new, v_new), (N, 3) each.
     Regularized: K = M + alpha A, c = tau beta, y = x_new from y0 = x and the
     guess x + tau v; dynamic: K = M, c = tau alpha, y = v_new from y0 = v
-    and the guess v.  Under every law v is extrapolated from the state
-    before, which the RunRecord ``record`` keeps (RunRecord.previous,
-    _extrapolated).  y is copied C-contiguous (a factor's solve returns
-    Fortran order), so every stored v is, and the sums that read it keep
-    their order."""
+    and the guess v, v extrapolated from state.previous.  y is copied
+    C-contiguous (a factor's solve returns Fortran order), so every stored
+    v is, and the sums that read it keep their order."""
     law, tau, mesh = spec.law, config.tau, state.mesh
     mass, stiff = assembly.surface_matrices(mesh)
     if law.dynamic:
@@ -363,7 +349,7 @@ def _velocity(state, spec, config, record):
     else:
         k = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
         c, y0 = tau * law.beta, state.x
-    v = _extrapolated(state.v, record.previous(state)[0])
+    v = _extrapolated(state.v, state.previous[0])
     guess = v if law.dynamic else state.x + tau * v
     solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, record,
                         guess, k is mass)
@@ -378,18 +364,16 @@ def _velocity(state, spec, config, record):
 
 def step_coupled(state: SystemState, spec, config: StepperConfig, record: RunRecord) -> SystemState:
     """One step of the velocity law ``spec.law`` on the old surface, then of
-    the fields on the new one; returns the new state.  ``record`` is the
-    RunRecord of one run on one mesh, which holds its velocity factor and
-    the fields from which the solves extrapolate their starts, and counts
-    the solves; a new one factors afresh and starts from the old values."""
+    the fields on the new one; returns the new state, whose ``previous``
+    holds this one's fields.  ``record`` is the RunRecord of one run on one
+    mesh: it holds the velocity factor and counts the step and its solves."""
     t_new = state.t + config.tau
     x_new, v_new = _velocity(state, spec, config, record)
     mesh_new = _new_surface(state.mesh, x_new, t_new, config)
     u_new, w_new = _advance_fields(spec, state, mesh_new, config, record)
     _check_finite(t_new, u=u_new, w=w_new)
-    new = SystemState(t_new, u_new, v_new, mesh_new, w_new)
-    record.stepped(state, new)
-    return new
+    record.steps += 1
+    return SystemState(t_new, u_new, v_new, mesh_new, w_new, (state.v, state.u, state.w))
 
 
 # One step for every law; bench/tracer.py patches both names.
@@ -416,8 +400,7 @@ def run(spec, mesh0: SurfaceMesh, config: StepperConfig, observers=(),
     intermediate states: they are called synchronously as
     observer(step_index, state) for the initial state and after every step,
     and must not mutate the state.  One RunRecord, ``record`` or a new one
-    where None, carries the velocity factorization, where there is one,
-    and the warm starts across the run, and counts its solves.
+    where None, holds the velocity factor across the run and counts it.
     """
     n_steps = problems.step_count(config.t_end, config.tau, "t_end/tau")
 

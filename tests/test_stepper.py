@@ -947,18 +947,29 @@ class TestExtrapolatedStarts:
                 expected = f if before is None else 2.0 * f - getattr(before, name)
                 assert np.array_equal(start, expected), (n, name)
 
-    def test_only_the_last_result_has_a_previous_step(self):
-        spec, m0 = MASS_VELOCITY_SPECS["dynamic"], mesh.generate_icosphere(1, 1.0)
-        cfg = stepper.StepperConfig(1e-3, 1e-3)
-        held = stepper.RunRecord()
-        first = stepper.initial_state(spec, m0)
-        assert held.previous(first) == (None, None, None)
-        second = stepper.step_coupled(first, spec, cfg, held)
-        assert all(a is b for a, b in zip(held.previous(second), (first.v, first.u, None)))
-        # a state the last step did not produce starts from its own values
-        copy = dataclasses.replace(second)
-        assert held.previous(copy) == (None, None, None)
-        assert held.previous(first) == (None, None, None)
+    @pytest.mark.parametrize("solver", [stepper.DIRECT, stepper.CG])
+    @pytest.mark.parametrize("case", ["example1", "tumor"])
+    def test_a_copied_state_steps_from_its_own_history(self, case, solver):
+        # a state carries the fields it was stepped from, so a copy of a
+        # run's last state takes the step that the run would have taken
+        m0 = mesh.generate_icosphere(2, 1.0)
+        if case == "tumor":
+            spec = MASS_VELOCITY_SPECS["tumor"]
+            start = seeded_two_species_start(spec, m0, 4)
+        else:
+            spec, start = problems.example1_problem(), None
+        tau, record = 1e-3, stepper.RunRecord()
+        third = stepper.run(spec, m0, stepper.StepperConfig(tau, 3 * tau, solver),
+                            start=start, record=record)
+        assert third.previous[0] is not None
+        fourth = stepper.step_coupled(dataclasses.replace(third), spec,
+                                      stepper.StepperConfig(tau, tau, solver), record)
+        expected = stepper.run(spec, m0, stepper.StepperConfig(tau, 4 * tau, solver),
+                               start=start)
+        for name in ("x", "u", "v", "w"):
+            a, b = getattr(fourth, name), getattr(expected, name)
+            assert (a is None and b is None) or np.array_equal(a.view(np.int64),
+                                                               b.view(np.int64)), name
 
     def test_every_law_keeps_its_old_velocity(self):
         # every velocity solve starts from v extrapolated, 2 v - v_prev,
@@ -968,10 +979,9 @@ class TestExtrapolatedStarts:
             first = (seeded_two_species_start(spec, m0, 4) if len(spec.diffusion) == 2
                      else stepper.initial_state(spec, m0))
             for solver in (stepper.DIRECT, stepper.CG):
-                held = stepper.RunRecord()
-                second = stepper.step_coupled(first, spec,
-                                              stepper.StepperConfig(1e-3, 1e-3, solver), held)
-                v, u, w = held.previous(second)
+                config = stepper.StepperConfig(1e-3, 1e-3, solver)
+                second = stepper.step_coupled(first, spec, config, stepper.RunRecord())
+                v, u, w = second.previous
                 assert v is first.v and u is first.u and w is first.w
 
 
@@ -1048,7 +1058,7 @@ def recorded_run(case):
 
 def counts(record):
     """Every count that ``record`` holds."""
-    return (record.pcg_calls, record.pcg_iterations, record.factorizations,
+    return (record.steps, record.pcg_calls, record.pcg_iterations, record.factorizations,
             record.factor_columns)
 
 
@@ -1102,6 +1112,7 @@ class TestRunRecord:
         records = record_runs(monkeypatch)
         experiments.tumor_experiment(0.0, 0.01, level=1, tau=1e-3, t_end=5e-3, pre_time=0.01)
         (record,) = records
+        assert record.steps == 5  # the moving steps; the pre-relaxation counts none
         assert record.factorizations == collections.Counter(BandCholesky=2)
         assert sum(record.factorizations.values()) == len(calls)
         assert record.factor_columns == 2 * 10
@@ -1119,6 +1130,7 @@ class TestRunRecord:
     def test_identical_runs_give_identical_records(self, case):
         first = recorded_run(case)
         assert counts(first) == counts(recorded_run(case))
+        assert first.steps == 8
         # a record that counts nothing repeats too: each count the run
         # must make is there
         for system in ("velocity", "field"):

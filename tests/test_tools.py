@@ -1,6 +1,9 @@
+import gc
 import importlib.util
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,33 @@ def load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_step_faults_peak_ignores_garbage_left_before_the_workload(monkeypatch):
+    # the tool sets BLAS thread counts and sys.path as it loads: on copies
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    traced_peak = load_tool("step_faults").traced_peak
+    mib = 2**20
+
+    def workload():
+        gc.collect()  # as a run's own allocations may set the collector off
+        np.ones(4 * mib // 8)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        garbage = [np.ones(8 * mib // 8)]
+        garbage.append(garbage)  # a cycle: only the collector frees the 8 MiB
+        del garbage
+        peak = traced_peak(workload)
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    # a base read with the garbage still held would make this 0
+    assert peak == pytest.approx(4 * mib, rel=0.05)
 
 
 def test_output_compare_reads_bitwise_or_the_relative_gap(tmp_path):

@@ -12,11 +12,11 @@ every 10).  Every ``stepper.run`` gets an observer that reads
 ``ru_minflt`` and the monotonic clock after each step, and keeps its
 caller's ``stepper.RunRecord`` or gets a new one; the medians are over
 the differences between consecutive steps, one per moving step, and
-"steps" counts the moving steps.  A step that allocates fresh memory
-beyond what the allocator keeps takes minor faults, so a nonzero median
-marks allocation churn that no timing shows directly; a loaded machine
-adds faults of its own, so the 1, 5 and 15 minute load averages
-(``os.getloadavg``) are printed beside the median.
+"steps" is the record's count of them (``steps``).  A step that
+allocates fresh memory beyond what the allocator keeps takes minor
+faults, so a nonzero median marks allocation churn that no timing shows
+directly; a loaded machine adds faults of its own, so the 1, 5 and 15
+minute load averages (``os.getloadavg``) are printed beside the median.
 The same pass prints the record's calls of ``stepper._pcg`` and their
 iterations, apart for the velocity columns and the field solves, its
 factorizations by class (BandCholesky or SuperLU) and the columns that
@@ -25,15 +25,18 @@ run's record holds its pre-relaxation's two factors too.  All are exact
 counts, so two commits that claim the same iterations print the same
 numbers, and the same work prints the same columns however it is split
 into calls.
-A second pass runs the three again with ``tracemalloc`` on, resetting the
-peak before each, and prints each run's peak of traced memory above what
-the process held at its start, to 0.01 MiB, the digit that repeats
-from run to run; the timing pass stays untraced.
+A second pass runs the three again with ``tracemalloc`` on and prints each
+run's peak of traced memory above what the process held at its start, to
+0.01 MiB (traced_peak).  Cyclic garbage is collected before each start is
+read, so an earlier run's garbage freed during a later one cannot lower
+that peak, and the digit repeats from run to run; the timing pass stays
+untraced.
 The times are raw, not scaled by the machine's speed; BLAS and OpenMP
 run on one thread, as in the benchmark.  It imports esfem
 from the ``src/`` next to it and is not part of the test suite.
 """
 
+import gc
 import os
 import resource
 import statistics
@@ -59,6 +62,17 @@ def tumor():
     with tempfile.TemporaryDirectory() as out:
         experiments.tumor_experiment(0.0, 0.01, 0.01, level=3, tau=1e-3, t_end=0.1, seed=0,
                                      pre_time=1.0, out_dir=out, export_every=10)
+
+
+def traced_peak(workload):
+    """Bytes of traced memory that ``workload()`` peaks at above the
+    traced memory held, free of cyclic garbage, at its start; tracemalloc
+    must be tracing."""
+    gc.collect()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    workload()
+    return tracemalloc.get_traced_memory()[1] - held
 
 
 def main():
@@ -87,7 +101,7 @@ def main():
             pcg_counts += f"  _pcg {kind} {calls}/{its} ({its / max(calls, 1):.1f})"
         load = " ".join(f"{x:.2f}" for x in os.getloadavg())
         kinds = " ".join(f"{kind} {n}" for kind, n in sorted(record.factorizations.items()))
-        print(f"{name:<16}{len(ms):>5} steps  faults/step {statistics.median(faults):g}"
+        print(f"{name:<16}{record.steps:>5} steps  faults/step {statistics.median(faults):g}"
               f" (load {load})"
               f"  ms/step {statistics.median(ms):.3f}{pcg_counts}"
               f"  factorizations {kinds or 'none'}"
@@ -95,10 +109,7 @@ def main():
     stepper.run = run
     tracemalloc.start()
     for name, workload in workloads.items():
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        workload()
-        peak = tracemalloc.get_traced_memory()[1] - held
+        peak = traced_peak(workload)
         print(f"{name:<16}tracemalloc peak {peak / 2**20:.2f} MiB", flush=True)
     tracemalloc.stop()
 
