@@ -36,9 +36,9 @@ class SystemState:
 
     u is the scalar field (N,), v the nodal velocity, a C-contiguous (N, 3)
     array, w the optional second species; the mesh carries the topology and
-    the node positions.  ``previous`` is the (v, u, w) of the state this one
-    was stepped from, from which every solve extrapolates its start; three
-    Nones for a start state.
+    the node positions.  ``previous`` holds v's, u's and w's values at up to
+    three earlier states, newest first, from which every solve extrapolates
+    its start; three empty tuples for a start state.
     """
 
     t: float
@@ -46,7 +46,7 @@ class SystemState:
     v: np.ndarray
     mesh: SurfaceMesh
     w: Optional[np.ndarray] = None
-    previous: tuple = (None, None, None)
+    previous: tuple = ((), (), ())
 
     @property
     def x(self) -> np.ndarray:
@@ -282,10 +282,23 @@ def make_solver(matrix, config: StepperConfig, record: RunRecord, guess, mass_on
     return solve
 
 
-def _extrapolated(current, previous):
-    """2 current - previous: the first-order start ``current`` plus the
-    change of the step before; ``current`` itself where previous is None."""
-    return current if previous is None else 2.0 * current - previous
+# Weights of the backward-difference extrapolation of each order k from the
+# current value y0 and k older ones: 2 y0 - y1, 3 y0 - 3 y1 + y2 and
+# 4 y0 - 6 y1 + 4 y2 - y3, exact for every polynomial sequence of degree k.
+EXTRAPOLATION = {1: (2.0, -1.0), 2: (3.0, -3.0, 1.0), 3: (4.0, -6.0, 4.0, -1.0)}
+
+
+def _extrapolated(current, older, order):
+    """current extrapolated from older (newest first) by the EXTRAPOLATION
+    of order min(order, len(older)), summed in order; current if none."""
+    older = older[:order]
+    if not older:
+        return current
+    weights = EXTRAPOLATION[len(older)]
+    total = weights[0] * current
+    for weight, value in zip(weights[1:], older):
+        total += weight * value
+    return total
 
 
 def _advance_fields(spec, state, mesh_new, config, record):
@@ -294,15 +307,15 @@ def _advance_fields(spec, state, mesh_new, config, record):
 
     tau ~ h^2 keeps each field system M + tau d A (d from spec.diffusion)
     mass-dominated, so under either solver it is solved by Jacobi-CG to
-    LAG_TOL from the old field extrapolated by state.previous's, counted by
-    the RunRecord ``record``.
+    LAG_TOL from the field cubically extrapolated from state.previous,
+    counted by the RunRecord ``record``.
     """
     tau = config.tau
     mass_new, stiff_new = assembly.surface_matrices(mesh_new)
     fields = (state.u, state.w)[:len(spec.diffusion)]
     solves = [_pcg_solver(assembly.add_scaled(mass_new, tau * d, stiff_new), LAG_TOL,
-                          _extrapolated(f, f_prev), record, "field")
-              for d, f, f_prev in zip(spec.diffusion, fields, state.previous[1:])]
+                          _extrapolated(f, older, 3), record, "field")
+              for d, f, older in zip(spec.diffusion, fields, state.previous[1:])]
     mass_old = assembly.surface_matrices(state.mesh)[0]
     new = problems.field_step(mesh_new, spec.source, mass_old, fields, tau, solves, state.t + tau)
     return (*new, None)[:2]
@@ -339,9 +352,9 @@ def _velocity(state, spec, config, record):
     y, where load = delta N(x) u + g load; returns (x_new, v_new), (N, 3) each.
     Regularized: K = M + alpha A, c = tau beta, y = x_new from y0 = x and the
     guess x + tau v; dynamic: K = M, c = tau alpha, y = v_new from y0 = v
-    and the guess v, v extrapolated from state.previous.  y is copied
-    C-contiguous (a factor's solve returns Fortran order), so every stored
-    v is, and the sums that read it keep their order."""
+    and the guess v; v extrapolated from state.previous, cubically if K = M.
+    y is copied C-contiguous (a factor's solve returns Fortran order), so
+    every stored v is, and the sums that read it keep their order."""
     law, tau, mesh = spec.law, config.tau, state.mesh
     mass, stiff = assembly.surface_matrices(mesh)
     if law.dynamic:
@@ -349,10 +362,11 @@ def _velocity(state, spec, config, record):
     else:
         k = assembly.add_scaled(mass, law.alpha, stiff) if law.alpha != 0.0 else mass
         c, y0 = tau * law.beta, state.x
-    v = _extrapolated(state.v, state.previous[0])
+    mass_only = k is mass
+    v = _extrapolated(state.v, state.previous[0], 3 if mass_only else 2)
     guess = v if law.dynamic else state.x + tau * v
     solve = make_solver(assembly.add_scaled(k, c, stiff) if c != 0.0 else k, config, record,
-                        guess, k is mass)
+                        guess, mass_only)
     load = np.zeros((mesh.num_nodes, 3))
     if law.delta != 0.0:
         load += law.delta * assembly.assemble_normal_coupling(mesh, state.u, config.normal_coupling)
@@ -365,15 +379,17 @@ def _velocity(state, spec, config, record):
 def step_coupled(state: SystemState, spec, config: StepperConfig, record: RunRecord) -> SystemState:
     """One step of the velocity law ``spec.law`` on the old surface, then of
     the fields on the new one; returns the new state, whose ``previous``
-    holds this one's fields.  ``record`` is the RunRecord of one run on one
-    mesh: it holds the velocity factor and counts the step and its solves."""
+    leads with this one's fields.  ``record`` is the RunRecord of one run on
+    one mesh: it holds the velocity factor and counts the step and its solves."""
     t_new = state.t + config.tau
     x_new, v_new = _velocity(state, spec, config, record)
     mesh_new = _new_surface(state.mesh, x_new, t_new, config)
     u_new, w_new = _advance_fields(spec, state, mesh_new, config, record)
     _check_finite(t_new, u=u_new, w=w_new)
     record.steps += 1
-    return SystemState(t_new, u_new, v_new, mesh_new, w_new, (state.v, state.u, state.w))
+    fields = (state.v, state.u, state.w)
+    previous = tuple((f, *older[:2]) for f, older in zip(fields, state.previous))
+    return SystemState(t_new, u_new, v_new, mesh_new, w_new, previous)
 
 
 # One step for every law; bench/tracer.py patches both names.
